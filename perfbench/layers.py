@@ -152,109 +152,102 @@ class Tracer:
 # ---------------------------------------------------------------------------
 # per-layer metrics, computed in the benchmark process
 
+class RoundTotals:
+    """Call counts, busy time and counters over the traced ops of one round.
+
+    A span's time counts toward its name only when no enclosing span has
+    the same name, so recursion is not counted twice.  `check` is the
+    time of transition_matrix outside the inversion and the outermost
+    recursion spans it encloses: the fresh-seed delta check.  `overhead`
+    is the traced round's op time minus the untraced round's.
+    """
+
+    def __init__(self, ops: list[dict], overhead: float):
+        self.overhead = overhead
+        self.call_counts: dict[str, int] = {}
+        self.busy_s: dict[str, float] = {}
+        self.counters: dict[str, list] = {}
+        self.check = self.self_s = 0.0
+        for op in ops:
+            spans = op["spans"]
+            top = 0.0
+            for name, start, end, parent in spans:
+                self.call_counts[name] = self.call_counts.get(name, 0) + 1
+                p = parent
+                while p >= 0 and spans[p][0] != name:
+                    p = spans[p][3]
+                if p < 0:
+                    self.busy_s[name] = self.busy_s.get(name, 0.0) + end - start
+                if parent < 0 and name in TOP_CALLS:
+                    top += end - start
+                if name == "semican.transition":
+                    self.check += end - start
+                elif parent >= 0 and spans[parent][0] == "semican.transition" and name in (
+                    "semican.inversion",
+                    "semican.recursion",
+                ):
+                    self.check -= end - start
+            self.self_s += op["op_s"] - top
+            for name, (n, s) in op["counters"].items():
+                cell = self.counters.setdefault(name, [0, 0.0])
+                cell[0] += n
+                cell[1] += s
+
+    def calls(self, name: str) -> int:
+        return self.call_counts.get(name, 0)
+
+    def busy(self, name: str) -> float:
+        return self.busy_s.get(name, 0.0)
+
+    def counted(self, name: str) -> int:
+        return self.counters.get(name, [0, 0.0])[0]
+
+    def counted_s(self, name: str) -> float:
+        return self.counters.get(name, [0, 0.0])[1]
+
+    def per_chi(self, count: int) -> float:
+        chi = self.counted("nilpotent.chi")
+        return count / chi if chi else 0.0
+
+
+# (metric name, unit, value from a round's totals): the one list of
+# per-layer metrics.  BENCHMARK.json repeats it; selfcheck.py compares.
 PER_LAYER = (
-    ("quiver.order_s", "s"),
-    ("hall.left_mul_calls", "count"),
-    ("hall.left_mul_s", "s"),
-    ("hall.interp_calls", "count"),
-    ("hall.interp_s", "s"),
-    ("hall.expand_s", "s"),
-    ("nilpotent.word_evals", "count"),
-    ("nilpotent.word_eval_s", "s"),
-    ("nilpotent.chi_values", "count"),
-    ("nilpotent.evals_per_chi", "ratio"),
-    ("nilpotent.interp_calls", "count"),
-    ("nilpotent.interp_s", "s"),
-    ("nilpotent.interp_per_chi", "ratio"),
-    ("nilpotent.lift_calls", "count"),
-    ("nilpotent.lift_s", "s"),
-    ("nilpotent.sample_calls", "count"),
-    ("nilpotent.sample_s", "s"),
-    ("linalg.rref_calls", "count"),
-    ("linalg.rref_s", "s"),
-    ("linalg.matmul_calls", "count"),
-    ("linalg.matmul_s", "s"),
-    ("linalg.subspaces", "count"),
-    ("semican.inversion_s", "s"),
-    ("semican.check_s", "s"),
-    ("semican.recursion_s", "s"),
-    ("cli.self_s", "s"),
-    ("trace.overhead_s", "s"),
+    ("quiver.order_s", "s", lambda t: t.busy("quiver.order")),
+    ("hall.left_mul_calls", "count", lambda t: t.calls("hall.left_mul")),
+    ("hall.left_mul_s", "s", lambda t: t.busy("hall.left_mul")),
+    ("hall.interp_calls", "count", lambda t: t.calls("hall.interp")),
+    ("hall.interp_s", "s", lambda t: t.busy("hall.interp")),
+    ("hall.expand_s", "s", lambda t: t.busy("hall.expand")),
+    ("nilpotent.word_evals", "count", lambda t: t.calls("nilpotent.word_eval")),
+    ("nilpotent.word_eval_s", "s", lambda t: t.busy("nilpotent.word_eval")),
+    ("nilpotent.chi_values", "count", lambda t: t.counted("nilpotent.chi")),
+    ("nilpotent.evals_per_chi", "ratio", lambda t: t.per_chi(t.calls("nilpotent.word_eval"))),
+    ("nilpotent.interp_calls", "count", lambda t: t.calls("nilpotent.interp")),
+    ("nilpotent.interp_s", "s", lambda t: t.busy("nilpotent.interp")),
+    ("nilpotent.interp_per_chi", "ratio", lambda t: t.per_chi(t.calls("nilpotent.interp"))),
+    ("nilpotent.lift_calls", "count", lambda t: t.calls("nilpotent.lift")),
+    ("nilpotent.lift_s", "s", lambda t: t.busy("nilpotent.lift")),
+    ("nilpotent.sample_calls", "count", lambda t: t.calls("nilpotent.sample")),
+    ("nilpotent.sample_s", "s", lambda t: t.busy("nilpotent.sample")),
+    ("linalg.rref_calls", "count", lambda t: t.counted("linalg.rref")),
+    ("linalg.rref_s", "s", lambda t: t.counted_s("linalg.rref")),
+    ("linalg.matmul_calls", "count", lambda t: t.counted("linalg.matmul")),
+    ("linalg.matmul_s", "s", lambda t: t.counted_s("linalg.matmul")),
+    ("linalg.subspaces", "count", lambda t: t.counted("linalg.subspaces")),
+    ("semican.inversion_s", "s", lambda t: t.busy("semican.inversion")),
+    ("semican.check_s", "s", lambda t: t.check),
+    ("semican.recursion_s", "s", lambda t: t.busy("semican.recursion")),
+    ("cli.self_s", "s", lambda t: t.self_s),
+    ("trace.overhead_s", "s", lambda t: t.overhead),
 )
 
 
-def round_layers(ops: list[dict]) -> dict[str, float]:
-    """Per-layer totals over the traced ops of one round.
-
-    A span's time counts toward its name only when no enclosing span has
-    the same name, so recursion is not counted twice.  semican.check_s
-    is the time of transition_matrix outside the inversion and the
-    outermost recursion spans it encloses: the fresh-seed delta check.
-    """
-    calls: dict[str, int] = {}
-    busy: dict[str, float] = {}
-    counters: dict[str, list] = {}
-    check = self_s = 0.0
-    for op in ops:
-        spans = op["spans"]
-        top = 0.0
-        for name, start, end, parent in spans:
-            calls[name] = calls.get(name, 0) + 1
-            p = parent
-            while p >= 0 and spans[p][0] != name:
-                p = spans[p][3]
-            if p < 0:
-                busy[name] = busy.get(name, 0.0) + end - start
-            if parent < 0 and name in TOP_CALLS:
-                top += end - start
-            if name == "semican.transition":
-                check += end - start
-            elif parent >= 0 and spans[parent][0] == "semican.transition" and name in (
-                "semican.inversion",
-                "semican.recursion",
-            ):
-                check -= end - start
-        self_s += op["op_s"] - top
-        for name, (n, s) in op["counters"].items():
-            cell = counters.setdefault(name, [0, 0.0])
-            cell[0] += n
-            cell[1] += s
-    chi = counters.get("nilpotent.chi", [0, 0.0])[0]
-
-    def per_chi(x: float) -> float:
-        return x / chi if chi else 0.0
-
-    return {
-        "quiver.order_s": busy.get("quiver.order", 0.0),
-        "hall.left_mul_calls": calls.get("hall.left_mul", 0),
-        "hall.left_mul_s": busy.get("hall.left_mul", 0.0),
-        "hall.interp_calls": calls.get("hall.interp", 0),
-        "hall.interp_s": busy.get("hall.interp", 0.0),
-        "hall.expand_s": busy.get("hall.expand", 0.0),
-        "nilpotent.word_evals": calls.get("nilpotent.word_eval", 0),
-        "nilpotent.word_eval_s": busy.get("nilpotent.word_eval", 0.0),
-        "nilpotent.chi_values": chi,
-        "nilpotent.evals_per_chi": per_chi(calls.get("nilpotent.word_eval", 0)),
-        "nilpotent.interp_calls": calls.get("nilpotent.interp", 0),
-        "nilpotent.interp_s": busy.get("nilpotent.interp", 0.0),
-        "nilpotent.interp_per_chi": per_chi(calls.get("nilpotent.interp", 0)),
-        "nilpotent.lift_calls": calls.get("nilpotent.lift", 0),
-        "nilpotent.lift_s": busy.get("nilpotent.lift", 0.0),
-        "nilpotent.sample_calls": calls.get("nilpotent.sample", 0),
-        "nilpotent.sample_s": busy.get("nilpotent.sample", 0.0),
-        "linalg.rref_calls": counters.get("linalg.rref", [0, 0.0])[0],
-        "linalg.rref_s": counters.get("linalg.rref", [0, 0.0])[1],
-        "linalg.matmul_calls": counters.get("linalg.matmul", [0, 0.0])[0],
-        "linalg.matmul_s": counters.get("linalg.matmul", [0, 0.0])[1],
-        "linalg.subspaces": counters.get("linalg.subspaces", [0, 0.0])[0],
-        "semican.inversion_s": busy.get("semican.inversion", 0.0),
-        "semican.check_s": check,
-        "semican.recursion_s": busy.get("semican.recursion", 0.0),
-        "cli.self_s": self_s,
-    }
+def round_layers(ops: list[dict], overhead: float) -> dict[str, float]:
+    """Every per-layer metric of one round."""
+    totals = RoundTotals(ops, overhead)
+    return {name: value(totals) for name, _, value in PER_LAYER}
 
 
-def median_layers(rounds: list[dict[str, float]], overheads: list[float]) -> dict[str, float]:
-    out = {name: median(r[name] for r in rounds) for name, _ in PER_LAYER if name != "trace.overhead_s"}
-    out["trace.overhead_s"] = median(overheads)
-    return out
+def median_layers(rounds: list[dict[str, float]]) -> dict[str, float]:
+    return {name: median(r[name] for r in rounds) for name, _, _ in PER_LAYER}

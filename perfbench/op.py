@@ -8,7 +8,6 @@ the check calls a Serre op makes afterwards are not part of it.
 
     {"kind": "transition", "argv": [...], "trace": false}
     {"kind": "serre", "n": 4, "bound": 6, "cases": [...], "trace": false}
-    {"kind": "setup"}  (set-up only: report `ready` and exit)
 """
 
 import contextlib
@@ -37,9 +36,6 @@ def simple_top_sums(n, case):
 def main():
     request = json.loads(sys.stdin.read())
     ready = time.monotonic()
-    if request["kind"] == "setup":
-        sys.stdout.write(json.dumps({"ready": ready}) + "\n")
-        return
     tracer = None
     if request["trace"]:
         from layers import Tracer

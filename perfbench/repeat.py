@@ -1,12 +1,12 @@
 """Repeat benchmark runs and print each metric's median and quartiles.
 
-    python3 perfbench/repeat.py --workload flag-deep --runs 10 --seconds 30 --trace 0
+    python3 perfbench/repeat.py --workload flag-deep --seconds 30 --trace 0
 
-Runs perfbench/run.py once per seed (--first-seed, then the following
-seeds), one run at a time, and prints per metric the median, the first
-and third quartiles as statistics.quantiles(values, n=4) gives them, and
-their distance as a share of the median.  The last line of each run is
-kept in perfbench/out/repeat-<workload>-trace<t>.jsonl.
+Runs perfbench/run.py with seeds 1 to 10, one run at a time, and prints
+per metric the median, the first and third quartiles as
+statistics.quantiles(values, n=4) gives them, and their distance as a
+share of the median.  The last line of each run is kept in
+perfbench/out/repeat-<workload>-trace<t>.jsonl.
 """
 
 from __future__ import annotations
@@ -19,13 +19,12 @@ from pathlib import Path
 from statistics import median, quantiles
 
 HERE = Path(__file__).resolve().parent
+RUNS = 10
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
@@ -33,7 +32,7 @@ def main() -> int:
     log = HERE / "out" / f"repeat-{args.workload}-trace{args.trace}.jsonl"
     results = []
     with open(log, "w") as fh:
-        for seed in range(args.first_seed, args.first_seed + args.runs):
+        for seed in range(1, RUNS + 1):
             cmd = [sys.executable, str(HERE / "run.py"), "--workload", args.workload,
                    "--seed", str(seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
             proc = subprocess.run(cmd, cwd=HERE.parent, capture_output=True, text=True)
@@ -51,7 +50,7 @@ def main() -> int:
           f"failed shares seen: {sorted(shares)}")
     for name in results[0]["metrics"]:
         values = [r["metrics"][name]["value"] for r in results]
-        q1, q2, q3 = quantiles(values, n=4) if len(values) > 1 else values * 3
+        q1, q2, q3 = quantiles(values, n=4)
         spread = (q3 - q1) / q2 if q2 else 0.0
         print(f"{name:28s} median {median(values):.6g}  q1 {q1:.6g}  q3 {q3:.6g}  "
               f"iqr/median {spread:.4f}")

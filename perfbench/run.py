@@ -34,7 +34,6 @@ OUT = HERE / "out"
 OP_TIMEOUT_S = 90
 SERRE_BOUND = 6
 HALL_CASES = 6  # sampled (d, i, a) Hall checks per Serre op and round
-SETUPS = 4  # set-up-only interpreters per round, besides one per op
 
 
 def transition(n: int, d: tuple[int, ...]) -> dict:
@@ -156,20 +155,12 @@ def main() -> int:
     ops = WORKLOADS[args.workload]
     rng = random.Random(f"{args.workload}/{args.seed}")
     records: list[dict] = []
-    setups: list[float] = []
     traced_rounds: list[dict] = []
-    overheads: list[float] = []
     started = time.monotonic()
     rnd = 0
     while rnd == 0 or time.monotonic() - started < args.seconds:
         modes = (False, True) if args.trace else (False,)
         round_s = {}
-        for _ in range(SETUPS):
-            spawned, res, why = spawn({"kind": "setup"}, env)
-            if res is None:
-                print(f"error: set-up failed: {why}", file=sys.stderr)
-                return 1
-            setups.append(res["ready"] - spawned)
         for traced in modes:
             order = rng.sample(ops, len(ops))
             done = []
@@ -183,24 +174,26 @@ def main() -> int:
             round_s[traced] = sum(r["op_s"] for r in done)
             if traced:
                 traced_rounds.append(layers.round_layers(
-                    [r["trace"] | {"op_s": r["op_s"]} for r in done if r.get("trace")]))
-        if args.trace:
-            overheads.append(round_s[True] - round_s[False])
+                    [r["trace"] | {"op_s": r["op_s"]} for r in done if r.get("trace")],
+                    round_s[True] - round_s[False]))
         rnd += 1
     wall = time.monotonic() - started
+    setups = [r["setup_s"] for r in records if "setup_s" in r]
+    if not setups:
+        print("error: no op interpreter imported semibasis", file=sys.stderr)
+        return 1
 
     attempted = len(records)
     failed = sum(not r["ok"] for r in records)
     correct = not any(r["wrong"] for r in records)
     if args.trace:
-        values = layers.median_layers(traced_rounds, overheads)
-        metrics = {name: {"value": values[name], "unit": unit} for name, unit in layers.PER_LAYER}
+        values = layers.median_layers(traced_rounds)
+        metrics = {name: {"value": values[name], "unit": unit} for name, unit, _ in layers.PER_LAYER}
     else:
         passed = attempted - failed
         metrics = {
             "ops_per_s": {"value": passed / sum(r["op_s"] for r in records), "unit": "op/s"},
-            "setup_s": {"value": median(setups + [r["setup_s"] for r in records if "setup_s" in r]),
-                        "unit": "s"},
+            "setup_s": {"value": median(setups), "unit": "s"},
             "peak_rss_mb": {"value": max(r.get("rss_mb", 0.0) for r in records), "unit": "MB"},
         }
 

@@ -3,17 +3,23 @@
     python3 perfbench/selfcheck.py
 
 Each check in refs.py must accept the README's worked (2,2) matrix and
-a correct Hall sum, and reject each planted fault.  Prints every case
-that goes the wrong way and exits 1 if there is one.  Needs no
-semibasis import.
+a correct Hall sum, and reject each planted fault; and BENCHMARK.json
+must list the per-layer metrics of layers.py, with their units.  Prints
+every case that goes the wrong way and exits 1 if there is one.  Needs
+no semibasis import.
 """
 
 from __future__ import annotations
 
 import copy
+import json
 import sys
+from pathlib import Path
 
+import layers
 import refs
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 # the worked example of the README: semibasis transition --n 2 --dim 2,2
 GOOD = {
@@ -109,10 +115,14 @@ def main() -> int:
     require("stray Hall class rejected",
             reports(hall(HALL_SUMS | {"1[1,2]+1[2,2]": "1"}), "reaches"))
 
+    listed = [(m["name"], m["unit"]) for m in json.loads(BENCHMARK.read_text())["per_layer"]]
+    require("BENCHMARK.json per_layer matches layers.PER_LAYER",
+            listed == [(name, unit) for name, unit, _ in layers.PER_LAYER])
+
     for name in wrong:
         print("FAIL " + name)
     print(f"{'ok' if not wrong else 'FAILED'}: {len(TRANSITION_FAULTS)} planted "
-          "transition faults, 4 Serre and 4 Hall cases")
+          "transition faults, 4 Serre and 4 Hall cases, the per-layer list")
     return 1 if wrong else 0
 
 
