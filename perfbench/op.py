@@ -4,7 +4,10 @@ Reads a JSON request on standard input and writes one JSON result line
 on standard output.  `ready` is CLOCK_MONOTONIC once semibasis is
 imported and the request is read, so the parent can measure set-up from
 just before it started this interpreter.  `op_s` times the op alone;
-the check calls a Serre op makes afterwards are not part of it.
+the check calls a Serre op makes afterwards are not part of it.  An
+untraced op also reports the times of the speed probe of calib.py: five
+right after set-up (`setup_probe_s`) and one per 0.1 s of the op
+(`probe_s`), whose sum is taken out of `op_s`.
 
     {"kind": "transition", "argv": [...], "trace": false}
     {"kind": "serre", "n": 4, "bound": 6, "cases": [...], "trace": false}
@@ -36,23 +39,39 @@ def simple_top_sums(n, case):
 def main():
     request = json.loads(sys.stdin.read())
     ready = time.monotonic()
-    tracer = None
+    import calib
+
+    result = {"ready": ready}
+    tracer = sampler = None
     if request["trace"]:
         from layers import Tracer
 
         tracer = Tracer()
         tracer.install()
-    result = {"ready": ready}
+    else:
+        # the speed probe runs in untraced ops only, so that no layer
+        # span of a traced op holds probe time
+        sampler = calib.Sampler()
+        for _ in range(calib.SETUP_SAMPLES):
+            sampler.sample()
+        result["setup_probe_s"] = sampler.samples
+        sampler.start()
     out, err = io.StringIO(), io.StringIO()
     started = time.perf_counter()
     if request["kind"] == "transition":
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = semibasis.cli.main(request["argv"])
-        result["op_s"] = time.perf_counter() - started
-        result.update(rc=rc, stdout=out.getvalue(), stderr=err.getvalue()[-2000:])
     else:
         report = semibasis.check_serre(semibasis.Quiver(request["n"]), request["bound"])
-        result["op_s"] = time.perf_counter() - started
+    # stop the timer before reading the clock, so every probe counted
+    # falls inside the op's interval
+    probes = sampler.stop() if sampler is not None else []
+    result["op_s"] = time.perf_counter() - started - sum(probes)
+    if sampler is not None:
+        result["probe_s"] = probes
+    if request["kind"] == "transition":
+        result.update(rc=rc, stdout=out.getvalue(), stderr=err.getvalue()[-2000:])
+    else:
         result.update(
             rc=0,
             report={

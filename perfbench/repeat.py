@@ -1,6 +1,6 @@
 """Repeat benchmark runs and print each metric's median and quartiles.
 
-    python3 perfbench/repeat.py --workload flag-deep --seconds 30 --trace 0
+    python3 perfbench/repeat.py --workload flag-deep --seconds 25 --trace 0
 
 Runs perfbench/run.py with seeds 1 to 10, one run at a time, and prints
 per metric the median, the first and third quartiles as
@@ -25,7 +25,7 @@ RUNS = 10
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--seconds", type=int, default=25)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
     (HERE / "out").mkdir(exist_ok=True)

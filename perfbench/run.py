@@ -1,6 +1,6 @@
 """Benchmark of semibasis: certified transitions and Hall products.
 
-    python3 perfbench/run.py --workload flag-deep --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload flag-deep --seed 1 --seconds 25 --trace 0
 
 Run from the root of a source checkout.  Each op runs in a fresh
 interpreter started from this process, one at a time, so the
@@ -11,6 +11,10 @@ refs.py, and prints one JSON line: the end-to-end metrics with --trace
 0, and with --trace 1 the per-layer metrics of layers.py, from rounds
 run alternately without and with the layer wrappers.  Details per op go
 to perfbench/out/.  See perfbench/README.md.
+
+The end-to-end times are scaled to a reference machine speed by the
+probe of calib.py, timed in each op's interpreter; the unscaled figures
+are kept in the output file.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import time
 from pathlib import Path
 from statistics import median
 
+import calib
 import layers
 import refs
 
@@ -125,10 +130,17 @@ def spawn(req: dict, env: dict) -> tuple[float, dict | None, str]:
 def run_op(op: dict, req: dict, env: dict) -> dict:
     spawned, res, why = spawn(req, env)
     if res is None:
+        # no probe to scale by: the raw time stands in
+        op_s = time.monotonic() - spawned
         return {"op": op["name"], "ok": False, "wrong": False,
-                "op_s": time.monotonic() - spawned, "reason": why}
+                "op_s": op_s, "ref_op_s": op_s, "reason": why}
     rec = {"op": op["name"], "setup_s": res["ready"] - spawned, "op_s": res["op_s"],
            "rss_mb": res["max_rss_kb"] / 1024, "trace": res.get("trace")}
+    if "probe_s" in res:
+        rec.update(setup_probe_s=res["setup_probe_s"], probe_s=res["probe_s"])
+        rec["ref_setup_s"] = rec["setup_s"] * calib.speed(res["setup_probe_s"])
+        # an op shorter than the probe interval is scaled by the set-up probes
+        rec["ref_op_s"] = rec["op_s"] * calib.speed(res["probe_s"] or res["setup_probe_s"])
     if res["rc"] != 0:
         error = res.get("stderr", "").strip().splitlines()
         return rec | {"ok": False, "wrong": False,
@@ -178,22 +190,27 @@ def main() -> int:
                     round_s[True] - round_s[False]))
         rnd += 1
     wall = time.monotonic() - started
-    setups = [r["setup_s"] for r in records if "setup_s" in r]
-    if not setups:
+    if not any("setup_s" in r for r in records):
         print("error: no op interpreter imported semibasis", file=sys.stderr)
         return 1
 
     attempted = len(records)
     failed = sum(not r["ok"] for r in records)
     correct = not any(r["wrong"] for r in records)
+    untraced = [r for r in records if not r["traced"]]
+    passed = sum(r["ok"] for r in untraced)
+    unscaled = {
+        "ops_per_s": passed / sum(r["op_s"] for r in untraced),
+        "setup_s": median(r["setup_s"] for r in untraced if "setup_s" in r),
+    }
     if args.trace:
         values = layers.median_layers(traced_rounds)
         metrics = {name: {"value": values[name], "unit": unit} for name, unit, _ in layers.PER_LAYER}
     else:
-        passed = attempted - failed
         metrics = {
-            "ops_per_s": {"value": passed / sum(r["op_s"] for r in records), "unit": "op/s"},
-            "setup_s": {"value": median(setups), "unit": "s"},
+            "ops_per_s": {"value": passed / sum(r["ref_op_s"] for r in records), "unit": "op/s"},
+            "setup_s": {"value": median(r["ref_setup_s"] for r in records if "ref_setup_s" in r),
+                        "unit": "s"},
             "peak_rss_mb": {"value": max(r.get("rss_mb", 0.0) for r in records), "unit": "MB"},
         }
 
@@ -210,9 +227,11 @@ def main() -> int:
                     fh.write(json.dumps({"round": rec["round"], "op": rec["op"]} | trace) + "\n")
     summary = {"correct": correct, "attempted": attempted, "failed": failed, "metrics": metrics}
     with open(OUT / f"{stem}.json", "w") as fh:
-        json.dump(summary | {"rounds": rnd, "wall_s": wall, "ops": records}, fh, indent=1)
+        json.dump(summary | {"rounds": rnd, "wall_s": wall, "unscaled": unscaled, "ops": records},
+                  fh, indent=1)
     print(f"{args.workload}: {rnd} rounds, {attempted} ops, {failed} failed, "
-          f"{wall:.1f} s wall", file=sys.stderr)
+          f"{wall:.1f} s wall; unscaled: ops_per_s {unscaled['ops_per_s']:.4f}, "
+          f"setup_s {unscaled['setup_s']:.4f}", file=sys.stderr)
     print(json.dumps(summary))
     return 0
 

@@ -16,6 +16,7 @@ import json
 import sys
 from pathlib import Path
 
+import calib
 import layers
 import refs
 
@@ -115,6 +116,13 @@ def main() -> int:
     require("stray Hall class rejected",
             reports(hall(HALL_SUMS | {"1[1,2]+1[2,2]": "1"}), "reaches"))
 
+    # a probe at the reference time is speed 1; one at half of it, 2.  An
+    # op run half its time at each speed is scaled by their mean, 1.5
+    ref = calib.PROBE_REF_S
+    require("probe speed scaling", calib.speed([ref]) == 1.0
+            and abs(calib.speed([ref, ref / 2]) - 1.5) < 1e-12)
+    require("probe kernel rank", calib.kernel() == 40 * 6 + 12)
+
     listed = [(m["name"], m["unit"]) for m in json.loads(BENCHMARK.read_text())["per_layer"]]
     require("BENCHMARK.json per_layer matches layers.PER_LAYER",
             listed == [(name, unit) for name, unit, _ in layers.PER_LAYER])
@@ -122,7 +130,7 @@ def main() -> int:
     for name in wrong:
         print("FAIL " + name)
     print(f"{'ok' if not wrong else 'FAILED'}: {len(TRANSITION_FAULTS)} planted "
-          "transition faults, 4 Serre and 4 Hall cases, the per-layer list")
+          "transition faults, 4 Serre and 4 Hall cases, the probe, the per-layer list")
     return 1 if wrong else 0
 
 
