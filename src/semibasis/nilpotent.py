@@ -18,10 +18,11 @@ Word monomials are evaluated at a point by the flag recursion: the last
 letter (i, a) picks an a-dimensional subspace W of the joint kernel of
 the maps leaving i (such W are exactly the submodules isomorphic to
 S_i^a), and the rest of the word is evaluated on the quotient.  The
-counts over F_p are modeled as a polynomial in p of degree at most
-sum d_i (d_i - 1) / 2 and converted to Euler characteristics through
-verified interpolation at 1; non-polynomial behaviour or a consensus
-failure is surfaced, never averaged away.
+counts over F_p of a word w are modeled as a polynomial in p of degree
+at most word_degree_bound(w, d), the dimension of the product of the
+partial flag varieties its letters cut out of the V_i, and converted to
+Euler characteristics through verified interpolation at 1; non-polynomial
+behaviour or a consensus failure is surfaced, never averaged away.
 """
 
 from __future__ import annotations
@@ -40,16 +41,16 @@ from .linalg import (
     gaussian_binomial,
     interpolate_eval_one,
     kernel_basis_ff,
-    mat_inverse_ff,
     matmul_ff,
     primes,
     rank_ff,
     row_space_basis_ff,
+    rref_ff,
     solve_affine_ff,
     solve_ff,
     subspaces_ff,
 )
-from .quiver import Multisegment, Word, peel_top, t_top, word_weight
+from .quiver import Multisegment, Word, format_word, peel_top, t_top, word_weight
 
 __all__ = [
     "SampleConfig",
@@ -61,6 +62,7 @@ __all__ = [
     "peel_component",
     "evaluate_word_at_point",
     "flag_degree_bound",
+    "word_degree_bound",
     "RhoEvaluator",
     "rho_evaluate",
 ]
@@ -79,9 +81,12 @@ class SampleConfig:
     """Knobs for genericity sampling and Euler-characteristic extraction.
 
     prime_pool, when given, overrides the default pool (consecutive
-    primes from prime_start); it must stay large enough for the degree
-    bounds in play.  force_sampling disables the proven combinatorial
-    shortcuts for t and peel, which is only useful for cross-checking.
+    primes from prime_start).  A word w at grade d is counted at the
+    first min(b_w + 3, B + 2) primes of the pool, where b_w is
+    word_degree_bound(w, d) and B is flag_degree_bound(d), so the pool
+    must hold that many primes for every word in play.  force_sampling
+    disables the proven combinatorial shortcuts for t and peel, which is
+    only useful for cross-checking.
     """
 
     root_seed: int = 0
@@ -358,36 +363,48 @@ def peel_component(
 
 def _quotient_point(x: LambdaPoint, i: int, sub: list[tuple[int, ...]]) -> LambdaPoint:
     # quotient by the submodule spanned by sub at vertex i; sub must lie
-    # in the kernel of every map leaving i
-    a = len(sub)
+    # in the kernel of every map leaving i.  With sub in reduced echelon
+    # form R, the standard vectors off the pivots map to a basis of
+    # V_i / sub, and v projects to v[c] - sum_r R[r][c] v[pivot_r] there.
+    p = x.p
     di = x.dims[i - 1]
-    basis = complete_basis_ff(sub, di, x.p)
-    p_mat = tuple(tuple(basis[c][r] for c in range(di)) for r in range(di))
-    p_inv = mat_inverse_ff(p_mat, x.p)
+    red, pivots = rref_ff(sub, p)
+    if len(pivots) != len(sub):
+        raise ValueError("vectors are not independent")
+    pivot_set = set(pivots)
+    keep = [c for c in range(di) if c not in pivot_set]
+    echelon = [(pivot, red[r]) for r, pivot in enumerate(pivots)]
 
-    def into(mat: Matrix, src_dim: int) -> Matrix:
-        moved = matmul_ff(p_inv, mat, x.p, bcols=src_dim)
-        return tuple(moved[a:])
+    def into(mat: Matrix) -> Matrix:
+        out = []
+        for c in keep:
+            row = list(mat[c])
+            for pivot, r_row in echelon:
+                f = r_row[c]
+                if f:
+                    row = [u - f * v for u, v in zip(row, mat[pivot])]
+            out.append(tuple(u % p for u in row))
+        return tuple(out)
 
     def out_of(mat: Matrix) -> Matrix:
-        moved = matmul_ff(mat, p_mat, x.p, bcols=di)
-        for row in moved:
-            if any(row[:a]):
-                raise InternalCheckError(
-                    f"quotient at vertex {i} by a non-invariant subspace"
-                )
-        return tuple(row[a:] for row in moved)
+        for row in mat:
+            for vec in sub:
+                if sum(u * v for u, v in zip(row, vec)) % p:
+                    raise InternalCheckError(
+                        f"quotient at vertex {i} by a non-invariant subspace"
+                    )
+        return tuple(tuple(row[c] for c in keep) for row in mat)
 
-    new_dims = tuple(d - a if v == i else d for v, d in enumerate(x.dims, start=1))
+    new_dims = tuple(d - len(sub) if v == i else d for v, d in enumerate(x.dims, start=1))
     arrows = list(x.arrows)
     stars = list(x.stars)
     if i >= 2:
-        arrows[i - 2] = into(arrows[i - 2], x.dims[i - 2])
+        arrows[i - 2] = into(arrows[i - 2])
         stars[i - 2] = out_of(stars[i - 2])
     if i <= x.n - 1:
         arrows[i - 1] = out_of(arrows[i - 1])
-        stars[i - 1] = into(stars[i - 1], x.dims[i])
-    return LambdaPoint(x.n, x.p, new_dims, tuple(arrows), tuple(stars), None, x.seed)
+        stars[i - 1] = into(stars[i - 1])
+    return LambdaPoint(x.n, p, new_dims, tuple(arrows), tuple(stars), None, x.seed)
 
 
 def _kernel_split(
@@ -478,12 +495,30 @@ def evaluate_word_at_point(x: LambdaPoint, w: Word) -> int:
 
 
 def flag_degree_bound(d: Iterable[int]) -> int:
-    """Degree bound for flag-count polynomials at dimension vector d.
+    """Degree bound shared by every word of dimension vector d.
 
-    The product of the full flag varieties of the V_i dominates every
-    composition-series variety, so sum d_i (d_i - 1) / 2 suffices.
+    The product of the full flag varieties of the V_i, of dimension
+    sum d_i (d_i - 1) / 2, dominates every composition-series variety.
+    It is the largest word_degree_bound at grade d, attained by words
+    whose letters all have a = 1, and it sizes the grade's prime pool.
     """
     return sum(x * (x - 1) // 2 for x in d)
+
+
+def word_degree_bound(word: Word, d: Sequence[int]) -> int:
+    """Degree bound for the flag-count polynomial of word at grade d.
+
+    The flags of type w embed in the product over i of the partial flag
+    varieties of V_i whose steps are the letters of w at i, in order.
+    That product has dimension sum_i (d_i^2 - sum_{(i, a) in w} a^2) / 2,
+    never more than flag_degree_bound(d).
+    """
+    d = tuple(d)
+    if word_weight(word, len(d)) != d:
+        raise ValueError(
+            f"word weight {word_weight(word, len(d))} does not match grade {d}"
+        )
+    return (sum(x * x for x in d) - sum(a * a for _, a in word)) // 2
 
 
 class RhoEvaluator:
@@ -516,18 +551,24 @@ class RhoEvaluator:
         return point
 
     def chi(self, label: Multisegment, word: Word) -> int:
-        """Generic Euler-characteristic value of the word count on Z_label."""
+        """Generic Euler-characteristic value of the word count on Z_label.
+
+        The count is voted at each prime over up to samples_per_prime
+        sampled points, stopping once one value holds a strict majority,
+        and fitted with degree word_degree_bound(word, d) through the
+        first min(b_w + 3, B + 2) primes of the grade's pool, B being
+        flag_degree_bound(d).  A degree-b fit through N primes exposes
+        any N - b - 1 wrong votes: two when b_w < B, one (as with the
+        grade bound) when b_w = B.
+        """
         key = (label.segments, word)
         if key in self._chi:
             return self._chi[key]
         d = label.dim_vector(self.n)
-        if word_weight(word, self.n) != d:
-            raise ValueError(
-                f"word weight {word_weight(word, self.n)} does not match grade {d}"
-            )
-        bound = flag_degree_bound(d)
-        pool = self.config.sampling_primes(bound + 2)
+        bound = word_degree_bound(word, d)
         cfg = self.config
+        pool = cfg.sampling_primes(min(bound + 3, flag_degree_bound(d) + 2))
+        majority = cfg.samples_per_prime // 2 + 1
         history: list[tuple[int, dict[int, Counter]]] = []
         failure: Exception | None = None
         for salt in range(cfg.retry_budget):
@@ -535,10 +576,12 @@ class RhoEvaluator:
             per_prime: dict[int, Counter] = {}
             conclusive = True
             for p in pool:
-                counts = Counter(
-                    evaluate_word_at_point(self._point(label, p, k, salt), word)
-                    for k in range(cfg.samples_per_prime)
-                )
+                counts = Counter()
+                for k in range(cfg.samples_per_prime):
+                    count = evaluate_word_at_point(self._point(label, p, k, salt), word)
+                    counts[count] += 1
+                    if counts[count] >= majority:
+                        break
                 per_prime[p] = counts
                 ranked = counts.most_common(2)
                 if len(ranked) == 2 and ranked[0][1] == ranked[1][1]:
@@ -548,7 +591,9 @@ class RhoEvaluator:
             history.append((salt, per_prime))
             if not conclusive:
                 failure = ConsensusError(
-                    _histogram_text(f"count of {word} on Z({label})", history)
+                    _histogram_text("the vote", history)
+                    + "\n  (a prime lists only the samples drawn; its vote"
+                    " stops once one count holds a strict majority)"
                 )
                 continue
             try:
@@ -559,7 +604,10 @@ class RhoEvaluator:
             self._chi[key] = value
             return value
         assert failure is not None
-        raise failure
+        raise type(failure)(
+            f"count of {format_word(word)} on Z({label}), degree bound {bound}, "
+            f"primes {list(pool)}: {failure}"
+        ) from failure
 
     def rho(self, label: Multisegment, combo: Mapping[Word, Fraction | int] | Word) -> Fraction:
         """The generic value on Z_label of a rational word combination."""

@@ -53,7 +53,6 @@ __all__ = [
     "word_weight",
     "format_word",
     "parse_word",
-    "unit_vector",
 ]
 
 Segment = tuple[int, int]
@@ -195,13 +194,6 @@ def _parse_segments(text: str) -> list[Segment]:
             raise ParseError(f"bad segment [{a},{b}] in {text!r}")
         segs.extend([(a, b)] * mult)
     return segs
-
-
-def unit_vector(i: int, n: int) -> tuple[int, ...]:
-    """The i-th coordinate vector of length n (vertices are 1-based)."""
-    if not 1 <= i <= n:
-        raise ValueError(f"vertex {i} out of range 1..{n}")
-    return tuple(1 if j == i else 0 for j in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)

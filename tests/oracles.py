@@ -16,6 +16,7 @@ from semibasis.hall import Rep, hall_counts_simple_top, iso_class, realize
 from semibasis.linalg import (
     complete_basis_ff,
     interpolate_eval_one,
+    mat_inverse_ff,
     matmul_ff,
     primes,
     rank_exact,
@@ -24,6 +25,7 @@ from semibasis.linalg import (
     subspaces_ff,
 )
 from semibasis.hall import PBWVector
+from semibasis.nilpotent import LambdaPoint
 from semibasis.quiver import Multisegment, Quiver, Segment, enumerate_multisegments, t_top
 
 
@@ -205,3 +207,35 @@ def grades_upto(n: int, total: int):
     for d in itertools.product(range(total + 1), repeat=n):
         if sum(d) <= total:
             yield d
+
+
+def quotient_by_change_of_basis(x: LambdaPoint, i: int, sub) -> LambdaPoint:
+    """The quotient of x by the subspace sub of V_i (which every map
+    leaving i kills), through an explicit change of basis: P has sub
+    and then standard vectors as columns, maps into V_i are multiplied
+    by P^-1 and keep their last rows, maps out of V_i are multiplied by
+    P and keep their last columns."""
+    a = len(sub)
+    di = x.dims[i - 1]
+    basis = complete_basis_ff(sub, di, x.p)
+    p_mat = tuple(tuple(basis[c][r] for c in range(di)) for r in range(di))
+    p_inv = mat_inverse_ff(p_mat, x.p)
+
+    def into(mat, src_dim):
+        return tuple(matmul_ff(p_inv, mat, x.p, bcols=src_dim)[a:])
+
+    def out_of(mat):
+        moved = matmul_ff(mat, p_mat, x.p, bcols=di)
+        assert not any(any(row[:a]) for row in moved), "non-invariant subspace"
+        return tuple(row[a:] for row in moved)
+
+    arrows = list(x.arrows)
+    stars = list(x.stars)
+    if i >= 2:
+        arrows[i - 2] = into(arrows[i - 2], x.dims[i - 2])
+        stars[i - 2] = out_of(stars[i - 2])
+    if i <= x.n - 1:
+        arrows[i - 1] = out_of(arrows[i - 1])
+        stars[i - 1] = into(stars[i - 1], x.dims[i])
+    dims = tuple(d - a if v == i else d for v, d in enumerate(x.dims, start=1))
+    return LambdaPoint(x.n, x.p, dims, tuple(arrows), tuple(stars), None, x.seed)

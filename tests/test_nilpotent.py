@@ -9,6 +9,7 @@ by the (zero) arrow, so the peeled class is 1[1,1]+1[2,2].
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ import pytest
 import oracles
 from semibasis import (
     ConsensusError,
+    InternalCheckError,
+    InterpolationError,
     LambdaPoint,
     Multisegment,
     Quiver,
@@ -31,10 +34,18 @@ from semibasis import (
     t_component,
     t_top,
     total_generic_flag,
+    transition_matrix,
 )
-from semibasis.hall import Rep
-from semibasis.linalg import kernel_basis_ff, subspaces_ff
-from semibasis.nilpotent import _quotient_point, derive_seed, flag_degree_bound, t_at_point
+from semibasis import nilpotent
+from semibasis.hall import Rep, pbw_to_words
+from semibasis.linalg import interpolate_eval_one, kernel_basis_ff, subspaces_ff
+from semibasis.nilpotent import (
+    _quotient_point,
+    derive_seed,
+    flag_degree_bound,
+    t_at_point,
+    word_degree_bound,
+)
 
 M = Multisegment
 
@@ -90,21 +101,25 @@ def ss_point(p: int, star: int) -> LambdaPoint:
     )
 
 
+def joint_kernel(x: LambdaPoint, i: int):
+    # kernel of every map leaving vertex i
+    rows = []
+    if i <= x.n - 1:
+        rows.extend(x.arrows[i - 1])
+    if i >= 2:
+        rows.extend(x.stars[i - 2])
+    return kernel_basis_ff(rows, x.dims[i - 1], x.p)
+
+
 def full_walk_count(x: LambdaPoint, w) -> int:
     # reference flag count walking every subspace of the kernel, with no
     # grouping of subspaces into automorphism orbits
     if not w:
         return 1
     i, a = w[-1]
-    rows = []
-    if i <= x.n - 1:
-        rows.extend(x.arrows[i - 1])
-    if i >= 2:
-        rows.extend(x.stars[i - 2])
-    kernel = kernel_basis_ff(rows, x.dims[i - 1], x.p)
     return sum(
         full_walk_count(_quotient_point(x, i, sub), w[:-1])
-        for sub in subspaces_ff(kernel, a, x.p)
+        for sub in subspaces_ff(joint_kernel(x, i), a, x.p)
     )
 
 
@@ -291,8 +306,63 @@ class TestRho:
     def test_prime_pool_override_must_be_large_enough(self):
         cfg = SampleConfig(prime_pool=(5, 7))
         with pytest.raises(ValueError, match="fewer than"):
-            # two primes cannot support the degree-2 bound at grade (2,2)
+            # the degree-0 word needs a fit prime and two check primes
             RhoEvaluator(2, cfg).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+
+    def test_three_primes_serve_a_degree_zero_word(self):
+        # b_w = 0 at grade (2,2), whose grade bound of 2 would want four
+        cfg = SampleConfig(prime_pool=(5, 7, 11))
+        assert RhoEvaluator(2, cfg).chi(M("2[1,2]"), ((1, 2), (2, 2))) == 1
+
+    def test_vote_stops_at_strict_majority(self, monkeypatch):
+        m, w = M("1[1,2]+1[1,1]+1[2,2]"), ((2, 1), (1, 2), (2, 1))
+        calls = Counter()
+        real = nilpotent.evaluate_word_at_point
+
+        def counted(x, word):
+            calls[x.p] += 1
+            return real(x, word)
+
+        monkeypatch.setattr(nilpotent, "evaluate_word_at_point", counted)
+        ev = RhoEvaluator(2, SampleConfig())
+        value = ev.chi(m, w)
+        monkeypatch.undo()
+        # the full five-sample mode at the same points and primes
+        series = []
+        for p in sorted(calls):
+            votes = Counter(
+                real(ev._point(m, p, k, 0), w) for k in range(5)
+            ).most_common(2)
+            assert len(votes) == 1 or votes[0][1] > votes[1][1]
+            series.append((p, votes[0][0]))
+        assert value == interpolate_eval_one(series, word_degree_bound(w, (2, 2))) == 1
+        assert len(calls) == 4  # b_w = 1: two fit primes and two checks
+        assert all(c <= 3 for c in calls.values()), calls
+
+    def test_interpolation_error_names_component_and_word(self, monkeypatch):
+        # a count equal to p cannot fit the constant a degree-0 word allows
+        monkeypatch.setattr(nilpotent, "evaluate_word_at_point", lambda x, w: x.p)
+        with pytest.raises(InterpolationError) as info:
+            RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+        text = str(info.value)
+        assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
+        assert "degree bound 0" in text and "primes [5, 7, 11]" in text
+
+    def test_consensus_error_names_component_and_word(self, monkeypatch):
+        # values 0, 1, 0, 1, 2 at every prime tie the vote
+        cycle = itertools.cycle((0, 1, 0, 1, 2))
+        monkeypatch.setattr(nilpotent, "evaluate_word_at_point", lambda x, w: next(cycle))
+        with pytest.raises(ConsensusError) as info:
+            RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+        text = str(info.value)
+        assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
+        assert "only the samples drawn" in text
+
+    def test_seed_eight_certifies_on_1221(self):
+        # with only b_w + 2 primes the vote's non-generic count at p = 5
+        # and p = 7 fits a constant here and the routes disagree
+        res = transition_matrix(Quiver(4), (1, 2, 2, 1), SampleConfig(root_seed=8))
+        assert res.routes_agree and res.delta_ok
 
 
 class TestDegreeBound:
@@ -310,6 +380,63 @@ class TestDegreeBound:
             assert evaluate_word_at_point(x, ((1, 1), (1, 1))) == p + 1
             assert evaluate_word_at_point(x, ((1, 2),)) == 1
         assert flag_degree_bound((2,)) == 1
+        assert word_degree_bound(((1, 1), (1, 1)), (2,)) == 1
+        assert word_degree_bound(((1, 2),), (2,)) == 0
+
+    def test_word_bound_with_unit_letters_is_grade_bound(self):
+        for d in ((2, 2), (3, 2), (1, 3, 2), (2, 1, 1, 2)):
+            word = tuple((i, 1) for i, di in enumerate(d, start=1) for _ in range(di))
+            assert word_degree_bound(word, d) == flag_degree_bound(d)
+            assert word_degree_bound(word[::-1], d) == flag_degree_bound(d)
+
+    def test_word_bound_zero_for_one_letter_per_vertex(self):
+        for d in ((2, 2), (3, 1, 2), (1, 2, 2, 1)):
+            word = tuple((i, di) for i, di in enumerate(d, start=1))
+            assert word_degree_bound(word, d) == 0
+            assert word_degree_bound(word[::-1], d) == 0
+
+    def test_word_bound_within_grade_bound(self):
+        for d in ((3, 3), (2, 3, 1)):
+            words = {
+                w
+                for combo in pbw_to_words(Quiver(len(d)), d).values()
+                for w in combo
+            }
+            assert any(word_degree_bound(w, d) < flag_degree_bound(d) for w in words)
+            for w in words:
+                assert 0 <= word_degree_bound(w, d) <= flag_degree_bound(d), w
+
+    def test_word_bound_rejects_weight_mismatch(self):
+        with pytest.raises(ValueError):
+            word_degree_bound(((1, 2),), (1,))
+        with pytest.raises(ValueError):
+            word_degree_bound(((3, 1),), (1, 1))
+
+
+class TestQuotient:
+    def test_echelon_quotient_matches_change_of_basis(self):
+        cases = 0
+        for n, d in ((2, (3, 3)), (4, (1, 2, 2, 1))):
+            for m in list(enumerate_multisegments(Quiver(n), d))[::3]:
+                for p in (2, 3):
+                    x = lift_generic(m, n, p, derive_seed("quotient", m.text(), p))
+                    for i in range(1, n + 1):
+                        kernel = joint_kernel(x, i)
+                        for a in range(1, len(kernel) + 1):
+                            for sub in subspaces_ff(kernel, a, p):
+                                got = _quotient_point(x, i, sub)
+                                want = oracles.quotient_by_change_of_basis(x, i, sub)
+                                assert got == want, (m, p, i, sub)
+                                cases += 1
+        assert cases > 100
+
+    def test_non_invariant_subspace_raises(self):
+        # the arrow of 1[1,2] is invertible, so no line at vertex 1 is
+        # killed by it
+        x = lift_generic(M("1[1,2]"), 2, 5, 7)
+        assert x.arrows[0] != ((0,),)
+        with pytest.raises(InternalCheckError):
+            _quotient_point(x, 1, [(1,)])
 
 
 class TestShortcutIdentities:
