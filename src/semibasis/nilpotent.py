@@ -8,11 +8,21 @@ orbit of M; such points are sampled by realizing M and solving the
 relations, which are linear in the stars, for a random solution.
 
 Component-level data (the codimension t_i of the incoming image sum,
-and the peeled class it spans) is read off sampled points: t is an
-upper-semicontinuous integer, so its generic value is the minimum over
-samples, while the peeled class is taken as the modal value over the
-samples that attain that minimum.  Both require agreement across
-at least two primes and fail loudly otherwise.
+and the peeled class it spans) and word counts are read off sampled
+points.  For n <= 4 the preprojective algebra is representation-finite
+(Geiss-Leclerc-Schroer), so each component Z_M is the closure of one
+orbit, and a point x of Z_M lies in that orbit iff dim End(x) = q(d),
+the Tits form: an orbit has dimension sum d_i^2 - dim End and a
+component sum d_i d_{i+1}.  Each prime then reads one accepted point,
+the first of up to samples_per_prime draws that passes this test; the
+automorphism group of x is connected, so by Lang's theorem every F_p-point
+of the orbit is isomorphic to x and its values are exactly the generic
+ones.  For n >= 5 no such orbit need exist and sampling falls back to a
+vote: t is an upper-semicontinuous integer, so its generic value is the
+minimum over samples, the peeled class is the modal value over the
+samples that attain that minimum, and a word count is the value holding
+a strict majority of the samples.  Every rule requires agreement across
+at least two primes and fails loudly otherwise.
 
 Word monomials are evaluated at a point by the flag recursion: the last
 letter (i, a) picks an a-dimensional subspace W of the joint kernel of
@@ -50,7 +60,16 @@ from .linalg import (
     solve_ff,
     subspaces_ff,
 )
-from .quiver import Multisegment, Word, format_word, peel_top, t_top, word_weight
+from .quiver import (
+    Multisegment,
+    Quiver,
+    Word,
+    euler_form,
+    format_word,
+    peel_top,
+    t_top,
+    word_weight,
+)
 
 __all__ = [
     "SampleConfig",
@@ -69,6 +88,10 @@ __all__ = [
 
 Matrix = tuple[tuple[int, ...], ...]
 
+# Up to this many vertices the preprojective algebra is representation-
+# finite, so sampled points are accepted by dim End = q(d), not voted on.
+CERTIFIED_MAX_N = 4
+
 
 def derive_seed(*parts) -> int:
     """Deterministic 64-bit seed from a tuple of task coordinates."""
@@ -84,9 +107,15 @@ class SampleConfig:
     primes from prime_start).  A word w at grade d is counted at the
     first min(b_w + 3, B + 2) primes of the pool, where b_w is
     word_degree_bound(w, d) and B is flag_degree_bound(d), so the pool
-    must hold that many primes for every word in play.  force_sampling
-    disables the proven combinatorial shortcuts for t and peel, which is
-    only useful for cross-checking.
+    must hold that many primes for every word in play.
+
+    samples_per_prime caps the draws per prime and attempt: for n <= 4
+    the first draw with dim End = q(d) is the prime's accepted point, and
+    for n >= 5 it is the size of the vote.  An attempt that finds no
+    accepted point, or whose vote ties, is retried with fresh draws up to
+    retry_budget attempts in all.  force_sampling disables the proven
+    combinatorial shortcuts for t and peel, which is only useful for
+    cross-checking.
     """
 
     root_seed: int = 0
@@ -190,6 +219,64 @@ def lift_generic(m: Multisegment, n: int, p: int, seed: int) -> LambdaPoint:
     return point
 
 
+def _end_dim(x: LambdaPoint) -> int:
+    # dim End(x) over F_p: the families phi_v in End(V_v) with
+    # phi_v f = f phi_u for every map f : V_u -> V_v of the double quiver;
+    # unknowns are the entries of phi_1, ..., phi_n in row-major order
+    dims = x.dims
+    offsets = [0]
+    for dv in dims:
+        offsets.append(offsets[-1] + dv * dv)
+    unknowns = offsets[-1]
+    maps = [(i, i + 1, x.arrows[i - 1]) for i in range(1, x.n)]
+    maps += [(i + 1, i, x.stars[i - 1]) for i in range(1, x.n)]
+    rows: list[list[int]] = []
+    for u, v, f in maps:
+        du, dv = dims[u - 1], dims[v - 1]
+        ou, ov = offsets[u - 1], offsets[v - 1]
+        for r in range(dv):
+            for c in range(du):
+                # (phi_v f - f phi_u)[r][c]
+                row = [0] * unknowns
+                for k in range(dv):
+                    if f[k][c]:
+                        row[ov + r * dv + k] += f[k][c]
+                for k in range(du):
+                    if f[r][k]:
+                        row[ou + k * du + c] -= f[r][k]
+                if any(row):
+                    rows.append(row)
+    return unknowns - rank_ff(rows, x.p)
+
+
+def _tits_form(m: Multisegment, n: int) -> int:
+    d = m.dim_vector(n)
+    return euler_form(Quiver(n), d, d)
+
+
+def _first_accepted(
+    m: Multisegment, n: int, p: int, seeds: Iterable[int]
+) -> tuple[LambdaPoint | None, list[int]]:
+    # the first point lifted from seeds whose End has dimension q(d), and
+    # the End dimensions of the points drawn up to it
+    q = _tits_form(m, n)
+    ends: list[int] = []
+    for seed in seeds:
+        x = lift_generic(m, n, p, seed)
+        ends.append(_end_dim(x))
+        if ends[-1] == q:
+            return x, ends
+    return None, ends
+
+
+def _draws_text(headline: str, q: int, history: list[tuple[int, dict[int, str]]]) -> str:
+    lines = [f"{headline}; a point is accepted iff dim End = q(d) = {q}; draws:"]
+    for salt, per_prime in history:
+        for p, seen in per_prime.items():
+            lines.append(f"  attempt {salt}, p={p}: {seen}")
+    return "\n".join(lines)
+
+
 def _check_relations(x: LambdaPoint) -> None:
     for i in range(1, x.n + 1):
         di = x.dims[i - 1]
@@ -278,6 +365,32 @@ def _ambient(m: Multisegment, i: int, n: int | None) -> int:
     return n
 
 
+def _certified_reading(
+    m: Multisegment, n: int, i: int, cfg: SampleConfig, tag: str, what: str, read
+):
+    # read one accepted point per prime (n <= CERTIFIED_MAX_N); the
+    # readings must agree across primes
+    pool = cfg.sampling_primes(max(cfg.consensus_primes, 2))
+    history: list[tuple[int, dict[int, str]]] = []
+    for salt in range(cfg.retry_budget):
+        per_prime: dict[int, str] = {}
+        values = []
+        for p in pool:
+            seeds = (
+                derive_seed(cfg.root_seed, tag, n, m.text(), i, p, k, salt)
+                for k in range(cfg.samples_per_prime)
+            )
+            x, ends = _first_accepted(m, n, p, seeds)
+            per_prime[p] = f"End dimensions {ends}"
+            if x is not None:
+                values.append(read(x))
+                per_prime[p] += f", read {values[-1]}"
+        history.append((salt, per_prime))
+        if len(values) == len(pool) and len(set(values)) == 1:
+            return values[0]
+    raise ConsensusError(_draws_text(f"no certified {what}", _tits_form(m, n), history))
+
+
 def t_component(
     m: Multisegment, i: int, config: SampleConfig | None = None, n: int | None = None
 ) -> int:
@@ -285,8 +398,9 @@ def t_component(
 
     When no segment of m starts at i+1 (in particular at i = n) the
     value provably equals t_top(m, i) and no sampling happens; otherwise
-    the minimum over sampled points is taken per prime and must agree
-    across primes.
+    it is read off one accepted point per prime for n <= 4, and is the
+    minimum over sampled points per prime for n >= 5; either way it must
+    agree across primes.
     """
     cfg = config or SampleConfig()
     if i < 1:
@@ -295,6 +409,10 @@ def t_component(
     if i >= n or t_top(m, i + 1) == 0:
         if not cfg.force_sampling:
             return t_top(m, i)
+    if n <= CERTIFIED_MAX_N:
+        return _certified_reading(
+            m, n, i, cfg, "t", f"t at vertex {i} of Z({m})", lambda x: t_at_point(x, i)
+        )
     pool = cfg.sampling_primes(max(cfg.consensus_primes, 2))
     history: list[tuple[int, dict[int, Counter]]] = []
     for salt in range(cfg.retry_budget):
@@ -318,8 +436,10 @@ def peel_component(
     """The class spanned by the incoming images at a generic point of Z_m.
 
     Requires t_component(m, i) > 0.  In the no-segment-starts-at-i+1
-    regime this is exactly peel_top; otherwise the modal class over the
-    samples attaining the generic t is taken, with cross-prime agreement.
+    regime this is exactly peel_top; otherwise it is read off one
+    accepted point per prime for n <= 4, and is the modal class over the
+    samples attaining the generic t for n >= 5, with cross-prime
+    agreement either way.
     """
     cfg = config or SampleConfig()
     if i < 1:
@@ -331,6 +451,16 @@ def peel_component(
     if i >= n or t_top(m, i + 1) == 0:
         if not cfg.force_sampling:
             return peel_top(m, i)
+    if n <= CERTIFIED_MAX_N:
+
+        def peeled(x: LambdaPoint) -> Multisegment:
+            if t_at_point(x, i) != t:
+                raise InternalCheckError(
+                    f"certified points of Z({m}) disagree on t at vertex {i}"
+                )
+            return _peeled_class(x, i)
+
+        return _certified_reading(m, n, i, cfg, "peel", f"peel at vertex {i} of Z({m})", peeled)
     pool = cfg.sampling_primes(max(cfg.consensus_primes, 2))
     history: list[tuple[int, dict[int, Counter]]] = []
     for salt in range(cfg.retry_budget):
@@ -534,6 +664,7 @@ class RhoEvaluator:
         self.n = n
         self.config = config or SampleConfig()
         self._points: dict[tuple, LambdaPoint] = {}
+        self._accepted: dict[tuple, tuple[LambdaPoint | None, list[int]]] = {}
         self._chi: dict[tuple, int] = {}
 
     def fresh(self, namespace: str) -> "RhoEvaluator":
@@ -541,25 +672,79 @@ class RhoEvaluator:
         cfg = replace(self.config, root_seed=derive_seed(self.config.root_seed, namespace))
         return RhoEvaluator(self.n, cfg)
 
+    def _seed(self, label: Multisegment, p: int, k: int, salt: int) -> int:
+        return derive_seed(self.config.root_seed, "rho", self.n, label.text(), p, k, salt)
+
     def _point(self, label: Multisegment, p: int, k: int, salt: int) -> LambdaPoint:
         key = (label.segments, p, k, salt)
         point = self._points.get(key)
         if point is None:
-            seed = derive_seed(self.config.root_seed, "rho", self.n, label.text(), p, k, salt)
-            point = lift_generic(label, self.n, p, seed)
+            point = lift_generic(label, self.n, p, self._seed(label, p, k, salt))
             self._points[key] = point
         return point
+
+    def _accepted_point(
+        self, label: Multisegment, p: int, salt: int
+    ) -> tuple[LambdaPoint | None, list[int]]:
+        # the first of samples_per_prime draws with dim End = q(d), shared
+        # by every word, and the End dimensions drawn
+        key = (label.segments, p, salt)
+        found = self._accepted.get(key)
+        if found is None:
+            seeds = (
+                self._seed(label, p, k, salt) for k in range(self.config.samples_per_prime)
+            )
+            found = self._accepted[key] = _first_accepted(label, self.n, p, seeds)
+        return found
+
+    def _certified_series(
+        self, label: Multisegment, word: Word, pool: Sequence[int], salt: int, history: list
+    ) -> list[tuple[int, int]] | None:
+        # every prime is drawn, so that a failure records all of them
+        per_prime: dict[int, str] = {}
+        history.append((salt, per_prime))
+        points = []
+        for p in pool:
+            x, ends = self._accepted_point(label, p, salt)
+            per_prime[p] = f"End dimensions {ends}"
+            points.append(x)
+        if any(x is None for x in points):
+            return None
+        return [(x.p, evaluate_word_at_point(x, word)) for x in points]
+
+    def _voted_series(
+        self, label: Multisegment, word: Word, pool: Sequence[int], salt: int, history: list
+    ) -> list[tuple[int, int]] | None:
+        majority = self.config.samples_per_prime // 2 + 1
+        per_prime: dict[int, Counter] = {}
+        history.append((salt, per_prime))
+        series = []
+        for p in pool:
+            counts = Counter()
+            for k in range(self.config.samples_per_prime):
+                count = evaluate_word_at_point(self._point(label, p, k, salt), word)
+                counts[count] += 1
+                if counts[count] >= majority:
+                    break
+            per_prime[p] = counts
+            ranked = counts.most_common(2)
+            if len(ranked) == 2 and ranked[0][1] == ranked[1][1]:
+                return None
+            series.append((p, ranked[0][0]))
+        return series
 
     def chi(self, label: Multisegment, word: Word) -> int:
         """Generic Euler-characteristic value of the word count on Z_label.
 
-        The count is voted at each prime over up to samples_per_prime
-        sampled points, stopping once one value holds a strict majority,
-        and fitted with degree word_degree_bound(word, d) through the
-        first min(b_w + 3, B + 2) primes of the grade's pool, B being
-        flag_degree_bound(d).  A degree-b fit through N primes exposes
-        any N - b - 1 wrong votes: two when b_w < B, one (as with the
-        grade bound) when b_w = B.
+        The count is taken at each prime and fitted with degree
+        word_degree_bound(word, d) through the first min(b_w + 3, B + 2)
+        primes of the grade's pool, B being flag_degree_bound(d).  For
+        n <= 4 it is evaluated once per prime, at the prime's accepted
+        point (dim End = q(d)), which is exactly generic.  For n >= 5 it
+        is voted over up to samples_per_prime sampled points, stopping
+        once one value holds a strict majority.  A degree-b fit through N
+        primes exposes any N - b - 1 wrong values: two when b_w < B, one
+        (as with the grade bound) when b_w = B.
         """
         key = (label.segments, word)
         if key in self._chi:
@@ -568,33 +753,24 @@ class RhoEvaluator:
         bound = word_degree_bound(word, d)
         cfg = self.config
         pool = cfg.sampling_primes(min(bound + 3, flag_degree_bound(d) + 2))
-        majority = cfg.samples_per_prime // 2 + 1
-        history: list[tuple[int, dict[int, Counter]]] = []
+        certified = self.n <= CERTIFIED_MAX_N
+        series_at = self._certified_series if certified else self._voted_series
+        history: list = []
         failure: Exception | None = None
         for salt in range(cfg.retry_budget):
-            series: list[tuple[int, int]] = []
-            per_prime: dict[int, Counter] = {}
-            conclusive = True
-            for p in pool:
-                counts = Counter()
-                for k in range(cfg.samples_per_prime):
-                    count = evaluate_word_at_point(self._point(label, p, k, salt), word)
-                    counts[count] += 1
-                    if counts[count] >= majority:
-                        break
-                per_prime[p] = counts
-                ranked = counts.most_common(2)
-                if len(ranked) == 2 and ranked[0][1] == ranked[1][1]:
-                    conclusive = False
-                    break
-                series.append((p, ranked[0][0]))
-            history.append((salt, per_prime))
-            if not conclusive:
-                failure = ConsensusError(
-                    _histogram_text("the vote", history)
-                    + "\n  (a prime lists only the samples drawn; its vote"
-                    " stops once one count holds a strict majority)"
-                )
+            series = series_at(label, word, pool, salt, history)
+            if series is None:
+                if certified:
+                    text = _draws_text(
+                        "no accepted point at some prime", _tits_form(label, self.n), history
+                    )
+                else:
+                    text = (
+                        _histogram_text("the vote", history)
+                        + "\n  (a prime lists only the samples drawn; its vote"
+                        " stops once one count holds a strict majority)"
+                    )
+                failure = ConsensusError(text)
                 continue
             try:
                 value = interpolate_eval_one(series, bound)

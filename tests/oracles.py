@@ -20,6 +20,7 @@ from semibasis.linalg import (
     matmul_ff,
     primes,
     rank_exact,
+    rank_ff,
     row_space_basis_ff,
     solve_ff,
     subspaces_ff,
@@ -239,3 +240,28 @@ def quotient_by_change_of_basis(x: LambdaPoint, i: int, sub) -> LambdaPoint:
         stars[i - 1] = into(stars[i - 1], x.dims[i])
     dims = tuple(d - a if v == i else d for v, d in enumerate(x.dims, start=1))
     return LambdaPoint(x.n, x.p, dims, tuple(arrows), tuple(stars), None, x.seed)
+
+
+def end_dim_by_images(x: LambdaPoint) -> int:
+    """dim End(x) over F_p as the kernel dimension of the commutator map
+    phi -> (phi_v f - f phi_u) over every map f : V_u -> V_v of the double
+    quiver, built by applying it to each matrix unit in turn rather than
+    equation by equation."""
+    p = x.p
+    maps = [(i, i + 1, x.arrows[i - 1]) for i in range(1, x.n)]
+    maps += [(i + 1, i, x.stars[i - 1]) for i in range(1, x.n)]
+    images = []
+    for w, dw in enumerate(x.dims, start=1):
+        for r in range(dw):
+            for c in range(dw):
+                # phi is the (r, c) matrix unit at vertex w, zero elsewhere
+                image = []
+                for u, v, f in maps:
+                    for a in range(x.dims[v - 1]):
+                        for b in range(x.dims[u - 1]):
+                            val = f[c][b] if v == w and a == r else 0
+                            if u == w and b == c:
+                                val -= f[a][r]
+                            image.append(val % p)
+                images.append(image)
+    return len(images) - rank_ff(images, p)

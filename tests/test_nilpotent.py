@@ -10,6 +10,7 @@ by the (zero) arrow, so the peeled class is 1[1,1]+1[2,2].
 
 import itertools
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -37,9 +38,12 @@ from semibasis import (
     transition_matrix,
 )
 from semibasis import nilpotent
+from semibasis.cli import main
 from semibasis.hall import Rep, pbw_to_words
 from semibasis.linalg import interpolate_eval_one, kernel_basis_ff, subspaces_ff
+from semibasis.quiver import euler_form, hom_dim
 from semibasis.nilpotent import (
+    _end_dim,
     _quotient_point,
     derive_seed,
     flag_degree_bound,
@@ -324,7 +328,7 @@ class TestRho:
             return real(x, word)
 
         monkeypatch.setattr(nilpotent, "evaluate_word_at_point", counted)
-        ev = RhoEvaluator(2, SampleConfig())
+        ev = RhoEvaluator(5, SampleConfig())
         value = ev.chi(m, w)
         monkeypatch.undo()
         # the full five-sample mode at the same points and primes
@@ -353,16 +357,85 @@ class TestRho:
         cycle = itertools.cycle((0, 1, 0, 1, 2))
         monkeypatch.setattr(nilpotent, "evaluate_word_at_point", lambda x, w: next(cycle))
         with pytest.raises(ConsensusError) as info:
-            RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+            RhoEvaluator(5, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
         assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
         assert "only the samples drawn" in text
 
     def test_seed_eight_certifies_on_1221(self):
-        # with only b_w + 2 primes the vote's non-generic count at p = 5
-        # and p = 7 fits a constant here and the routes disagree
+        # under the vote with only b_w + 2 primes, a non-generic count at
+        # p = 5 and p = 7 fitted a constant here and the routes disagreed
         res = transition_matrix(Quiver(4), (1, 2, 2, 1), SampleConfig(root_seed=8))
         assert res.routes_agree and res.delta_ok
+
+
+def tits_form(x: LambdaPoint) -> int:
+    return euler_form(Quiver(x.n), x.dims, x.dims)
+
+
+class TestEndCertificate:
+    def test_zero_stars_give_hom_dim(self):
+        # with the stars zeroed End_Lambda(x) is End of the quiver module
+        for d in ((2, 2), (1, 2, 1), (1, 1, 1, 1)):
+            n = len(d)
+            for m in enumerate_multisegments(Quiver(n), d):
+                for p in (2, 5):
+                    x = lift_generic(m, n, p, derive_seed("end", m.text(), p))
+                    zero = tuple(tuple((0,) * len(row) for row in s) for s in x.stars)
+                    x = replace(x, stars=zero)
+                    assert _end_dim(x) == hom_dim(m, m) == oracles.end_dim_by_images(x)
+
+    def test_accepted_points_attain_tits_form(self, monkeypatch):
+        draws = []
+        real = nilpotent._first_accepted
+
+        def recorded(m, n, p, seeds):
+            found = real(m, n, p, seeds)
+            draws.append(found)
+            return found
+
+        monkeypatch.setattr(nilpotent, "_first_accepted", recorded)
+        for d in ((2, 2), (1, 1, 1, 1), (1, 2, 2, 1)):
+            res = transition_matrix(Quiver(len(d)), d)
+            assert res.routes_agree and res.delta_ok
+        accepted = [(x, ends) for x, ends in draws if x is not None]
+        assert len(accepted) > 100
+        for x, ends in accepted:
+            q = tits_form(x)
+            assert ends[-1] == oracles.end_dim_by_images(x) == q
+            assert all(e > q for e in ends[:-1])
+
+    def test_planted_degenerate_point_rejected(self, monkeypatch):
+        # at p = 5, points of Z(1[1,2]+1[3,3]+1[4,4]) with s_3 = 0 once
+        # carried the vote for a non-generic count; q(1,1,1,1) = 1
+        m = M("1[1,2]+1[3,3]+1[4,4]")
+        x = next(
+            y for y in (lift_generic(m, 4, 5, seed) for seed in range(20))
+            if y.stars[2] != ((0,),)
+        )
+        assert _end_dim(x) == tits_form(x) == 1
+        planted = replace(x, stars=x.stars[:2] + (((0,),),))
+        assert star_system_holds(planted)
+        assert _end_dim(planted) == oracles.end_dim_by_images(planted) > 1
+        monkeypatch.setattr(nilpotent, "lift_generic", lambda *args: planted)
+        point, ends = nilpotent._first_accepted(m, 4, 5, range(5))
+        assert point is None and len(ends) == 5
+
+    def test_no_accepted_point_names_every_draw(self, monkeypatch, capsys):
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
+        with pytest.raises(ConsensusError) as info:
+            RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+        text = str(info.value)
+        assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
+        assert "dim End = q(d) = 4" in text
+        for salt in range(3):
+            for p in (5, 7, 11):
+                assert f"attempt {salt}, p={p}: End dimensions [5, 5, 5, 5, 5]" in text
+        with pytest.raises(ConsensusError) as info:
+            t_component(M("2[1,1]+1[2,2]"), 1)
+        assert "t at vertex 1 of Z(2[1,1]+1[2,2])" in str(info.value)
+        assert main(["transition", "--dim", "1,1"]) == 20
+        assert "End dimensions [2, 2, 2, 2, 2]" in capsys.readouterr().err
 
 
 class TestDegreeBound:

@@ -1,0 +1,43 @@
+"""Root seeds that failed certification under the majority vote.
+
+Each pair below raised (routes disagreeing, a failed fit or a failed
+fresh-seed delta check) when every prime's count was the majority value
+of up to five sampled points.  With points accepted by dim End = q(d)
+they certify, and every seed of a grade gives the matrix of the default
+seed, as `--seed` promises.
+"""
+
+import pytest
+
+from semibasis import Quiver, SampleConfig, transition_matrix
+
+FAILED_UNDER_VOTE = {
+    (1, 1, 1, 1): (0,),
+    (1, 2, 2, 1): (3, 4, 15, 16),
+    (1, 1, 2, 1): (8,),
+    (2, 1, 1, 1): (17,),
+    (0, 1, 1, 1): (9,),
+    (0, 1, 2, 2): (3, 7, 13, 14, 16),
+    (1, 2, 2, 0): (10, 13),
+    (2, 2, 2, 2): (0,),
+    (2, 2, 2): (19,),
+    (1, 2, 2): (6,),
+    (3, 1, 1): (13,),
+}
+
+
+@pytest.mark.parametrize(
+    "d", list(FAILED_UNDER_VOTE), ids=lambda d: ",".join(map(str, d))
+)
+def test_seeds_certify_with_one_matrix(d, certified, hall_cache):
+    # certified() is the default seed 0, and raises unless it certifies
+    reference = certified(len(d), d)
+    for seed in FAILED_UNDER_VOTE[d]:
+        if seed == 0:
+            continue
+        res = transition_matrix(
+            Quiver(len(d)), d, SampleConfig(root_seed=seed), hall_cache=hall_cache
+        )
+        assert res.routes_agree and res.delta_ok
+        assert res.classes == reference.classes
+        assert res.matrix == reference.matrix, seed
