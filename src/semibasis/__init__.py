@@ -12,9 +12,7 @@ respect to the degeneration order along the way.
     [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
 """
 
-from .cache import HallCache, cache_dir_from_env
 from .errors import (
-    CacheCorruptError,
     CertificationError,
     ConsensusError,
     DeltaCheckError,
@@ -78,12 +76,10 @@ from .semican import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CacheCorruptError",
     "CertificationError",
     "CertifiedTransition",
     "ConsensusError",
     "DeltaCheckError",
-    "HallCache",
     "InternalCheckError",
     "InterpolationError",
     "LambdaPoint",
@@ -98,7 +94,6 @@ __all__ = [
     "SemicanBasis",
     "SemicanElement",
     "SerreReport",
-    "cache_dir_from_env",
     "check_serre",
     "deg_leq",
     "enumerate_multisegments",

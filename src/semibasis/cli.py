@@ -1,9 +1,9 @@
-"""Command-line interface: transitions, inspections, selftests, cache tools.
+"""Command-line interface: transitions, inspections, selftests.
 
 Exit codes separate the failure classes: 0 success, 10 bad input or
 usage, 20 sampling consensus failure, 21 interpolation mismatch, 30
 certification failure (route disagreement, delta-check, order
-violation), 40 internal assertion or cache corruption.
+violation), 40 internal assertion.
 
 JSON output is deterministic byte-for-byte for a fixed command line and
 seed: keys are sorted, timing lives on standard error only, and exact
@@ -22,9 +22,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from .cache import HallCache, cache_dir_from_env
 from .errors import (
-    CacheCorruptError,
     CertificationError,
     ConsensusError,
     InterpolationError,
@@ -81,10 +79,7 @@ def _build_parser() -> _Parser:
         "--primes", default=None, help="comma-separated prime pool override"
     )
 
-    caching = _Parser(add_help=False)
-    caching.add_argument("--cache-dir", default=None, help="hall count cache directory")
-
-    tr = sub.add_parser("transition", parents=[fmt, sampling, caching])
+    tr = sub.add_parser("transition", parents=[fmt, sampling])
     tr.add_argument("--n", type=int, default=None, help="number of vertices")
     tr.add_argument("--dim", required=True, help="dimension vector, e.g. 2,2")
     tr.set_defaults(func=_cmd_transition)
@@ -102,7 +97,7 @@ def _build_parser() -> _Parser:
     fl.add_argument("--module", required=True)
     fl.set_defaults(func=_cmd_flag)
 
-    ha = ins_sub.add_parser("hall", parents=[fmt, caching])
+    ha = ins_sub.add_parser("hall", parents=[fmt])
     ha.add_argument("--n", type=int, default=None)
     ha.add_argument("--module", required=True)
     ha.add_argument("--vertex", type=int, required=True)
@@ -124,13 +119,9 @@ def _build_parser() -> _Parser:
     pe.add_argument("--level", choices=("top", "component"), default="top")
     pe.set_defaults(func=_cmd_peel)
 
-    st = sub.add_parser("selftest", parents=[sampling, caching])
+    st = sub.add_parser("selftest", parents=[sampling])
     st.add_argument("--dim-bound", type=int, default=5, help="grade bound for suites")
     st.set_defaults(func=_cmd_selftest)
-
-    ca = sub.add_parser("cache", parents=[fmt, caching])
-    ca.add_argument("action", choices=("stats", "clear"))
-    ca.set_defaults(func=_cmd_cache)
 
     return top
 
@@ -177,11 +168,6 @@ def _config_from(args) -> SampleConfig:
     )
 
 
-def _cache_from(args) -> HallCache | None:
-    directory = getattr(args, "cache_dir", None) or cache_dir_from_env()
-    return HallCache(directory) if directory else None
-
-
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return int(obj) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
@@ -218,8 +204,7 @@ def _cell(v) -> str:
 def _cmd_transition(args) -> int:
     quiver, dims = _quiver_dim(args)
     cfg = _config_from(args)
-    cache = _cache_from(args)
-    result = transition_matrix(quiver, dims, cfg, cache)
+    result = transition_matrix(quiver, dims, cfg)
     print(f"elapsed: {result.elapsed:.2f}s", file=sys.stderr)
     payload = result.to_payload()
     csv_rows = [["class"] + [c.text() for c in result.classes]]
@@ -271,15 +256,8 @@ def _cmd_flag(args) -> int:
 
 
 def _cmd_hall(args) -> int:
-    m, n = _module_arg(args)
-    cache = _cache_from(args)
-    counts = cache.get(n, m, args.vertex, args.size, args.prime) if cache else None
-    if counts is None:
-        counts = hall_counts_simple_top(m, args.vertex, args.size, args.prime)
-        if cache:
-            cache.put(n, m, args.vertex, args.size, args.prime, counts)
-    if cache:
-        cache.close()
+    m, _ = _module_arg(args)
+    counts = hall_counts_simple_top(m, args.vertex, args.size, args.prime)
     total = gaussian_binomial(t_top(m, args.vertex), args.size, args.prime)
     ordered = sorted(counts.items(), key=lambda kv: kv[0].sort_key())
     payload = {
@@ -329,23 +307,6 @@ def _cmd_peel(args) -> int:
     return 0
 
 
-def _cmd_cache(args) -> int:
-    cache = _cache_from(args)
-    if cache is None:
-        raise ParseError(
-            "no cache directory: pass --cache-dir or set SEMIBASIS_CACHE_DIR"
-        )
-    if args.action == "stats":
-        stats = cache.stats()
-        payload = dict(stats)
-        pretty = [f"{k}: {v}" for k, v in stats.items()]
-        _emit(args, payload, [[k, v] for k, v in stats.items()], pretty)
-    else:
-        removed = cache.clear()
-        _emit(args, {"removed": removed}, [["removed", removed]], [f"removed {removed}"])
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # selftest suites
 
@@ -386,8 +347,8 @@ def _hom_rank_oracle(m: Multisegment, w: Multisegment, n: int) -> int:
     return cols - rank_exact(rows)
 
 
-def _suite_transition_regression(cfg: SampleConfig, cache) -> tuple[bool, str]:
-    res = transition_matrix(Quiver(2), (2, 2), cfg, cache)
+def _suite_transition_regression(cfg: SampleConfig) -> tuple[bool, str]:
+    res = transition_matrix(Quiver(2), (2, 2), cfg)
     want = ((1, 1, 1), (0, 1, 2), (0, 0, 1))
     got = tuple(tuple(v for v in row) for row in res.matrix)
     if got != want:
@@ -395,14 +356,14 @@ def _suite_transition_regression(cfg: SampleConfig, cache) -> tuple[bool, str]:
     order = [c.text() for c in res.classes]
     if order != ["2[1,2]", "1[1,2]+1[1,1]+1[2,2]", "2[1,1]+2[2,2]"]:
         return False, f"grade (2,2) order {order}"
-    res3 = transition_matrix(Quiver(3), (1, 1, 1), cfg, cache)
+    res3 = transition_matrix(Quiver(3), (1, 1, 1), cfg)
     if len(res3.classes) != 4:
         return False, f"grade (1,1,1) has {len(res3.classes)} classes, expected 4"
     return True, "grades (2,2) and (1,1,1) certified"
 
 
-def _suite_serre(cfg: SampleConfig, cache, bound: int) -> tuple[bool, str]:
-    report = check_serre(Quiver(3), bound, cache)
+def _suite_serre(cfg: SampleConfig, bound: int) -> tuple[bool, str]:
+    report = check_serre(Quiver(3), bound)
     detail = f"{report.relations_checked} relations at n=3, grades to {bound}"
     if not report.ok:
         return False, detail + "; failures: " + "; ".join(report.failures[:3])
@@ -484,24 +445,17 @@ def _suite_generic_ext(cfg: SampleConfig, bound: int) -> tuple[bool, str]:
     return True, f"{checked} generic extensions are degeneration-minimal"
 
 
-def _suite_cache_verify(cache) -> tuple[bool, str]:
-    return True, f"{cache.verify()} cached records verified"
-
-
 def _cmd_selftest(args) -> int:
     cfg = _config_from(args)
-    cache = _cache_from(args)
     bound = args.dim_bound
     suites = [
-        ("transition-regression", lambda: _suite_transition_regression(cfg, cache)),
-        ("serre-relations", lambda: _suite_serre(cfg, cache, bound)),
+        ("transition-regression", lambda: _suite_transition_regression(cfg)),
+        ("serre-relations", lambda: _suite_serre(cfg, bound)),
         ("top-identities", lambda: _suite_top_identities(cfg)),
         ("hom-intertwiner-oracle", lambda: _suite_hom_oracle(cfg, bound)),
         ("realize-roundtrip", lambda: _suite_realize_roundtrip(cfg, bound)),
         ("generic-ext-minimality", lambda: _suite_generic_ext(cfg, bound)),
     ]
-    if cache is not None:
-        suites.append(("hall-cache", lambda: _suite_cache_verify(cache)))
     started = time.perf_counter()
     exit_code = 0
     for name, run in suites:
@@ -530,7 +484,7 @@ def _exit_code_for(exc: BaseException) -> int:
         return 21
     if isinstance(exc, CertificationError):
         return 30
-    if isinstance(exc, (CacheCorruptError, AssertionError)):
+    if isinstance(exc, AssertionError):
         return 40
     if isinstance(exc, ValueError):
         return 10

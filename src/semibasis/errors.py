@@ -15,7 +15,6 @@ __all__ = [
     "RouteDisagreementError",
     "DeltaCheckError",
     "InternalCheckError",
-    "CacheCorruptError",
 ]
 
 
@@ -49,7 +48,3 @@ class DeltaCheckError(CertificationError):
 
 class InternalCheckError(SemibasisError, AssertionError):
     """An internal invariant that should be unreachable was violated."""
-
-
-class CacheCorruptError(SemibasisError):
-    """The on-disk Hall count cache failed verification."""

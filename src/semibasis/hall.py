@@ -9,21 +9,24 @@ over the submodule, so
 
     1_{S_i^a} * P_N  =  sum over L of  #{ U <= L : U = N, L/U = S_i^a } * P_L
 
-with the count taken at q = 1.  Counts over F_p are polynomial in p
-(Hall polynomials exist for Dynkin quivers), so the q = 1 value is
-obtained by counting over B + 2 primes, fitting the degree <= B
-polynomial, verifying the spare points, and evaluating at 1.
+with the count taken at q = 1.
 
 Submodules U with semisimple quotient S_i^a correspond to codimension-a
-subspaces of the top of L at vertex i, which makes the counts products
-of Gaussian binomials and powers of p over a small set of profiles; the
-closed form is what `hall_counts_simple_top` evaluates, and a literal
-subspace enumeration is kept in the test suite as an oracle.
+subspaces of the top of L at vertex i.  Filtering that top by how far
+each top segment survives splits the subspaces into profiles (e_j); over
+F_q a profile counts q^s times a product of Gaussian binomials
+[m_j choose e_j]_q, so at q = 1 it counts the product of binomials
+C(m_j, e_j).  These are exact integers and need no prime; their total
+over all profiles must be C(t_top(L, i), a), and every table of them is
+checked against it.  `hall_counts_simple_top` evaluates the same profiles
+over F_p, and a literal subspace enumeration is kept in the test suite
+as an oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,14 +34,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InternalCheckError
-from .linalg import (
-    gaussian_binomial,
-    interpolate_eval_one,
-    invert_unitriangular,
-    matmul_ff,
-    primes,
-    rank_ff,
-)
+from .linalg import gaussian_binomial, invert_unitriangular, matmul_ff, rank_ff
 from .quiver import (
     Multisegment,
     Quiver,
@@ -47,7 +43,6 @@ from .quiver import (
     deg_leq,
     enumerate_multisegments,
     refine_order,
-    t_top,
     total_generic_flag,
     word_weight,
 )
@@ -163,7 +158,6 @@ def _bounded_compositions(bounds: tuple[int, ...], total: int) -> Iterator[tuple
             yield (e,) + tail
 
 
-@lru_cache(maxsize=None)
 def _simple_top_terms(
     segs: tuple[Segment, ...], i: int, a: int
 ) -> tuple[tuple[Multisegment, tuple[tuple[int, int], ...], int], ...]:
@@ -200,19 +194,6 @@ def _simple_top_terms(
     return tuple(terms)
 
 
-@lru_cache(maxsize=None)
-def _counts_at_prime(
-    segs: tuple[Segment, ...], i: int, a: int, p: int
-) -> tuple[tuple[Multisegment, int], ...]:
-    agg: dict[Multisegment, int] = {}
-    for cls, factors, shift in _simple_top_terms(segs, i, a):
-        c = p**shift
-        for mult, e in factors:
-            c *= gaussian_binomial(mult, e, p)
-        agg[cls] = agg.get(cls, 0) + c
-    return tuple(agg.items())
-
-
 def hall_counts_simple_top(
     m: Multisegment, i: int, a: int, p: int
 ) -> dict[Multisegment, int]:
@@ -224,20 +205,40 @@ def hall_counts_simple_top(
     """
     if i < 1:
         raise ValueError(f"vertex {i} must be positive")
-    return dict(_counts_at_prime(m.segments, i, a, p))
+    counts: dict[Multisegment, int] = {}
+    for cls, factors, shift in _simple_top_terms(m.segments, i, a):
+        c = p**shift
+        for mult, e in factors:
+            c *= gaussian_binomial(mult, e, p)
+        counts[cls] = counts.get(cls, 0) + c
+    return counts
 
 
-def _counts_cached(
-    m: Multisegment, i: int, a: int, p: int, cache, n: int
-) -> Mapping[Multisegment, int]:
-    if cache is None:
-        return dict(_counts_at_prime(m.segments, i, a, p))
-    hit = cache.get(n, m, i, a, p)
-    if hit is not None:
-        return hit
-    val = hall_counts_simple_top(m, i, a, p)
-    cache.put(n, m, i, a, p, val)
-    return val
+@lru_cache(maxsize=None)
+def _counts_at_one(
+    segs: tuple[Segment, ...], i: int, a: int
+) -> dict[tuple[Segment, ...], int]:
+    """The q = 1 counts of submodules of segs with quotient S_i^a.
+
+    Keyed by the segments of the submodule class.  A profile's count
+    q^s * prod [m_j choose e_j]_q is prod C(m_j, e_j) at q = 1; read-only,
+    as the dict is shared through the memo.
+    """
+    table: dict[tuple[Segment, ...], int] = {}
+    for cls, factors, _ in _simple_top_terms(segs, i, a):
+        c = 1
+        for mult, e in factors:
+            c *= math.comb(mult, e)
+        table[cls.segments] = table.get(cls.segments, 0) + c
+    total = sum(table.values())
+    # t_top of segs at i, counted in place of building a Multisegment
+    want = math.comb(sum(1 for s, _ in segs if s == i), a)
+    if total != want:
+        raise InternalCheckError(
+            f"q = 1 submodule counts of {Multisegment(segs)} with quotient "
+            f"S_{i}^{a} total {total}, expected {want}"
+        )
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -342,33 +343,11 @@ def _with_simple_tops(src: Multisegment, i: int, a: int) -> Iterator[Multisegmen
             yield Multisegment(segs)
 
 
-_chi_memo: dict[tuple, int] = {}
-
-
-def _chi_simple_top(cls: Multisegment, i: int, a: int, src: Multisegment, cache, n: int) -> int:
-    """The q = 1 value of the Hall count #{U <= cls : U = src, cls/U = S_i^a}."""
-    # the memo key carries the backing store so a persistent cache is
-    # still written through when the value was already seen cache-less
-    store = None if cache is None else str(cache.path)
-    key = (cls.segments, i, a, src.segments, store)
-    hit = _chi_memo.get(key)
-    if hit is not None:
-        return hit
-    t = t_top(cls, i)
-    bound = a * (t - a)
-    points = []
-    for p in primes(bound + 2, 2):
-        points.append((p, _counts_cached(cls, i, a, p, cache, n).get(src, 0)))
-    chi = interpolate_eval_one(points, bound)
-    _chi_memo[key] = chi
-    return chi
-
-
-def left_mul_divided_power(i: int, a: int, vec: PBWVector, cache=None) -> PBWVector:
+def left_mul_divided_power(i: int, a: int, vec: PBWVector) -> PBWVector:
     """Multiply a PBW vector on the left by 1_{S_i^a} = e_i^{(a)}.
 
-    The optional cache is a disk-backed store of per-prime counts; the
-    interpolated values themselves are memoized in process.
+    Each coefficient is an exact q = 1 count of submodules, a sum of
+    products of binomials read from a per-(class, i, a) table.
     """
     n = vec.n
     if not 1 <= i <= n:
@@ -381,7 +360,7 @@ def left_mul_divided_power(i: int, a: int, vec: PBWVector, cache=None) -> PBWVec
     out: dict[Multisegment, Fraction] = {}
     for src, coeff in vec.coeffs.items():
         for cls in _with_simple_tops(src, i, a):
-            chi = _chi_simple_top(cls, i, a, src, cache, n)
+            chi = _counts_at_one(cls.segments, i, a).get(src.segments, 0)
             out[cls] = out.get(cls, Fraction(0)) + coeff * chi
     return PBWVector(n, grade, out)
 
@@ -392,9 +371,7 @@ def _as_combo(w: Word | Mapping[Word, Fraction | int]) -> WordCombo:
     return {word: Fraction(c) for word, c in w.items() if c}
 
 
-def word_to_pbw(
-    quiver: Quiver, w: Word | Mapping[Word, Fraction | int], cache=None
-) -> PBWVector:
+def word_to_pbw(quiver: Quiver, w: Word | Mapping[Word, Fraction | int]) -> PBWVector:
     """Expand a word combination into PBW coordinates.
 
     A word (i_1,a_1)...(i_k,a_k) denotes 1_{S_{i_1}^{a_1}} * ... *
@@ -411,14 +388,14 @@ def word_to_pbw(
     for word, c in combo.items():
         vec = PBWVector.unit(quiver.n)
         for letter in reversed(word):
-            vec = left_mul_divided_power(letter[0], letter[1], vec, cache)
+            vec = left_mul_divided_power(letter[0], letter[1], vec)
         vec = c * vec
         total = vec if total is None else total + vec
     return total
 
 
 def flag_word_matrix(
-    quiver: Quiver, d: Iterable[int], cache=None
+    quiver: Quiver, d: Iterable[int]
 ) -> tuple[tuple[Multisegment, ...], tuple[Word, ...], tuple[tuple[Fraction, ...], ...]]:
     """Expansion matrix of the generic flag words of one grade.
 
@@ -434,7 +411,7 @@ def flag_word_matrix(
     )
     rows = []
     for r, word in enumerate(words):
-        vec = word_to_pbw(quiver, word, cache)
+        vec = word_to_pbw(quiver, word)
         for cls in vec.coeffs:
             if not deg_leq_cached(classes[r], cls):
                 raise InternalCheckError(
@@ -455,15 +432,13 @@ def deg_leq_cached(m: Multisegment, n: Multisegment) -> bool:
     return _deg_leq_memo(m.segments, n.segments)
 
 
-def pbw_to_words(
-    quiver: Quiver, d: Iterable[int], cache=None
-) -> dict[Multisegment, WordCombo]:
+def pbw_to_words(quiver: Quiver, d: Iterable[int]) -> dict[Multisegment, WordCombo]:
     """Express every PBW class of grade d in terms of generic flag words.
 
     Inverts the unitriangular expansion matrix of flag_word_matrix, so
     P_M = sum over classes N of T^{-1}[M][N] * word(N).
     """
-    classes, words, t_mat = flag_word_matrix(quiver, d, cache)
+    classes, words, t_mat = flag_word_matrix(quiver, d)
     try:
         t_inv = invert_unitriangular(t_mat)
     except ValueError as exc:
@@ -503,7 +478,7 @@ class SerreReport:
         return not self.failures
 
 
-def check_serre(quiver: Quiver, dim_bound: int, cache=None) -> SerreReport:
+def check_serre(quiver: Quiver, dim_bound: int) -> SerreReport:
     """Verify the defining relations on every PBW class up to a grade bound.
 
     For each adjacent ordered pair (i, j) and each class N with |grade|
@@ -514,9 +489,7 @@ def check_serre(quiver: Quiver, dim_bound: int, cache=None) -> SerreReport:
     pairs = [(i, j) for i in quiver.vertices() for j in quiver.vertices() if abs(i - j) == 1]
     checked = 0
     failures: list[str] = []
-
-    def lm(i: int, a: int, v: PBWVector) -> PBWVector:
-        return left_mul_divided_power(i, a, v, cache)
+    lm = left_mul_divided_power
 
     for d in iter_dim_vectors(n, dim_bound):
         for cls in enumerate_multisegments(quiver, d):

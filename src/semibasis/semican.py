@@ -98,7 +98,7 @@ def _combine_words(base: WordCombo, other: WordCombo, coeff: Fraction) -> WordCo
 class SemicanBasis:
     """Recursive construction of semicanonical elements over one quiver.
 
-    Shares one rho evaluator, one hall cache, and write-once memos for
+    Shares one rho evaluator and write-once memos for
     elements, per-vertex variants, and sampled t values, so a full
     transition matrix touches each expensive quantity once.
     """
@@ -107,12 +107,10 @@ class SemicanBasis:
         self,
         quiver: Quiver,
         config: SampleConfig | None = None,
-        hall_cache=None,
         evaluator: RhoEvaluator | None = None,
     ):
         self.quiver = quiver
         self.config = config or SampleConfig()
-        self.hall_cache = hall_cache
         self.evaluator = evaluator or RhoEvaluator(quiver.n, self.config)
         self._elements: dict[tuple, SemicanElement] = {}
         self._components: dict[tuple, SemicanElement] = {}
@@ -135,7 +133,7 @@ class SemicanBasis:
             d = m.dim_vector(self.quiver.n)
             word = tuple((i, d[i - 1]) for i in range(self.quiver.n, 0, -1) if d[i - 1])
             elem = SemicanElement(
-                word_to_pbw(self.quiver, word, self.hall_cache) if word
+                word_to_pbw(self.quiver, word) if word
                 else PBWVector.unit(self.quiver.n),
                 {word: Fraction(1)},
             )
@@ -170,7 +168,7 @@ class SemicanBasis:
         self, m: Multisegment, i: int, mult: int, peeled: Multisegment
     ) -> SemicanElement:
         base = self.element(peeled)
-        pbw = left_mul_divided_power(i, mult, base.pbw, self.hall_cache)
+        pbw = left_mul_divided_power(i, mult, base.pbw)
         words: WordCombo = {((i, mult),) + w: c for w, c in base.words.items()}
         d = m.dim_vector(self.quiver.n)
         for cls in enumerate_multisegments(self.quiver, d):
@@ -193,7 +191,6 @@ def evaluation_matrix(
     quiver: Quiver,
     d: Iterable[int],
     config: SampleConfig | None = None,
-    hall_cache=None,
     evaluator: RhoEvaluator | None = None,
 ) -> tuple[tuple[Multisegment, ...], Matrix]:
     """Values of every PBW element at every component of grade d.
@@ -203,7 +200,7 @@ def evaluation_matrix(
     """
     d = tuple(d)
     classes = _ordered_classes(quiver, d)
-    combos = pbw_to_words(quiver, d, hall_cache)
+    combos = pbw_to_words(quiver, d)
     ev = evaluator or RhoEvaluator(quiver.n, config)
     rows = tuple(
         tuple(ev.rho(k_cls, combos[n_cls]) for n_cls in classes) for k_cls in classes
@@ -236,7 +233,6 @@ def transition_via_inversion(
     quiver: Quiver,
     d: Iterable[int],
     config: SampleConfig | None = None,
-    hall_cache=None,
     evaluator: RhoEvaluator | None = None,
 ) -> tuple[tuple[Multisegment, ...], Matrix, Matrix]:
     """The transition matrix A with f_M = sum_N A[M][N] P_N, by inversion.
@@ -247,7 +243,7 @@ def transition_via_inversion(
     returning; A times E-transposed is re-checked to be the identity.
     """
     d = tuple(d)
-    classes, e_mat = evaluation_matrix(quiver, d, config, hall_cache, evaluator)
+    classes, e_mat = evaluation_matrix(quiver, d, config, evaluator)
     _certify_support(classes, e_mat, lower=True, what="evaluation matrix")
     e_t = tuple(zip(*e_mat))
     try:
@@ -268,10 +264,9 @@ def semican_recursive(
     quiver: Quiver,
     m: Multisegment,
     config: SampleConfig | None = None,
-    hall_cache=None,
 ) -> PBWVector:
     """PBW coordinates of one semicanonical element via the peel recursion."""
-    return SemicanBasis(quiver, config, hall_cache).element(m).pbw
+    return SemicanBasis(quiver, config).element(m).pbw
 
 
 @dataclass(frozen=True)
@@ -303,14 +298,13 @@ def verify_delta(
     quiver: Quiver,
     d: Iterable[int],
     config: SampleConfig | None = None,
-    hall_cache=None,
 ) -> DeltaReport:
     """Recompute all elements of grade d and check the delta-property.
 
     The evaluations use seeds disjoint from those of the construction;
     the report passes iff the matrix is exactly the identity.
     """
-    basis = SemicanBasis(quiver, config, hall_cache)
+    basis = SemicanBasis(quiver, config)
     classes = _ordered_classes(quiver, tuple(d))
     elements = {cls: basis.element(cls) for cls in classes}
     return _delta_report(basis, classes, elements)
@@ -360,7 +354,6 @@ def transition_matrix(
     quiver: Quiver,
     d: Iterable[int],
     config: SampleConfig | None = None,
-    hall_cache=None,
 ) -> CertifiedTransition:
     """Both routes, the delta-check, and the certified result for grade d.
 
@@ -371,10 +364,8 @@ def transition_matrix(
     started = time.perf_counter()
     d = tuple(d)
     cfg = config or SampleConfig()
-    basis = SemicanBasis(quiver, cfg, hall_cache)
-    classes, a_mat, e_mat = transition_via_inversion(
-        quiver, d, cfg, hall_cache, basis.evaluator
-    )
+    basis = SemicanBasis(quiver, cfg)
+    classes, a_mat, e_mat = transition_via_inversion(quiver, d, cfg, basis.evaluator)
     elements = {cls: basis.element(cls) for cls in classes}
     rec_mat = tuple(
         tuple(elements[m_cls].pbw.get(n_cls) for n_cls in classes) for m_cls in classes

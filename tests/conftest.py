@@ -11,7 +11,7 @@ import itertools
 
 import pytest
 
-from semibasis import HallCache, Quiver, transition_matrix
+from semibasis import Quiver, transition_matrix
 
 
 def n2_grades() -> list[tuple[int, ...]]:
@@ -27,21 +27,14 @@ def n3_grades() -> list[tuple[int, ...]]:
 
 
 @pytest.fixture(scope="session")
-def hall_cache(tmp_path_factory):
-    cache = HallCache(tmp_path_factory.mktemp("hall"))
-    yield cache
-    cache.close()
-
-
-@pytest.fixture(scope="session")
-def certified(hall_cache):
+def certified():
     """Memoized access to certified transition runs, keyed by (n, d)."""
     runs = {}
 
     def get(n: int, d: tuple[int, ...]):
         key = (n, tuple(d))
         if key not in runs:
-            runs[key] = transition_matrix(Quiver(n), key[1], hall_cache=hall_cache)
+            runs[key] = transition_matrix(Quiver(n), key[1])
         return runs[key]
 
     return get

@@ -173,6 +173,26 @@ def brute_hall_counts(
     return counts
 
 
+def counts_at_one_by_interpolation(
+    m: Multisegment, i: int, a: int
+) -> dict[Multisegment, int]:
+    """q = 1 submodule counts with quotient S_i^a, through the primes.
+
+    Counts over F_p at a(t - a) + 2 primes (t = t_top(m, i), a <= t),
+    fits each class's series with a polynomial of degree a(t - a), which
+    the spare prime checks, and evaluates it at 1.
+    """
+    bound = a * (t_top(m, i) - a)
+    pool = primes(bound + 2, 2)
+    per_prime = [hall_counts_simple_top(m, i, a, p) for p in pool]
+    return {
+        sub: interpolate_eval_one(
+            [(p, counts.get(sub, 0)) for p, counts in zip(pool, per_prime)], bound
+        )
+        for sub in per_prime[0]
+    }
+
+
 def brute_left_mul(i: int, a: int, vec: PBWVector, n: int) -> PBWVector:
     """Left multiplication by the full scan: every class of the target
     grade is interpolated, with no candidate generation at all."""

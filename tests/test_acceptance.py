@@ -97,11 +97,11 @@ def test_02_unitriangular_support(certified):
     _finish(2, "unitriangular with degeneration support", failures)
 
 
-def test_03_delta_identity(hall_cache):
+def test_03_delta_identity():
     fresh = SampleConfig(root_seed=271828)
     failures = []
     for n, d in acceptance_grades():
-        report = verify_delta(Quiver(n), d, fresh, hall_cache=hall_cache)
+        report = verify_delta(Quiver(n), d, fresh)
         if not report.ok:
             failures.append(f"n={n} d={d} matrix {report.matrix}")
     _finish(3, "delta property with fresh seeds", failures)

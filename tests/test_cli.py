@@ -182,73 +182,6 @@ class TestInspect:
         assert err
 
 
-class TestCache:
-    def test_stats_clear_cycle(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys,
-            "inspect",
-            "hall",
-            "--module",
-            "2[1,2]",
-            "--vertex",
-            "1",
-            "--size",
-            "1",
-            "--prime",
-            "5",
-            "--cache-dir",
-            str(tmp_path),
-            "--format",
-            "json",
-        )
-        assert code == 0
-        code, out, _ = run(
-            capsys, "cache", "stats", "--cache-dir", str(tmp_path), "--format", "json"
-        )
-        assert code == 0
-        assert json.loads(out)["records"] >= 1
-        code, out, _ = run(
-            capsys, "cache", "clear", "--cache-dir", str(tmp_path), "--format", "json"
-        )
-        assert code == 0
-        assert json.loads(out)["removed"] >= 1
-        code, out, _ = run(
-            capsys, "cache", "stats", "--cache-dir", str(tmp_path), "--format", "json"
-        )
-        assert code == 0
-        assert json.loads(out)["records"] == 0
-
-    def test_corrupt_store_exits_40(self, capsys, tmp_path):
-        tmp_path.joinpath("hall_counts.txt").write_text("garbage\n")
-        code, _, err = run(
-            capsys, "cache", "stats", "--cache-dir", str(tmp_path)
-        )
-        assert code == 40
-        assert err
-        code, _, _ = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
-        assert code == 0
-        code, _, _ = run(capsys, "cache", "stats", "--cache-dir", str(tmp_path))
-        assert code == 0
-
-    def test_env_var_selects_cache(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SEMIBASIS_CACHE_DIR", str(tmp_path))
-        code, _, _ = run(
-            capsys,
-            "inspect",
-            "hall",
-            "--module",
-            "1[1,2]",
-            "--vertex",
-            "1",
-            "--size",
-            "1",
-            "--prime",
-            "3",
-        )
-        assert code == 0
-        assert tmp_path.joinpath("hall_counts.txt").exists()
-
-
 class TestSelftest:
     def test_passes_at_small_bound(self, capsys):
         code, out, err = run(capsys, "selftest", "--dim-bound", "3")
@@ -256,14 +189,6 @@ class TestSelftest:
         lines = [line for line in out.splitlines() if ":" in line]
         assert lines
         assert all("PASS" in line for line in lines)
-
-    def test_fails_on_corrupt_cache(self, capsys, tmp_path):
-        tmp_path.joinpath("hall_counts.txt").write_text("garbage\n")
-        code, out, _ = run(
-            capsys, "selftest", "--dim-bound", "3", "--cache-dir", str(tmp_path)
-        )
-        assert code == 40
-        assert "FAIL" in out
 
 
 class TestParser:

@@ -1,8 +1,9 @@
 """Submodule counting and the PBW expansion of flag words.
 
-The two headline checks recompute the library's counts along routes it
-never takes: a literal walk of the Grassmannian over small fields, and a
-full interpolation scan of the target grade with no candidate pruning.
+The headline checks recompute the library's counts along routes it
+never takes: a literal walk of the Grassmannian over small fields, a
+full interpolation scan of the target grade with no candidate pruning,
+and a fit of the per-prime counts evaluated at q = 1.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import pytest
 
 import oracles
 from semibasis import (
+    InternalCheckError,
     Multisegment,
     PBWVector,
     Quiver,
@@ -26,9 +28,12 @@ from semibasis import (
     pbw_to_words,
     realize,
     refine_order,
+    t_top,
     total_generic_flag,
     word_to_pbw,
 )
+from semibasis import hall
+from semibasis.cli import main
 
 M = Multisegment
 
@@ -102,7 +107,6 @@ class TestHallCounts:
                                 assert got == want, (cls, i, a, p)
 
     def test_total_count_is_gaussian(self):
-        from semibasis import t_top
         from semibasis.linalg import gaussian_binomial
 
         for cls in classes_upto(3, 5):
@@ -111,6 +115,42 @@ class TestHallCounts:
                     for p in (2, 3):
                         total = sum(hall_counts_simple_top(cls, i, a, p).values())
                         assert total == gaussian_binomial(t_top(cls, i), a, p)
+
+
+class TestCountsAtOne:
+    def test_matches_prime_interpolation(self):
+        cases = 0
+        for n in (2, 3, 4):
+            for cls in classes_upto(n, 6):
+                for i in range(1, n + 1):
+                    for a in range(1, t_top(cls, i) + 1):
+                        table = hall._counts_at_one(cls.segments, i, a)
+                        got = {M(segs): c for segs, c in table.items()}
+                        want = oracles.counts_at_one_by_interpolation(cls, i, a)
+                        assert got == want, (cls, i, a)
+                        cases += len(got)
+        assert cases == 4136
+
+
+@pytest.fixture
+def dropped_profile(monkeypatch):
+    # every table misses one profile, so no total can match its binomial
+    terms = hall._simple_top_terms
+    monkeypatch.setattr(hall, "_simple_top_terms", lambda *key: terms(*key)[1:])
+    hall._counts_at_one.cache_clear()
+    yield
+    hall._counts_at_one.cache_clear()
+
+
+class TestCountsAtOneInvariant:
+    def test_left_mul_raises(self, dropped_profile):
+        vec = PBWVector(2, (0, 1), {M("1[2,2]"): 1})
+        with pytest.raises(InternalCheckError, match="expected 1"):
+            left_mul_divided_power(1, 1, vec)
+
+    def test_transition_exits_40(self, dropped_profile, capsys):
+        assert main(["transition", "--dim", "2,2"]) == 40
+        assert "q = 1 submodule counts" in capsys.readouterr().err
 
 
 class TestLeftMul:

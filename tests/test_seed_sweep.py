@@ -29,15 +29,13 @@ FAILED_UNDER_VOTE = {
 @pytest.mark.parametrize(
     "d", list(FAILED_UNDER_VOTE), ids=lambda d: ",".join(map(str, d))
 )
-def test_seeds_certify_with_one_matrix(d, certified, hall_cache):
+def test_seeds_certify_with_one_matrix(d, certified):
     # certified() is the default seed 0, and raises unless it certifies
     reference = certified(len(d), d)
     for seed in FAILED_UNDER_VOTE[d]:
         if seed == 0:
             continue
-        res = transition_matrix(
-            Quiver(len(d)), d, SampleConfig(root_seed=seed), hall_cache=hall_cache
-        )
+        res = transition_matrix(Quiver(len(d)), d, SampleConfig(root_seed=seed))
         assert res.routes_agree and res.delta_ok
         assert res.classes == reference.classes
         assert res.matrix == reference.matrix, seed
