@@ -11,7 +11,7 @@ import itertools
 
 import pytest
 
-from semibasis import Quiver, transition_matrix
+from semibasis import Quiver, hall, transition_matrix
 
 
 def n2_grades() -> list[tuple[int, ...]]:
@@ -38,3 +38,17 @@ def certified():
         return runs[key]
 
     return get
+
+
+@pytest.fixture
+def dropped_profile(monkeypatch):
+    """Plant a fault in the q = 1 Hall tables: every table misses a profile.
+
+    No total can then match its binomial, so every table that is built
+    raises InternalCheckError.  The table memo is emptied on entry and exit.
+    """
+    terms = hall._simple_top_terms
+    monkeypatch.setattr(hall, "_simple_top_terms", lambda *key: terms(*key)[1:])
+    hall._counts_at_one.cache_clear()
+    yield
+    hall._counts_at_one.cache_clear()

@@ -1,189 +1,154 @@
-"""Persistent store of submodule counts: roundtrips, corruption, audits."""
+"""The memo of q = 1 Hall tables: hits, misses, clearing, audits, faults.
+
+`hall._counts_at_one` keeps one table per (class, vertex, size), mapping
+each submodule class to its exact q = 1 count; it is the one store of
+Hall counts in the package, shared by every product in a process.
+"""
+
+import math
 
 import pytest
 
+import oracles
 from semibasis import (
-    CacheCorruptError,
-    HallCache,
+    InternalCheckError,
     Multisegment,
-    Quiver,
-    hall_counts_simple_top,
-    left_mul_divided_power,
     PBWVector,
-    cache_dir_from_env,
+    Quiver,
+    enumerate_multisegments,
+    hall,
+    left_mul_divided_power,
+    t_top,
 )
 
 M = Multisegment
+table = hall._counts_at_one
 
 
-def fill(cache, n, label, i, a, p):
-    counts = hall_counts_simple_top(M(label), i, a, p)
-    cache.put(n, M(label), i, a, p, counts)
-    return counts
+@pytest.fixture(autouse=True)
+def empty_memo():
+    table.cache_clear()
+    yield
+    table.cache_clear()
+
+
+def as_classes(counts):
+    return {M(segs): c for segs, c in counts.items()}
 
 
 class TestRoundtrip:
-    def test_put_get_same_instance(self, tmp_path):
-        cache = HallCache(tmp_path)
-        counts = fill(cache, 2, "2[1,1]+2[2,2]", 1, 1, 3)
-        assert cache.get(2, M("2[1,1]+2[2,2]"), 1, 1, 3) == counts
-        cache.close()
+    def test_put_get_same_instance(self):
+        first = table(M("2[1,1]+2[2,2]").segments, 1, 1)
+        assert as_classes(first) == {M("1[1,1]+2[2,2]"): 2}
+        assert table(M("2[1,1]+2[2,2]").segments, 1, 1) is first
 
-    def test_survives_reopen(self, tmp_path):
-        first = HallCache(tmp_path)
-        counts = fill(first, 2, "1[1,2]+1[1,1]+1[2,2]", 2, 1, 5)
-        first.close()
-        second = HallCache(tmp_path)
-        assert second.get(2, M("1[1,2]+1[1,1]+1[2,2]"), 2, 1, 5) == counts
-        second.close()
+    def test_miss_returns_none(self):
+        counts = table(M("2[1,2]").segments, 1, 1)
+        assert as_classes(counts) == {M("1[1,2]+1[2,2]"): 2}
+        # same grade (1, 2), but not a submodule with quotient S_1
+        assert counts.get(M("1[1,1]+2[2,2]").segments) is None
 
-    def test_miss_returns_none(self, tmp_path):
-        cache = HallCache(tmp_path)
-        assert cache.get(2, M("1[1,2]"), 1, 1, 7) is None
-        cache.close()
+    def test_get_returns_copy(self):
+        # the product reads the table of its one class 1[1,2]+1[1,1]
+        vec = PBWVector(2, (1, 1), {M("1[1,2]"): 1})
+        counts = table(M("1[1,2]+1[1,1]").segments, 1, 1)
+        before = dict(counts)
+        out = left_mul_divided_power(1, 1, vec)
+        for cls in out.coeffs:
+            out.coeffs[cls] = 99
+        assert counts == before
+        assert left_mul_divided_power(1, 1, vec) != out
 
-    def test_get_returns_copy(self, tmp_path):
-        cache = HallCache(tmp_path)
-        fill(cache, 2, "1[1,2]", 1, 1, 3)
-        one = cache.get(2, M("1[1,2]"), 1, 1, 3)
-        one[M("1[1,1]")] = 99
-        assert cache.get(2, M("1[1,2]"), 1, 1, 3) != one
-        cache.close()
+    def test_duplicate_put_writes_once(self, monkeypatch):
+        calls = []
+        terms = hall._simple_top_terms
 
-    def test_duplicate_put_writes_once(self, tmp_path):
-        cache = HallCache(tmp_path)
-        fill(cache, 2, "1[1,2]", 1, 1, 3)
-        size = cache.path.stat().st_size
-        fill(cache, 2, "1[1,2]", 1, 1, 3)
-        assert cache.path.stat().st_size == size
-        cache.close()
+        def spy(*key):
+            calls.append(key)
+            return terms(*key)
 
-    def test_empty_counts_roundtrip(self, tmp_path):
-        cache = HallCache(tmp_path)
-        cache.put(2, M("1[2,2]"), 1, 1, 5, {})
-        cache.close()
-        again = HallCache(tmp_path)
-        assert again.get(2, M("1[2,2]"), 1, 1, 5) == {}
-        again.close()
+        monkeypatch.setattr(hall, "_simple_top_terms", spy)
+        segs = M("1[1,2]").segments
+        assert table(segs, 1, 1) == table(segs, 1, 1)
+        assert calls == [(segs, 1, 1)]
+
+    def test_empty_counts_roundtrip(self):
+        # no segment starts at 1, so there is no quotient S_1 and C(0, 1) = 0
+        assert table(M("1[2,2]").segments, 1, 1) == {}
+        assert table(M("1[2,2]").segments, 1, 1) == {}
+        assert table.cache_info().hits == 1
 
 
 class TestMaintenance:
-    def test_stats(self, tmp_path):
-        cache = HallCache(tmp_path)
-        assert cache.stats()["records"] == 0
-        fill(cache, 2, "1[1,2]", 1, 1, 3)
-        fill(cache, 2, "2[1,2]", 1, 1, 3)
-        stats = cache.stats()
-        assert stats["records"] == 2
-        assert stats["size_bytes"] > 0
-        cache.close()
+    def test_stats(self):
+        assert table.cache_info().currsize == 0
+        table(M("1[1,2]").segments, 1, 1)
+        table(M("2[1,2]").segments, 1, 1)
+        table(M("1[1,2]").segments, 1, 1)
+        info = table.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (2, 2, 1)
 
-    def test_clear(self, tmp_path):
-        cache = HallCache(tmp_path)
-        fill(cache, 2, "1[1,2]", 1, 1, 3)
-        assert cache.clear() == 1
-        assert not cache.path.exists()
-        assert cache.stats()["records"] == 0
-        cache.close()
+    def test_clear(self):
+        first = table(M("1[1,2]").segments, 1, 1)
+        table.cache_clear()
+        assert table.cache_info().currsize == 0
+        again = table(M("1[1,2]").segments, 1, 1)
+        assert again == first
+        assert again is not first
 
-    def test_verify_clean_store(self, tmp_path):
-        cache = HallCache(tmp_path)
-        for p in (2, 3, 5):
-            fill(cache, 2, "2[1,1]+2[2,2]", 1, 1, p)
-            fill(cache, 2, "2[1,2]", 1, 2, p)
-        assert cache.verify() == 6
-        cache.close()
+    def test_verify_clean_store(self):
+        checked = 0
+        for n, total in ((2, 5), (3, 5), (4, 4)):
+            for d in oracles.grades_upto(n, total):
+                for cls in enumerate_multisegments(Quiver(n), d):
+                    for i in range(1, n + 1):
+                        t = t_top(cls, i)
+                        for a in range(t + 2):
+                            counts = table(cls.segments, i, a)
+                            assert sum(counts.values()) == math.comb(t, a)
+                            sub = list(d)
+                            sub[i - 1] -= a
+                            for segs, c in counts.items():
+                                got = M(segs).dim_vector(n)
+                                assert got == tuple(sub), (cls, i, a, segs)
+                                assert c > 0, (cls, i, a, segs)
+                            checked += 1
+        assert checked > 1000
 
-    def test_verify_catches_doctored_total(self, tmp_path):
-        cache = HallCache(tmp_path)
-        counts = hall_counts_simple_top(M("2[1,1]+2[2,2]"), 1, 1, 3)
-        bad = {cls: c + 1 for cls, c in counts.items()}
-        cache.put(2, M("2[1,1]+2[2,2]"), 1, 1, 3, bad)
-        with pytest.raises(CacheCorruptError):
-            cache.verify()
-        cache.close()
-
-    def test_verify_catches_wrong_grade(self, tmp_path):
-        cache = HallCache(tmp_path)
-        # total [2 choose 1]_3 = 4 is right but the class has grade (2,2)
-        cache.put(2, M("2[1,1]+2[2,2]"), 1, 1, 3, {M("2[1,1]+2[2,2]"): 4})
-        with pytest.raises(CacheCorruptError):
-            cache.verify()
-        cache.close()
-
-    def test_verify_catches_nonpositive_count(self, tmp_path):
-        cache = HallCache(tmp_path)
-        cache.put(2, M("1[1,2]"), 1, 1, 3, {M("1[2,2]"): 1, M("1[1,1]"): 0})
-        with pytest.raises(CacheCorruptError):
-            cache.verify()
-        cache.close()
+    def test_verify_catches_doctored_total(self, monkeypatch):
+        terms = hall._simple_top_terms
+        # count the first profile twice: 2[1,1]+2[2,2] at S_1 totals 4, not 2
+        monkeypatch.setattr(
+            hall, "_simple_top_terms", lambda *key: terms(*key)[:1] + terms(*key)
+        )
+        with pytest.raises(InternalCheckError, match="total 4, expected 2"):
+            table(M("2[1,1]+2[2,2]").segments, 1, 1)
 
 
 class TestCorruption:
-    def test_garbage_line(self, tmp_path):
-        cache = HallCache(tmp_path)
-        fill(cache, 2, "1[1,2]", 1, 1, 3)
-        cache.close()
-        with cache.path.open("a") as fh:
-            fh.write("not a record\n")
-        fresh = HallCache(tmp_path)
-        with pytest.raises(CacheCorruptError):
-            fresh.get(2, M("1[1,2]"), 1, 1, 3)
-        fresh.close()
-
-    def test_bad_json_payload(self, tmp_path):
-        fresh = HallCache(tmp_path)
-        fresh.path.write_text("2;1[1,2];1;1;3;{broken\n")
-        with pytest.raises(CacheCorruptError):
-            fresh.stats()
-        fresh.close()
-
-    def test_conflicting_duplicate(self, tmp_path):
-        cache = HallCache(tmp_path)
-        fill(cache, 2, "1[1,2]", 1, 1, 3)
-        cache.close()
-        line = cache.path.read_text().strip()
-        doctored = line.rsplit(";", 1)[0] + ';{"1[1,1]":7}'
-        cache.path.write_text(line + "\n" + doctored + "\n")
-        fresh = HallCache(tmp_path)
-        with pytest.raises(CacheCorruptError):
-            fresh.get(2, M("1[1,2]"), 1, 1, 3)
-        fresh.close()
-
-    def test_corruption_is_sticky_until_cleared(self, tmp_path):
-        cache = HallCache(tmp_path)
-        cache.path.write_text("garbage\n")
+    def test_corruption_is_sticky_until_cleared(self, dropped_profile, monkeypatch):
+        # a failed table is never memoised: each call raises until the
+        # fault is gone, and then the next call builds the right table
+        vec = PBWVector(2, (1, 1), {M("1[1,2]"): 1})
         for _ in range(2):
-            with pytest.raises(CacheCorruptError):
-                cache.get(2, M("1[1,2]"), 1, 1, 3)
-        with pytest.raises(CacheCorruptError):
-            cache.put(2, M("1[1,2]"), 1, 1, 3, {})
-        cache.clear()
-        assert cache.get(2, M("1[1,2]"), 1, 1, 3) is None
-        fill(cache, 2, "1[1,2]", 1, 1, 3)
-        assert cache.verify() == 1
-        cache.close()
+            with pytest.raises(InternalCheckError):
+                left_mul_divided_power(1, 1, vec)
+        assert table.cache_info().currsize == 0
+        monkeypatch.undo()
+        out = left_mul_divided_power(1, 1, vec)
+        assert out == PBWVector(2, (2, 1), {M("1[1,2]+1[1,1]"): 1})
 
 
 class TestIntegration:
-    def test_left_mul_uses_and_fills_cache(self, tmp_path):
-        cache = HallCache(tmp_path)
+    def test_left_mul_uses_and_fills_cache(self):
         vec = PBWVector(2, (1, 1), {M("1[1,2]"): 1})
-        first = left_mul_divided_power(1, 1, vec, cache)
-        assert cache.stats()["records"] > 0
-        second = left_mul_divided_power(1, 1, vec, cache)
-        assert first == second
-        assert cache.verify() > 0
-        cache.close()
-        reopened = HallCache(tmp_path)
-        third = left_mul_divided_power(1, 1, vec, reopened)
-        assert third == first
-        reopened.close()
-
-    def test_env_var_names_directory(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SEMIBASIS_CACHE_DIR", str(tmp_path))
-        assert cache_dir_from_env() == str(tmp_path)
-        monkeypatch.setenv("SEMIBASIS_CACHE_DIR", "  ")
-        assert cache_dir_from_env() is None
-        monkeypatch.delenv("SEMIBASIS_CACHE_DIR")
-        assert cache_dir_from_env() is None
+        first = left_mul_divided_power(1, 1, vec)
+        filled = table.cache_info()
+        assert filled.currsize > 0
+        second = left_mul_divided_power(1, 1, vec)
+        assert second == first
+        info = table.cache_info()
+        assert info.misses == filled.misses
+        assert info.hits > filled.hits
+        table.cache_clear()
+        assert left_mul_divided_power(1, 1, vec) == first

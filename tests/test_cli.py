@@ -182,6 +182,19 @@ class TestInspect:
         assert err
 
 
+class TestCache:
+    """A fault in the q = 1 Hall tables (see conftest.dropped_profile)."""
+
+    def test_corrupt_store_exits_40(self, capsys, dropped_profile, monkeypatch):
+        code, out, err = run(capsys, "transition", "--dim", "2,2")
+        assert code == 40
+        assert not out
+        assert "q = 1 submodule counts" in err
+        monkeypatch.undo()
+        code, _, _ = run(capsys, "transition", "--dim", "2,2")
+        assert code == 0
+
+
 class TestSelftest:
     def test_passes_at_small_bound(self, capsys):
         code, out, err = run(capsys, "selftest", "--dim-bound", "3")
@@ -189,6 +202,11 @@ class TestSelftest:
         lines = [line for line in out.splitlines() if ":" in line]
         assert lines
         assert all("PASS" in line for line in lines)
+
+    def test_fails_on_corrupt_cache(self, capsys, dropped_profile):
+        code, out, _ = run(capsys, "selftest", "--dim-bound", "3")
+        assert code == 40
+        assert "serre-relations: FAIL (InternalCheckError" in out
 
 
 class TestParser:

@@ -33,7 +33,6 @@ from semibasis import (
     word_to_pbw,
 )
 from semibasis import hall
-from semibasis.cli import main
 
 M = Multisegment
 
@@ -132,25 +131,13 @@ class TestCountsAtOne:
         assert cases == 4136
 
 
-@pytest.fixture
-def dropped_profile(monkeypatch):
-    # every table misses one profile, so no total can match its binomial
-    terms = hall._simple_top_terms
-    monkeypatch.setattr(hall, "_simple_top_terms", lambda *key: terms(*key)[1:])
-    hall._counts_at_one.cache_clear()
-    yield
-    hall._counts_at_one.cache_clear()
-
-
 class TestCountsAtOneInvariant:
+    """The table total check; the command line's exit 40 is in test_cli."""
+
     def test_left_mul_raises(self, dropped_profile):
         vec = PBWVector(2, (0, 1), {M("1[2,2]"): 1})
         with pytest.raises(InternalCheckError, match="expected 1"):
             left_mul_divided_power(1, 1, vec)
-
-    def test_transition_exits_40(self, dropped_profile, capsys):
-        assert main(["transition", "--dim", "2,2"]) == 40
-        assert "q = 1 submodule counts" in capsys.readouterr().err
 
 
 class TestLeftMul:
