@@ -9,20 +9,19 @@ relations, which are linear in the stars, for a random solution.
 
 Component-level data (the codimension t_i of the incoming image sum,
 and the peeled class it spans) and word counts are read off sampled
-points.  For n <= 4 the preprojective algebra is representation-finite
-(Geiss-Leclerc-Schroer), so each component Z_M is the closure of one
-orbit, and a point x of Z_M lies in that orbit iff dim End(x) = q(d),
-the Tits form: an orbit has dimension sum d_i^2 - dim End and a
-component sum d_i d_{i+1}.  Each prime then reads one accepted point,
-the first of up to samples_per_prime draws that passes this test; the
-automorphism group of x is connected, so by Lang's theorem every F_p-point
-of the orbit is isomorphic to x and its values are exactly the generic
-ones.  For n >= 5 no such orbit need exist and sampling falls back to a
-vote: t is an upper-semicontinuous integer, so its generic value is the
-minimum over samples, the peeled class is the modal value over the
-samples that attain that minimum, and a word count is the value holding
-a strict majority of the samples.  Every rule requires agreement across
-at least two primes and fails loudly otherwise.
+points.  A point x of Z_M lies in a dense orbit of the component iff
+dim End(x) = q(d), the Tits form: an orbit has dimension
+sum d_i^2 - dim End and every component sum d_i d_{i+1}.  For n <= 4 the
+preprojective algebra is representation-finite (Geiss-Leclerc-Schroer),
+so every component has such an orbit; for n >= 5 some need not.  Each
+(component, prime, attempt) draws up to samples_per_prime points.  The
+first draw with dim End = q(d) is read alone: its automorphism group is
+connected, so by Lang's theorem every F_p-point of its orbit is
+isomorphic to it, and its values are exactly the generic ones.  When no
+draw reaches q(d), the draws of least End vote, and the reading is the
+value held by a strict majority of them; such votes are logged.  A vote
+without a majority makes the attempt inconclusive, and the readings must
+agree across at least two primes; otherwise sampling fails loudly.
 
 Word monomials are evaluated at a point by the flag recursion: the last
 letter (i, a) picks an a-dimensional subspace W of the joint kernel of
@@ -38,6 +37,7 @@ behaviour or a consensus failure is surfaced, never averaged away.
 from __future__ import annotations
 
 import hashlib
+import logging
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -88,9 +88,12 @@ __all__ = [
 
 Matrix = tuple[tuple[int, ...], ...]
 
-# Up to this many vertices the preprojective algebra is representation-
-# finite, so sampled points are accepted by dim End = q(d), not voted on.
-CERTIFIED_MAX_N = 4
+log = logging.getLogger(__name__)
+
+# t and the peeled class are read at this many primes, which must agree
+CONSENSUS_PRIMES = 2
+# attempts, each with fresh draws, before sampling gives up
+RETRY_BUDGET = 3
 
 
 def derive_seed(*parts) -> int:
@@ -109,19 +112,17 @@ class SampleConfig:
     word_degree_bound(w, d) and B is flag_degree_bound(d), so the pool
     must hold that many primes for every word in play.
 
-    samples_per_prime caps the draws per prime and attempt: for n <= 4
-    the first draw with dim End = q(d) is the prime's accepted point, and
-    for n >= 5 it is the size of the vote.  An attempt that finds no
-    accepted point, or whose vote ties, is retried with fresh draws up to
-    retry_budget attempts in all.  force_sampling disables the proven
+    samples_per_prime caps the draws per prime and attempt.  The first
+    draw with dim End = q(d) is read alone; if none reaches q(d), the
+    draws of least End vote.  An attempt whose vote has no strict
+    majority, or whose primes disagree, is retried with fresh draws up to
+    RETRY_BUDGET attempts in all.  force_sampling disables the proven
     combinatorial shortcuts for t and peel, which is only useful for
     cross-checking.
     """
 
     root_seed: int = 0
     samples_per_prime: int = 5
-    retry_budget: int = 3
-    consensus_primes: int = 2
     prime_start: int = 5
     prime_pool: tuple[int, ...] | None = None
     force_sampling: bool = False
@@ -254,27 +255,64 @@ def _tits_form(m: Multisegment, n: int) -> int:
     return euler_form(Quiver(n), d, d)
 
 
-def _first_accepted(
+def _generic_draws(
     m: Multisegment, n: int, p: int, seeds: Iterable[int]
-) -> tuple[LambdaPoint | None, list[int]]:
-    # the first point lifted from seeds whose End has dimension q(d), and
-    # the End dimensions of the points drawn up to it
+) -> tuple[list[LambdaPoint], list[int]]:
+    # the first point lifted from seeds whose End has dimension q(d),
+    # alone, or failing that every draw of least End; and the End
+    # dimensions drawn
     q = _tits_form(m, n)
-    ends: list[int] = []
+    draws: list[tuple[int, LambdaPoint]] = []
     for seed in seeds:
         x = lift_generic(m, n, p, seed)
-        ends.append(_end_dim(x))
-        if ends[-1] == q:
-            return x, ends
-    return None, ends
+        e = _end_dim(x)
+        if e == q:
+            return [x], [e for e, _ in draws] + [e]
+        draws.append((e, x))
+    ends = [e for e, _ in draws]
+    return [x for e, x in draws if e == min(ends)], ends
 
 
-def _draws_text(headline: str, q: int, history: list[tuple[int, dict[int, str]]]) -> str:
-    lines = [f"{headline}; a point is accepted iff dim End = q(d) = {q}; draws:"]
-    for salt, per_prime in history:
-        for p, seen in per_prime.items():
-            lines.append(f"  attempt {salt}, p={p}: {seen}")
+def _majority(points: Sequence[LambdaPoint], read) -> tuple[object | None, Counter]:
+    # the value read at a strict majority of points, reading them in turn
+    # until one value holds it, or None; and the readings taken
+    need = len(points) // 2 + 1
+    votes: Counter = Counter()
+    for x in points:
+        value = read(x)
+        votes[value] += 1
+        if votes[value] >= need:
+            return value, votes
+    return None, votes
+
+
+def _failure_text(headline: str, q: int, history: list) -> str:
+    # history holds (attempt, prime, End dimensions drawn, readings taken)
+    lines = [
+        f"{headline}; a draw with dim End = q(d) = {q} is read alone, "
+        "else the draws of least End vote; draws:"
+    ]
+    for salt, p, ends, votes in history:
+        line = f"  attempt {salt}, p={p}: End dimensions {ends}"
+        if q in ends:
+            line += f", read {next(iter(votes))}"
+        else:
+            tally = ", ".join(f"{v}: {c}" for v, c in sorted(votes.items(), key=str))
+            line += f", votes {{{tally}}}"
+        lines.append(line)
+    lines.append(
+        "  (a vote lists only the samples drawn into it, and stops once one"
+        " value holds a strict majority)"
+    )
     return "\n".join(lines)
+
+
+def _log_vote(what: str, p: int, q: int, points: list[LambdaPoint], ends: list[int]) -> None:
+    log.warning(
+        "%s at p=%d voted: no draw of %d reached dim End = q(d) = %d; "
+        "%d draws of least End %s vote",
+        what, p, len(ends), q, len(points), min(ends, default=None),
+    )
 
 
 def _check_relations(x: LambdaPoint) -> None:
@@ -348,15 +386,6 @@ def _peeled_class(x: LambdaPoint, i: int) -> Multisegment:
     return iso_class(Rep(x.n, new_dims, tuple(new_maps)), x.p)
 
 
-def _histogram_text(tag: str, history: list[tuple[int, dict[int, Counter]]]) -> str:
-    lines = [f"no consensus for {tag}; per-prime histograms:"]
-    for salt, per_prime in history:
-        for p in sorted(per_prime):
-            counts = ", ".join(f"{v}: {c}" for v, c in sorted(per_prime[p].items(), key=str))
-            lines.append(f"  attempt {salt}, p={p}: {{{counts}}}")
-    return "\n".join(lines)
-
-
 def _ambient(m: Multisegment, i: int, n: int | None) -> int:
     if n is None:
         n = max(m.max_end(), i, 1)
@@ -365,30 +394,30 @@ def _ambient(m: Multisegment, i: int, n: int | None) -> int:
     return n
 
 
-def _certified_reading(
+def _sampled_reading(
     m: Multisegment, n: int, i: int, cfg: SampleConfig, tag: str, what: str, read
 ):
-    # read one accepted point per prime (n <= CERTIFIED_MAX_N); the
-    # readings must agree across primes
-    pool = cfg.sampling_primes(max(cfg.consensus_primes, 2))
-    history: list[tuple[int, dict[int, str]]] = []
-    for salt in range(cfg.retry_budget):
-        per_prime: dict[int, str] = {}
+    # read each prime by the genericity rule; the readings must agree
+    # across primes
+    pool = cfg.sampling_primes(CONSENSUS_PRIMES)
+    q = _tits_form(m, n)
+    history: list = []
+    for salt in range(RETRY_BUDGET):
         values = []
         for p in pool:
             seeds = (
                 derive_seed(cfg.root_seed, tag, n, m.text(), i, p, k, salt)
                 for k in range(cfg.samples_per_prime)
             )
-            x, ends = _first_accepted(m, n, p, seeds)
-            per_prime[p] = f"End dimensions {ends}"
-            if x is not None:
-                values.append(read(x))
-                per_prime[p] += f", read {values[-1]}"
-        history.append((salt, per_prime))
-        if len(values) == len(pool) and len(set(values)) == 1:
+            points, ends = _generic_draws(m, n, p, seeds)
+            if q not in ends:
+                _log_vote(what, p, q, points, ends)
+            value, votes = _majority(points, read)
+            history.append((salt, p, ends, votes))
+            values.append(value)
+        if None not in values and len(set(values)) == 1:
             return values[0]
-    raise ConsensusError(_draws_text(f"no certified {what}", _tits_form(m, n), history))
+    raise ConsensusError(_failure_text(f"no consensus for {what}", q, history))
 
 
 def t_component(
@@ -398,9 +427,8 @@ def t_component(
 
     When no segment of m starts at i+1 (in particular at i = n) the
     value provably equals t_top(m, i) and no sampling happens; otherwise
-    it is read off one accepted point per prime for n <= 4, and is the
-    minimum over sampled points per prime for n >= 5; either way it must
-    agree across primes.
+    each prime reads it off its draw with dim End = q(d), or votes among
+    its draws of least End, and the primes must agree.
     """
     cfg = config or SampleConfig()
     if i < 1:
@@ -409,25 +437,9 @@ def t_component(
     if i >= n or t_top(m, i + 1) == 0:
         if not cfg.force_sampling:
             return t_top(m, i)
-    if n <= CERTIFIED_MAX_N:
-        return _certified_reading(
-            m, n, i, cfg, "t", f"t at vertex {i} of Z({m})", lambda x: t_at_point(x, i)
-        )
-    pool = cfg.sampling_primes(max(cfg.consensus_primes, 2))
-    history: list[tuple[int, dict[int, Counter]]] = []
-    for salt in range(cfg.retry_budget):
-        per_prime: dict[int, Counter] = {}
-        for p in pool:
-            vals = Counter()
-            for k in range(cfg.samples_per_prime):
-                seed = derive_seed(cfg.root_seed, "t", n, m.text(), i, p, k, salt)
-                vals[t_at_point(lift_generic(m, n, p, seed), i)] += 1
-            per_prime[p] = vals
-        history.append((salt, per_prime))
-        minima = {p: min(vals) for p, vals in per_prime.items()}
-        if len(set(minima.values())) == 1:
-            return next(iter(minima.values()))
-    raise ConsensusError(_histogram_text(f"t at vertex {i} of Z({m})", history))
+    return _sampled_reading(
+        m, n, i, cfg, "t", f"t at vertex {i} of Z({m})", lambda x: t_at_point(x, i)
+    )
 
 
 def peel_component(
@@ -436,10 +448,10 @@ def peel_component(
     """The class spanned by the incoming images at a generic point of Z_m.
 
     Requires t_component(m, i) > 0.  In the no-segment-starts-at-i+1
-    regime this is exactly peel_top; otherwise it is read off one
-    accepted point per prime for n <= 4, and is the modal class over the
-    samples attaining the generic t for n >= 5, with cross-prime
-    agreement either way.
+    regime this is exactly peel_top; otherwise it is read off sampled
+    points by the same rule as t, with cross-prime agreement.  A voted
+    draw whose t is not the generic one votes for no class; a draw with
+    dim End = q(d) whose t is not the generic one is an internal error.
     """
     cfg = config or SampleConfig()
     if i < 1:
@@ -451,40 +463,15 @@ def peel_component(
     if i >= n or t_top(m, i + 1) == 0:
         if not cfg.force_sampling:
             return peel_top(m, i)
-    if n <= CERTIFIED_MAX_N:
 
-        def peeled(x: LambdaPoint) -> Multisegment:
-            if t_at_point(x, i) != t:
-                raise InternalCheckError(
-                    f"certified points of Z({m}) disagree on t at vertex {i}"
-                )
+    def peeled(x: LambdaPoint) -> Multisegment | None:
+        if t_at_point(x, i) == t:
             return _peeled_class(x, i)
+        if _end_dim(x) == _tits_form(m, n):
+            raise InternalCheckError(f"certified points of Z({m}) disagree on t at vertex {i}")
+        return None
 
-        return _certified_reading(m, n, i, cfg, "peel", f"peel at vertex {i} of Z({m})", peeled)
-    pool = cfg.sampling_primes(max(cfg.consensus_primes, 2))
-    history: list[tuple[int, dict[int, Counter]]] = []
-    for salt in range(cfg.retry_budget):
-        per_prime: dict[int, Counter] = {}
-        choices: list[Multisegment] = []
-        conclusive = True
-        for p in pool:
-            classes = Counter()
-            for k in range(cfg.samples_per_prime):
-                seed = derive_seed(cfg.root_seed, "peel", n, m.text(), i, p, k, salt)
-                x = lift_generic(m, n, p, seed)
-                if t_at_point(x, i) != t:
-                    continue
-                classes[_peeled_class(x, i)] += 1
-            per_prime[p] = Counter({cls.text(): c for cls, c in classes.items()})
-            ranked = classes.most_common(2)
-            if not ranked or (len(ranked) == 2 and ranked[0][1] == ranked[1][1]):
-                conclusive = False
-                continue
-            choices.append(ranked[0][0])
-        history.append((salt, per_prime))
-        if conclusive and len(set(choices)) == 1 and len(choices) == len(pool):
-            return choices[0]
-    raise ConsensusError(_histogram_text(f"peel at vertex {i} of Z({m})", history))
+    return _sampled_reading(m, n, i, cfg, "peel", f"peel at vertex {i} of Z({m})", peeled)
 
 
 # ---------------------------------------------------------------------------
@@ -663,8 +650,8 @@ class RhoEvaluator:
     def __init__(self, n: int, config: SampleConfig | None = None):
         self.n = n
         self.config = config or SampleConfig()
-        self._points: dict[tuple, LambdaPoint] = {}
-        self._accepted: dict[tuple, tuple[LambdaPoint | None, list[int]]] = {}
+        self._draws: dict[tuple, tuple[list[LambdaPoint], list[int]]] = {}
+        self._voted: set[tuple] = set()
         self._chi: dict[tuple, int] = {}
 
     def fresh(self, namespace: str) -> "RhoEvaluator":
@@ -675,102 +662,56 @@ class RhoEvaluator:
     def _seed(self, label: Multisegment, p: int, k: int, salt: int) -> int:
         return derive_seed(self.config.root_seed, "rho", self.n, label.text(), p, k, salt)
 
-    def _point(self, label: Multisegment, p: int, k: int, salt: int) -> LambdaPoint:
-        key = (label.segments, p, k, salt)
-        point = self._points.get(key)
-        if point is None:
-            point = lift_generic(label, self.n, p, self._seed(label, p, k, salt))
-            self._points[key] = point
-        return point
-
-    def _accepted_point(
+    def _draws_for(
         self, label: Multisegment, p: int, salt: int
-    ) -> tuple[LambdaPoint | None, list[int]]:
-        # the first of samples_per_prime draws with dim End = q(d), shared
-        # by every word, and the End dimensions drawn
+    ) -> tuple[list[LambdaPoint], list[int]]:
+        # _generic_draws of up to samples_per_prime seeds, shared by every
+        # word; a voted (component, prime) is logged once
         key = (label.segments, p, salt)
-        found = self._accepted.get(key)
+        found = self._draws.get(key)
         if found is None:
             seeds = (
                 self._seed(label, p, k, salt) for k in range(self.config.samples_per_prime)
             )
-            found = self._accepted[key] = _first_accepted(label, self.n, p, seeds)
+            found = self._draws[key] = _generic_draws(label, self.n, p, seeds)
+            q = _tits_form(label, self.n)
+            if q not in found[1] and (label.segments, p) not in self._voted:
+                self._voted.add((label.segments, p))
+                _log_vote(f"counts on Z({label})", p, q, *found)
         return found
-
-    def _certified_series(
-        self, label: Multisegment, word: Word, pool: Sequence[int], salt: int, history: list
-    ) -> list[tuple[int, int]] | None:
-        # every prime is drawn, so that a failure records all of them
-        per_prime: dict[int, str] = {}
-        history.append((salt, per_prime))
-        points = []
-        for p in pool:
-            x, ends = self._accepted_point(label, p, salt)
-            per_prime[p] = f"End dimensions {ends}"
-            points.append(x)
-        if any(x is None for x in points):
-            return None
-        return [(x.p, evaluate_word_at_point(x, word)) for x in points]
-
-    def _voted_series(
-        self, label: Multisegment, word: Word, pool: Sequence[int], salt: int, history: list
-    ) -> list[tuple[int, int]] | None:
-        majority = self.config.samples_per_prime // 2 + 1
-        per_prime: dict[int, Counter] = {}
-        history.append((salt, per_prime))
-        series = []
-        for p in pool:
-            counts = Counter()
-            for k in range(self.config.samples_per_prime):
-                count = evaluate_word_at_point(self._point(label, p, k, salt), word)
-                counts[count] += 1
-                if counts[count] >= majority:
-                    break
-            per_prime[p] = counts
-            ranked = counts.most_common(2)
-            if len(ranked) == 2 and ranked[0][1] == ranked[1][1]:
-                return None
-            series.append((p, ranked[0][0]))
-        return series
 
     def chi(self, label: Multisegment, word: Word) -> int:
         """Generic Euler-characteristic value of the word count on Z_label.
 
         The count is taken at each prime and fitted with degree
         word_degree_bound(word, d) through the first min(b_w + 3, B + 2)
-        primes of the grade's pool, B being flag_degree_bound(d).  For
-        n <= 4 it is evaluated once per prime, at the prime's accepted
-        point (dim End = q(d)), which is exactly generic.  For n >= 5 it
-        is voted over up to samples_per_prime sampled points, stopping
-        once one value holds a strict majority.  A degree-b fit through N
-        primes exposes any N - b - 1 wrong values: two when b_w < B, one
-        (as with the grade bound) when b_w = B.
+        primes of the grade's pool, B being flag_degree_bound(d).  Each
+        prime evaluates the word once at its draw with dim End = q(d),
+        which is exactly generic, or else votes over its draws of least
+        End, stopping once one count holds a strict majority.  A degree-b
+        fit through N primes exposes any N - b - 1 wrong values: two when
+        b_w < B, one (as with the grade bound) when b_w = B.
         """
         key = (label.segments, word)
         if key in self._chi:
             return self._chi[key]
         d = label.dim_vector(self.n)
         bound = word_degree_bound(word, d)
-        cfg = self.config
-        pool = cfg.sampling_primes(min(bound + 3, flag_degree_bound(d) + 2))
-        certified = self.n <= CERTIFIED_MAX_N
-        series_at = self._certified_series if certified else self._voted_series
+        pool = self.config.sampling_primes(min(bound + 3, flag_degree_bound(d) + 2))
         history: list = []
         failure: Exception | None = None
-        for salt in range(cfg.retry_budget):
-            series = series_at(label, word, pool, salt, history)
-            if series is None:
-                if certified:
-                    text = _draws_text(
-                        "no accepted point at some prime", _tits_form(label, self.n), history
-                    )
-                else:
-                    text = (
-                        _histogram_text("the vote", history)
-                        + "\n  (a prime lists only the samples drawn; its vote"
-                        " stops once one count holds a strict majority)"
-                    )
-                failure = ConsensusError(text)
+        for salt in range(RETRY_BUDGET):
+            # every prime is read, so that a failure records all of them
+            series = []
+            for p in pool:
+                points, ends = self._draws_for(label, p, salt)
+                value, votes = _majority(points, lambda x: evaluate_word_at_point(x, word))
+                history.append((salt, p, ends, votes))
+                series.append((p, value))
+            if any(value is None for _, value in series):
+                failure = ConsensusError(
+                    _failure_text("no majority at some prime", _tits_form(label, self.n), history)
+                )
                 continue
             try:
                 value = interpolate_eval_one(series, bound)

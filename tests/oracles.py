@@ -56,39 +56,6 @@ def brute_multisegments(n: int, d: tuple[int, ...]) -> set[Multisegment]:
     return found
 
 
-def hom_rank(m: Multisegment, w: Multisegment, n: int) -> int:
-    """dim Hom(M, W) as the solution-space dimension of the intertwiner
-    system phi_{v+1} x^M_v = x^W_v phi_v, solved exactly over Q."""
-    src = realize(m, n)
-    dst = realize(w, n)
-    cols = sum(a * b for a, b in zip(src.dims, dst.dims))
-    if cols == 0:
-        return 0
-    offsets = [0]
-    for a, b in zip(src.dims, dst.dims):
-        offsets.append(offsets[-1] + a * b)
-
-    def slot(v: int, r: int, c: int) -> int:
-        return offsets[v - 1] + r * src.dims[v - 1] + c
-
-    rows = []
-    for v in range(1, n):
-        a_src = src.maps[v - 1]
-        a_dst = dst.maps[v - 1]
-        for r in range(dst.dims[v]):
-            for c in range(src.dims[v - 1]):
-                row = [Fraction(0)] * cols
-                for k in range(src.dims[v]):
-                    if a_src[k][c]:
-                        row[slot(v + 1, r, k)] += a_src[k][c]
-                for k in range(dst.dims[v - 1]):
-                    if a_dst[r][k]:
-                        row[slot(v, k, c)] -= a_dst[r][k]
-                if any(row):
-                    rows.append(tuple(row))
-    return cols - rank_exact(rows)
-
-
 def _matmul_int(a, b, bcols):
     bt = list(zip(*b)) if b else []
     return tuple(

@@ -9,9 +9,15 @@ by the (zero) arrow, so the peeled class is 1[1,1]+1[2,2].
 """
 
 import itertools
+import json
+import logging
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -319,6 +325,7 @@ class TestRho:
         assert RhoEvaluator(2, cfg).chi(M("2[1,2]"), ((1, 2), (2, 2))) == 1
 
     def test_vote_stops_at_strict_majority(self, monkeypatch):
+        # with no draw at dim End = q(d), all five draws of least End vote
         m, w = M("1[1,2]+1[1,1]+1[2,2]"), ((2, 1), (1, 2), (2, 1))
         calls = Counter()
         real = nilpotent.evaluate_word_at_point
@@ -327,16 +334,17 @@ class TestRho:
             calls[x.p] += 1
             return real(x, word)
 
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
         monkeypatch.setattr(nilpotent, "evaluate_word_at_point", counted)
-        ev = RhoEvaluator(5, SampleConfig())
+        ev = RhoEvaluator(2, SampleConfig())
         value = ev.chi(m, w)
         monkeypatch.undo()
         # the full five-sample mode at the same points and primes
         series = []
         for p in sorted(calls):
-            votes = Counter(
-                real(ev._point(m, p, k, 0), w) for k in range(5)
-            ).most_common(2)
+            points, ends = ev._draws_for(m, p, 0)
+            assert len(points) == len(ends) == 5
+            votes = Counter(real(x, w) for x in points).most_common(2)
             assert len(votes) == 1 or votes[0][1] > votes[1][1]
             series.append((p, votes[0][0]))
         assert value == interpolate_eval_one(series, word_degree_bound(w, (2, 2))) == 1
@@ -353,11 +361,12 @@ class TestRho:
         assert "degree bound 0" in text and "primes [5, 7, 11]" in text
 
     def test_consensus_error_names_component_and_word(self, monkeypatch):
-        # values 0, 1, 0, 1, 2 at every prime tie the vote
+        # every draw is voted, and values 0, 1, 0, 1, 2 at every prime tie
         cycle = itertools.cycle((0, 1, 0, 1, 2))
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
         monkeypatch.setattr(nilpotent, "evaluate_word_at_point", lambda x, w: next(cycle))
         with pytest.raises(ConsensusError) as info:
-            RhoEvaluator(5, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+            RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
         assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
         assert "only the samples drawn" in text
@@ -387,23 +396,31 @@ class TestEndCertificate:
 
     def test_accepted_points_attain_tits_form(self, monkeypatch):
         draws = []
-        real = nilpotent._first_accepted
+        real = nilpotent._generic_draws
 
         def recorded(m, n, p, seeds):
             found = real(m, n, p, seeds)
             draws.append(found)
             return found
 
-        monkeypatch.setattr(nilpotent, "_first_accepted", recorded)
+        monkeypatch.setattr(nilpotent, "_generic_draws", recorded)
         for d in ((2, 2), (1, 1, 1, 1), (1, 2, 2, 1)):
             res = transition_matrix(Quiver(len(d)), d)
             assert res.routes_agree and res.delta_ok
-        accepted = [(x, ends) for x, ends in draws if x is not None]
-        assert len(accepted) > 100
-        for x, ends in accepted:
-            q = tits_form(x)
-            assert ends[-1] == oracles.end_dim_by_images(x) == q
-            assert all(e > q for e in ends[:-1])
+        accepted = 0
+        for points, ends in draws:
+            q = tits_form(points[0])
+            if q in ends:
+                [x] = points
+                assert ends[-1] == oracles.end_dim_by_images(x) == q
+                assert all(e > q for e in ends[:-1])
+                accepted += 1
+            else:
+                # a voted prime keeps exactly its draws of least End
+                assert len(points) == ends.count(min(ends))
+                for x in points:
+                    assert oracles.end_dim_by_images(x) == min(ends) > q
+        assert accepted > 100
 
     def test_planted_degenerate_point_rejected(self, monkeypatch):
         # at p = 5, points of Z(1[1,2]+1[3,3]+1[4,4]) with s_3 = 0 once
@@ -418,11 +435,67 @@ class TestEndCertificate:
         assert star_system_holds(planted)
         assert _end_dim(planted) == oracles.end_dim_by_images(planted) > 1
         monkeypatch.setattr(nilpotent, "lift_generic", lambda *args: planted)
-        point, ends = nilpotent._first_accepted(m, 4, 5, range(5))
-        assert point is None and len(ends) == 5
+        points, ends = nilpotent._generic_draws(m, 4, 5, range(5))
+        # not read alone: all five draws are kept for a vote
+        assert len(ends) == 5 and 1 not in ends and points == [planted] * 5
+        with monkeypatch.context() as patched:
+            # the generic point drawn fourth is read alone
+            patched.setattr(
+                nilpotent, "lift_generic", lambda *args: x if args[3] == 3 else planted
+            )
+            points, ends = nilpotent._generic_draws(m, 4, 5, range(5))
+        assert points == [x] and ends == [ends[0]] * 3 + [1] and ends[0] > 1
+
+    def test_vote_keeps_draws_of_least_end(self, monkeypatch):
+        # q = 1 on Z(1[1,2]+1[3,3]+1[4,4]); no planted End reaches it
+        m = M("1[1,2]+1[3,3]+1[4,4]")
+        planted = {0: 5, 1: 3, 2: 4, 3: 3, 4: 6}
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: planted[x.seed])
+        points, ends = nilpotent._generic_draws(m, 4, 5, range(5))
+        assert ends == [5, 3, 4, 3, 6]
+        assert [x.seed for x in points] == [1, 3]
+
+    def test_peel_point_off_generic_t(self, monkeypatch):
+        # t at vertex 1 of Z(2[1,1]+1[2,2]) is 1; claim 2 instead
+        m = M("2[1,1]+1[2,2]")
+        assert t_component(m, 1) == 1
+        monkeypatch.setattr(nilpotent, "t_component", lambda *args: 2)
+        # a draw with dim End = q(d) cannot disagree with the generic t
+        with pytest.raises(InternalCheckError, match="disagree on t at vertex 1"):
+            peel_component(m, 1)
+        # voted draws with another t vote for no class
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
+        with pytest.raises(ConsensusError, match="None: 3"):
+            peel_component(m, 1)
+
+    def test_primes_must_agree(self, monkeypatch):
+        monkeypatch.setattr(nilpotent, "t_at_point", lambda x, i: x.p)
+        with pytest.raises(ConsensusError) as info:
+            t_component(M("2[1,1]+1[2,2]"), 1)
+        text = str(info.value)
+        assert "attempt 2, p=5" in text and "read 5" in text and "read 7" in text
+
+    def test_vote_logged_once_per_component_and_prime(self, monkeypatch, caplog):
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
+        ev = RhoEvaluator(2, SampleConfig())
+        with caplog.at_level(logging.WARNING, logger="semibasis.nilpotent"):
+            for salt in range(3):
+                for p in (5, 7):
+                    ev._draws_for(M("2[1,2]"), p, salt)
+            # a fresh evaluator reports its own votes
+            ev.fresh("again")._draws_for(M("2[1,2]"), 5, 0)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"counts on Z(2[1,2]) at p={p} voted: no draw of 5 reached"
+            " dim End = q(d) = 4; 5 draws of least End 5 vote"
+            for p in (5, 7, 5)
+        ]
 
     def test_no_accepted_point_names_every_draw(self, monkeypatch, capsys):
+        # End is q + 1 at every draw, so every prime votes, and values
+        # 0, 1, 0, 1, 2 tie each vote
+        cycle = itertools.cycle((0, 1, 0, 1, 2))
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
+        monkeypatch.setattr(nilpotent, "evaluate_word_at_point", lambda x, w: next(cycle))
         with pytest.raises(ConsensusError) as info:
             RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
@@ -430,12 +503,42 @@ class TestEndCertificate:
         assert "dim End = q(d) = 4" in text
         for salt in range(3):
             for p in (5, 7, 11):
-                assert f"attempt {salt}, p={p}: End dimensions [5, 5, 5, 5, 5]" in text
-        with pytest.raises(ConsensusError) as info:
-            t_component(M("2[1,1]+1[2,2]"), 1)
+                assert (
+                    f"attempt {salt}, p={p}: End dimensions [5, 5, 5, 5, 5], "
+                    "votes {0: 2, 1: 2, 2: 1}"
+                ) in text
+        with monkeypatch.context() as patched:
+            patched.setattr(nilpotent, "t_at_point", lambda x, i: next(cycle))
+            with pytest.raises(ConsensusError) as info:
+                t_component(M("2[1,1]+1[2,2]"), 1)
         assert "t at vertex 1 of Z(2[1,1]+1[2,2])" in str(info.value)
         assert main(["transition", "--dim", "1,1"]) == 20
         assert "End dimensions [2, 2, 2, 2, 2]" in capsys.readouterr().err
+
+    def test_voted_components_certify_and_are_logged(self):
+        # with End at q + 1 everywhere every count is voted; the matrix is
+        # the README's, and standard error names each voted component
+        script = (
+            "import sys\n"
+            "from semibasis import nilpotent\n"
+            "from semibasis.cli import main\n"
+            "from semibasis.quiver import Quiver, euler_form\n"
+            "nilpotent._end_dim = lambda x: euler_form(Quiver(x.n), x.dims, x.dims) + 1\n"
+            "sys.exit(main(['transition', '--dim', '2,2', '--format', 'json']))\n"
+        )
+        src = str(Path(nilpotent.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        order = ["2[1,2]", "1[1,2]+1[1,1]+1[2,2]", "2[1,1]+2[2,2]"]
+        assert payload["order"] == order
+        assert payload["matrix"] == [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
+        for cls in order:
+            assert f"counts on Z({cls}) at p=5 voted" in proc.stderr, proc.stderr
 
 
 class TestDegreeBound:

@@ -2,10 +2,19 @@
 
 Each pair below raised (routes disagreeing, a failed fit or a failed
 fresh-seed delta check) when every prime's count was the majority value
-of up to five sampled points.  With points accepted by dim End = q(d)
-they certify, and every seed of a grade gives the matrix of the default
-seed, as `--seed` promises.
+of up to five sampled points, as it was at every n once and at n >= 5
+until the last two pairs were added.  Now a prime reads its first draw
+with dim End = q(d) alone, and votes only among its draws of least End
+when none reaches q(d).  Every pair certifies, and every seed of a grade
+gives the matrix of the default seed, as `--seed` promises.
+
+n=5 (1,2,2,2,1) failed at root seeds 0-9 under the vote.  One of its
+components, Z(1[1,2]+1[2,4]+1[3,3]+1[4,5]), has no dense orbit: no
+draw there reaches dim End = q(d), so its counts are always voted.  The
+grade certifies at the default seed all the same.
 """
+
+import logging
 
 import pytest
 
@@ -23,7 +32,11 @@ FAILED_UNDER_VOTE = {
     (2, 2, 2): (19,),
     (1, 2, 2): (6,),
     (3, 1, 1): (13,),
+    (1, 1, 1, 1, 1): (15, 16),
+    (1, 1, 1, 1, 1, 1): (1, 4, 13, 17),
 }
+
+NO_DENSE_ORBIT = "Z(1[1,2]+1[2,4]+1[3,3]+1[4,5])"
 
 
 @pytest.mark.parametrize(
@@ -39,3 +52,11 @@ def test_seeds_certify_with_one_matrix(d, certified):
         assert res.routes_agree and res.delta_ok
         assert res.classes == reference.classes
         assert res.matrix == reference.matrix, seed
+
+
+def test_component_without_dense_orbit_certifies(caplog):
+    with caplog.at_level(logging.WARNING, logger="semibasis.nilpotent"):
+        res = transition_matrix(Quiver(5), (1, 2, 2, 2, 1))
+    assert res.routes_agree and res.delta_ok
+    assert len(res.classes) == 65
+    assert any(f"counts on {NO_DENSE_ORBIT}" in r.getMessage() for r in caplog.records)
