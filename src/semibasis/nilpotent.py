@@ -27,11 +27,16 @@ Word monomials are evaluated at a point by the flag recursion: the last
 letter (i, a) picks an a-dimensional subspace W of the joint kernel of
 the maps leaving i (such W are exactly the submodules isomorphic to
 S_i^a), and the rest of the word is evaluated on the quotient.  The
-counts over F_p of a word w are modeled as a polynomial in p of degree
-at most word_degree_bound(w, d), the dimension of the product of the
-partial flag varieties its letters cut out of the V_i, and converted to
-Euler characteristics through verified interpolation at 1; non-polynomial
-behaviour or a consensus failure is surfaced, never averaged away.
+expansion of a (point, letter) into weighted quotients does not depend
+on the rest of the word, so the words counted at one label share one
+dict of expansions, keyed by the point's prime, dimension vector and
+matrices and the letter; words ending in the same letters expand each
+point they pass through once.  The counts over F_p of a word w are
+modeled as a polynomial in p of degree at most word_degree_bound(w, d),
+the dimension of the product of the partial flag varieties its letters
+cut out of the V_i, and converted to Euler characteristics through
+verified interpolation at 1; non-polynomial behaviour or a consensus
+failure is surfaced, never averaged away.
 """
 
 from __future__ import annotations
@@ -558,10 +563,10 @@ def _kernel_split(
     return back(t_coords), back(f_coords)
 
 
-def _flag_count(x: LambdaPoint, w: Word) -> int:
-    if not w:
-        return 1
-    i, a = w[-1]
+def _expand(x: LambdaPoint, i: int, a: int) -> list[tuple[int, LambdaPoint]]:
+    # the choices for the last letter (i, a) of a word counted at x, as
+    # (orbit weight, quotient point) pairs: the count of a word is the
+    # weighted sum of the counts of its shorter word at the quotients
     di = x.dims[i - 1]
     rows: list[tuple[int, ...]] = []
     if i <= x.n - 1:
@@ -570,8 +575,7 @@ def _flag_count(x: LambdaPoint, w: Word) -> int:
         rows.extend(x.stars[i - 2])
     kernel = kernel_basis_ff(rows, di, x.p)
     if len(kernel) < a:
-        return 0
-    shorter = w[:-1]
+        return []
     # Candidate subspaces U decompose against the split kernel T + F as
     # U cap T plus a graph over a subspace of F.  Maps F -> T extend to
     # point automorphisms (F spans free S_i summands and T is exactly the
@@ -582,7 +586,7 @@ def _flag_count(x: LambdaPoint, w: Word) -> int:
     # the full Grassmannian count.
     t_basis, f_basis = _kernel_split(x, i, kernel)
     t, c = len(t_basis), len(f_basis)
-    total = 0
+    pairs = []
     for e in range(min(a, t) + 1):
         g = a - e
         if g > c:
@@ -590,25 +594,42 @@ def _flag_count(x: LambdaPoint, w: Word) -> int:
         orbit = pow(x.p, g * (t - e)) * gaussian_binomial(c, g, x.p)
         graph_part = f_basis[:g]
         for u1 in subspaces_ff(t_basis, e, x.p):
-            total += orbit * _flag_count(
-                _quotient_point(x, i, u1 + graph_part), shorter
-            )
-    return total
+            pairs.append((orbit, _quotient_point(x, i, u1 + graph_part)))
+    return pairs
 
 
-def evaluate_word_at_point(x: LambdaPoint, w: Word) -> int:
+def _flag_count(x: LambdaPoint, w: Word, expansions: dict) -> int:
+    # a one-letter word has the point's own dimension vector, so its one
+    # flag is the whole space
+    if len(w) <= 1:
+        return 1
+    key = (x.p, x.dims, x.arrows, x.stars, w[-1])
+    pairs = expansions.get(key)
+    if pairs is None:
+        pairs = expansions[key] = _expand(x, *w[-1])
+    shorter = w[:-1]
+    return sum(orbit * _flag_count(y, shorter, expansions) for orbit, y in pairs)
+
+
+def evaluate_word_at_point(
+    x: LambdaPoint, w: Word, *, expansions: dict | None = None
+) -> int:
     """Number of flags of type w on the point: chains of submodules with
     semisimple layers prescribed by the letters, counted over F_p.
 
     The last letter (i, a) ranges over a-dimensional subspaces of the
     joint kernel of the maps leaving i (the submodules isomorphic to
     S_i^a); the remainder of the word is counted on the quotient.
+    expansions, when given, maps (p, dims, arrows, stars, letter) to the
+    quotients that letter leads to; it is filled as the count goes, and
+    words counted through one dict share the expansions of every point
+    they pass through.  Left as None, the count uses a dict of its own.
     """
     if word_weight(w, x.n) != x.dims:
         raise ValueError(
             f"word weight {word_weight(w, x.n)} does not match dimensions {x.dims}"
         )
-    return _flag_count(x, w)
+    return _flag_count(x, w, {} if expansions is None else expansions)
 
 
 def flag_degree_bound(d: Iterable[int]) -> int:
@@ -638,13 +659,34 @@ def word_degree_bound(word: Word, d: Sequence[int]) -> int:
     return (sum(x * x for x in d) - sum(a * a for _, a in word)) // 2
 
 
+class _Expansions(dict):
+    # one label's (point, letter) expansions, counting the lookups that
+    # found one already computed
+    def __init__(self, label: Multisegment | None = None):
+        super().__init__()
+        self.label = label
+        self.reused = 0
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        if found is not default:
+            self.reused += 1
+        return found
+
+
 class RhoEvaluator:
     """Evaluates word combinations at generic points of components.
 
     One evaluator owns one quiver size and one sampling config.  Sampled
     points are shared across words, and the interpolated value of each
     (component, word) pair is computed once; this is what makes whole
-    evaluation matrices affordable.
+    evaluation matrices affordable.  The words counted at one label also
+    share one dict of expansions (see evaluate_word_at_point), so each
+    (point, letter) met at any depth of the flag recursion is expanded
+    once.  The dict holds one label at a time: chi starts a fresh one
+    when it counts at another label, and end_label drops it, so memory
+    stays that of one row of the evaluation matrix.  At DEBUG each label
+    left logs how many expansions it computed and how many it reused.
     """
 
     def __init__(self, n: int, config: SampleConfig | None = None):
@@ -653,6 +695,7 @@ class RhoEvaluator:
         self._draws: dict[tuple, tuple[list[LambdaPoint], list[int]]] = {}
         self._voted: set[tuple] = set()
         self._chi: dict[tuple, int] = {}
+        self._expansions = _Expansions()
 
     def fresh(self, namespace: str) -> "RhoEvaluator":
         """An evaluator with seeds disjoint from this one's."""
@@ -680,6 +723,15 @@ class RhoEvaluator:
                 _log_vote(f"counts on Z({label})", p, q, *found)
         return found
 
+    def end_label(self) -> None:
+        """Log and drop the expansions of the label counted last."""
+        memo = self._expansions
+        if memo.label is not None:
+            log.debug(
+                "expansions on Z(%s): %d computed, %d reused", memo.label, len(memo), memo.reused
+            )
+        self._expansions = _Expansions()
+
     def chi(self, label: Multisegment, word: Word) -> int:
         """Generic Euler-characteristic value of the word count on Z_label.
 
@@ -695,6 +747,10 @@ class RhoEvaluator:
         key = (label.segments, word)
         if key in self._chi:
             return self._chi[key]
+        if self._expansions.label != label:
+            self.end_label()
+            self._expansions.label = label
+        expansions = self._expansions
         d = label.dim_vector(self.n)
         bound = word_degree_bound(word, d)
         pool = self.config.sampling_primes(min(bound + 3, flag_degree_bound(d) + 2))
@@ -705,7 +761,9 @@ class RhoEvaluator:
             series = []
             for p in pool:
                 points, ends = self._draws_for(label, p, salt)
-                value, votes = _majority(points, lambda x: evaluate_word_at_point(x, word))
+                value, votes = _majority(
+                    points, lambda x: evaluate_word_at_point(x, word, expansions=expansions)
+                )
                 history.append((salt, p, ends, votes))
                 series.append((p, value))
             if any(value is None for _, value in series):

@@ -205,6 +205,7 @@ def evaluation_matrix(
     rows = tuple(
         tuple(ev.rho(k_cls, combos[n_cls]) for n_cls in classes) for k_cls in classes
     )
+    ev.end_label()
     return classes, rows
 
 
@@ -286,11 +287,13 @@ def _delta_report(
     classes: tuple[Multisegment, ...],
     elements: Mapping[Multisegment, SemicanElement],
 ) -> DeltaReport:
+    basis.evaluator.end_label()
     fresh = basis.evaluator.fresh("verify-delta")
     rows = tuple(
         tuple(fresh.rho(k_cls, elements[m_cls].words) for m_cls in classes)
         for k_cls in classes
     )
+    fresh.end_label()
     return DeltaReport(classes, rows)
 
 
@@ -385,7 +388,8 @@ def transition_matrix(
         raise DeltaCheckError(
             f"fresh-seed evaluation of grade {d} is not the identity: {delta.matrix}"
         )
-    pool = cfg.prime_pool or primes(flag_degree_bound(d) + 2, cfg.prime_start)
+    used = flag_degree_bound(d) + 2
+    pool = (cfg.prime_pool or primes(used, cfg.prime_start))[:used]
     return CertifiedTransition(
         n=quiver.n,
         dim=d,

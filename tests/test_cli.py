@@ -77,6 +77,26 @@ class TestTransition:
         assert a["matrix"] == b["matrix"]
         assert a["root_seed"] != b["root_seed"]
 
+    def test_primes_reports_only_the_primes_used(self, capsys):
+        # grade (2,2) has B = 2, so only the first B + 2 = 4 primes of the
+        # pool are used
+        code, out, _ = run(
+            capsys,
+            "transition",
+            "--dim",
+            "2,2",
+            "--primes",
+            "5,7,11,13,17,19,23",
+            "--format",
+            "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["interpolation_primes"] == [5, 7, 11, 13]
+        assert payload["matrix"] == [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
+        _, default, _ = run(capsys, "transition", "--dim", "2,2", "--format", "json")
+        assert json.loads(default)["interpolation_primes"] == [5, 7, 11, 13]
+
 
 class TestInspect:
     def test_deg_order(self, capsys):

@@ -12,6 +12,7 @@ import itertools
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -48,6 +49,7 @@ from semibasis.cli import main
 from semibasis.hall import Rep, pbw_to_words
 from semibasis.linalg import interpolate_eval_one, kernel_basis_ff, subspaces_ff
 from semibasis.quiver import euler_form, hom_dim
+from semibasis.semican import SemicanBasis
 from semibasis.nilpotent import (
     _end_dim,
     _quotient_point,
@@ -274,6 +276,126 @@ class TestEvaluate:
                             assert evaluate_word_at_point(x, w) == full_walk_count(x, w)
 
 
+def accepted_point(m: Multisegment, n: int, p: int) -> LambdaPoint:
+    # the first draw with dim End = q(d), as chi reads it
+    points, ends = nilpotent._generic_draws(
+        m, n, p, (derive_seed("accepted", m.text(), p, k) for k in range(40))
+    )
+    assert ends[-1] == tits_form(points[0]), (m, p, ends)
+    return points[0]
+
+
+def grade_words(d) -> list:
+    # every word the grade evaluates: the PBW words of the evaluation
+    # matrix and the words of the elements the recursion builds
+    n = len(d)
+    words = {w for combo in pbw_to_words(Quiver(n), d).values() for w in combo}
+    basis = SemicanBasis(Quiver(n))
+    for m in enumerate_multisegments(Quiver(n), d):
+        words.update(basis.element(m).words)
+    return sorted(words)
+
+
+class TestSharedExpansions:
+    def test_key_separates_primes_and_dimension_vectors(self):
+        # zero-map points of one vertex: their matrices are all empty, so
+        # only p and dims tell them apart; complete flags of F_p^2 and
+        # F_p^3 number p + 1 and (p^2 + p + 1)(p + 1)
+        shared: dict = {}
+        for p in (2, 3, 5):
+            for dims, want in (((2,), p + 1), ((3,), (p * p + p + 1) * (p + 1))):
+                x = LambdaPoint(n=1, p=p, dims=dims, arrows=(), stars=(), label=None, seed=0)
+                w = ((1, 1),) * dims[0]
+                assert evaluate_word_at_point(x, w, expansions=shared) == want, (p, dims)
+                assert evaluate_word_at_point(x, w) == want
+        assert {key[:2] for key in shared} == {
+            (p, dims) for p in (2, 3, 5) for dims in ((2,), (3,))
+        }
+
+    def test_shared_counts_equal_unshared_counts(self):
+        rng = random.Random(0)
+        for d in ((3, 3), (2, 3, 1)):
+            n = len(d)
+            words = grade_words(d)
+            shared: dict = {}
+            for m in enumerate_multisegments(Quiver(n), d):
+                for p in (5, 7):
+                    x = accepted_point(m, n, p)
+                    order = words[:]
+                    rng.shuffle(order)
+                    got = {w: evaluate_word_at_point(x, w, expansions=shared) for w in order}
+                    want = {w: evaluate_word_at_point(x, w) for w in words}
+                    assert got == want, (m, p)
+            assert shared
+
+    def test_shared_counts_match_full_walk(self):
+        d = (1, 2, 1)
+        words = grade_words(d)
+        for p in (2, 3):
+            shared: dict = {}
+            for m in enumerate_multisegments(Quiver(3), d):
+                x = accepted_point(m, 3, p)
+                for w in words:
+                    assert evaluate_word_at_point(x, w, expansions=shared) == full_walk_count(
+                        x, w
+                    ), (m, p, w)
+
+    def test_expansions_scoped_to_one_label(self, monkeypatch):
+        first, second = M("1[1,2]+2[1,1]+2[2,2]"), M("3[1,2]")
+        # two words ending in the same letters
+        words = [((1, 1), (2, 1), (1, 2), (2, 2)), ((2, 1), (1, 1), (1, 2), (2, 2))]
+        real = nilpotent.evaluate_word_at_point
+
+        def run(share: bool):
+            calls: list[int] = []
+            values = []
+
+            def counted(x, w, *, expansions=None):
+                calls[-1] += 1
+                return real(x, w, expansions=expansions if share else None)
+
+            monkeypatch.setattr(nilpotent, "evaluate_word_at_point", counted)
+            ev = RhoEvaluator(2, SampleConfig())
+            for m in (first, second):
+                if m == second:
+                    memo = ev._expansions
+                for w in words:
+                    calls.append(0)
+                    values.append(ev.chi(m, w))
+            monkeypatch.undo()
+            return ev, memo, calls, values
+
+        ev, memo, calls, values = run(share=True)
+        tops = [
+            (x.p, x.dims, x.arrows, x.stars)
+            for (segments, _, _), (points, _) in ev._draws.items()
+            if segments == first.segments
+            for x in points
+        ]
+        assert tops and all(top + (words[0][-1],) in memo for top in tops)
+        assert ev._expansions is not memo and ev._expansions.label == second
+        assert not any(key[:4] in tops for key in ev._expansions)
+        # the second word reused what the first expanded at the same points
+        assert memo.reused > 0
+        _, _, unshared_calls, unshared_values = run(share=False)
+        assert calls == unshared_calls and values == unshared_values
+
+    def test_debug_log_counts_expansions_per_label(self, caplog, capsys):
+        argv = ["transition", "--dim", "1,2,1", "--format", "json"]
+        with caplog.at_level(logging.DEBUG, logger="semibasis.nilpotent"):
+            assert main(argv) == 0
+        logged = capsys.readouterr().out
+        lines = [
+            r.getMessage() for r in caplog.records if r.getMessage().startswith("expansions on")
+        ]
+        # the evaluation pass and the delta check each read every label
+        for cls in enumerate_multisegments(Quiver(3), (1, 2, 1)):
+            assert sum(line.startswith(f"expansions on Z({cls}): ") for line in lines) >= 2
+        assert any(not line.endswith(" 0 reused") for line in lines), lines
+        assert main(argv) == 0
+        assert capsys.readouterr().out == logged
+
+
 class TestRho:
     def test_unit_square_diagonal(self):
         # the generic component only pairs with the matching word order
@@ -330,9 +452,9 @@ class TestRho:
         calls = Counter()
         real = nilpotent.evaluate_word_at_point
 
-        def counted(x, word):
+        def counted(x, word, *, expansions=None):
             calls[x.p] += 1
-            return real(x, word)
+            return real(x, word, expansions=expansions)
 
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
         monkeypatch.setattr(nilpotent, "evaluate_word_at_point", counted)
@@ -353,7 +475,9 @@ class TestRho:
 
     def test_interpolation_error_names_component_and_word(self, monkeypatch):
         # a count equal to p cannot fit the constant a degree-0 word allows
-        monkeypatch.setattr(nilpotent, "evaluate_word_at_point", lambda x, w: x.p)
+        monkeypatch.setattr(
+            nilpotent, "evaluate_word_at_point", lambda x, w, *, expansions=None: x.p
+        )
         with pytest.raises(InterpolationError) as info:
             RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
@@ -364,7 +488,9 @@ class TestRho:
         # every draw is voted, and values 0, 1, 0, 1, 2 at every prime tie
         cycle = itertools.cycle((0, 1, 0, 1, 2))
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
-        monkeypatch.setattr(nilpotent, "evaluate_word_at_point", lambda x, w: next(cycle))
+        monkeypatch.setattr(
+            nilpotent, "evaluate_word_at_point", lambda x, w, *, expansions=None: next(cycle)
+        )
         with pytest.raises(ConsensusError) as info:
             RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
@@ -495,7 +621,9 @@ class TestEndCertificate:
         # 0, 1, 0, 1, 2 tie each vote
         cycle = itertools.cycle((0, 1, 0, 1, 2))
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
-        monkeypatch.setattr(nilpotent, "evaluate_word_at_point", lambda x, w: next(cycle))
+        monkeypatch.setattr(
+            nilpotent, "evaluate_word_at_point", lambda x, w, *, expansions=None: next(cycle)
+        )
         with pytest.raises(ConsensusError) as info:
             RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
