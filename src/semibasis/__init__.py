@@ -1,6 +1,6 @@
 """Exact PBW-to-semicanonical transition matrices for linear A_n quivers.
 
-The package computes, in exact rational arithmetic, the change of basis
+The package computes, in exact integer arithmetic, the change of basis
 between the PBW basis attached to the indecomposable representations of
 the linearly oriented A_n quiver and the basis indexed by irreducible
 components of the nilpotent variety, certifying unitriangularity with
@@ -8,7 +8,7 @@ respect to the degeneration order along the way.
 
     >>> from semibasis import Quiver, transition_matrix
     >>> result = transition_matrix(Quiver(2), (2, 2))
-    >>> [list(map(int, row)) for row in result.matrix]
+    >>> [list(row) for row in result.matrix]
     [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
 """
 

@@ -6,9 +6,8 @@ certification failure (route disagreement, delta-check, order
 violation), 40 internal assertion.
 
 JSON output is deterministic byte-for-byte for a fixed command line and
-seed: keys are sorted, timing lives on standard error only, and exact
-rationals appear as plain integers when integral and as "p/q" strings
-otherwise.
+seed: keys are sorted, timing lives on standard error only, and every
+matrix entry is a plain integer.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import json
 import sys
 import time
 from dataclasses import replace
-from fractions import Fraction
 
 from .errors import (
     CertificationError,
@@ -169,33 +167,17 @@ def _config_from(args) -> SampleConfig:
     )
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return int(obj) if obj.denominator == 1 else f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _emit(args, payload: dict, csv_rows: list[list], pretty_lines: list[str]) -> None:
     if args.format == "json":
-        sys.stdout.write(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in csv_rows:
-            writer.writerow([_cell(v) for v in row])
+            writer.writerow(row)
         sys.stdout.write(buf.getvalue())
     else:
         sys.stdout.write("\n".join(pretty_lines) + "\n")
-
-
-def _cell(v) -> str:
-    if isinstance(v, Fraction):
-        return str(int(v)) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return str(v)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +196,7 @@ def _cmd_transition(args) -> int:
     width = max((len(c.text()) for c in result.classes), default=1)
     pretty = [f"grade {dims} over A_{quiver.n}: {len(result.classes)} classes"]
     for cls, row in zip(result.classes, result.matrix):
-        pretty.append(f"  {cls.text():<{width}}  " + " ".join(_cell(v) for v in row))
+        pretty.append(f"  {cls.text():<{width}}  " + " ".join(map(str, row)))
     pretty.append(f"routes agree: {result.routes_agree}")
     pretty.append(f"delta identity: {result.delta_ok}")
     _emit(args, payload, csv_rows, pretty)
@@ -397,7 +379,7 @@ def _suite_generic_ext(cfg: SampleConfig, bound: int) -> tuple[bool, str]:
                     for a in (1, 2):
                         if sum(d) + a > bound + 2:
                             continue
-                        vec = PBWVector(n, d, {m: Fraction(1)})
+                        vec = PBWVector(n, d, {m: 1})
                         support = [
                             cls for cls, _ in left_mul_divided_power(i, a, vec).items()
                         ]
@@ -413,6 +395,8 @@ def _suite_generic_ext(cfg: SampleConfig, bound: int) -> tuple[bool, str]:
 def _cmd_selftest(args) -> int:
     cfg = _config_from(args)
     bound = args.dim_bound
+    if bound < 0:
+        raise ParseError(f"--dim-bound must be non-negative, got {bound}")
     suites = [
         ("transition-regression", lambda: _suite_transition_regression(cfg)),
         ("serre-relations", lambda: _suite_serre(cfg, bound)),

@@ -29,7 +29,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
@@ -64,8 +63,8 @@ __all__ = [
     "iter_dim_vectors",
 ]
 
-# A word combination is a plain mapping word -> rational coefficient.
-WordCombo = dict[Word, Fraction]
+# A word combination is a plain mapping word -> integer coefficient.
+WordCombo = dict[Word, int]
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def hom_rank(m: Multisegment, w: Multisegment, n: int) -> int:
         a_dst = dst.maps[v - 1]
         for r in range(dst.dims[v]):
             for c in range(src.dims[v - 1]):
-                row = [Fraction(0)] * cols
+                row = [0] * cols
                 # (phi_{v+1} a^M)[r][c]
                 for k in range(src.dims[v]):
                     if a_src[k][c]:
@@ -287,7 +286,7 @@ def _counts_at_one(
 
 
 class PBWVector:
-    """A rational combination of PBW classes sharing one dimension vector."""
+    """An integer combination of PBW classes sharing one dimension vector."""
 
     __slots__ = ("n", "grade", "coeffs")
 
@@ -295,15 +294,14 @@ class PBWVector:
         self,
         n: int,
         grade: Iterable[int],
-        coeffs: Mapping[Multisegment, Fraction | int] | None = None,
+        coeffs: Mapping[Multisegment, int] | None = None,
     ):
         self.n = n
         self.grade = tuple(int(x) for x in grade)
         if len(self.grade) != n:
             raise ValueError(f"grade {self.grade} has length {len(self.grade)}, expected {n}")
-        clean: dict[Multisegment, Fraction] = {}
+        clean: dict[Multisegment, int] = {}
         for cls, c in (coeffs or {}).items():
-            c = Fraction(c)
             if not c:
                 continue
             if cls.dim_vector(n) != self.grade:
@@ -314,12 +312,12 @@ class PBWVector:
     @staticmethod
     def unit(n: int) -> "PBWVector":
         """The PBW class of the zero module, the algebra unit."""
-        return PBWVector(n, (0,) * n, {Multisegment.zero(): Fraction(1)})
+        return PBWVector(n, (0,) * n, {Multisegment.zero(): 1})
 
-    def get(self, cls: Multisegment) -> Fraction:
-        return self.coeffs.get(cls, Fraction(0))
+    def get(self, cls: Multisegment) -> int:
+        return self.coeffs.get(cls, 0)
 
-    def items(self) -> list[tuple[Multisegment, Fraction]]:
+    def items(self) -> list[tuple[Multisegment, int]]:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
 
     def _combine(self, other: "PBWVector", sign: int) -> "PBWVector":
@@ -329,7 +327,7 @@ class PBWVector:
             raise ValueError("grades differ")
         merged = dict(self.coeffs)
         for cls, c in other.coeffs.items():
-            merged[cls] = merged.get(cls, Fraction(0)) + sign * c
+            merged[cls] = merged.get(cls, 0) + sign * c
         return PBWVector(self.n, self.grade, merged)
 
     def __add__(self, other: "PBWVector") -> "PBWVector":
@@ -338,9 +336,8 @@ class PBWVector:
     def __sub__(self, other: "PBWVector") -> "PBWVector":
         return self._combine(other, -1)
 
-    def __rmul__(self, scalar) -> "PBWVector":
-        c = Fraction(scalar)
-        return PBWVector(self.n, self.grade, {k: c * v for k, v in self.coeffs.items()})
+    def __rmul__(self, scalar: int) -> "PBWVector":
+        return PBWVector(self.n, self.grade, {k: scalar * v for k, v in self.coeffs.items()})
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -398,21 +395,21 @@ def left_mul_divided_power(i: int, a: int, vec: PBWVector) -> PBWVector:
     if a == 0:
         return PBWVector(n, vec.grade, vec.coeffs)
     grade = tuple(d + (a if v == i else 0) for v, d in enumerate(vec.grade, start=1))
-    out: dict[Multisegment, Fraction] = {}
+    out: dict[Multisegment, int] = {}
     for src, coeff in vec.coeffs.items():
         for cls in _with_simple_tops(src, i, a):
             chi = _counts_at_one(cls.segments, i, a).get(src.segments, 0)
-            out[cls] = out.get(cls, Fraction(0)) + coeff * chi
+            out[cls] = out.get(cls, 0) + coeff * chi
     return PBWVector(n, grade, out)
 
 
-def _as_combo(w: Word | Mapping[Word, Fraction | int]) -> WordCombo:
+def _as_combo(w: Word | Mapping[Word, int]) -> WordCombo:
     if isinstance(w, tuple):
-        return {w: Fraction(1)}
-    return {word: Fraction(c) for word, c in w.items() if c}
+        return {w: 1}
+    return {word: c for word, c in w.items() if c}
 
 
-def word_to_pbw(quiver: Quiver, w: Word | Mapping[Word, Fraction | int]) -> PBWVector:
+def word_to_pbw(quiver: Quiver, w: Word | Mapping[Word, int]) -> PBWVector:
     """Expand a word combination into PBW coordinates.
 
     A word (i_1,a_1)...(i_k,a_k) denotes 1_{S_{i_1}^{a_1}} * ... *
@@ -437,7 +434,7 @@ def word_to_pbw(quiver: Quiver, w: Word | Mapping[Word, Fraction | int]) -> PBWV
 
 def flag_word_matrix(
     quiver: Quiver, d: Iterable[int]
-) -> tuple[tuple[Multisegment, ...], tuple[Word, ...], tuple[tuple[Fraction, ...], ...]]:
+) -> tuple[tuple[Multisegment, ...], tuple[Word, ...], tuple[tuple[int, ...], ...]]:
     """Expansion matrix of the generic flag words of one grade.
 
     Returns (classes, words, T): classes in refined degeneration order,
@@ -491,7 +488,7 @@ def pbw_to_words(quiver: Quiver, d: Iterable[int]) -> dict[Multisegment, WordCom
         combo: WordCombo = {}
         for c, word in enumerate(words):
             if t_inv[r][c]:
-                combo[word] = combo.get(word, Fraction(0)) + t_inv[r][c]
+                combo[word] = combo.get(word, 0) + t_inv[r][c]
         out[cls] = combo
     return out
 
@@ -534,7 +531,7 @@ def check_serre(quiver: Quiver, dim_bound: int) -> SerreReport:
 
     for d in iter_dim_vectors(n, dim_bound):
         for cls in enumerate_multisegments(quiver, d):
-            v = PBWVector(n, d, {cls: Fraction(1)})
+            v = PBWVector(n, d, {cls: 1})
             for i, j in pairs:
                 residual = (
                     lm(i, 2, lm(j, 1, v))

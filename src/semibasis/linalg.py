@@ -1,11 +1,13 @@
-"""Exact linear algebra over prime fields and the rationals.
+"""Exact linear algebra over prime fields, the integers and the rationals.
 
 Everything here is elementary and exact: Gaussian elimination mod p,
-echelon enumeration of subspaces, Lagrange interpolation with Fraction
-arithmetic, and back substitution for unitriangular matrices.  Matrices
-are tuples (or lists) of row tuples; functions that must cope with a
-matrix that has no rows take the column count explicitly, because a
-0 x c matrix carries no shape information of its own.
+echelon enumeration of subspaces, back substitution for unitriangular
+integer matrices, and Lagrange interpolation.  Every coefficient the
+package computes is an integer; this is the one module that touches
+Fraction, inside rank_exact and the interpolation fit, and both hand back
+ints.  Matrices are tuples (or lists) of row tuples; functions that must
+cope with a matrix that has no rows take the column count explicitly,
+because a 0 x c matrix carries no shape information of its own.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import InterpolationError
 
 __all__ = [
+    "is_prime",
     "primes",
     "gaussian_binomial",
     "rref_ff",
@@ -41,12 +44,16 @@ Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
 
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
+
+
 def primes(count: int, start: int = 2) -> tuple[int, ...]:
     """The first `count` primes that are >= start."""
     out: list[int] = []
     cand = max(2, start)
     while len(out) < count:
-        if all(cand % q for q in range(2, int(cand**0.5) + 1)):
+        if is_prime(cand):
             out.append(cand)
         cand += 1
     return tuple(out)
@@ -245,10 +252,10 @@ def subspaces_ff(basis: Sequence[Sequence[int]], k: int, p: int) -> Iterator[lis
 
 
 # ---------------------------------------------------------------------------
-# exact rational matrices
+# exact integer and rational matrices
 
 
-def rank_exact(rows: Sequence[Sequence[int | Fraction]]) -> int:
+def rank_exact(rows: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals, by fraction-exact elimination."""
     mat = [[Fraction(x) for x in row] for row in rows]
     nrows = len(mat)
@@ -272,10 +279,10 @@ def rank_exact(rows: Sequence[Sequence[int | Fraction]]) -> int:
 
 
 def matmul_exact(
-    a: Sequence[Sequence[Fraction]],
-    b: Sequence[Sequence[Fraction]],
+    a: Sequence[Sequence[int]],
+    b: Sequence[Sequence[int]],
     bcols: int | None = None,
-) -> tuple[tuple[Fraction, ...], ...]:
+) -> Matrix:
     if b:
         bcols = len(b[0])
     elif bcols is None:
@@ -284,27 +291,25 @@ def matmul_exact(
     out = []
     for row in a:
         if bt:
-            out.append(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt))
+            out.append(tuple(sum(x * y for x, y in zip(row, col)) for col in bt))
         else:
-            out.append(tuple([Fraction(0)] * bcols))
+            out.append(tuple([0] * bcols))
     return tuple(out)
 
 
-def identity_exact(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+def identity_exact(n: int) -> Matrix:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def invert_unitriangular(
-    rows: Sequence[Sequence[int | Fraction]],
-) -> tuple[tuple[Fraction, ...], ...]:
+def invert_unitriangular(rows: Sequence[Sequence[int]]) -> Matrix:
     """Exact inverse of an upper unitriangular matrix by back substitution.
 
     Raises ValueError unless the diagonal is all ones and everything below
-    it vanishes; the inverse is again upper unitriangular.
+    it vanishes; the inverse is again upper unitriangular.  No step
+    divides, so an integer matrix has an integer inverse.
     """
     n = len(rows)
-    mat = [[Fraction(x) for x in row] for row in rows]
-    for i, row in enumerate(mat):
+    for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError("matrix is not square")
         if row[i] != 1:
@@ -312,12 +317,10 @@ def invert_unitriangular(
         for j in range(i):
             if row[j] != 0:
                 raise ValueError(f"nonzero entry below the diagonal at ({i},{j})")
-    inv: list[list[Fraction]] = [
-        [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)
-    ]
+    inv = [list(row) for row in identity_exact(n)]
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
-            c = mat[i][j]
+            c = rows[i][j]
             if c:
                 inv[i] = [x - c * y for x, y in zip(inv[i], inv[j])]
     return tuple(tuple(row) for row in inv)

@@ -46,7 +46,6 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConsensusError, InternalCheckError, InterpolationError
@@ -55,6 +54,7 @@ from .linalg import (
     complete_basis_ff,
     gaussian_binomial,
     interpolate_eval_one,
+    is_prime,
     kernel_basis_ff,
     matmul_ff,
     primes,
@@ -99,6 +99,8 @@ log = logging.getLogger(__name__)
 CONSENSUS_PRIMES = 2
 # attempts, each with fresh draws, before sampling gives up
 RETRY_BUDGET = 3
+# the default pool is the consecutive primes from this one
+PRIME_START = 5
 
 
 def derive_seed(*parts) -> int:
@@ -112,25 +114,37 @@ class SampleConfig:
     """Knobs for genericity sampling and Euler-characteristic extraction.
 
     prime_pool, when given, overrides the default pool (consecutive
-    primes from prime_start).  A word w at grade d is counted at the
-    first min(b_w + 3, B + 2) primes of the pool, where b_w is
-    word_degree_bound(w, d) and B is flag_degree_bound(d), so the pool
-    must hold that many primes for every word in play.
+    primes from PRIME_START) and must hold distinct primes.  A word w at
+    grade d is counted at the first min(b_w + 3, B + 2) primes of the
+    pool, where b_w is word_degree_bound(w, d) and B is
+    flag_degree_bound(d), so the pool must hold that many primes for
+    every word in play.
 
-    samples_per_prime caps the draws per prime and attempt.  The first
-    draw with dim End = q(d) is read alone; if none reaches q(d), the
-    draws of least End vote.  An attempt whose vote has no strict
-    majority, or whose primes disagree, is retried with fresh draws up to
-    RETRY_BUDGET attempts in all.  force_sampling disables the proven
-    combinatorial shortcuts for t and peel, which is only useful for
-    cross-checking.
+    samples_per_prime, at least 1, caps the draws per prime and attempt.
+    The first draw with dim End = q(d) is read alone; if none reaches
+    q(d), the draws of least End vote.  An attempt whose vote has no
+    strict majority, or whose primes disagree, is retried with fresh
+    draws up to RETRY_BUDGET attempts in all.  force_sampling disables
+    the proven combinatorial shortcuts for t and peel, which is only
+    useful for cross-checking.  Bad values raise ValueError before any
+    draw.
     """
 
     root_seed: int = 0
     samples_per_prime: int = 5
-    prime_start: int = 5
     prime_pool: tuple[int, ...] | None = None
     force_sampling: bool = False
+
+    def __post_init__(self):
+        if self.samples_per_prime < 1:
+            raise ValueError(
+                f"samples per prime must be at least 1, got {self.samples_per_prime}"
+            )
+        for k, p in enumerate(self.prime_pool or ()):
+            if not is_prime(p):
+                raise ValueError(f"prime pool entry {p} is not a prime")
+            if p in self.prime_pool[:k]:
+                raise ValueError(f"prime pool repeats {p}")
 
     def sampling_primes(self, count: int) -> tuple[int, ...]:
         if self.prime_pool is not None:
@@ -139,7 +153,7 @@ class SampleConfig:
                     f"prime pool {self.prime_pool} has fewer than {count} primes"
                 )
             return tuple(self.prime_pool[:count])
-        return primes(count, self.prime_start)
+        return primes(count, PRIME_START)
 
 
 @dataclass(frozen=True)
@@ -784,20 +798,17 @@ class RhoEvaluator:
             f"primes {list(pool)}: {failure}"
         ) from failure
 
-    def rho(self, label: Multisegment, combo: Mapping[Word, Fraction | int] | Word) -> Fraction:
-        """The generic value on Z_label of a rational word combination."""
-        total = Fraction(0)
-        for word, coeff in _as_combo(combo).items():
-            total += coeff * self.chi(label, word)
-        return total
+    def rho(self, label: Multisegment, combo: Mapping[Word, int] | Word) -> int:
+        """The generic value on Z_label of an integer word combination."""
+        return sum(coeff * self.chi(label, word) for word, coeff in _as_combo(combo).items())
 
 
 def rho_evaluate(
     m: Multisegment,
-    w: Mapping[Word, Fraction | int] | Word,
+    w: Mapping[Word, int] | Word,
     config: SampleConfig | None = None,
     n: int | None = None,
-) -> Fraction:
+) -> int:
     """One-shot evaluation of a word combination at the component of m."""
     combo = _as_combo(w)
     if n is None:

@@ -19,10 +19,8 @@ error, never papered over.
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -41,6 +39,7 @@ from .hall import (
 )
 from .linalg import identity_exact, invert_unitriangular, matmul_exact, primes
 from .nilpotent import (
+    PRIME_START,
     RhoEvaluator,
     SampleConfig,
     flag_degree_bound,
@@ -67,9 +66,7 @@ __all__ = [
     "transition_matrix",
 ]
 
-log = logging.getLogger(__name__)
-
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -84,10 +81,10 @@ class SemicanElement:
     words: WordCombo
 
 
-def _combine_words(base: WordCombo, other: WordCombo, coeff: Fraction) -> WordCombo:
+def _combine_words(base: WordCombo, other: WordCombo, coeff: int) -> WordCombo:
     out = dict(base)
     for word, c in other.items():
-        val = out.get(word, Fraction(0)) + coeff * c
+        val = out.get(word, 0) + coeff * c
         if val:
             out[word] = val
         else:
@@ -135,7 +132,7 @@ class SemicanBasis:
             elem = SemicanElement(
                 word_to_pbw(self.quiver, word) if word
                 else PBWVector.unit(self.quiver.n),
-                {word: Fraction(1)},
+                {word: 1},
             )
         else:
             i, mult = flag_vertex(m)
@@ -254,10 +251,6 @@ def transition_via_inversion(
     _certify_support(classes, a_mat, lower=False, what="transition matrix")
     if matmul_exact(a_mat, e_t) != identity_exact(len(classes)):
         raise CertificationError("A times E^T is not the identity")
-    for row, cls in zip(a_mat, classes):
-        for val in row:
-            if val.denominator != 1:
-                log.warning("non-integer transition entry %s in row %s", val, cls)
     return classes, a_mat, e_mat
 
 
@@ -389,7 +382,7 @@ def transition_matrix(
             f"fresh-seed evaluation of grade {d} is not the identity: {delta.matrix}"
         )
     used = flag_degree_bound(d) + 2
-    pool = (cfg.prime_pool or primes(used, cfg.prime_start))[:used]
+    pool = (cfg.prime_pool or primes(used, PRIME_START))[:used]
     return CertifiedTransition(
         n=quiver.n,
         dim=d,

@@ -97,6 +97,37 @@ class TestTransition:
         _, default, _ = run(capsys, "transition", "--dim", "2,2", "--format", "json")
         assert json.loads(default)["interpolation_primes"] == [5, 7, 11, 13]
 
+    def test_small_primes_certify(self, capsys):
+        code, out, _ = run(
+            capsys, "transition", "--dim", "2,2", "--primes", "2,3,5,7", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["matrix"] == [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
+        assert payload["interpolation_primes"] == [2, 3, 5, 7]
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["transition", "--dim", "2,2", "--primes", "1,5,7,11"], "1"),
+        (["transition", "--dim", "2,2", "--primes", "0,5,7,11"], "0"),
+        (["transition", "--dim", "2,2", "--primes", "25,49,121,169"], "25"),
+        (["transition", "--dim", "2,2", "--primes", "5,7,7,11"], "7"),
+        (["transition", "--dim", "2,2", "--samples", "0"], "0"),
+        (["transition", "--dim", "2,2", "--samples", "-3"], "-3"),
+        (["inspect", "t", "--module", "1[1,2]", "--vertex", "1", "--level",
+          "component", "--samples", "0"], "0"),
+        (["selftest", "--dim-bound", "-1"], "-1"),
+    ],
+)
+def test_bad_sampling_input_exits_10(capsys, argv, bad):
+    code, out, err = run(capsys, *argv)
+    assert code == 10
+    assert not out
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert bad in line.split()
+
 
 class TestInspect:
     def test_deg_order(self, capsys):

@@ -9,10 +9,12 @@ from semibasis import (
     Multisegment,
     PBWVector,
     Quiver,
+    RhoEvaluator,
     SampleConfig,
     enumerate_multisegments,
     deg_leq,
     evaluation_matrix,
+    pbw_to_words,
     refine_order,
     semican_recursive,
     transition_matrix,
@@ -158,6 +160,20 @@ class TestCertifiedTransition:
             for row in res.matrix:
                 for x in row:
                     assert Fraction(x).denominator == 1
+
+    @pytest.mark.parametrize("d", [(2, 2), (2, 3, 1), (1, 2, 2, 1)])
+    def test_every_coefficient_is_an_int(self, certified, d):
+        quiver = Quiver(len(d))
+        res = certified(len(d), d)
+        for mat in (res.matrix, res.recursion_matrix, res.evaluation, res.delta.matrix):
+            assert all(type(x) is int for row in mat for x in row)
+        combos = pbw_to_words(quiver, d)
+        ev = RhoEvaluator(quiver.n)
+        for m in res.classes:
+            elem = semican_recursive(quiver, m)
+            assert all(type(c) is int for c in elem.coeffs.values())
+            assert all(type(c) is int for c in combos[m].values())
+            assert all(type(ev.rho(k, combos[m])) is int for k in res.classes)
 
     def test_support_respects_order(self, certified):
         res = certified(3, (1, 1, 1))
