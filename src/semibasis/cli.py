@@ -37,8 +37,8 @@ from .hall import (
     left_mul_divided_power,
     realize,
 )
-from .linalg import gaussian_binomial
-from .nilpotent import SampleConfig, peel_component, t_component
+from .linalg import gaussian_binomial, is_prime
+from .nilpotent import VOTE_SIZE, SampleConfig, peel_component, t_component
 from .quiver import (
     Multisegment,
     Quiver,
@@ -73,7 +73,13 @@ def _build_parser() -> _Parser:
 
     sampling = _Parser(add_help=False)
     sampling.add_argument("--seed", type=int, default=0, help="root seed")
-    sampling.add_argument("--samples", type=int, default=5, help="samples per prime")
+    sampling.add_argument(
+        "--samples",
+        type=int,
+        default=SampleConfig.samples_per_prime,
+        help="cap on the points drawn per prime and attempt; a vote, where no"
+        f" draw is certified generic, reads at most {VOTE_SIZE} of them",
+    )
     sampling.add_argument(
         "--primes", default=None, help="comma-separated prime pool override"
     )
@@ -239,7 +245,13 @@ def _cmd_flag(args) -> int:
 
 
 def _cmd_hall(args) -> int:
-    m, _ = _module_arg(args)
+    m, n = _module_arg(args)
+    if not is_prime(args.prime):
+        raise ParseError(f"--prime must be a prime, got {args.prime}")
+    if args.size < 0:
+        raise ParseError(f"--size must be non-negative, got {args.size}")
+    if not 1 <= args.vertex <= n:
+        raise ParseError(f"--vertex must lie in 1..{n}, got {args.vertex}")
     counts = hall_counts_simple_top(m, args.vertex, args.size, args.prime)
     total = gaussian_binomial(t_top(m, args.vertex), args.size, args.prime)
     ordered = sorted(counts.items(), key=lambda kv: kv[0].sort_key())

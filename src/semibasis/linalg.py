@@ -28,6 +28,7 @@ __all__ = [
     "kernel_basis_ff",
     "solve_ff",
     "solve_affine_ff",
+    "random_span_point_ff",
     "matmul_ff",
     "mat_inverse_ff",
     "subspaces_ff",
@@ -154,8 +155,19 @@ def solve_affine_ff(
     part = solve_ff(rows, b, ncols, p)
     if part is None:
         return None
-    x = list(part)
-    for vec in kernel_basis_ff(rows, ncols, p):
+    return random_span_point_ff(part, kernel_basis_ff(rows, ncols, p), p, rng)
+
+
+def random_span_point_ff(
+    base: Sequence[int], basis: Sequence[Sequence[int]], p: int, rng: random.Random
+) -> Vector:
+    """base plus a uniformly random combination of basis, mod p.
+
+    One coefficient is drawn from rng per basis vector, in order, so a
+    caller holding the basis draws the same points as solve_affine_ff.
+    """
+    x = list(base)
+    for vec in basis:
         c = rng.randrange(p)
         if c:
             x = [(xi + c * vi) % p for xi, vi in zip(x, vec)]

@@ -14,14 +14,18 @@ dim End(x) = q(d), the Tits form: an orbit has dimension
 sum d_i^2 - dim End and every component sum d_i d_{i+1}.  For n <= 4 the
 preprojective algebra is representation-finite (Geiss-Leclerc-Schroer),
 so every component has such an orbit; for n >= 5 some need not.  Each
-(component, prime, attempt) draws up to samples_per_prime points.  The
+(component, prime, attempt) draws up to samples_per_prime points, once
+per evaluator: t at every vertex, the peeled class and every word count
+read the same draws, and the star relations of each (component, prime)
+are solved once, each draw only combining their kernel basis.  The
 first draw with dim End = q(d) is read alone: its automorphism group is
 connected, so by Lang's theorem every F_p-point of its orbit is
-isomorphic to it, and its values are exactly the generic ones.  When no
-draw reaches q(d), the draws of least End vote, and the reading is the
-value held by a strict majority of them; such votes are logged.  A vote
-without a majority makes the attempt inconclusive, and the readings must
-agree across at least two primes; otherwise sampling fails loudly.
+isomorphic to it, and its values are exactly the generic ones over every
+prime field, F_2 included.  When no draw reaches q(d), at most
+VOTE_SIZE draws of least End vote, and the reading is the value held by
+a strict majority of them; such votes are logged.  A vote without a
+majority makes the attempt inconclusive, and the readings must agree
+across at least two primes; otherwise sampling fails loudly.
 
 Word monomials are evaluated at a point by the flag recursion: the last
 letter (i, a) picks an a-dimensional subspace W of the joint kernel of
@@ -58,10 +62,10 @@ from .linalg import (
     kernel_basis_ff,
     matmul_ff,
     primes,
+    random_span_point_ff,
     rank_ff,
     row_space_basis_ff,
     rref_ff,
-    solve_affine_ff,
     solve_ff,
     subspaces_ff,
 )
@@ -99,8 +103,8 @@ log = logging.getLogger(__name__)
 CONSENSUS_PRIMES = 2
 # attempts, each with fresh draws, before sampling gives up
 RETRY_BUDGET = 3
-# the default pool is the consecutive primes from this one
-PRIME_START = 5
+# a vote reads at most this many draws of least End
+VOTE_SIZE = 5
 
 
 def derive_seed(*parts) -> int:
@@ -114,7 +118,7 @@ class SampleConfig:
     """Knobs for genericity sampling and Euler-characteristic extraction.
 
     prime_pool, when given, overrides the default pool (consecutive
-    primes from PRIME_START) and must hold distinct primes.  A word w at
+    primes from 2) and must hold distinct primes.  A word w at
     grade d is counted at the first min(b_w + 3, B + 2) primes of the
     pool, where b_w is word_degree_bound(w, d) and B is
     flag_degree_bound(d), so the pool must hold that many primes for
@@ -122,7 +126,8 @@ class SampleConfig:
 
     samples_per_prime, at least 1, caps the draws per prime and attempt.
     The first draw with dim End = q(d) is read alone; if none reaches
-    q(d), the draws of least End vote.  An attempt whose vote has no
+    q(d), at most VOTE_SIZE draws of least End vote, so a larger cap only
+    adds draws, never counts.  An attempt whose vote has no
     strict majority, or whose primes disagree, is retried with fresh
     draws up to RETRY_BUDGET attempts in all.  force_sampling disables
     the proven combinatorial shortcuts for t and peel, which is only
@@ -131,7 +136,7 @@ class SampleConfig:
     """
 
     root_seed: int = 0
-    samples_per_prime: int = 5
+    samples_per_prime: int = 40
     prime_pool: tuple[int, ...] | None = None
     force_sampling: bool = False
 
@@ -153,7 +158,7 @@ class SampleConfig:
                     f"prime pool {self.prime_pool} has fewer than {count} primes"
                 )
             return tuple(self.prime_pool[:count])
-        return primes(count, PRIME_START)
+        return primes(count)
 
 
 @dataclass(frozen=True)
@@ -212,21 +217,29 @@ def _relation_rows(rep: Rep) -> tuple[list[list[int]], list[tuple[int, int]]]:
     return rows, shapes
 
 
-def lift_generic(m: Multisegment, n: int, p: int, seed: int) -> LambdaPoint:
+def _star_space(m: Multisegment, n: int, p: int) -> tuple[Rep, list[tuple[int, int]], list]:
+    # the canonical orbit point of m, the shapes of its stars, and a
+    # kernel basis over F_p of the relations, which are linear in them
+    rep = realize(m, n)
+    rows, shapes = _relation_rows(rep)
+    return rep, shapes, kernel_basis_ff(rows, sum(r * c for r, c in shapes), p)
+
+
+def lift_generic(
+    m: Multisegment, n: int, p: int, seed: int, space: tuple | None = None
+) -> LambdaPoint:
     """A random point over the canonical orbit point of m.
 
     The arrow part is realize(m, n); the stars solve the preprojective
     relations, which are linear in them, with a seed-determined random
-    element of the solution space.  The relations are re-checked exactly
-    before the point is returned.
+    element of the solution space, drawn as solve_affine_ff draws it.
+    space, when given, is _star_space(m, n, p), solved once by a caller
+    that lifts many seeds; the point is the same either way.  The
+    relations are re-checked exactly before the point is returned.
     """
-    rep = realize(m, n)
-    rows, shapes = _relation_rows(rep)
+    rep, shapes, kernel = space or _star_space(m, n, p)
     unknowns = sum(r * c for r, c in shapes)
-    rng = random.Random(seed)
-    flat = solve_affine_ff(rows, [0] * len(rows), unknowns, p, rng)
-    if flat is None:
-        raise InternalCheckError("homogeneous star system reported inconsistent")
+    flat = random_span_point_ff((0,) * unknowns, kernel, p, random.Random(seed))
     stars: list[Matrix] = []
     pos = 0
     for r, c in shapes:
@@ -275,21 +288,21 @@ def _tits_form(m: Multisegment, n: int) -> int:
 
 
 def _generic_draws(
-    m: Multisegment, n: int, p: int, seeds: Iterable[int]
+    m: Multisegment, n: int, p: int, seeds: Iterable[int], space: tuple | None = None
 ) -> tuple[list[LambdaPoint], list[int]]:
     # the first point lifted from seeds whose End has dimension q(d),
-    # alone, or failing that every draw of least End; and the End
-    # dimensions drawn
+    # alone, or failing that the first VOTE_SIZE draws of least End; and
+    # the End dimensions drawn.  space is as for lift_generic
     q = _tits_form(m, n)
     draws: list[tuple[int, LambdaPoint]] = []
     for seed in seeds:
-        x = lift_generic(m, n, p, seed)
+        x = lift_generic(m, n, p, seed, space)
         e = _end_dim(x)
         if e == q:
             return [x], [e for e, _ in draws] + [e]
         draws.append((e, x))
     ends = [e for e, _ in draws]
-    return [x for e, x in draws if e == min(ends)], ends
+    return [x for e, x in draws if e == min(ends)][:VOTE_SIZE], ends
 
 
 def _majority(points: Sequence[LambdaPoint], read) -> tuple[object | None, Counter]:
@@ -320,8 +333,8 @@ def _failure_text(headline: str, q: int, history: list) -> str:
             line += f", votes {{{tally}}}"
         lines.append(line)
     lines.append(
-        "  (a vote lists only the samples drawn into it, and stops once one"
-        " value holds a strict majority)"
+        f"  (a vote reads at most {VOTE_SIZE} draws of least End, lists only the"
+        " samples drawn into it, and stops once one value holds a strict majority)"
     )
     return "\n".join(lines)
 
@@ -413,74 +426,89 @@ def _ambient(m: Multisegment, i: int, n: int | None) -> int:
     return n
 
 
-def _sampled_reading(
-    m: Multisegment, n: int, i: int, cfg: SampleConfig, tag: str, what: str, read
-):
-    # read each prime by the genericity rule; the readings must agree
-    # across primes
-    pool = cfg.sampling_primes(CONSENSUS_PRIMES)
-    q = _tits_form(m, n)
+def _reader(
+    m: Multisegment,
+    i: int,
+    config: SampleConfig | None,
+    n: int | None,
+    evaluator: "RhoEvaluator | None",
+) -> "RhoEvaluator":
+    # the evaluator whose draws t and peel read: the caller's, which then
+    # fixes n and the config, or one of their own
+    if i < 1:
+        raise ValueError(f"vertex {i} must be positive")
+    if evaluator is None:
+        return RhoEvaluator(_ambient(m, i, n), config)
+    if n not in (None, evaluator.n) or config not in (None, evaluator.config):
+        raise ValueError("n and config must be those of the evaluator")
+    _ambient(m, i, evaluator.n)
+    return evaluator
+
+
+def _sampled_reading(m: Multisegment, ev: "RhoEvaluator", what: str, read):
+    # read each prime's draws by the genericity rule; the readings must
+    # agree across primes
     history: list = []
     for salt in range(RETRY_BUDGET):
         values = []
-        for p in pool:
-            seeds = (
-                derive_seed(cfg.root_seed, tag, n, m.text(), i, p, k, salt)
-                for k in range(cfg.samples_per_prime)
-            )
-            points, ends = _generic_draws(m, n, p, seeds)
-            if q not in ends:
-                _log_vote(what, p, q, points, ends)
+        for p in ev.config.sampling_primes(CONSENSUS_PRIMES):
+            points, ends = ev._draws_for(m, p, salt)
             value, votes = _majority(points, read)
             history.append((salt, p, ends, votes))
             values.append(value)
         if None not in values and len(set(values)) == 1:
             return values[0]
-    raise ConsensusError(_failure_text(f"no consensus for {what}", q, history))
+    raise ConsensusError(
+        _failure_text(f"no consensus for {what}", _tits_form(m, ev.n), history)
+    )
 
 
 def t_component(
-    m: Multisegment, i: int, config: SampleConfig | None = None, n: int | None = None
+    m: Multisegment,
+    i: int,
+    config: SampleConfig | None = None,
+    n: int | None = None,
+    evaluator: "RhoEvaluator | None" = None,
 ) -> int:
     """Generic codimension of the incoming image sum at vertex i on Z_m.
 
     When no segment of m starts at i+1 (in particular at i = n) the
     value provably equals t_top(m, i) and no sampling happens; otherwise
     each prime reads it off its draw with dim End = q(d), or votes among
-    its draws of least End, and the primes must agree.
+    its draws of least End, and the primes must agree.  evaluator, when
+    given, supplies the draws, shared with its word counts, and then n
+    and config must be None or its own.
     """
-    cfg = config or SampleConfig()
-    if i < 1:
-        raise ValueError(f"vertex {i} must be positive")
-    n = _ambient(m, i, n)
-    if i >= n or t_top(m, i + 1) == 0:
-        if not cfg.force_sampling:
+    ev = _reader(m, i, config, n, evaluator)
+    if i >= ev.n or t_top(m, i + 1) == 0:
+        if not ev.config.force_sampling:
             return t_top(m, i)
-    return _sampled_reading(
-        m, n, i, cfg, "t", f"t at vertex {i} of Z({m})", lambda x: t_at_point(x, i)
-    )
+    return _sampled_reading(m, ev, f"t at vertex {i} of Z({m})", lambda x: t_at_point(x, i))
 
 
 def peel_component(
-    m: Multisegment, i: int, config: SampleConfig | None = None, n: int | None = None
+    m: Multisegment,
+    i: int,
+    config: SampleConfig | None = None,
+    n: int | None = None,
+    evaluator: "RhoEvaluator | None" = None,
 ) -> Multisegment:
     """The class spanned by the incoming images at a generic point of Z_m.
 
     Requires t_component(m, i) > 0.  In the no-segment-starts-at-i+1
-    regime this is exactly peel_top; otherwise it is read off sampled
-    points by the same rule as t, with cross-prime agreement.  A voted
-    draw whose t is not the generic one votes for no class; a draw with
+    regime this is exactly peel_top; otherwise it is read off the draws
+    of t, by the same rule, with cross-prime agreement.  A voted draw
+    whose t is not the generic one votes for no class; a draw with
     dim End = q(d) whose t is not the generic one is an internal error.
+    evaluator is as for t_component.
     """
-    cfg = config or SampleConfig()
-    if i < 1:
-        raise ValueError(f"vertex {i} must be positive")
-    n = _ambient(m, i, n)
-    t = t_component(m, i, cfg, n)
+    ev = _reader(m, i, config, n, evaluator)
+    n = ev.n
+    t = t_component(m, i, ev.config, n, ev)
     if t == 0:
         raise ValueError(f"Z({m}) has nothing to peel at vertex {i}")
     if i >= n or t_top(m, i + 1) == 0:
-        if not cfg.force_sampling:
+        if not ev.config.force_sampling:
             return peel_top(m, i)
 
     def peeled(x: LambdaPoint) -> Multisegment | None:
@@ -490,7 +518,7 @@ def peel_component(
             raise InternalCheckError(f"certified points of Z({m}) disagree on t at vertex {i}")
         return None
 
-    return _sampled_reading(m, n, i, cfg, "peel", f"peel at vertex {i} of Z({m})", peeled)
+    return _sampled_reading(m, ev, f"peel at vertex {i} of Z({m})", peeled)
 
 
 # ---------------------------------------------------------------------------
@@ -692,10 +720,12 @@ class RhoEvaluator:
     """Evaluates word combinations at generic points of components.
 
     One evaluator owns one quiver size and one sampling config.  Sampled
-    points are shared across words, and the interpolated value of each
-    (component, word) pair is computed once; this is what makes whole
-    evaluation matrices affordable.  The words counted at one label also
-    share one dict of expansions (see evaluate_word_at_point), so each
+    points are shared across words, and with t_component and
+    peel_component when they are handed the evaluator; the star space of
+    each (component, prime) is solved once, and the interpolated value of
+    each (component, word) pair is computed once; this is what makes
+    whole evaluation matrices affordable.  The words counted at one label
+    also share one dict of expansions (see evaluate_word_at_point), so each
     (point, letter) met at any depth of the flag recursion is expanded
     once.  The dict holds one label at a time: chi starts a fresh one
     when it counts at another label, and end_label drops it, so memory
@@ -707,14 +737,20 @@ class RhoEvaluator:
         self.n = n
         self.config = config or SampleConfig()
         self._draws: dict[tuple, tuple[list[LambdaPoint], list[int]]] = {}
+        self._spaces: dict[tuple, tuple] = {}
         self._voted: set[tuple] = set()
         self._chi: dict[tuple, int] = {}
         self._expansions = _Expansions()
 
     def fresh(self, namespace: str) -> "RhoEvaluator":
-        """An evaluator with seeds disjoint from this one's."""
+        """An evaluator with seeds disjoint from this one's.
+
+        It shares this one's star spaces, which no seed enters.
+        """
         cfg = replace(self.config, root_seed=derive_seed(self.config.root_seed, namespace))
-        return RhoEvaluator(self.n, cfg)
+        ev = RhoEvaluator(self.n, cfg)
+        ev._spaces = self._spaces
+        return ev
 
     def _seed(self, label: Multisegment, p: int, k: int, salt: int) -> int:
         return derive_seed(self.config.root_seed, "rho", self.n, label.text(), p, k, salt)
@@ -722,19 +758,23 @@ class RhoEvaluator:
     def _draws_for(
         self, label: Multisegment, p: int, salt: int
     ) -> tuple[list[LambdaPoint], list[int]]:
-        # _generic_draws of up to samples_per_prime seeds, shared by every
-        # word; a voted (component, prime) is logged once
+        # _generic_draws of up to samples_per_prime seeds, read by t at
+        # every vertex, by peel and by every word; the star relations of
+        # a (component, prime) are solved once, and its vote logged once
         key = (label.segments, p, salt)
         found = self._draws.get(key)
         if found is None:
+            space = self._spaces.get(key[:2])
+            if space is None:
+                space = self._spaces[key[:2]] = _star_space(label, self.n, p)
             seeds = (
                 self._seed(label, p, k, salt) for k in range(self.config.samples_per_prime)
             )
-            found = self._draws[key] = _generic_draws(label, self.n, p, seeds)
+            found = self._draws[key] = _generic_draws(label, self.n, p, seeds, space)
             q = _tits_form(label, self.n)
-            if q not in found[1] and (label.segments, p) not in self._voted:
-                self._voted.add((label.segments, p))
-                _log_vote(f"counts on Z({label})", p, q, *found)
+            if q not in found[1] and key[:2] not in self._voted:
+                self._voted.add(key[:2])
+                _log_vote(f"draws on Z({label})", p, q, *found)
         return found
 
     def end_label(self) -> None:

@@ -39,7 +39,6 @@ from .hall import (
 )
 from .linalg import identity_exact, invert_unitriangular, matmul_exact, primes
 from .nilpotent import (
-    PRIME_START,
     RhoEvaluator,
     SampleConfig,
     flag_degree_bound,
@@ -95,9 +94,10 @@ def _combine_words(base: WordCombo, other: WordCombo, coeff: int) -> WordCombo:
 class SemicanBasis:
     """Recursive construction of semicanonical elements over one quiver.
 
-    Shares one rho evaluator and write-once memos for
-    elements, per-vertex variants, and sampled t values, so a full
-    transition matrix touches each expensive quantity once.
+    Shares one rho evaluator, whose draws also serve every sampled t and
+    peel, and write-once memos for elements, per-vertex variants, and
+    sampled t values, so a full transition matrix touches each expensive
+    quantity once.  Given both, the evaluator must carry the config.
     """
 
     def __init__(
@@ -107,8 +107,8 @@ class SemicanBasis:
         evaluator: RhoEvaluator | None = None,
     ):
         self.quiver = quiver
-        self.config = config or SampleConfig()
-        self.evaluator = evaluator or RhoEvaluator(quiver.n, self.config)
+        self.evaluator = evaluator or RhoEvaluator(quiver.n, config)
+        self.config = config or self.evaluator.config
         self._elements: dict[tuple, SemicanElement] = {}
         self._components: dict[tuple, SemicanElement] = {}
         self._t: dict[tuple, int] = {}
@@ -117,7 +117,7 @@ class SemicanBasis:
         """Memoized component-level t at vertex i."""
         key = (m.segments, i)
         if key not in self._t:
-            self._t[key] = t_component(m, i, self.config, self.quiver.n)
+            self._t[key] = t_component(m, i, self.config, self.quiver.n, self.evaluator)
         return self._t[key]
 
     def element(self, m: Multisegment) -> SemicanElement:
@@ -156,7 +156,7 @@ class SemicanBasis:
         mult = self.t_at(m, i)
         if mult <= 0:
             raise InternalCheckError(f"correction class {m} has no top at vertex {i}")
-        peeled = peel_component(m, i, self.config, self.quiver.n)
+        peeled = peel_component(m, i, self.config, self.quiver.n, self.evaluator)
         elem = self._peel_and_correct(m, i, mult, peeled)
         self._components[key] = elem
         return elem
@@ -382,7 +382,7 @@ def transition_matrix(
             f"fresh-seed evaluation of grade {d} is not the identity: {delta.matrix}"
         )
     used = flag_degree_bound(d) + 2
-    pool = (cfg.prime_pool or primes(used, PRIME_START))[:used]
+    pool = (cfg.prime_pool or primes(used))[:used]
     return CertifiedTransition(
         n=quiver.n,
         dim=d,

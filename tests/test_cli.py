@@ -94,8 +94,9 @@ class TestTransition:
         payload = json.loads(out)
         assert payload["interpolation_primes"] == [5, 7, 11, 13]
         assert payload["matrix"] == [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
+        # the default pool is the consecutive primes from 2
         _, default, _ = run(capsys, "transition", "--dim", "2,2", "--format", "json")
-        assert json.loads(default)["interpolation_primes"] == [5, 7, 11, 13]
+        assert json.loads(default)["interpolation_primes"] == [2, 3, 5, 7]
 
     def test_small_primes_certify(self, capsys):
         code, out, _ = run(
@@ -123,6 +124,20 @@ class TestTransition:
 )
 def test_bad_sampling_input_exits_10(capsys, argv, bad):
     code, out, err = run(capsys, *argv)
+    assert code == 10
+    assert not out
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert bad in line.split()
+
+
+@pytest.mark.parametrize(
+    "flag, bad",
+    [("--prime", "1"), ("--prime", "0"), ("--prime", "6"), ("--size", "-1"), ("--vertex", "3")],
+)
+def test_bad_hall_input_exits_10(capsys, flag, bad):
+    args = {"--module": "2[1,1]+2[2,2]", "--vertex": "1", "--size": "1", "--prime": "3"}
+    args[flag] = bad
+    code, out, err = run(capsys, "inspect", "hall", *(x for kv in args.items() for x in kv))
     assert code == 10
     assert not out
     [line] = [line for line in err.splitlines() if line.startswith("error:")]

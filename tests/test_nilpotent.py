@@ -46,8 +46,13 @@ from semibasis import (
 )
 from semibasis import nilpotent
 from semibasis.cli import main
-from semibasis.hall import Rep, pbw_to_words
-from semibasis.linalg import interpolate_eval_one, kernel_basis_ff, subspaces_ff
+from semibasis.hall import Rep, pbw_to_words, realize
+from semibasis.linalg import (
+    interpolate_eval_one,
+    kernel_basis_ff,
+    solve_affine_ff,
+    subspaces_ff,
+)
 from semibasis.quiver import euler_form, hom_dim
 from semibasis.semican import SemicanBasis
 from semibasis.nilpotent import (
@@ -161,6 +166,23 @@ class TestLift:
         b = lift_generic(M("2[1,2]"), 2, 7, 42)
         assert (a.arrows, a.stars) == (b.arrows, b.stars)
 
+    def test_star_space_solved_once_draws_the_affine_points(self):
+        # a kernel basis solved once per (component, prime) is combined
+        # with the seed's rng exactly as solve_affine_ff combines it
+        for n in (2, 3):
+            for cls in classes_upto(n, 4):
+                for p in (2, 5):
+                    space = nilpotent._star_space(cls, n, p)
+                    rows, shapes = nilpotent._relation_rows(realize(cls, n))
+                    unknowns = sum(r * c for r, c in shapes)
+                    for seed in range(3):
+                        x = lift_generic(cls, n, p, seed, space)
+                        want = solve_affine_ff(
+                            rows, [0] * len(rows), unknowns, p, random.Random(seed)
+                        )
+                        assert tuple(v for s in x.stars for row in s for v in row) == want
+                        assert x == lift_generic(cls, n, p, seed)
+
 
 class TestGenericTop:
     def test_no_incoming_segment_shortcuts(self):
@@ -202,6 +224,14 @@ class TestGenericTop:
     def test_vertex_validation(self):
         with pytest.raises(ValueError):
             t_component(M("1[1,1]"), 0)
+
+    def test_evaluator_fixes_n_and_config(self):
+        m, ev = M("2[1,1]+1[2,2]"), RhoEvaluator(2)
+        assert t_component(m, 1, None, None, ev) == t_component(m, 1, ev.config, 2, ev) == 1
+        with pytest.raises(ValueError, match="those of the evaluator"):
+            t_component(m, 1, None, 3, ev)
+        with pytest.raises(ValueError, match="those of the evaluator"):
+            peel_component(m, 1, SampleConfig(root_seed=1), None, ev)
 
 
 class TestEvaluate:
@@ -396,6 +426,99 @@ class TestSharedExpansions:
         assert capsys.readouterr().out == logged
 
 
+class TestSharedDraws:
+    def test_each_draw_lifted_once_and_each_star_space_solved_once(self, monkeypatch):
+        # one transition: t at every vertex, peel and the word counts read
+        # one set of draws per (component, prime, attempt)
+        lifts, spaces, readings = Counter(), Counter(), Counter()
+        sampled: set = set()
+        counted: set = set()
+        lift, space, reading = (
+            nilpotent.lift_generic,
+            nilpotent._star_space,
+            nilpotent._sampled_reading,
+        )
+        evaluate = nilpotent.evaluate_word_at_point
+
+        def lift_counted(m, n, p, seed, star_space=None):
+            lifts[n, m.segments, p, seed] += 1
+            return lift(m, n, p, seed, star_space)
+
+        def space_counted(m, n, p):
+            spaces[n, m.segments, p] += 1
+            return space(m, n, p)
+
+        def reading_recorded(m, ev, what, read):
+            readings[what.split()[0]] += 1
+
+            def recorded(x):
+                sampled.add((x.n, x.label.segments, x.p, x.seed))
+                return read(x)
+
+            return reading(m, ev, what, recorded)
+
+        def evaluate_recorded(x, w, *, expansions=None):
+            if x.label is not None:
+                counted.add((x.n, x.label.segments, x.p))
+            return evaluate(x, w, expansions=expansions)
+
+        monkeypatch.setattr(nilpotent, "lift_generic", lift_counted)
+        monkeypatch.setattr(nilpotent, "_star_space", space_counted)
+        monkeypatch.setattr(nilpotent, "_sampled_reading", reading_recorded)
+        monkeypatch.setattr(nilpotent, "evaluate_word_at_point", evaluate_recorded)
+        res = transition_matrix(Quiver(3), (2, 2, 2))
+        assert res.routes_agree and res.delta_ok
+        assert readings["t"], readings
+        # the recursion's corrections peel off the shortcut here, so peel
+        # reads an evaluator's draws after its word counts
+        ev = RhoEvaluator(2)
+        m = M("2[1,1]+1[2,2]")
+        for combo in pbw_to_words(Quiver(2), (2, 1)).values():
+            ev.rho(m, combo)
+        assert peel_component(m, 1, evaluator=ev) == M("1[1,1]+1[2,2]")
+        assert readings["peel"] == 1
+        assert lifts and set(lifts.values()) == {1}
+        assert spaces and set(spaces.values()) == {1}
+        # t and peel read the draws of the word counts: points lifted from
+        # the counts' seeds, each lifted once in all, at components where
+        # words are counted too
+        assert {key[:3] for key in sampled} & counted
+        assert all(
+            seed in {
+                RhoEvaluator(n)._seed(M(list(segments)), p, k, salt)
+                for k in range(40)
+                for salt in range(nilpotent.RETRY_BUDGET)
+            }
+            for n, segments, p, seed in sampled
+        )
+
+    def test_vote_reads_at_most_five_of_forty_draws(self, monkeypatch):
+        # End is q + 1 at every draw, so every prime votes; the values
+        # 0, 1, 0, 1, 2 tie each vote, which therefore reads all it may
+        m, w = M("2[1,2]"), ((1, 2), (2, 2))
+        cycle = itertools.cycle((0, 1, 0, 1, 2))
+        read = []
+
+        def counted(x, word, *, expansions=None):
+            read.append((x.p, x.seed))
+            return next(cycle)
+
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
+        monkeypatch.setattr(nilpotent, "evaluate_word_at_point", counted)
+        ev = RhoEvaluator(2)
+        assert ev.config.samples_per_prime == 40 and nilpotent.VOTE_SIZE == 5
+        with pytest.raises(ConsensusError):
+            ev.chi(m, w)
+        assert read == [
+            (p, ev._seed(m, p, k, salt))
+            for salt in range(3)
+            for p in (2, 3, 5)
+            for k in range(5)
+        ]
+        assert len(ev._draws) == 9
+        assert all(len(ends) == 40 and len(points) == 5 for points, ends in ev._draws.values())
+
+
 class TestRho:
     def test_unit_square_diagonal(self):
         # the generic component only pairs with the matching word order
@@ -447,7 +570,8 @@ class TestRho:
         assert RhoEvaluator(2, cfg).chi(M("2[1,2]"), ((1, 2), (2, 2))) == 1
 
     def test_vote_stops_at_strict_majority(self, monkeypatch):
-        # with no draw at dim End = q(d), all five draws of least End vote
+        # with no draw at dim End = q(d), all 40 draws are taken and the
+        # first five of least End vote
         m, w = M("1[1,2]+1[1,1]+1[2,2]"), ((2, 1), (1, 2), (2, 1))
         calls = Counter()
         real = nilpotent.evaluate_word_at_point
@@ -465,7 +589,7 @@ class TestRho:
         series = []
         for p in sorted(calls):
             points, ends = ev._draws_for(m, p, 0)
-            assert len(points) == len(ends) == 5
+            assert len(points) == nilpotent.VOTE_SIZE == 5 and len(ends) == 40
             votes = Counter(real(x, w) for x in points).most_common(2)
             assert len(votes) == 1 or votes[0][1] > votes[1][1]
             series.append((p, votes[0][0]))
@@ -482,7 +606,7 @@ class TestRho:
             RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
         assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
-        assert "degree bound 0" in text and "primes [5, 7, 11]" in text
+        assert "degree bound 0" in text and "primes [2, 3, 5]" in text
 
     def test_consensus_error_names_component_and_word(self, monkeypatch):
         # every draw is voted, and values 0, 1, 0, 1, 2 at every prime tie
@@ -524,8 +648,8 @@ class TestEndCertificate:
         draws = []
         real = nilpotent._generic_draws
 
-        def recorded(m, n, p, seeds):
-            found = real(m, n, p, seeds)
+        def recorded(m, n, p, seeds, space=None):
+            found = real(m, n, p, seeds, space)
             draws.append(found)
             return found
 
@@ -542,8 +666,9 @@ class TestEndCertificate:
                 assert all(e > q for e in ends[:-1])
                 accepted += 1
             else:
-                # a voted prime keeps exactly its draws of least End
-                assert len(points) == ends.count(min(ends))
+                # a voted prime keeps its first draws of least End, at
+                # most VOTE_SIZE of them
+                assert len(points) == min(ends.count(min(ends)), nilpotent.VOTE_SIZE)
                 for x in points:
                     assert oracles.end_dim_by_images(x) == min(ends) > q
         assert accepted > 100
@@ -599,21 +724,31 @@ class TestEndCertificate:
         with pytest.raises(ConsensusError) as info:
             t_component(M("2[1,1]+1[2,2]"), 1)
         text = str(info.value)
-        assert "attempt 2, p=5" in text and "read 5" in text and "read 7" in text
+        assert "attempt 2, p=2" in text and "read 2" in text and "read 3" in text
 
     def test_vote_logged_once_per_component_and_prime(self, monkeypatch, caplog):
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
         ev = RhoEvaluator(2, SampleConfig())
         with caplog.at_level(logging.WARNING, logger="semibasis.nilpotent"):
             for salt in range(3):
-                for p in (5, 7):
+                for p in (2, 3):
                     ev._draws_for(M("2[1,2]"), p, salt)
+            # t, peel and word counts read the draws, so they log nothing
+            # more
+            assert t_component(M("2[1,1]+1[2,2]"), 1, evaluator=ev) == 1
             # a fresh evaluator reports its own votes
-            ev.fresh("again")._draws_for(M("2[1,2]"), 5, 0)
+            ev.fresh("again")._draws_for(M("2[1,2]"), 2, 0)
         assert [r.getMessage() for r in caplog.records] == [
-            f"counts on Z(2[1,2]) at p={p} voted: no draw of 5 reached"
+            f"draws on Z(2[1,2]) at p={p} voted: no draw of 40 reached"
             " dim End = q(d) = 4; 5 draws of least End 5 vote"
-            for p in (5, 7, 5)
+            for p in (2, 3)
+        ] + [
+            f"draws on Z(2[1,1]+1[2,2]) at p={p} voted: no draw of 40 reached"
+            " dim End = q(d) = 3; 5 draws of least End 4 vote"
+            for p in (2, 3)
+        ] + [
+            "draws on Z(2[1,2]) at p=2 voted: no draw of 40 reached"
+            " dim End = q(d) = 4; 5 draws of least End 5 vote"
         ]
 
     def test_no_accepted_point_names_every_draw(self, monkeypatch, capsys):
@@ -629,10 +764,11 @@ class TestEndCertificate:
         text = str(info.value)
         assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
         assert "dim End = q(d) = 4" in text
+        # every draw of the 40 is named, and five of them vote
         for salt in range(3):
-            for p in (5, 7, 11):
+            for p in (2, 3, 5):
                 assert (
-                    f"attempt {salt}, p={p}: End dimensions [5, 5, 5, 5, 5], "
+                    f"attempt {salt}, p={p}: End dimensions {[5] * 40}, "
                     "votes {0: 2, 1: 2, 2: 1}"
                 ) in text
         with monkeypatch.context() as patched:
@@ -641,32 +777,42 @@ class TestEndCertificate:
                 t_component(M("2[1,1]+1[2,2]"), 1)
         assert "t at vertex 1 of Z(2[1,1]+1[2,2])" in str(info.value)
         assert main(["transition", "--dim", "1,1"]) == 20
-        assert "End dimensions [2, 2, 2, 2, 2]" in capsys.readouterr().err
+        assert f"End dimensions {[2] * 40}" in capsys.readouterr().err
 
     def test_voted_components_certify_and_are_logged(self):
         # with End at q + 1 everywhere every count is voted; the matrix is
-        # the README's, and standard error names each voted component
+        # the README's, and standard error names each voted component.
+        # Over F_2 and F_3 the points off the dense orbit are too common
+        # for a vote to be read safely, so the default pool may fail, but
+        # only loudly; the vote is exercised from p = 5 up
         script = (
             "import sys\n"
             "from semibasis import nilpotent\n"
             "from semibasis.cli import main\n"
             "from semibasis.quiver import Quiver, euler_form\n"
             "nilpotent._end_dim = lambda x: euler_form(Quiver(x.n), x.dims, x.dims) + 1\n"
-            "sys.exit(main(['transition', '--dim', '2,2', '--format', 'json']))\n"
+            "sys.exit(main(['transition', '--dim', '2,2', '--format', 'json'] + sys.argv[1:]))\n"
         )
         src = str(Path(nilpotent.__file__).parents[1])
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
-        )
-        assert proc.returncode == 0, proc.stderr
-        payload = json.loads(proc.stdout)
         order = ["2[1,2]", "1[1,2]+1[1,1]+1[2,2]", "2[1,1]+2[2,2]"]
-        assert payload["order"] == order
-        assert payload["matrix"] == [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
-        for cls in order:
-            assert f"counts on Z({cls}) at p=5 voted" in proc.stderr, proc.stderr
+        readme = [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
+        for extra, first in (([], 2), (["--primes", "5,7,11,13"], 5)):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, *extra],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert f"draws on Z({order[0]}) at p={first} voted" in proc.stderr, proc.stderr
+            if proc.returncode:
+                assert not extra and proc.returncode in (20, 21), proc.stderr
+                continue
+            payload = json.loads(proc.stdout)
+            assert payload["order"] == order
+            assert payload["matrix"] == readme
+            for cls in order:
+                assert f"draws on Z({cls}) at p={first} voted" in proc.stderr, proc.stderr
+        assert extra and not proc.returncode
 
 
 class TestDegreeBound:

@@ -59,4 +59,4 @@ def test_component_without_dense_orbit_certifies(caplog):
         res = transition_matrix(Quiver(5), (1, 2, 2, 2, 1))
     assert res.routes_agree and res.delta_ok
     assert len(res.classes) == 65
-    assert any(f"counts on {NO_DENSE_ORBIT}" in r.getMessage() for r in caplog.records)
+    assert any(f"draws on {NO_DENSE_ORBIT}" in r.getMessage() for r in caplog.records)

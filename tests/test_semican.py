@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from semibasis.linalg import primes
 from semibasis import (
     Multisegment,
     PBWVector,
@@ -134,7 +135,7 @@ class TestCertifiedTransition:
         assert res.matrix == F([[1, 1, 1], [0, 1, 2], [0, 0, 1]])
         assert res.routes_agree
         assert res.delta_ok
-        assert res.interpolation_primes[0] >= 5
+        assert res.interpolation_primes == (2, 3, 5, 7)
 
     def test_payload_shape_and_determinism(self, certified):
         res = certified(2, (2, 2))
@@ -153,6 +154,22 @@ class TestCertifiedTransition:
         # a second run with the same seed serializes identically
         again = transition_matrix(Q2, (2, 2)).to_payload()
         assert again == payload
+
+    @pytest.mark.parametrize("d", [(3, 3), (2, 3, 1), (2, 2, 2)])
+    def test_default_pool_and_pool_from_five_agree(self, certified, d):
+        # a point with dim End = q(d) is exactly generic over every F_p,
+        # so the default pool from 2 and the pool from 5 certify the same
+        # matrices
+        res = certified(len(d), d)
+        used = len(res.interpolation_primes)
+        assert res.interpolation_primes == primes(used)
+        other = transition_matrix(
+            Quiver(len(d)), d, SampleConfig(prime_pool=primes(used + 3, 5))
+        )
+        assert other.interpolation_primes == primes(used, 5)
+        assert other.classes == res.classes
+        assert other.matrix == res.matrix
+        assert other.evaluation == res.evaluation
 
     def test_matrix_is_integral_here(self, certified):
         for d in ((1, 1), (1, 2), (2, 2)):
