@@ -28,7 +28,6 @@ __all__ = [
     "kernel_basis_ff",
     "solve_ff",
     "solve_affine_ff",
-    "random_span_point_ff",
     "matmul_ff",
     "mat_inverse_ff",
     "subspaces_ff",

@@ -23,7 +23,11 @@ connected, so by Lang's theorem every F_p-point of its orbit is
 isomorphic to it, and its values are exactly the generic ones over every
 prime field, F_2 included.  When no draw reaches q(d), at most
 VOTE_SIZE draws of least End vote, and the reading is the value held by
-a strict majority of them; such votes are logged.  A vote without a
+a strict majority of them; such votes are logged.  Votes are read only
+at primes from VOTE_PRIME_START up: over F_2 and F_3 the points off the
+dense orbit are common enough to carry a vote, so there a (component,
+prime) without a draw at q(d) is passed over, logged, and the component
+reads the next primes of the pool in its place.  A vote without a
 majority makes the attempt inconclusive, and the readings must agree
 across at least two primes; otherwise sampling fails loudly.
 
@@ -46,6 +50,7 @@ failure is surfaced, never averaged away.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import random
 from collections import Counter
@@ -61,7 +66,6 @@ from .linalg import (
     is_prime,
     kernel_basis_ff,
     matmul_ff,
-    primes,
     random_span_point_ff,
     rank_ff,
     row_space_basis_ff,
@@ -105,6 +109,9 @@ CONSENSUS_PRIMES = 2
 RETRY_BUDGET = 3
 # a vote reads at most this many draws of least End
 VOTE_SIZE = 5
+# votes are read only at primes from this one up; a smaller prime is read
+# only at a draw with dim End = q(d)
+VOTE_PRIME_START = 5
 
 
 def derive_seed(*parts) -> int:
@@ -122,7 +129,9 @@ class SampleConfig:
     grade d is counted at the first min(b_w + 3, B + 2) primes of the
     pool, where b_w is word_degree_bound(w, d) and B is
     flag_degree_bound(d), so the pool must hold that many primes for
-    every word in play.
+    every word in play.  A prime below VOTE_PRIME_START at which a
+    component has no draw with dim End = q(d) is passed over for that
+    component, which then reads one more prime of the pool.
 
     samples_per_prime, at least 1, caps the draws per prime and attempt.
     The first draw with dim End = q(d) is read alone; if none reaches
@@ -150,15 +159,6 @@ class SampleConfig:
                 raise ValueError(f"prime pool entry {p} is not a prime")
             if p in self.prime_pool[:k]:
                 raise ValueError(f"prime pool repeats {p}")
-
-    def sampling_primes(self, count: int) -> tuple[int, ...]:
-        if self.prime_pool is not None:
-            if len(self.prime_pool) < count:
-                raise ValueError(
-                    f"prime pool {self.prime_pool} has fewer than {count} primes"
-                )
-            return tuple(self.prime_pool[:count])
-        return primes(count)
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,7 @@ def _tits_form(m: Multisegment, n: int) -> int:
 
 
 def _generic_draws(
-    m: Multisegment, n: int, p: int, seeds: Iterable[int], space: tuple | None = None
+    m: Multisegment, n: int, p: int, seeds: Iterable[int], space: tuple
 ) -> tuple[list[LambdaPoint], list[int]]:
     # the first point lifted from seeds whose End has dimension q(d),
     # alone, or failing that the first VOTE_SIZE draws of least End; and
@@ -340,6 +340,13 @@ def _failure_text(headline: str, q: int, history: list) -> str:
 
 
 def _log_vote(what: str, p: int, q: int, points: list[LambdaPoint], ends: list[int]) -> None:
+    if p < VOTE_PRIME_START:
+        log.warning(
+            "%s at p=%d passed over: no draw of %d reached dim End = q(d) = %d, "
+            "and votes are read only from p=%d",
+            what, p, len(ends), q, VOTE_PRIME_START,
+        )
+        return
     log.warning(
         "%s at p=%d voted: no draw of %d reached dim End = q(d) = %d; "
         "%d draws of least End %s vote",
@@ -433,14 +440,14 @@ def _reader(
     n: int | None,
     evaluator: "RhoEvaluator | None",
 ) -> "RhoEvaluator":
-    # the evaluator whose draws t and peel read: the caller's, which then
-    # fixes n and the config, or one of their own
+    # the evaluator whose draws t and peel read: the caller's, which
+    # carries n and the config, or one built from them
     if i < 1:
         raise ValueError(f"vertex {i} must be positive")
     if evaluator is None:
         return RhoEvaluator(_ambient(m, i, n), config)
-    if n not in (None, evaluator.n) or config not in (None, evaluator.config):
-        raise ValueError("n and config must be those of the evaluator")
+    if n is not None or config is not None:
+        raise ValueError("pass n and config, or an evaluator, not both")
     _ambient(m, i, evaluator.n)
     return evaluator
 
@@ -451,7 +458,7 @@ def _sampled_reading(m: Multisegment, ev: "RhoEvaluator", what: str, read):
     history: list = []
     for salt in range(RETRY_BUDGET):
         values = []
-        for p in ev.config.sampling_primes(CONSENSUS_PRIMES):
+        for p in ev._read_primes(m, salt, CONSENSUS_PRIMES):
             points, ends = ev._draws_for(m, p, salt)
             value, votes = _majority(points, read)
             history.append((salt, p, ends, votes))
@@ -476,8 +483,8 @@ def t_component(
     value provably equals t_top(m, i) and no sampling happens; otherwise
     each prime reads it off its draw with dim End = q(d), or votes among
     its draws of least End, and the primes must agree.  evaluator, when
-    given, supplies the draws, shared with its word counts, and then n
-    and config must be None or its own.
+    given, supplies the draws, shared with its word counts, and its n and
+    config; n and config must then be left out.
     """
     ev = _reader(m, i, config, n, evaluator)
     if i >= ev.n or t_top(m, i + 1) == 0:
@@ -504,7 +511,7 @@ def peel_component(
     """
     ev = _reader(m, i, config, n, evaluator)
     n = ev.n
-    t = t_component(m, i, ev.config, n, ev)
+    t = t_component(m, i, None, None, ev)
     if t == 0:
         raise ValueError(f"Z({m}) has nothing to peel at vertex {i}")
     if i >= n or t_top(m, i + 1) == 0:
@@ -760,7 +767,8 @@ class RhoEvaluator:
     ) -> tuple[list[LambdaPoint], list[int]]:
         # _generic_draws of up to samples_per_prime seeds, read by t at
         # every vertex, by peel and by every word; the star relations of
-        # a (component, prime) are solved once, and its vote logged once
+        # a (component, prime) are solved once, and its vote, or its
+        # passing over, logged once
         key = (label.segments, p, salt)
         found = self._draws.get(key)
         if found is None:
@@ -777,6 +785,26 @@ class RhoEvaluator:
                 _log_vote(f"draws on Z({label})", p, q, *found)
         return found
 
+    def _read_primes(self, label: Multisegment, salt: int, count: int) -> tuple[int, ...]:
+        # the first count primes of the pool at which attempt salt reads
+        # label: those from VOTE_PRIME_START up, and the smaller ones with
+        # a draw at dim End = q(d)
+        pool = self.config.prime_pool
+        if pool is not None and len(pool) < count:
+            raise ValueError(f"prime pool {pool} has fewer than {count} primes")
+        q = _tits_form(label, self.n)
+        read: list[int] = []
+        for p in pool or filter(is_prime, itertools.count(2)):
+            if p >= VOTE_PRIME_START or q in self._draws_for(label, p, salt)[1]:
+                read.append(p)
+                if len(read) == count:
+                    return tuple(read)
+        raise ConsensusError(
+            f"prime pool {pool} has fewer than {count} primes at which Z({label}) can"
+            f" be read in attempt {salt}: below p={VOTE_PRIME_START} only a draw with"
+            f" dim End = q(d) = {q} is read"
+        )
+
     def end_label(self) -> None:
         """Log and drop the expansions of the label counted last."""
         memo = self._expansions
@@ -791,7 +819,8 @@ class RhoEvaluator:
 
         The count is taken at each prime and fitted with degree
         word_degree_bound(word, d) through the first min(b_w + 3, B + 2)
-        primes of the grade's pool, B being flag_degree_bound(d).  Each
+        primes of the grade's pool at which the label is read (see
+        SampleConfig), B being flag_degree_bound(d).  Each
         prime evaluates the word once at its draw with dim End = q(d),
         which is exactly generic, or else votes over its draws of least
         End, stopping once one count holds a strict majority.  A degree-b
@@ -807,12 +836,13 @@ class RhoEvaluator:
         expansions = self._expansions
         d = label.dim_vector(self.n)
         bound = word_degree_bound(word, d)
-        pool = self.config.sampling_primes(min(bound + 3, flag_degree_bound(d) + 2))
+        count = min(bound + 3, flag_degree_bound(d) + 2)
         history: list = []
         failure: Exception | None = None
         for salt in range(RETRY_BUDGET):
             # every prime is read, so that a failure records all of them
             series = []
+            pool = self._read_primes(label, salt, count)
             for p in pool:
                 points, ends = self._draws_for(label, p, salt)
                 value, votes = _majority(

@@ -106,9 +106,10 @@ class SemicanBasis:
         config: SampleConfig | None = None,
         evaluator: RhoEvaluator | None = None,
     ):
+        if evaluator is not None and config not in (None, evaluator.config):
+            raise ValueError("config must be the evaluator's")
         self.quiver = quiver
         self.evaluator = evaluator or RhoEvaluator(quiver.n, config)
-        self.config = config or self.evaluator.config
         self._elements: dict[tuple, SemicanElement] = {}
         self._components: dict[tuple, SemicanElement] = {}
         self._t: dict[tuple, int] = {}
@@ -117,7 +118,7 @@ class SemicanBasis:
         """Memoized component-level t at vertex i."""
         key = (m.segments, i)
         if key not in self._t:
-            self._t[key] = t_component(m, i, self.config, self.quiver.n, self.evaluator)
+            self._t[key] = t_component(m, i, evaluator=self.evaluator)
         return self._t[key]
 
     def element(self, m: Multisegment) -> SemicanElement:
@@ -156,7 +157,7 @@ class SemicanBasis:
         mult = self.t_at(m, i)
         if mult <= 0:
             raise InternalCheckError(f"correction class {m} has no top at vertex {i}")
-        peeled = peel_component(m, i, self.config, self.quiver.n, self.evaluator)
+        peeled = peel_component(m, i, evaluator=self.evaluator)
         elem = self._peel_and_correct(m, i, mult, peeled)
         self._components[key] = elem
         return elem

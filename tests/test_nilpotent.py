@@ -227,11 +227,12 @@ class TestGenericTop:
 
     def test_evaluator_fixes_n_and_config(self):
         m, ev = M("2[1,1]+1[2,2]"), RhoEvaluator(2)
-        assert t_component(m, 1, None, None, ev) == t_component(m, 1, ev.config, 2, ev) == 1
-        with pytest.raises(ValueError, match="those of the evaluator"):
-            t_component(m, 1, None, 3, ev)
-        with pytest.raises(ValueError, match="those of the evaluator"):
-            peel_component(m, 1, SampleConfig(root_seed=1), None, ev)
+        assert t_component(m, 1, evaluator=ev) == t_component(m, 1, None, 2) == 1
+        # n and config come from the evaluator, so neither may be given
+        with pytest.raises(ValueError, match="not both"):
+            t_component(m, 1, None, 2, ev)
+        with pytest.raises(ValueError, match="not both"):
+            peel_component(m, 1, ev.config, None, ev)
 
 
 class TestEvaluate:
@@ -309,7 +310,11 @@ class TestEvaluate:
 def accepted_point(m: Multisegment, n: int, p: int) -> LambdaPoint:
     # the first draw with dim End = q(d), as chi reads it
     points, ends = nilpotent._generic_draws(
-        m, n, p, (derive_seed("accepted", m.text(), p, k) for k in range(40))
+        m,
+        n,
+        p,
+        (derive_seed("accepted", m.text(), p, k) for k in range(40)),
+        nilpotent._star_space(m, n, p),
     )
     assert ends[-1] == tits_form(points[0]), (m, p, ends)
     return points[0]
@@ -493,8 +498,9 @@ class TestSharedDraws:
         )
 
     def test_vote_reads_at_most_five_of_forty_draws(self, monkeypatch):
-        # End is q + 1 at every draw, so every prime votes; the values
-        # 0, 1, 0, 1, 2 tie each vote, which therefore reads all it may
+        # End is q + 1 at every draw, so p = 2 and 3 are passed over and
+        # every other prime votes; the values 0, 1, 0, 1, 2 tie each vote,
+        # which therefore reads all it may
         m, w = M("2[1,2]"), ((1, 2), (2, 2))
         cycle = itertools.cycle((0, 1, 0, 1, 2))
         read = []
@@ -512,10 +518,12 @@ class TestSharedDraws:
         assert read == [
             (p, ev._seed(m, p, k, salt))
             for salt in range(3)
-            for p in (2, 3, 5)
+            for p in (5, 7, 11)
             for k in range(5)
         ]
-        assert len(ev._draws) == 9
+        assert sorted(ev._draws) == [
+            (m.segments, p, salt) for p in (2, 3, 5, 7, 11) for salt in range(3)
+        ]
         assert all(len(ends) == 40 and len(points) == 5 for points, ends in ev._draws.values())
 
 
@@ -648,7 +656,7 @@ class TestEndCertificate:
         draws = []
         real = nilpotent._generic_draws
 
-        def recorded(m, n, p, seeds, space=None):
+        def recorded(m, n, p, seeds, space):
             found = real(m, n, p, seeds, space)
             draws.append(found)
             return found
@@ -686,7 +694,8 @@ class TestEndCertificate:
         assert star_system_holds(planted)
         assert _end_dim(planted) == oracles.end_dim_by_images(planted) > 1
         monkeypatch.setattr(nilpotent, "lift_generic", lambda *args: planted)
-        points, ends = nilpotent._generic_draws(m, 4, 5, range(5))
+        space = nilpotent._star_space(m, 4, 5)
+        points, ends = nilpotent._generic_draws(m, 4, 5, range(5), space)
         # not read alone: all five draws are kept for a vote
         assert len(ends) == 5 and 1 not in ends and points == [planted] * 5
         with monkeypatch.context() as patched:
@@ -694,7 +703,7 @@ class TestEndCertificate:
             patched.setattr(
                 nilpotent, "lift_generic", lambda *args: x if args[3] == 3 else planted
             )
-            points, ends = nilpotent._generic_draws(m, 4, 5, range(5))
+            points, ends = nilpotent._generic_draws(m, 4, 5, range(5), space)
         assert points == [x] and ends == [ends[0]] * 3 + [1] and ends[0] > 1
 
     def test_vote_keeps_draws_of_least_end(self, monkeypatch):
@@ -702,7 +711,7 @@ class TestEndCertificate:
         m = M("1[1,2]+1[3,3]+1[4,4]")
         planted = {0: 5, 1: 3, 2: 4, 3: 3, 4: 6}
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: planted[x.seed])
-        points, ends = nilpotent._generic_draws(m, 4, 5, range(5))
+        points, ends = nilpotent._generic_draws(m, 4, 5, range(5), nilpotent._star_space(m, 4, 5))
         assert ends == [5, 3, 4, 3, 6]
         assert [x.seed for x in points] == [1, 3]
 
@@ -726,28 +735,58 @@ class TestEndCertificate:
         text = str(info.value)
         assert "attempt 2, p=2" in text and "read 2" in text and "read 3" in text
 
+    def test_small_prime_is_read_only_at_a_certified_draw(self, monkeypatch):
+        # no draw at p = 3 reaches q(d), so the degree-0 word is counted at
+        # 2, 5 and 7; p = 2 still reads its certified draw
+        m, w = M("2[1,2]"), ((1, 2), (2, 2))
+        real_end = nilpotent._end_dim
+        monkeypatch.setattr(
+            nilpotent, "_end_dim", lambda x: real_end(x) + (x.p == 3)
+        )
+        counted = []
+        evaluate = nilpotent.evaluate_word_at_point
+
+        def recorded(x, word, *, expansions=None):
+            counted.append(x.p)
+            return evaluate(x, word, expansions=expansions)
+
+        monkeypatch.setattr(nilpotent, "evaluate_word_at_point", recorded)
+        assert RhoEvaluator(2).chi(m, w) == 1
+        assert counted == [2, 5, 7]
+        # a given pool must then hold enough primes that can be read
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
+        with pytest.raises(ConsensusError, match="fewer than 3 primes at which Z"):
+            RhoEvaluator(2, SampleConfig(prime_pool=(2, 3, 5, 7))).chi(m, w)
+        assert RhoEvaluator(2, SampleConfig(prime_pool=(2, 3, 5, 7, 11))).chi(m, w) == 1
+
     def test_vote_logged_once_per_component_and_prime(self, monkeypatch, caplog):
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
         ev = RhoEvaluator(2, SampleConfig())
         with caplog.at_level(logging.WARNING, logger="semibasis.nilpotent"):
             for salt in range(3):
-                for p in (2, 3):
+                for p in (5, 7):
                     ev._draws_for(M("2[1,2]"), p, salt)
-            # t, peel and word counts read the draws, so they log nothing
-            # more
+            # t passes over p = 2 and 3 and reads p = 5 and 7, each logged
+            # once; word counts on these draws would log nothing more
             assert t_component(M("2[1,1]+1[2,2]"), 1, evaluator=ev) == 1
+            for p in (2, 3, 5, 7):
+                ev._draws_for(M("2[1,1]+1[2,2]"), p, 0)
             # a fresh evaluator reports its own votes
-            ev.fresh("again")._draws_for(M("2[1,2]"), 2, 0)
+            ev.fresh("again")._draws_for(M("2[1,2]"), 5, 0)
         assert [r.getMessage() for r in caplog.records] == [
             f"draws on Z(2[1,2]) at p={p} voted: no draw of 40 reached"
             " dim End = q(d) = 4; 5 draws of least End 5 vote"
+            for p in (5, 7)
+        ] + [
+            f"draws on Z(2[1,1]+1[2,2]) at p={p} passed over: no draw of 40 reached"
+            " dim End = q(d) = 3, and votes are read only from p=5"
             for p in (2, 3)
         ] + [
             f"draws on Z(2[1,1]+1[2,2]) at p={p} voted: no draw of 40 reached"
             " dim End = q(d) = 3; 5 draws of least End 4 vote"
-            for p in (2, 3)
+            for p in (5, 7)
         ] + [
-            "draws on Z(2[1,2]) at p=2 voted: no draw of 40 reached"
+            "draws on Z(2[1,2]) at p=5 voted: no draw of 40 reached"
             " dim End = q(d) = 4; 5 draws of least End 5 vote"
         ]
 
@@ -764,13 +803,15 @@ class TestEndCertificate:
         text = str(info.value)
         assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
         assert "dim End = q(d) = 4" in text
-        # every draw of the 40 is named, and five of them vote
+        # every draw of the 40 is named, and five of them vote; p = 2
+        # and 3 are passed over
         for salt in range(3):
-            for p in (2, 3, 5):
+            for p in (5, 7, 11):
                 assert (
                     f"attempt {salt}, p={p}: End dimensions {[5] * 40}, "
                     "votes {0: 2, 1: 2, 2: 1}"
                 ) in text
+        assert "p=2:" not in text and "p=3:" not in text
         with monkeypatch.context() as patched:
             patched.setattr(nilpotent, "t_at_point", lambda x, i: next(cycle))
             with pytest.raises(ConsensusError) as info:
@@ -781,38 +822,31 @@ class TestEndCertificate:
 
     def test_voted_components_certify_and_are_logged(self):
         # with End at q + 1 everywhere every count is voted; the matrix is
-        # the README's, and standard error names each voted component.
-        # Over F_2 and F_3 the points off the dense orbit are too common
-        # for a vote to be read safely, so the default pool may fail, but
-        # only loudly; the vote is exercised from p = 5 up
+        # the README's, and standard error names each voted component,
+        # which passes over p = 2 and 3 and votes from p = 5 up
         script = (
             "import sys\n"
             "from semibasis import nilpotent\n"
             "from semibasis.cli import main\n"
             "from semibasis.quiver import Quiver, euler_form\n"
             "nilpotent._end_dim = lambda x: euler_form(Quiver(x.n), x.dims, x.dims) + 1\n"
-            "sys.exit(main(['transition', '--dim', '2,2', '--format', 'json'] + sys.argv[1:]))\n"
+            "sys.exit(main(['transition', '--dim', '2,2', '--format', 'json']))\n"
         )
         src = str(Path(nilpotent.__file__).parents[1])
         path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
         order = ["2[1,2]", "1[1,2]+1[1,1]+1[2,2]", "2[1,1]+2[2,2]"]
-        readme = [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
-        for extra, first in (([], 2), (["--primes", "5,7,11,13"], 5)):
-            proc = subprocess.run(
-                [sys.executable, "-c", script, *extra],
-                capture_output=True, text=True, env=env, timeout=300,
-            )
-            assert f"draws on Z({order[0]}) at p={first} voted" in proc.stderr, proc.stderr
-            if proc.returncode:
-                assert not extra and proc.returncode in (20, 21), proc.stderr
-                continue
-            payload = json.loads(proc.stdout)
-            assert payload["order"] == order
-            assert payload["matrix"] == readme
-            for cls in order:
-                assert f"draws on Z({cls}) at p={first} voted" in proc.stderr, proc.stderr
-        assert extra and not proc.returncode
+        assert payload["order"] == order
+        assert payload["matrix"] == [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
+        for cls in order:
+            for p in (2, 3):
+                assert f"draws on Z({cls}) at p={p} passed over" in proc.stderr, proc.stderr
+            assert f"draws on Z({cls}) at p=5 voted" in proc.stderr, proc.stderr
 
 
 class TestDegreeBound:

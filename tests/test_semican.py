@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from semibasis.linalg import primes
+from semibasis.semican import SemicanBasis
 from semibasis import (
     Multisegment,
     PBWVector,
@@ -113,6 +114,12 @@ class TestRecursionRoute:
                 for r, cls in enumerate(classes):
                     vec = semican_recursive(quiver, cls)
                     assert tuple(vec.get(c) for c in classes) == a_mat[r], cls
+
+    def test_basis_takes_the_config_of_its_evaluator(self):
+        ev = RhoEvaluator(2, SampleConfig(root_seed=3))
+        assert SemicanBasis(Q2, ev.config, ev).evaluator is ev
+        with pytest.raises(ValueError, match="config must be the evaluator's"):
+            SemicanBasis(Q2, SampleConfig(root_seed=4), ev)
 
 
 class TestDelta:
