@@ -752,7 +752,10 @@ class RhoEvaluator:
     def fresh(self, namespace: str) -> "RhoEvaluator":
         """An evaluator with seeds disjoint from this one's.
 
-        It shares this one's star spaces, which no seed enters.
+        It shares this one's star spaces, which no seed enters, and none of
+        its draws or counts.  The delta check of semican draws from one at
+        every prime a component was read at, so that a fresh draw there
+        must again reach dim End = q(d), and recounts the diagonal with it.
         """
         cfg = replace(self.config, root_seed=derive_seed(self.config.root_seed, namespace))
         ev = RhoEvaluator(self.n, cfg)
@@ -804,6 +807,32 @@ class RhoEvaluator:
             f" be read in attempt {salt}: below p={VOTE_PRIME_START} only a draw with"
             f" dim End = q(d) = {q} is read"
         )
+
+    def certified_primes(
+        self, label: Multisegment, draw: Iterable[int] = ()
+    ) -> tuple[int, ...] | None:
+        """The primes at which label's draws were read, if all at dim End = q(d).
+
+        A draw set is read when it holds a draw with dim End = q(d), or,
+        from VOTE_PRIME_START up, when it votes; a smaller prime without
+        such a draw is passed over and not read.  Returns None if some
+        draw set read so far votes, else the primes read, in increasing
+        order: every value read at label is then exactly its generic one
+        by Lang's theorem.  draw, when given, names primes at which
+        attempt 0 is drawn first, and each must hold a draw at q(d).
+        """
+        q = _tits_form(label, self.n)
+        if any(q not in self._draws_for(label, p, 0)[1] for p in draw):
+            return None
+        read = set()
+        for (segments, p, _), (_, ends) in self._draws.items():
+            if segments != label.segments:
+                continue
+            if q in ends:
+                read.add(p)
+            elif p >= VOTE_PRIME_START:
+                return None
+        return tuple(sorted(read))
 
     def end_label(self) -> None:
         """Log and drop the expansions of the label counted last."""

@@ -12,13 +12,22 @@ the f_Z in the PBW basis:
     smaller element back, and subtract the evaluation at components
     with a strictly larger top, which restores the delta-conditions.
 
-Both must produce the same unitriangular matrix, and a delta-check with
-fresh sampling seeds must reproduce the identity; any mismatch is an
-error, never papered over.
+Both must produce the same unitriangular matrix, and a delta-check must
+reproduce the identity; any mismatch is an error, never papered over.
+
+The delta-check evaluates every element at every component.  Where every
+draw a component's values were read at has dim End = q(d), Lang's theorem
+makes those values exact, and the same at any other draw at q(d), so its
+row is read from the construction's counts; fresh seeds then re-verify
+that a draw at q(d) is reached at every prime the row was read at, and
+recount the diagonal entry, which must be 1.  A component read at a vote,
+or whose fresh draws miss q(d) at such a prime, is recounted in full at
+fresh seeds.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -66,6 +75,8 @@ __all__ = [
 ]
 
 Matrix = tuple[tuple[int, ...], ...]
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -266,7 +277,15 @@ def semican_recursive(
 
 @dataclass(frozen=True)
 class DeltaReport:
-    """Evaluation of every element at every component, with fresh seeds."""
+    """Every element of a grade evaluated at every component.
+
+    Row K holds rho_K(f_M) over the elements f_M.  A certified component,
+    one whose values were all read at draws with dim End = q(d), takes its
+    row from the construction's counts, which Lang's theorem makes exact;
+    its diagonal entry is recounted at fresh seeds, whose draws must reach
+    q(d) at every prime the row was read at.  Any other row is recounted
+    in full at fresh seeds.  ok iff the matrix is exactly the identity.
+    """
 
     classes: tuple[Multisegment, ...]
     matrix: Matrix
@@ -281,14 +300,37 @@ def _delta_report(
     classes: tuple[Multisegment, ...],
     elements: Mapping[Multisegment, SemicanElement],
 ) -> DeltaReport:
-    basis.evaluator.end_label()
-    fresh = basis.evaluator.fresh("verify-delta")
-    rows = tuple(
-        tuple(fresh.rho(k_cls, elements[m_cls].words) for m_cls in classes)
-        for k_cls in classes
-    )
+    ev = basis.evaluator
+    ev.end_label()
+    fresh = ev.fresh("verify-delta")
+    rows = []
+    recounted: dict[Multisegment, str] = {}
+    for r, k_cls in enumerate(classes):
+        # read the row first: a count missing from the memo can read
+        # further primes, which the certificate must cover
+        row = [ev.rho(k_cls, elements[m_cls].words) for m_cls in classes]
+        read = ev.certified_primes(k_cls)
+        if read is None:
+            recounted[k_cls] = "voted in the construction"
+        elif row[r] == 1:
+            # the diagonal must come out 1 at the fresh points too
+            row[r] = fresh.rho(k_cls, elements[k_cls].words)
+            if fresh.certified_primes(k_cls, read) is None:
+                recounted[k_cls] = f"fresh draws missed q(d) at a prime of {list(read)}"
+        if k_cls in recounted:
+            row = [fresh.rho(k_cls, elements[m_cls].words) for m_cls in classes]
+        rows.append(tuple(row))
+    ev.end_label()
     fresh.end_label()
-    return DeltaReport(classes, rows)
+    log.info(
+        "delta check: %d of %d components read from the construction's counts, "
+        "%d recounted in full at fresh seeds%s",
+        len(classes) - len(recounted),
+        len(classes),
+        len(recounted),
+        "".join(f"; Z({cls}): {why}" for cls, why in recounted.items()),
+    )
+    return DeltaReport(classes, tuple(rows))
 
 
 def verify_delta(
@@ -298,8 +340,10 @@ def verify_delta(
 ) -> DeltaReport:
     """Recompute all elements of grade d and check the delta-property.
 
-    The evaluations use seeds disjoint from those of the construction;
-    the report passes iff the matrix is exactly the identity.
+    Certified components read their rows from the counts of the
+    construction, recounting only the diagonal at fresh seeds; the others
+    are recounted in full at fresh seeds (see DeltaReport).  The report
+    passes iff the matrix is exactly the identity.
     """
     basis = SemicanBasis(quiver, config)
     classes = _ordered_classes(quiver, tuple(d))
@@ -355,8 +399,11 @@ def transition_matrix(
     """Both routes, the delta-check, and the certified result for grade d.
 
     Raises RouteDisagreementError if the recursion and the inversion
-    differ anywhere, DeltaCheckError if the fresh-seed evaluation is not
-    the identity, CertificationError on an order violation.
+    differ anywhere, DeltaCheckError if the delta-check (see DeltaReport)
+    is not the identity, CertificationError on an order violation.  The
+    delta-check reads certified components from the counts both routes
+    shared, and re-verifies at fresh seeds that their primes reach
+    dim End = q(d) and that their diagonal entries are 1.
     """
     started = time.perf_counter()
     d = tuple(d)
@@ -380,7 +427,7 @@ def transition_matrix(
     delta = _delta_report(basis, classes, elements)
     if not delta.ok:
         raise DeltaCheckError(
-            f"fresh-seed evaluation of grade {d} is not the identity: {delta.matrix}"
+            f"delta-check of grade {d} is not the identity: {delta.matrix}"
         )
     used = flag_degree_bound(d) + 2
     pool = (cfg.prime_pool or primes(used))[:used]

@@ -759,6 +759,28 @@ class TestEndCertificate:
             RhoEvaluator(2, SampleConfig(prime_pool=(2, 3, 5, 7))).chi(m, w)
         assert RhoEvaluator(2, SampleConfig(prime_pool=(2, 3, 5, 7, 11))).chi(m, w) == 1
 
+    def test_certified_primes_are_the_primes_read_at_q(self, monkeypatch):
+        # the degree-0 word reads three primes; a prime passed over is not
+        # read, and one read at a vote leaves the label uncertified
+        m, w = M("2[1,2]"), ((1, 2), (2, 2))
+        ev = RhoEvaluator(2)
+        assert ev.certified_primes(m) == ()
+        ev.chi(m, w)
+        assert ev.certified_primes(m) == (2, 3, 5)
+        real_end = nilpotent._end_dim
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: real_end(x) + (x.p in (3, 13)))
+        ev = RhoEvaluator(2)
+        ev.chi(m, w)
+        assert ev.certified_primes(m) == (2, 5, 7)
+        # primes drawn on request must each reach q(d), even below p = 5
+        assert ev.certified_primes(m, (11,)) == (2, 5, 7, 11)
+        assert ev.certified_primes(m, (3,)) is None
+        assert ev.certified_primes(m, (13,)) is None
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: real_end(x) + (x.p == 5))
+        ev = RhoEvaluator(2)
+        ev.chi(m, w)
+        assert ev.certified_primes(m) is None
+
     def test_vote_logged_once_per_component_and_prime(self, monkeypatch, caplog):
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
         ev = RhoEvaluator(2, SampleConfig())

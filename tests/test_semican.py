@@ -1,12 +1,17 @@
 """The dual basis construction and its certification machinery."""
 
+import logging
 from fractions import Fraction
 
 import pytest
 
 import oracles
+from semibasis import nilpotent, semican
+from semibasis.cli import main
+from semibasis.errors import DeltaCheckError
 from semibasis.linalg import primes
-from semibasis.semican import SemicanBasis
+from semibasis.quiver import euler_form
+from semibasis.semican import SemicanBasis, SemicanElement
 from semibasis import (
     Multisegment,
     PBWVector,
@@ -134,6 +139,182 @@ class TestDelta:
 
     def test_unit_cube(self):
         assert verify_delta(Q3, (1, 1, 1)).ok
+
+
+@pytest.fixture
+def fresh_evaluators(monkeypatch):
+    """Every evaluator RhoEvaluator.fresh hands out, with the seeds it drew."""
+    made = []
+    real = RhoEvaluator.fresh
+
+    def recorded(self, namespace):
+        ev = real(self, namespace)
+        seed = ev._seed
+        ev.seeds = set()
+
+        def drawn(*args):
+            value = seed(*args)
+            ev.seeds.add(value)
+            return value
+
+        ev._seed = drawn
+        made.append(ev)
+        return ev
+
+    monkeypatch.setattr(RhoEvaluator, "fresh", recorded)
+    return made
+
+
+def delta_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.name == "semibasis.semican"]
+
+
+def pairs(classes, words_of):
+    # the (component, word) pairs counted when every word of words_of(K)
+    # is evaluated at every component K
+    return {(k.segments, w) for k in classes for w in words_of(k)}
+
+
+class TestDeltaCheck:
+    """Certified rows come from the construction's counts; these plant the
+    faults that reading them must not hide."""
+
+    def test_perturbed_word_at_a_certified_component_fails(self, monkeypatch, caplog):
+        # one coefficient of f_M moves by 1, at a word counting 0 at Z_M
+        # but not at Z_K: only the certified row K, read from the
+        # construction's counts, can show it
+        real = semican._delta_report
+
+        def perturbed(basis, classes, elements):
+            ev = basis.evaluator
+            m, w = next(
+                (m, w)
+                for m in classes
+                for w in elements[m].words
+                if ev.chi(m, w) == 0 and any(ev.chi(k, w) for k in classes)
+            )
+            words = dict(elements[m].words)
+            words[w] += 1
+            return real(basis, classes, {**elements, m: SemicanElement(elements[m].pbw, words)})
+
+        monkeypatch.setattr(semican, "_delta_report", perturbed)
+        with caplog.at_level(logging.INFO, logger="semibasis.semican"):
+            with pytest.raises(DeltaCheckError, match=r"delta-check of grade \(2, 3, 1\)"):
+                transition_matrix(Q3, (2, 3, 1))
+        assert delta_lines(caplog) == [
+            "delta check: 8 of 8 components read from the construction's counts,"
+            " 0 recounted in full at fresh seeds"
+        ]
+
+    def test_construction_count_off_at_the_diagonal_fails(self, monkeypatch):
+        # a word of f_K alone, its count at Z_K off by 1 in the
+        # construction's memo only: the fresh diagonal reads 1, so the
+        # construction's own diagonal entry must be kept
+        real = semican._delta_report
+
+        def corrupted(basis, classes, elements):
+            ev = basis.evaluator
+            k, w = next(
+                (k, w)
+                for k in classes
+                for w in elements[k].words
+                if all(w not in elements[m].words for m in classes if m != k)
+            )
+            ev._chi[k.segments, w] = ev.chi(k, w) + 1
+            return real(basis, classes, elements)
+
+        monkeypatch.setattr(semican, "_delta_report", corrupted)
+        with pytest.raises(DeltaCheckError):
+            transition_matrix(Q3, (2, 3, 1))
+
+    def test_fault_at_fresh_points_fails_through_the_diagonal(
+        self, monkeypatch, caplog, fresh_evaluators
+    ):
+        # counts double, so every Euler characteristic doubles, but only at
+        # points drawn from the verify-delta seeds, which certified rows
+        # use only for the diagonal
+        evaluate = nilpotent.evaluate_word_at_point
+
+        def doubled(x, w, *, expansions=None):
+            count = evaluate(x, w, expansions=expansions)
+            return 2 * count if any(x.seed in ev.seeds for ev in fresh_evaluators) else count
+
+        monkeypatch.setattr(nilpotent, "evaluate_word_at_point", doubled)
+        with caplog.at_level(logging.INFO, logger="semibasis.semican"):
+            with pytest.raises(DeltaCheckError) as info:
+                transition_matrix(Q3, (2, 3, 1))
+        assert "8 of 8 components read from the construction's counts" in delta_lines(caplog)[0]
+        [fresh] = fresh_evaluators
+        assert fresh.seeds
+        # the diagonal reads 2 everywhere, and nothing else moved
+        assert str(tuple(tuple(2 * (r == c) for c in range(8)) for r in range(8))) in str(
+            info.value
+        )
+
+    def test_voted_components_are_recounted_in_full(
+        self, monkeypatch, caplog, fresh_evaluators
+    ):
+        # with End at q + 1 everywhere every draw votes, so no row may be
+        # read from the construction's counts
+        monkeypatch.setattr(
+            nilpotent, "_end_dim", lambda x: euler_form(Quiver(x.n), x.dims, x.dims) + 1
+        )
+        with caplog.at_level(logging.INFO, logger="semibasis.semican"):
+            res = transition_matrix(Q2, (2, 2))
+        assert res.delta_ok
+        basis = SemicanBasis(Q2)
+        every_word = [w for m in res.classes for w in basis.element(m).words]
+        [fresh] = fresh_evaluators
+        assert set(fresh._chi) == pairs(res.classes, lambda k: every_word)
+        assert delta_lines(caplog) == [
+            "delta check: 0 of 3 components read from the construction's counts,"
+            " 3 recounted in full at fresh seeds"
+            + "".join(f"; Z({m}): voted in the construction" for m in res.classes)
+        ]
+
+    def test_fresh_draws_off_q_force_a_full_recount(
+        self, monkeypatch, caplog, fresh_evaluators
+    ):
+        # the construction certifies, the fresh draws never reach q(d)
+        real_end = nilpotent._end_dim
+
+        def end_dim(x):
+            return real_end(x) + any(x.seed in ev.seeds for ev in fresh_evaluators)
+
+        monkeypatch.setattr(nilpotent, "_end_dim", end_dim)
+        with caplog.at_level(logging.INFO, logger="semibasis.semican"):
+            res = transition_matrix(Q2, (2, 2))
+        assert res.delta_ok
+        basis = SemicanBasis(Q2)
+        every_word = [w for m in res.classes for w in basis.element(m).words]
+        [fresh] = fresh_evaluators
+        assert set(fresh._chi) == pairs(res.classes, lambda k: every_word)
+        [line] = delta_lines(caplog)
+        assert line.startswith(
+            "delta check: 0 of 3 components read from the construction's counts,"
+            " 3 recounted in full at fresh seeds"
+        )
+        assert line.count("fresh draws missed q(d) at a prime of [2, 3, 5") == 3
+
+    def test_certified_grade_recounts_only_the_diagonal(
+        self, capsys, caplog, fresh_evaluators
+    ):
+        argv = ["transition", "--n", "3", "--dim", "2,3,1", "--format", "json"]
+        assert main(argv) == 0
+        quiet = capsys.readouterr().out
+        with caplog.at_level(logging.INFO, logger="semibasis.semican"):
+            assert main(argv) == 0
+        # the log goes to stderr only, and the payload does not move
+        assert capsys.readouterr().out == quiet
+        assert delta_lines(caplog) == [
+            "delta check: 8 of 8 components read from the construction's counts,"
+            " 0 recounted in full at fresh seeds"
+        ]
+        basis = SemicanBasis(Q3)
+        classes = tuple(refine_order(enumerate_multisegments(Q3, (2, 3, 1))))
+        assert set(fresh_evaluators[-1]._chi) == pairs(
+            classes, lambda k: basis.element(k).words
+        )
 
 
 class TestCertifiedTransition:
