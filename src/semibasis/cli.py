@@ -6,8 +6,8 @@ certification failure (route disagreement, delta-check, order
 violation), 40 internal assertion.
 
 JSON output is deterministic byte-for-byte for a fixed command line and
-seed: keys are sorted, timing lives on standard error only, and every
-matrix entry is a plain integer.
+seed: keys are sorted, timing and the package's log (INFO and up) go to
+standard error only, and every matrix entry is a plain integer.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import logging
 import sys
 import time
 from dataclasses import replace
@@ -37,7 +38,7 @@ from .hall import (
     left_mul_divided_power,
     realize,
 )
-from .linalg import gaussian_binomial, is_prime
+from .linalg import is_prime
 from .nilpotent import VOTE_SIZE, SampleConfig, peel_component, t_component
 from .quiver import (
     Multisegment,
@@ -252,8 +253,9 @@ def _cmd_hall(args) -> int:
         raise ParseError(f"--size must be non-negative, got {args.size}")
     if not 1 <= args.vertex <= n:
         raise ParseError(f"--vertex must lie in 1..{n}, got {args.vertex}")
+    # exits 40 unless the counts total [t_top choose size]_prime
     counts = hall_counts_simple_top(m, args.vertex, args.size, args.prime)
-    total = gaussian_binomial(t_top(m, args.vertex), args.size, args.prime)
+    total = sum(counts.values())
     ordered = sorted(counts.items(), key=lambda kv: kv[0].sort_key())
     payload = {
         "module": m.text(),
@@ -454,12 +456,23 @@ def _exit_code_for(exc: BaseException) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    # the package's log at INFO and up (the delta check, votes) goes to
+    # stderr for this call only, as bare messages (the default format)
+    logger = logging.getLogger("semibasis")
+    level = logger.level
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setLevel(logging.INFO)
+    logger.addHandler(handler)
+    logger.setLevel(min(logger.getEffectiveLevel(), logging.INFO))
     try:
         args = parser.parse_args(argv)
         return args.func(args)
     except (SemibasisError, ValueError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code_for(exc)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -13,14 +13,19 @@ with the count taken at q = 1.
 
 Submodules U with semisimple quotient S_i^a correspond to codimension-a
 subspaces of the top of L at vertex i.  Filtering that top by how far
-each top segment survives splits the subspaces into profiles (e_j); over
-F_q a profile counts q^s times a product of Gaussian binomials
-[m_j choose e_j]_q, so at q = 1 it counts the product of binomials
-C(m_j, e_j).  These are exact integers and need no prime; their total
-over all profiles must be C(t_top(L, i), a), and every table of them is
-checked against it.  `hall_counts_simple_top` evaluates the same profiles
-over F_p, and a literal subspace enumeration is kept in the test suite
-as an oracle.
+each top segment survives splits them into profiles (e_b), one class of
+U each; over F_q a profile counts q^s prod_b [m_b choose e_b]_q, and
+`hall_counts_simple_top` checks that these total [t_top(L, i) choose a]_q.
+At q = 1 this is a closed form: each L comes from N by promoting k_b of
+N's segments [i+1, b] to [i, b] and adding k_i = a - sum k_b heads
+[i, i], and its one profile yielding N has m_b = n_b + k_b, e_b = n_b
+with n_b the number of N's [i, b], so the count is
+
+    prod over b >= i of C(n_b + k_b, k_b),
+
+exact, with no prime and nothing stored.  The test suite checks it
+against prime interpolation, a full grade scan and its column sums
+C(t_top(L, i), a).
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .quiver import (
     deg_leq,
     enumerate_multisegments,
     refine_order,
+    t_top,
     total_generic_flag,
     word_weight,
 )
@@ -239,46 +245,24 @@ def hall_counts_simple_top(
 ) -> dict[Multisegment, int]:
     """Count submodules of m over F_p with quotient the semisimple S_i^a.
 
-    Keys are the isomorphism classes of the submodules; the total over
-    all keys is the Gaussian binomial [t_top(m, i) choose a]_p.  Empty
-    when a exceeds the number of segments starting at i.
+    Keys are the isomorphism classes of the submodules; InternalCheckError
+    unless they total [t_top(m, i) choose a]_p, the number of
+    codimension-a subspaces of the top.  Empty when a > t_top(m, i).
     """
-    if i < 1:
-        raise ValueError(f"vertex {i} must be positive")
+    want = gaussian_binomial(t_top(m, i), a, p)
     counts: dict[Multisegment, int] = {}
     for cls, factors, shift in _simple_top_terms(m.segments, i, a):
         c = p**shift
         for mult, e in factors:
             c *= gaussian_binomial(mult, e, p)
         counts[cls] = counts.get(cls, 0) + c
-    return counts
-
-
-@lru_cache(maxsize=None)
-def _counts_at_one(
-    segs: tuple[Segment, ...], i: int, a: int
-) -> dict[tuple[Segment, ...], int]:
-    """The q = 1 counts of submodules of segs with quotient S_i^a.
-
-    Keyed by the segments of the submodule class.  A profile's count
-    q^s * prod [m_j choose e_j]_q is prod C(m_j, e_j) at q = 1; read-only,
-    as the dict is shared through the memo.
-    """
-    table: dict[tuple[Segment, ...], int] = {}
-    for cls, factors, _ in _simple_top_terms(segs, i, a):
-        c = 1
-        for mult, e in factors:
-            c *= math.comb(mult, e)
-        table[cls.segments] = table.get(cls.segments, 0) + c
-    total = sum(table.values())
-    # t_top of segs at i, counted in place of building a Multisegment
-    want = math.comb(sum(1 for s, _ in segs if s == i), a)
+    total = sum(counts.values())
     if total != want:
         raise InternalCheckError(
-            f"q = 1 submodule counts of {Multisegment(segs)} with quotient "
-            f"S_{i}^{a} total {total}, expected {want}"
+            f"submodule counts of {m} over F_{p} with quotient S_{i}^{a} "
+            f"total {total}, expected {want}"
         )
-    return table
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -362,30 +346,33 @@ class PBWVector:
         return f"<PBWVector {self}>"
 
 
-def _with_simple_tops(src: Multisegment, i: int, a: int) -> Iterator[Multisegment]:
-    # every class L admitting src as a submodule with quotient S_i^a:
-    # promote a sub-multiset of src's segments starting at i+1 to start
-    # at i, and add [i,i] heads for the remainder of the a new tops
+def _extensions(
+    src: Multisegment, i: int, a: int
+) -> Iterator[tuple[Multisegment, int]]:
+    # every class L with a submodule U = src, L/U = S_i^a, and the q = 1
+    # count of such U, prod_b C(n_b + k_b, k_b) (module docstring)
+    have = Counter(b for s, b in src.segments if s == i)
     promotable = Counter(b for s, b in src.segments if s == i + 1)
     ends = sorted(promotable)
-    bounds = tuple(promotable[b] for b in ends)
-    base = list(src.segments)
     for total in range(a + 1):
-        for pick in _bounded_compositions(bounds, total):
-            segs = list(base)
+        heads = a - total
+        for pick in _bounded_compositions(tuple(promotable[b] for b in ends), total):
+            segs = list(src.segments)
+            count = math.comb(have[i] + heads, heads)
             for end, k in zip(ends, pick):
                 for _ in range(k):
                     segs.remove((i + 1, end))
                 segs.extend([(i, end)] * k)
-            segs.extend([(i, i)] * (a - total))
-            yield Multisegment(segs)
+                count *= math.comb(have[end] + k, k)
+            segs.extend([(i, i)] * heads)
+            yield Multisegment(segs), count
 
 
 def left_mul_divided_power(i: int, a: int, vec: PBWVector) -> PBWVector:
     """Multiply a PBW vector on the left by 1_{S_i^a} = e_i^{(a)}.
 
-    Each coefficient is an exact q = 1 count of submodules, a sum of
-    products of binomials read from a per-(class, i, a) table.
+    Each coefficient is the q = 1 closed form of the module docstring,
+    computed as the classes are generated; nothing is stored.
     """
     n = vec.n
     if not 1 <= i <= n:
@@ -397,9 +384,8 @@ def left_mul_divided_power(i: int, a: int, vec: PBWVector) -> PBWVector:
     grade = tuple(d + (a if v == i else 0) for v, d in enumerate(vec.grade, start=1))
     out: dict[Multisegment, int] = {}
     for src, coeff in vec.coeffs.items():
-        for cls in _with_simple_tops(src, i, a):
-            chi = _counts_at_one(cls.segments, i, a).get(src.segments, 0)
-            out[cls] = out.get(cls, 0) + coeff * chi
+        for cls, count in _extensions(src, i, a):
+            out[cls] = out.get(cls, 0) + coeff * count
     return PBWVector(n, grade, out)
 
 

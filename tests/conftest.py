@@ -42,13 +42,23 @@ def certified():
 
 @pytest.fixture
 def dropped_profile(monkeypatch):
-    """Plant a fault in the q = 1 Hall tables: every table misses a profile.
+    """Plant a fault in the F_p submodule counts: every count misses a profile.
 
-    No total can then match its binomial, so every table that is built
-    raises InternalCheckError.  The table memo is emptied on entry and exit.
+    No total can then match its Gaussian binomial, so every call of
+    `hall_counts_simple_top` with a nonzero count raises InternalCheckError.
     """
     terms = hall._simple_top_terms
     monkeypatch.setattr(hall, "_simple_top_terms", lambda *key: terms(*key)[1:])
-    hall._counts_at_one.cache_clear()
-    yield
-    hall._counts_at_one.cache_clear()
+
+
+@pytest.fixture
+def dropped_extension(monkeypatch):
+    """Plant a fault in the q = 1 Hall products: each misses its first class.
+
+    Every product `left_mul_divided_power` makes then drops the class with
+    no promoted segment, all heads [i, i], and its closed-form count.
+    """
+    extensions = hall._extensions
+    monkeypatch.setattr(
+        hall, "_extensions", lambda *key: itertools.islice(extensions(*key), 1, None)
+    )

@@ -166,9 +166,9 @@ def brute_left_mul(i: int, a: int, vec: PBWVector, n: int) -> PBWVector:
     d = list(vec.grade)
     d[i - 1] += a
     d = tuple(d)
-    out: dict[Multisegment, Fraction] = {}
+    out: dict[Multisegment, int] = {}
     for big in enumerate_multisegments(Quiver(n), d):
-        total = Fraction(0)
+        total = 0
         bound = a * t_top(big, i)
         pool = primes(bound + 2, 2)
         for small, coeff in vec.items():

@@ -1,9 +1,11 @@
 """Command line interface: outputs, determinism, exit codes."""
 
 import json
+import logging
 
 import pytest
 
+from semibasis import Quiver, transition_matrix
 from semibasis.cli import main
 
 
@@ -249,16 +251,46 @@ class TestInspect:
 
 
 class TestCache:
-    """A fault in the q = 1 Hall tables (see conftest.dropped_profile)."""
+    """Planted faults in the Hall counts exit 40 (see conftest): in the q = 1
+    closed form through `transition`, in the F_p profiles through
+    `inspect hall`."""
 
-    def test_corrupt_store_exits_40(self, capsys, dropped_profile, monkeypatch):
+    def test_corrupt_store_exits_40(self, capsys, dropped_extension, monkeypatch):
         code, out, err = run(capsys, "transition", "--dim", "2,2")
         assert code == 40
         assert not out
-        assert "q = 1 submodule counts" in err
+        assert "flag word expansions at grade (2, 2) are not unitriangular" in err
         monkeypatch.undo()
         code, _, _ = run(capsys, "transition", "--dim", "2,2")
         assert code == 0
+
+    def test_dropped_profile_exits_40(self, capsys, dropped_profile, monkeypatch):
+        argv = ["inspect", "hall", "--module", "2[1,1]+2[2,2]", "--vertex", "1"]
+        argv += ["--size", "1", "--prime", "3"]
+        code, out, err = run(capsys, *argv)
+        assert code == 40
+        assert not out
+        assert "over F_3 with quotient S_1^1 total 0, expected 4" in err
+        monkeypatch.undo()
+        assert run(capsys, *argv)[:2] == (0, "1[1,1]+2[2,2]: 4\ntotal: 4\n")
+
+
+class TestLog:
+    def test_delta_check_line_reaches_stderr_once_per_call(self, capsys):
+        logger = logging.getLogger("semibasis")
+        before = (list(logger.handlers), logger.level)
+        payload = transition_matrix(Quiver(2), (2, 2)).to_payload()
+        want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        for _ in range(2):
+            code, out, err = run(capsys, "transition", "--dim", "2,2", "--format", "json")
+            assert code == 0
+            assert out == want
+            lines = [line for line in err.splitlines() if line.startswith("delta check:")]
+            assert lines == [
+                "delta check: 3 of 3 components read from the construction's counts,"
+                " 0 recounted in full at fresh seeds"
+            ]
+            assert (list(logger.handlers), logger.level) == before
 
 
 class TestSelftest:
@@ -269,10 +301,14 @@ class TestSelftest:
         assert lines
         assert all("PASS" in line for line in lines)
 
-    def test_fails_on_corrupt_cache(self, capsys, dropped_profile):
+    def test_fails_on_corrupt_cache(self, capsys, dropped_extension):
+        # the regression suite raises (exit 40); the Serre suite reports
+        # the residuals the missing classes leave
         code, out, _ = run(capsys, "selftest", "--dim-bound", "3")
         assert code == 40
-        assert "serre-relations: FAIL (InternalCheckError" in out
+        assert "transition-regression: FAIL (InternalCheckError" in out
+        [serre] = [line for line in out.splitlines() if line.startswith("serre-relations:")]
+        assert serre.startswith("serre-relations: FAIL (") and ": residual P(" in serre
 
 
 class TestParser:

@@ -3,11 +3,11 @@
 The headline checks recompute the library's counts along routes it
 never takes: a literal walk of the Grassmannian over small fields, a
 full interpolation scan of the target grade with no candidate pruning,
-and a fit of the per-prime counts evaluated at q = 1.
+a fit of the per-prime counts evaluated at q = 1, and the column sums
+C(t_top(L, i), a) of the products.
 """
 
 import itertools
-from fractions import Fraction
 from math import comb
 
 import pytest
@@ -105,6 +105,22 @@ class TestHallCounts:
                                 want = oracles.brute_hall_counts(cls, i, a, p, n)
                                 assert got == want, (cls, i, a, p)
 
+    def test_total_check_catches_doctored_profile(self, monkeypatch):
+        terms = hall._simple_top_terms
+        # count the first profile twice: 2[1,1]+2[2,2] at S_1 over F_3
+        # totals 8, not [2 choose 1]_3 = 4
+        monkeypatch.setattr(
+            hall, "_simple_top_terms", lambda *key: terms(*key)[:1] + terms(*key)
+        )
+        with pytest.raises(InternalCheckError, match="total 8, expected 4"):
+            hall_counts_simple_top(M("2[1,1]+2[2,2]"), 1, 1, 3)
+
+    def test_dropped_profile_raises(self, dropped_profile):
+        with pytest.raises(InternalCheckError, match="total 0, expected 1"):
+            hall_counts_simple_top(M("1[1,2]"), 1, 1, 2)
+        # no segment starts at 1: nothing is counted, nothing is missing
+        assert hall_counts_simple_top(M("1[2,2]"), 1, 1, 2) == {}
+
     def test_total_count_is_gaussian(self):
         from semibasis.linalg import gaussian_binomial
 
@@ -116,15 +132,31 @@ class TestHallCounts:
                         assert total == gaussian_binomial(t_top(cls, i), a, p)
 
 
+def column(i, a, cls, n, products):
+    """{U: coefficient of P_cls in e_i^(a) P_U} over the classes U of grade
+    d(cls) - a e_i, through the memo `products` of the test's products."""
+    sub = list(cls.dim_vector(n))
+    sub[i - 1] -= a
+    out = {}
+    for small in enumerate_multisegments(Quiver(n), tuple(sub)):
+        if (small, i, a) not in products:
+            vec = PBWVector(n, small.dim_vector(n), {small: 1})
+            products[small, i, a] = left_mul_divided_power(i, a, vec)
+        c = products[small, i, a].get(cls)
+        if c:
+            out[small] = c
+    return out
+
+
 class TestCountsAtOne:
     def test_matches_prime_interpolation(self):
         cases = 0
         for n in (2, 3, 4):
+            products = {}
             for cls in classes_upto(n, 6):
                 for i in range(1, n + 1):
                     for a in range(1, t_top(cls, i) + 1):
-                        table = hall._counts_at_one(cls.segments, i, a)
-                        got = {M(segs): c for segs, c in table.items()}
+                        got = column(i, a, cls, n, products)
                         want = oracles.counts_at_one_by_interpolation(cls, i, a)
                         assert got == want, (cls, i, a)
                         cases += len(got)
@@ -132,42 +164,78 @@ class TestCountsAtOne:
 
 
 class TestCountsAtOneInvariant:
-    """The table total check; the command line's exit 40 is in test_cli."""
-
-    def test_left_mul_raises(self, dropped_profile):
-        vec = PBWVector(2, (0, 1), {M("1[2,2]"): 1})
-        with pytest.raises(InternalCheckError, match="expected 1"):
-            left_mul_divided_power(1, 1, vec)
+    def test_column_sums_are_binomials(self):
+        # the submodules of L with quotient S_i^a are the codimension-a
+        # subspaces of its top at i, C(t_top(L, i), a) of them at q = 1
+        checked = 0
+        for n in (2, 3, 4):
+            products = {}
+            for cls in classes_upto(n, 5):
+                for i in range(1, n + 1):
+                    t = t_top(cls, i)
+                    for a in range(1, t + 1):
+                        counts = column(i, a, cls, n, products)
+                        assert sum(counts.values()) == comb(t, a), (cls, i, a)
+                        assert all(c > 0 for c in counts.values())
+                        checked += 1
+        assert checked > 1000
 
 
 class TestLeftMul:
     def test_extend_simple(self):
         start = PBWVector(2, (0, 1), {M("1[2,2]"): 1})
         got = left_mul_divided_power(1, 1, start)
-        assert got == PBWVector(
-            2, (1, 1), {M("1[1,2]"): Fraction(1), M("1[1,1]+1[2,2]"): Fraction(1)}
-        )
+        assert got == PBWVector(2, (1, 1), {M("1[1,2]"): 1, M("1[1,1]+1[2,2]"): 1})
 
     def test_disjoint_simple(self):
         start = PBWVector(2, (1, 0), {M("1[1,1]"): 1})
         got = left_mul_divided_power(2, 1, start)
-        assert got == PBWVector(2, (1, 1), {M("1[1,1]+1[2,2]"): Fraction(1)})
+        assert got == PBWVector(2, (1, 1), {M("1[1,1]+1[2,2]"): 1})
 
     def test_on_unit(self):
         for n, i, a in ((2, 1, 3), (3, 2, 2), (3, 3, 1)):
             got = left_mul_divided_power(i, a, PBWVector.unit(n))
             segs = M([(i, i)] * a)
-            assert got == PBWVector(n, segs.dim_vector(n), {segs: Fraction(1)})
+            assert got == PBWVector(n, segs.dim_vector(n), {segs: 1})
 
     def test_matches_full_grade_scan(self):
+        cases = 0
         for n in (2, 3):
-            for cls in classes_upto(n, 3):
+            for cls in classes_upto(n, 4):
                 vec = PBWVector(n, cls.dim_vector(n), {cls: 1})
                 for i in range(1, n + 1):
-                    for a in (1, 2):
+                    for a in (1, 2, 3):
                         got = left_mul_divided_power(i, a, vec)
                         want = oracles.brute_left_mul(i, a, vec, n)
                         assert got == want, (cls, i, a)
+                        cases += 1
+        assert cases == 690
+        # among them, a count with two binomial factors above 1:
+        # C(1 + 1, 1) at [1, 1] times C(1 + 1, 1) at [1, 2]
+        vec = PBWVector(2, (2, 2), {M("1[1,2]+1[1,1]+1[2,2]"): 1})
+        assert left_mul_divided_power(1, 2, vec).get(M("2[1,2]+2[1,1]")) == 4
+
+    def test_products_share_no_state(self):
+        vec = PBWVector(2, (1, 1), {M("1[1,2]"): 1})
+        out = left_mul_divided_power(1, 1, vec)
+        for cls in out.coeffs:
+            out.coeffs[cls] = 99
+        assert left_mul_divided_power(1, 1, vec) == PBWVector(
+            2, (2, 1), {M("1[1,2]+1[1,1]"): 1}
+        )
+
+    def test_every_product_reads_the_closed_form(self, monkeypatch):
+        calls = []
+        extensions = hall._extensions
+
+        def spy(*key):
+            calls.append(key)
+            return extensions(*key)
+
+        monkeypatch.setattr(hall, "_extensions", spy)
+        vec = PBWVector(2, (1, 1), {M("1[1,2]"): 1})
+        assert left_mul_divided_power(1, 1, vec) == left_mul_divided_power(1, 1, vec)
+        assert calls == [(M("1[1,2]"), 1, 1)] * 2
 
     def test_coefficients_nonnegative_integers(self):
         # counts evaluated at 1 stay nonnegative integers on basis vectors
@@ -177,7 +245,7 @@ class TestLeftMul:
                 for i in range(1, n + 1):
                     got = left_mul_divided_power(i, 2, vec)
                     for _, c in got.items():
-                        assert c.denominator == 1 and c >= 0
+                        assert type(c) is int and c >= 0
 
     def test_divided_power_relation(self):
         # e_i^(a) e_i^(b) = C(a+b, a) e_i^(a+b)
@@ -244,16 +312,12 @@ class TestFlagWordMatrix:
             "1[1,2]+1[1,1]+1[2,2]",
             "2[1,1]+2[2,2]",
         ]
-        assert t == (
-            (Fraction(1), Fraction(1), Fraction(1)),
-            (Fraction(0), Fraction(1), Fraction(2)),
-            (Fraction(0), Fraction(0), Fraction(1)),
-        )
+        assert t == ((1, 1, 1), (0, 1, 2), (0, 0, 1))
 
     def test_one_two(self):
         classes, words, t = flag_word_matrix(Quiver(2), (1, 2))
         assert [c.text() for c in classes] == ["1[1,2]+1[2,2]", "1[1,1]+2[2,2]"]
-        assert t == ((Fraction(1), Fraction(2)), (Fraction(0), Fraction(1)))
+        assert t == ((1, 2), (0, 1))
 
     def test_unitriangular_everywhere(self):
         for n in (2, 3):
@@ -265,6 +329,15 @@ class TestFlagWordMatrix:
                     for c in range(r):
                         assert t[r][c] == 0
 
+    def test_dropped_extension_raises_until_removed(self, dropped_extension, monkeypatch):
+        # each class's word misses the class itself, every time; with the
+        # fault gone the next call is right, as no product is stored
+        for _ in range(2):
+            with pytest.raises(InternalCheckError, match="not unitriangular"):
+                pbw_to_words(Quiver(2), (2, 2))
+        monkeypatch.undo()
+        assert flag_word_matrix(Quiver(2), (2, 2))[2] == ((1, 1, 1), (0, 1, 2), (0, 0, 1))
+
 
 class TestPBWToWords:
     def test_square_inversion(self):
@@ -275,9 +348,9 @@ class TestPBWToWords:
         w3 = ((2, 2), (1, 2))
         m1, m2, m3 = M("2[1,2]"), M("1[1,2]+1[1,1]+1[2,2]"), M("2[1,1]+2[2,2]")
         # w1 = P1+P2+P3, w2 = P2+2P3, w3 = P3 inverts to:
-        assert combos[m3] == {w3: Fraction(1)}
-        assert combos[m2] == {w2: Fraction(1), w3: Fraction(-2)}
-        assert combos[m1] == {w1: Fraction(1), w2: Fraction(-1), w3: Fraction(1)}
+        assert combos[m3] == {w3: 1}
+        assert combos[m2] == {w2: 1, w3: -2}
+        assert combos[m1] == {w1: 1, w2: -1, w3: 1}
 
     def test_expanding_recovers_basis_vector(self):
         for n in (2, 3):
