@@ -40,9 +40,7 @@ from .nilpotent import (
     SampleConfig,
     evaluate_word_at_point,
     lift_generic,
-    peel_component,
     rho_evaluate,
-    t_component,
 )
 from .quiver import (
     Multisegment,
@@ -56,8 +54,10 @@ from .quiver import (
     generic_ext_simple,
     hom_dim,
     parse_word,
+    peel_component,
     peel_top,
     refine_order,
+    t_component,
     t_top,
     total_generic_flag,
     word_weight,

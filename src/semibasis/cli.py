@@ -19,7 +19,6 @@ import json
 import logging
 import sys
 import time
-from dataclasses import replace
 
 from .errors import (
     CertificationError,
@@ -39,7 +38,7 @@ from .hall import (
     realize,
 )
 from .linalg import is_prime
-from .nilpotent import VOTE_SIZE, SampleConfig, peel_component, t_component
+from .nilpotent import VOTE_SIZE, SampleConfig
 from .quiver import (
     Multisegment,
     Quiver,
@@ -48,8 +47,10 @@ from .quiver import (
     format_word,
     generic_ext_simple,
     hom_dim,
+    peel_component,
     peel_top,
     refine_order,
+    t_component,
     t_top,
     total_generic_flag,
 )
@@ -111,14 +112,14 @@ def _build_parser() -> _Parser:
     ha.add_argument("--prime", type=int, required=True)
     ha.set_defaults(func=_cmd_hall)
 
-    tv = ins_sub.add_parser("t", parents=[fmt, sampling])
+    tv = ins_sub.add_parser("t", parents=[fmt])
     tv.add_argument("--n", type=int, default=None)
     tv.add_argument("--module", required=True)
     tv.add_argument("--vertex", type=int, required=True)
     tv.add_argument("--level", choices=("top", "component"), default="top")
     tv.set_defaults(func=_cmd_t)
 
-    pe = ins_sub.add_parser("peel", parents=[fmt, sampling])
+    pe = ins_sub.add_parser("peel", parents=[fmt])
     pe.add_argument("--n", type=int, default=None)
     pe.add_argument("--module", required=True)
     pe.add_argument("--vertex", type=int, required=True)
@@ -160,6 +161,11 @@ def _module_arg(args) -> tuple[Multisegment, int]:
     if m.max_end() > n:
         raise ParseError(f"module {m} does not fit in {n} vertices")
     return m, n
+
+
+def _check_vertex(args, n: int) -> None:
+    if not 1 <= args.vertex <= n:
+        raise ParseError(f"--vertex must lie in 1..{n}, got {args.vertex}")
 
 
 def _config_from(args) -> SampleConfig:
@@ -251,8 +257,7 @@ def _cmd_hall(args) -> int:
         raise ParseError(f"--prime must be a prime, got {args.prime}")
     if args.size < 0:
         raise ParseError(f"--size must be non-negative, got {args.size}")
-    if not 1 <= args.vertex <= n:
-        raise ParseError(f"--vertex must lie in 1..{n}, got {args.vertex}")
+    _check_vertex(args, n)
     # exits 40 unless the counts total [t_top choose size]_prime
     counts = hall_counts_simple_top(m, args.vertex, args.size, args.prime)
     total = sum(counts.values())
@@ -274,10 +279,8 @@ def _cmd_hall(args) -> int:
 
 def _cmd_t(args) -> int:
     m, n = _module_arg(args)
-    if args.level == "top":
-        value = t_top(m, args.vertex)
-    else:
-        value = t_component(m, args.vertex, _config_from(args), n)
+    _check_vertex(args, n)
+    value = (t_top if args.level == "top" else t_component)(m, args.vertex)
     payload = {
         "module": m.text(),
         "vertex": args.vertex,
@@ -290,10 +293,8 @@ def _cmd_t(args) -> int:
 
 def _cmd_peel(args) -> int:
     m, n = _module_arg(args)
-    if args.level == "top":
-        peeled = peel_top(m, args.vertex)
-    else:
-        peeled = peel_component(m, args.vertex, _config_from(args), n)
+    _check_vertex(args, n)
+    peeled = (peel_top if args.level == "top" else peel_component)(m, args.vertex)
     payload = {
         "module": m.text(),
         "vertex": args.vertex,
@@ -329,29 +330,6 @@ def _suite_serre(cfg: SampleConfig, bound: int) -> tuple[bool, str]:
     if not report.ok:
         return False, detail + "; failures: " + "; ".join(report.failures[:3])
     return True, detail
-
-
-def _suite_top_identities(cfg: SampleConfig) -> tuple[bool, str]:
-    forced = replace(cfg, force_sampling=True)
-    cases = [
-        ("2[1,1]+2[2,2]", 2, 2),
-        ("2[1,1]+2[2,2]", 1, 2),
-        ("1[1,2]+1[1,1]+1[2,2]", 2, 2),
-        ("1[1,2]", 1, 2),
-        ("1[2,3]+1[2,2]", 2, 3),
-    ]
-    checked = 0
-    for text, i, n in cases:
-        m = Multisegment.parse(text)
-        fast = t_component(m, i, cfg, n)
-        slow = t_component(m, i, forced, n)
-        if fast != slow:
-            return False, f"t at {i} of {text}: shortcut {fast}, sampled {slow}"
-        if fast > 0:
-            if peel_component(m, i, cfg, n) != peel_component(m, i, forced, n):
-                return False, f"peel at {i} of {text} disagrees with sampling"
-        checked += 1
-    return True, f"{checked} shortcut/sampling agreements"
 
 
 def _suite_hom_oracle(cfg: SampleConfig, bound: int) -> tuple[bool, str]:
@@ -414,7 +392,6 @@ def _cmd_selftest(args) -> int:
     suites = [
         ("transition-regression", lambda: _suite_transition_regression(cfg)),
         ("serre-relations", lambda: _suite_serre(cfg, bound)),
-        ("top-identities", lambda: _suite_top_identities(cfg)),
         ("hom-intertwiner-oracle", lambda: _suite_hom_oracle(cfg, bound)),
         ("realize-roundtrip", lambda: _suite_realize_roundtrip(cfg, bound)),
         ("generic-ext-minimality", lambda: _suite_generic_ext(cfg, bound)),

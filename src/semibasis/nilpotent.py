@@ -7,29 +7,30 @@ component Z_M is the closure of the points whose arrow part lies in the
 orbit of M; such points are sampled by realizing M and solving the
 relations, which are linear in the stars, for a random solution.
 
-Component-level data (the codimension t_i of the incoming image sum,
-and the peeled class it spans) and word counts are read off sampled
-points.  A point x of Z_M lies in a dense orbit of the component iff
+Word counts are read off sampled points.  (The component-level top at
+a vertex and the class it peels to need no points: they are the crystal
+signature rule of quiver.t_component and quiver.peel_component.)  A
+point x of Z_M lies in a dense orbit of the component iff
 dim End(x) = q(d), the Tits form: an orbit has dimension
 sum d_i^2 - dim End and every component sum d_i d_{i+1}.  For n <= 4 the
 preprojective algebra is representation-finite (Geiss-Leclerc-Schroer),
 so every component has such an orbit; for n >= 5 some need not.  Each
 (component, prime, attempt) draws up to samples_per_prime points, once
-per evaluator: t at every vertex, the peeled class and every word count
-read the same draws, and the star relations of each (component, prime)
-are solved once, each draw only combining their kernel basis.  The
-first draw with dim End = q(d) is read alone: its automorphism group is
-connected, so by Lang's theorem every F_p-point of its orbit is
-isomorphic to it, and its values are exactly the generic ones over every
-prime field, F_2 included.  When no draw reaches q(d), at most
-VOTE_SIZE draws of least End vote, and the reading is the value held by
-a strict majority of them; such votes are logged.  Votes are read only
-at primes from VOTE_PRIME_START up: over F_2 and F_3 the points off the
-dense orbit are common enough to carry a vote, so there a (component,
-prime) without a draw at q(d) is passed over, logged, and the component
-reads the next primes of the pool in its place.  A vote without a
-majority makes the attempt inconclusive, and the readings must agree
-across at least two primes; otherwise sampling fails loudly.
+per evaluator: every word count reads the same draws, and the star
+relations of each (component, prime) are solved once, each draw only
+combining their kernel basis.  The first draw with dim End = q(d) is
+read alone: its automorphism group is connected, so by Lang's theorem
+every F_p-point of its orbit is isomorphic to it, and its values are
+exactly the generic ones over every prime field, F_2 included.  When no
+draw reaches q(d), at most VOTE_SIZE draws of least End vote, and the
+reading is the value held by a strict majority of them; such votes are
+logged.  Votes are read only at primes from VOTE_PRIME_START up: over
+F_2 and F_3 the points off the dense orbit are common enough to carry a
+vote, so there a (component, prime) without a draw at q(d) is passed
+over, logged, and the component reads the next primes of the pool in
+its place.  A vote without a majority, or a fit its spare primes
+reject, makes the attempt inconclusive; after RETRY_BUDGET attempts
+sampling fails loudly.
 
 Word monomials are evaluated at a point by the flag recursion: the last
 letter (i, a) picks an a-dimensional subspace W of the joint kernel of
@@ -58,7 +59,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConsensusError, InternalCheckError, InterpolationError
-from .hall import Rep, _as_combo, iso_class, realize
+from .hall import Rep, _as_combo, realize
 from .linalg import (
     complete_basis_ff,
     gaussian_binomial,
@@ -70,7 +71,6 @@ from .linalg import (
     rank_ff,
     row_space_basis_ff,
     rref_ff,
-    solve_ff,
     subspaces_ff,
 )
 from .quiver import (
@@ -79,8 +79,6 @@ from .quiver import (
     Word,
     euler_form,
     format_word,
-    peel_top,
-    t_top,
     word_weight,
 )
 
@@ -89,9 +87,6 @@ __all__ = [
     "LambdaPoint",
     "derive_seed",
     "lift_generic",
-    "t_at_point",
-    "t_component",
-    "peel_component",
     "evaluate_word_at_point",
     "flag_degree_bound",
     "word_degree_bound",
@@ -103,8 +98,6 @@ Matrix = tuple[tuple[int, ...], ...]
 
 log = logging.getLogger(__name__)
 
-# t and the peeled class are read at this many primes, which must agree
-CONSENSUS_PRIMES = 2
 # attempts, each with fresh draws, before sampling gives up
 RETRY_BUDGET = 3
 # a vote reads at most this many draws of least End
@@ -137,17 +130,14 @@ class SampleConfig:
     The first draw with dim End = q(d) is read alone; if none reaches
     q(d), at most VOTE_SIZE draws of least End vote, so a larger cap only
     adds draws, never counts.  An attempt whose vote has no
-    strict majority, or whose primes disagree, is retried with fresh
-    draws up to RETRY_BUDGET attempts in all.  force_sampling disables
-    the proven combinatorial shortcuts for t and peel, which is only
-    useful for cross-checking.  Bad values raise ValueError before any
-    draw.
+    strict majority, or whose fit the spare primes reject, is retried
+    with fresh draws up to RETRY_BUDGET attempts in all.  Bad values raise
+    ValueError before any draw.
     """
 
     root_seed: int = 0
     samples_per_prime: int = 40
     prime_pool: tuple[int, ...] | None = None
-    force_sampling: bool = False
 
     def __post_init__(self):
         if self.samples_per_prime < 1:
@@ -388,146 +378,6 @@ def _incoming_vectors(x: LambdaPoint, i: int) -> list[tuple[int, ...]]:
     return vecs
 
 
-def t_at_point(x: LambdaPoint, i: int) -> int:
-    """Codimension in V_i of the sum of all incoming images at this point."""
-    if not 1 <= i <= x.n:
-        raise ValueError(f"vertex {i} out of range 1..{x.n}")
-    return x.dims[i - 1] - rank_ff(_incoming_vectors(x, i), x.p)
-
-
-def _peeled_class(x: LambdaPoint, i: int) -> Multisegment:
-    # arrow part of the submodule with V'_i = sum of incoming images
-    di = x.dims[i - 1]
-    basis = row_space_basis_ff(_incoming_vectors(x, i), x.p)
-    r = len(basis)
-    basis_cols = tuple(zip(*basis)) if basis else tuple(() for _ in range(di))
-    solver_rows = [tuple(vec[k] for vec in basis) for k in range(di)]
-    new_dims = tuple(r if v == i else x.dims[v - 1] for v in range(1, x.n + 1))
-    new_maps: list[Matrix] = []
-    for v in range(1, x.n):
-        mat = x.arrows[v - 1]
-        if v + 1 == i:
-            # codomain shrinks: rewrite each column in the image basis
-            cols = []
-            for u in _columns(mat, x.dims[v - 1]):
-                coords = solve_ff(solver_rows, u, r, x.p)
-                if coords is None:
-                    raise InternalCheckError(
-                        f"incoming image at vertex {i} escapes its own span"
-                    )
-                cols.append(coords)
-            new_maps.append(tuple(tuple(col[k] for col in cols) for k in range(r)))
-        elif v == i:
-            # domain shrinks: feed the basis vectors through the map
-            new_maps.append(matmul_ff(mat, basis_cols, x.p, bcols=r))
-        else:
-            new_maps.append(mat)
-    return iso_class(Rep(x.n, new_dims, tuple(new_maps)), x.p)
-
-
-def _ambient(m: Multisegment, i: int, n: int | None) -> int:
-    if n is None:
-        n = max(m.max_end(), i, 1)
-    elif m.max_end() > n:
-        raise ValueError(f"{m} does not fit in {n} vertices")
-    return n
-
-
-def _reader(
-    m: Multisegment,
-    i: int,
-    config: SampleConfig | None,
-    n: int | None,
-    evaluator: "RhoEvaluator | None",
-) -> "RhoEvaluator":
-    # the evaluator whose draws t and peel read: the caller's, which
-    # carries n and the config, or one built from them
-    if i < 1:
-        raise ValueError(f"vertex {i} must be positive")
-    if evaluator is None:
-        return RhoEvaluator(_ambient(m, i, n), config)
-    if n is not None or config is not None:
-        raise ValueError("pass n and config, or an evaluator, not both")
-    _ambient(m, i, evaluator.n)
-    return evaluator
-
-
-def _sampled_reading(m: Multisegment, ev: "RhoEvaluator", what: str, read):
-    # read each prime's draws by the genericity rule; the readings must
-    # agree across primes
-    history: list = []
-    for salt in range(RETRY_BUDGET):
-        values = []
-        for p in ev._read_primes(m, salt, CONSENSUS_PRIMES):
-            points, ends = ev._draws_for(m, p, salt)
-            value, votes = _majority(points, read)
-            history.append((salt, p, ends, votes))
-            values.append(value)
-        if None not in values and len(set(values)) == 1:
-            return values[0]
-    raise ConsensusError(
-        _failure_text(f"no consensus for {what}", _tits_form(m, ev.n), history)
-    )
-
-
-def t_component(
-    m: Multisegment,
-    i: int,
-    config: SampleConfig | None = None,
-    n: int | None = None,
-    evaluator: "RhoEvaluator | None" = None,
-) -> int:
-    """Generic codimension of the incoming image sum at vertex i on Z_m.
-
-    When no segment of m starts at i+1 (in particular at i = n) the
-    value provably equals t_top(m, i) and no sampling happens; otherwise
-    each prime reads it off its draw with dim End = q(d), or votes among
-    its draws of least End, and the primes must agree.  evaluator, when
-    given, supplies the draws, shared with its word counts, and its n and
-    config; n and config must then be left out.
-    """
-    ev = _reader(m, i, config, n, evaluator)
-    if i >= ev.n or t_top(m, i + 1) == 0:
-        if not ev.config.force_sampling:
-            return t_top(m, i)
-    return _sampled_reading(m, ev, f"t at vertex {i} of Z({m})", lambda x: t_at_point(x, i))
-
-
-def peel_component(
-    m: Multisegment,
-    i: int,
-    config: SampleConfig | None = None,
-    n: int | None = None,
-    evaluator: "RhoEvaluator | None" = None,
-) -> Multisegment:
-    """The class spanned by the incoming images at a generic point of Z_m.
-
-    Requires t_component(m, i) > 0.  In the no-segment-starts-at-i+1
-    regime this is exactly peel_top; otherwise it is read off the draws
-    of t, by the same rule, with cross-prime agreement.  A voted draw
-    whose t is not the generic one votes for no class; a draw with
-    dim End = q(d) whose t is not the generic one is an internal error.
-    evaluator is as for t_component.
-    """
-    ev = _reader(m, i, config, n, evaluator)
-    n = ev.n
-    t = t_component(m, i, None, None, ev)
-    if t == 0:
-        raise ValueError(f"Z({m}) has nothing to peel at vertex {i}")
-    if i >= n or t_top(m, i + 1) == 0:
-        if not ev.config.force_sampling:
-            return peel_top(m, i)
-
-    def peeled(x: LambdaPoint) -> Multisegment | None:
-        if t_at_point(x, i) == t:
-            return _peeled_class(x, i)
-        if _end_dim(x) == _tits_form(m, n):
-            raise InternalCheckError(f"certified points of Z({m}) disagree on t at vertex {i}")
-        return None
-
-    return _sampled_reading(m, ev, f"peel at vertex {i} of Z({m})", peeled)
-
-
 # ---------------------------------------------------------------------------
 # flag counting
 
@@ -727,9 +577,8 @@ class RhoEvaluator:
     """Evaluates word combinations at generic points of components.
 
     One evaluator owns one quiver size and one sampling config.  Sampled
-    points are shared across words, and with t_component and
-    peel_component when they are handed the evaluator; the star space of
-    each (component, prime) is solved once, and the interpolated value of
+    points are shared across words; the star space of each
+    (component, prime) is solved once, and the interpolated value of
     each (component, word) pair is computed once; this is what makes
     whole evaluation matrices affordable.  The words counted at one label
     also share one dict of expansions (see evaluate_word_at_point), so each
@@ -768,10 +617,9 @@ class RhoEvaluator:
     def _draws_for(
         self, label: Multisegment, p: int, salt: int
     ) -> tuple[list[LambdaPoint], list[int]]:
-        # _generic_draws of up to samples_per_prime seeds, read by t at
-        # every vertex, by peel and by every word; the star relations of
-        # a (component, prime) are solved once, and its vote, or its
-        # passing over, logged once
+        # _generic_draws of up to samples_per_prime seeds, read by every
+        # word; the star relations of a (component, prime) are solved
+        # once, and its vote, or its passing over, logged once
         key = (label.segments, p, salt)
         found = self._draws.get(key)
         if found is None:

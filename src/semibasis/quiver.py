@@ -5,8 +5,10 @@ Every finite-dimensional representation decomposes into interval modules,
 one for each segment [a, b] with 1 <= a <= b <= n, so an isomorphism class
 is a multiset of segments (a multisegment).  This module implements the
 multisegment calculus: enumeration by dimension vector, Hom dimensions,
-the degeneration (orbit closure) order, top-peeling at a vertex, generic
-extensions by simples, and the generic composition word of a class.
+the degeneration (orbit closure) order, top-peeling at a vertex (of the
+module, and at a generic point of its component of the nilpotent variety
+by the crystal signature rule), generic extensions by simples, and the
+generic composition word of a class.
 
 Conventions used throughout:
 
@@ -47,6 +49,8 @@ __all__ = [
     "refine_order",
     "t_top",
     "peel_top",
+    "t_component",
+    "peel_component",
     "generic_ext_simple",
     "total_generic_flag",
     "flag_vertex",
@@ -332,6 +336,64 @@ def peel_top(m: Multisegment, i: int) -> Multisegment:
                 segs.append((i + 1, b))
         else:
             segs.append((a, b))
+    return Multisegment(segs)
+
+
+def _unmatched_tops(m: Multisegment, i: int) -> list[int]:
+    # ends b of the segments [i, b] that the signature rule leaves
+    # unmatched: longest first, each [i, b] is matched to the unmatched
+    # [i+1, b'] with the least b' > b, if there is one
+    if i < 1:
+        raise ValueError(f"vertex {i} must be positive")
+    below = sorted(b for a, b in m.segments if a == i + 1)
+    free = []
+    for b in sorted((b for a, b in m.segments if a == i), reverse=True):
+        k = next((k for k, end in enumerate(below) if end > b), None)
+        if k is None:
+            free.append(b)
+        else:
+            del below[k]
+    return free
+
+
+def t_component(m: Multisegment, i: int) -> int:
+    """Codimension at vertex i of the incoming images at a generic point of Z_m.
+
+    Z_m is the component of the nilpotent variety of the doubled quiver
+    over the orbit of m; its incoming images at i are those of the arrow
+    and of the star landing there.  Kashiwara-Saito identify this t with
+    the crystal function epsilon_i, which on multisegments is the number
+    of segments [i, b] left unmatched by the signature rule: taken in
+    decreasing b, each [i, b] is matched to the unmatched [i+1, b'] with
+    the least b' > b, if there is one.  It is at most t_top(m, i), with
+    equality when no segment starts at i+1.
+
+    >>> m = Multisegment("2[1,1]+1[2,2]")
+    >>> t_component(m, 1), t_top(m, 1)
+    (1, 2)
+    """
+    return len(_unmatched_tops(m, i))
+
+
+def peel_component(m: Multisegment, i: int) -> Multisegment:
+    """The class spanned by the incoming images at a generic point of Z_m.
+
+    Every segment [i, b] that the signature rule of t_component leaves
+    unmatched becomes [i+1, b] (it disappears when b = i); all other
+    segments are untouched.  This is peel_top when no segment starts at
+    i+1.  Raises ValueError when t_component(m, i) is 0.
+
+    >>> peel_component(Multisegment("2[1,1]+1[2,2]"), 1)
+    Multisegment('1[1,1]+1[2,2]')
+    """
+    free = _unmatched_tops(m, i)
+    if not free:
+        raise ValueError(f"Z({m}) has nothing to peel at vertex {i}")
+    segs = list(m.segments)
+    for b in free:
+        segs.remove((i, b))
+        if b > i:
+            segs.append((i + 1, b))
     return Multisegment(segs)
 
 

@@ -47,20 +47,16 @@ from .hall import (
     word_to_pbw,
 )
 from .linalg import identity_exact, invert_unitriangular, matmul_exact, primes
-from .nilpotent import (
-    RhoEvaluator,
-    SampleConfig,
-    flag_degree_bound,
-    peel_component,
-    t_component,
-)
+from .nilpotent import RhoEvaluator, SampleConfig, flag_degree_bound
 from .quiver import (
     Multisegment,
     Quiver,
     enumerate_multisegments,
     flag_vertex,
+    peel_component,
     peel_top,
     refine_order,
+    t_component,
 )
 
 __all__ = [
@@ -105,10 +101,11 @@ def _combine_words(base: WordCombo, other: WordCombo, coeff: int) -> WordCombo:
 class SemicanBasis:
     """Recursive construction of semicanonical elements over one quiver.
 
-    Shares one rho evaluator, whose draws also serve every sampled t and
-    peel, and write-once memos for elements, per-vertex variants, and
-    sampled t values, so a full transition matrix touches each expensive
-    quantity once.  Given both, the evaluator must carry the config.
+    Shares one rho evaluator and write-once memos for elements and
+    per-vertex variants, so a full transition matrix touches each
+    expensive quantity once.  The top multiplicity and the peeled class
+    at a vertex are the closed forms t_component and peel_component.
+    Given both, the evaluator must carry the config.
     """
 
     def __init__(
@@ -123,14 +120,6 @@ class SemicanBasis:
         self.evaluator = evaluator or RhoEvaluator(quiver.n, config)
         self._elements: dict[tuple, SemicanElement] = {}
         self._components: dict[tuple, SemicanElement] = {}
-        self._t: dict[tuple, int] = {}
-
-    def t_at(self, m: Multisegment, i: int) -> int:
-        """Memoized component-level t at vertex i."""
-        key = (m.segments, i)
-        if key not in self._t:
-            self._t[key] = t_component(m, i, evaluator=self.evaluator)
-        return self._t[key]
 
     def element(self, m: Multisegment) -> SemicanElement:
         """The semicanonical element of the component over the orbit of m."""
@@ -165,11 +154,10 @@ class SemicanBasis:
         found = self._components.get(key)
         if found is not None:
             return found
-        mult = self.t_at(m, i)
+        mult = t_component(m, i)
         if mult <= 0:
             raise InternalCheckError(f"correction class {m} has no top at vertex {i}")
-        peeled = peel_component(m, i, evaluator=self.evaluator)
-        elem = self._peel_and_correct(m, i, mult, peeled)
+        elem = self._peel_and_correct(m, i, mult, peel_component(m, i))
         self._components[key] = elem
         return elem
 
@@ -181,7 +169,7 @@ class SemicanBasis:
         words: WordCombo = {((i, mult),) + w: c for w, c in base.words.items()}
         d = m.dim_vector(self.quiver.n)
         for cls in enumerate_multisegments(self.quiver, d):
-            if self.t_at(cls, i) <= mult:
+            if t_component(cls, i) <= mult:
                 continue
             coeff = self.evaluator.rho(cls, words)
             if not coeff:

@@ -10,6 +10,7 @@ the package itself.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from semibasis.hall import Rep, hall_counts_simple_top, iso_class, realize
@@ -25,8 +26,9 @@ from semibasis.linalg import (
     solve_ff,
     subspaces_ff,
 )
+from semibasis.errors import ConsensusError
 from semibasis.hall import PBWVector
-from semibasis.nilpotent import LambdaPoint
+from semibasis.nilpotent import RETRY_BUDGET, LambdaPoint, RhoEvaluator
 from semibasis.quiver import Multisegment, Quiver, Segment, enumerate_multisegments, t_top
 
 
@@ -252,3 +254,74 @@ def end_dim_by_images(x: LambdaPoint) -> int:
                             image.append(val % p)
                 images.append(image)
     return len(images) - rank_ff(images, p)
+
+
+def _incoming_columns(x: LambdaPoint, i: int) -> list[tuple[int, ...]]:
+    # the columns of the arrow and the star landing in V_i
+    cols: list[tuple[int, ...]] = []
+    if i >= 2:
+        mat = x.arrows[i - 2]
+        cols += [tuple(row[c] for row in mat) for c in range(x.dims[i - 2])]
+    if i <= x.n - 1:
+        mat = x.stars[i - 1]
+        cols += [tuple(row[c] for row in mat) for c in range(x.dims[i])]
+    return cols
+
+
+def t_at_point(x: LambdaPoint, i: int) -> int:
+    """Codimension in V_i of the sum of the incoming images at the point."""
+    return x.dims[i - 1] - rank_ff(_incoming_columns(x, i), x.p)
+
+
+def peeled_class(x: LambdaPoint, i: int) -> Multisegment:
+    """Arrow class of the submodule whose space at i is the sum of the
+    incoming images, rewriting the maps in a basis of that sum."""
+    di = x.dims[i - 1]
+    basis = row_space_basis_ff(_incoming_columns(x, i), x.p)
+    r = len(basis)
+    basis_cols = tuple(zip(*basis)) if basis else tuple(() for _ in range(di))
+    dims = tuple(r if v == i else x.dims[v - 1] for v in range(1, x.n + 1))
+    maps = []
+    for v in range(1, x.n):
+        mat = x.arrows[v - 1]
+        if v + 1 == i:
+            # codomain shrinks: each column in coordinates of the basis
+            cols = []
+            for c in range(x.dims[v - 1]):
+                coords = solve_ff(basis_cols, tuple(row[c] for row in mat), r, x.p)
+                assert coords is not None, "an incoming image escapes its own span"
+                cols.append(coords)
+            maps.append(tuple(tuple(col[k] for col in cols) for k in range(r)))
+        elif v == i:
+            # domain shrinks: feed the basis through the map
+            maps.append(matmul_ff(mat, basis_cols, x.p, bcols=r))
+        else:
+            maps.append(mat)
+    return iso_class(Rep(x.n, dims, tuple(maps)), x.p)
+
+
+def sampled_top(m: Multisegment, i: int, ev: RhoEvaluator) -> tuple[int, Multisegment]:
+    """t and the peeled class at vertex i of Z_m, read off sampled points.
+
+    Each prime the evaluator reads m at (RhoEvaluator._read_primes) reads
+    its draws (RhoEvaluator._draws_for) as the word counts read them: a
+    draw with dim End = q(d) alone, else the strict majority of the draws
+    of least End.  Two primes must agree; an attempt without a majority
+    or without agreement is retried with fresh draws.  A point with t = 0
+    peels to its whole arrow part, whose class is m.
+    """
+    readings = []
+    for salt in range(RETRY_BUDGET):
+        values = []
+        for p in ev._read_primes(m, salt, 2):
+            points, ends = ev._draws_for(m, p, salt)
+            votes = Counter()
+            for x in points:
+                t = t_at_point(x, i)
+                votes[t, peeled_class(x, i) if t else m] += 1
+            value, count = votes.most_common(1)[0]
+            values.append(value if 2 * count > len(points) else None)
+            readings.append((salt, p, ends, dict(votes)))
+        if None not in values and len(set(values)) == 1:
+            return values[0]
+    raise ConsensusError(f"no sampled reading of t at vertex {i} of Z({m}): {readings}")

@@ -119,9 +119,13 @@ class TestTransition:
         (["transition", "--dim", "2,2", "--primes", "5,7,7,11"], "7"),
         (["transition", "--dim", "2,2", "--samples", "0"], "0"),
         (["transition", "--dim", "2,2", "--samples", "-3"], "-3"),
-        (["inspect", "t", "--module", "1[1,2]", "--vertex", "1", "--level",
-          "component", "--samples", "0"], "0"),
+        (["selftest", "--samples", "0"], "0"),
         (["selftest", "--dim-bound", "-1"], "-1"),
+        (["inspect", "t", "--module", "1[1,2]", "--vertex", "5"], "5"),
+        (["inspect", "peel", "--module", "1[1,2]", "--vertex", "5"], "5"),
+        (["inspect", "t", "--module", "1[1,2]", "--vertex", "0", "--level", "component"], "0"),
+        (["inspect", "peel", "--module", "1[1,2]", "--n", "3", "--vertex", "4",
+          "--level", "component"], "4"),
     ],
 )
 def test_bad_sampling_input_exits_10(capsys, argv, bad):

@@ -59,13 +59,10 @@ from semibasis.nilpotent import (
     _quotient_point,
     derive_seed,
     flag_degree_bound,
-    t_at_point,
     word_degree_bound,
 )
 
 M = Multisegment
-
-FORCED = SampleConfig(force_sampling=True)
 
 
 def classes_upto(n, total):
@@ -184,6 +181,10 @@ class TestLift:
 
 
 class TestGenericTop:
+    """The closed t and peel (quiver.t_component, quiver.peel_component)
+    against values forced by the relations and against the reading of
+    sampled points in oracles.sampled_top."""
+
     def test_no_incoming_segment_shortcuts(self):
         assert t_component(M("2[1,2]"), 1) == 2
         assert t_component(M("1[1,2]"), 1) == 1
@@ -191,47 +192,42 @@ class TestGenericTop:
 
     def test_sampled_values(self):
         # generic star makes the semisimple top smaller than t_top
-        assert t_component(M("1[1,1]+1[2,2]"), 1) == 0
-        assert t_component(M("2[1,1]+1[2,2]"), 1) == 1
-        assert t_component(M("2[1,1]+2[2,2]"), 1) == 0
+        ev = RhoEvaluator(2)
+        for text, t in (("1[1,1]+1[2,2]", 0), ("2[1,1]+1[2,2]", 1), ("2[1,1]+2[2,2]", 0)):
+            assert t_component(M(text), 1) == oracles.sampled_top(M(text), 1, ev)[0] == t
 
     def test_peel_shortcut_regime(self):
         assert peel_component(M("2[1,2]"), 1) == M("2[2,2]")
         assert peel_component(M("1[1,2]+1[1,1]"), 1) == M("1[2,2]")
 
     def test_peel_sampled(self):
-        assert peel_component(M("2[1,1]+1[2,2]"), 1) == M("1[1,1]+1[2,2]")
+        m = M("2[1,1]+1[2,2]")
+        assert peel_component(m, 1) == M("1[1,1]+1[2,2]")
+        assert oracles.sampled_top(m, 1, RhoEvaluator(2)) == (1, M("1[1,1]+1[2,2]"))
 
     def test_peel_requires_positive_top(self):
         with pytest.raises(ValueError):
             peel_component(M("1[1,1]+1[2,2]"), 1)
 
     def test_forced_sampling_matches_shortcut(self):
-        # with no segment starting at i+1 the sampled value must agree
-        # with the combinatorial one; run the sampler anyway and compare
+        # with no segment starting at i+1 the sampled reading, which has
+        # no shortcut, must agree with the combinatorial top
         for n in (2, 3):
+            ev = RhoEvaluator(n)
             for cls in classes_upto(n, 4):
                 for i in range(1, n + 1):
                     if i < n and t_top(cls, i + 1) != 0:
                         continue
-                    t = t_component(cls, i, FORCED, n)
+                    t, peeled = oracles.sampled_top(cls, i, ev)
                     assert t == t_top(cls, i), (cls, i)
                     if t > 0:
-                        got = peel_component(cls, i, FORCED, n)
-                        assert got == peel_top(cls, i), (cls, i)
+                        assert peeled == peel_top(cls, i), (cls, i)
 
     def test_vertex_validation(self):
         with pytest.raises(ValueError):
             t_component(M("1[1,1]"), 0)
-
-    def test_evaluator_fixes_n_and_config(self):
-        m, ev = M("2[1,1]+1[2,2]"), RhoEvaluator(2)
-        assert t_component(m, 1, evaluator=ev) == t_component(m, 1, None, 2) == 1
-        # n and config come from the evaluator, so neither may be given
-        with pytest.raises(ValueError, match="not both"):
-            t_component(m, 1, None, 2, ev)
-        with pytest.raises(ValueError, match="not both"):
-            peel_component(m, 1, ev.config, None, ev)
+        with pytest.raises(ValueError):
+            peel_component(M("1[1,1]"), 0)
 
 
 class TestEvaluate:
@@ -432,17 +428,10 @@ class TestSharedExpansions:
 
 class TestSharedDraws:
     def test_each_draw_lifted_once_and_each_star_space_solved_once(self, monkeypatch):
-        # one transition: t at every vertex, peel and the word counts read
-        # one set of draws per (component, prime, attempt)
-        lifts, spaces, readings = Counter(), Counter(), Counter()
-        sampled: set = set()
-        counted: set = set()
-        lift, space, reading = (
-            nilpotent.lift_generic,
-            nilpotent._star_space,
-            nilpotent._sampled_reading,
-        )
-        evaluate = nilpotent.evaluate_word_at_point
+        # one transition: the word counts of both routes and the delta
+        # check read one set of draws per (component, prime, attempt)
+        lifts, spaces = Counter(), Counter()
+        lift, space = nilpotent.lift_generic, nilpotent._star_space
 
         def lift_counted(m, n, p, seed, star_space=None):
             lifts[n, m.segments, p, seed] += 1
@@ -452,49 +441,12 @@ class TestSharedDraws:
             spaces[n, m.segments, p] += 1
             return space(m, n, p)
 
-        def reading_recorded(m, ev, what, read):
-            readings[what.split()[0]] += 1
-
-            def recorded(x):
-                sampled.add((x.n, x.label.segments, x.p, x.seed))
-                return read(x)
-
-            return reading(m, ev, what, recorded)
-
-        def evaluate_recorded(x, w, *, expansions=None):
-            if x.label is not None:
-                counted.add((x.n, x.label.segments, x.p))
-            return evaluate(x, w, expansions=expansions)
-
         monkeypatch.setattr(nilpotent, "lift_generic", lift_counted)
         monkeypatch.setattr(nilpotent, "_star_space", space_counted)
-        monkeypatch.setattr(nilpotent, "_sampled_reading", reading_recorded)
-        monkeypatch.setattr(nilpotent, "evaluate_word_at_point", evaluate_recorded)
         res = transition_matrix(Quiver(3), (2, 2, 2))
         assert res.routes_agree and res.delta_ok
-        assert readings["t"], readings
-        # the recursion's corrections peel off the shortcut here, so peel
-        # reads an evaluator's draws after its word counts
-        ev = RhoEvaluator(2)
-        m = M("2[1,1]+1[2,2]")
-        for combo in pbw_to_words(Quiver(2), (2, 1)).values():
-            ev.rho(m, combo)
-        assert peel_component(m, 1, evaluator=ev) == M("1[1,1]+1[2,2]")
-        assert readings["peel"] == 1
         assert lifts and set(lifts.values()) == {1}
         assert spaces and set(spaces.values()) == {1}
-        # t and peel read the draws of the word counts: points lifted from
-        # the counts' seeds, each lifted once in all, at components where
-        # words are counted too
-        assert {key[:3] for key in sampled} & counted
-        assert all(
-            seed in {
-                RhoEvaluator(n)._seed(M(list(segments)), p, k, salt)
-                for k in range(40)
-                for salt in range(nilpotent.RETRY_BUDGET)
-            }
-            for n, segments, p, seed in sampled
-        )
 
     def test_vote_reads_at_most_five_of_forty_draws(self, monkeypatch):
         # End is q + 1 at every draw, so p = 2 and 3 are passed over and
@@ -714,26 +666,6 @@ class TestEndCertificate:
         assert ends == [5, 3, 4, 3, 6]
         assert [x.seed for x in points] == [1, 3]
 
-    def test_peel_point_off_generic_t(self, monkeypatch):
-        # t at vertex 1 of Z(2[1,1]+1[2,2]) is 1; claim 2 instead
-        m = M("2[1,1]+1[2,2]")
-        assert t_component(m, 1) == 1
-        monkeypatch.setattr(nilpotent, "t_component", lambda *args: 2)
-        # a draw with dim End = q(d) cannot disagree with the generic t
-        with pytest.raises(InternalCheckError, match="disagree on t at vertex 1"):
-            peel_component(m, 1)
-        # voted draws with another t vote for no class
-        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
-        with pytest.raises(ConsensusError, match="None: 3"):
-            peel_component(m, 1)
-
-    def test_primes_must_agree(self, monkeypatch):
-        monkeypatch.setattr(nilpotent, "t_at_point", lambda x, i: x.p)
-        with pytest.raises(ConsensusError) as info:
-            t_component(M("2[1,1]+1[2,2]"), 1)
-        text = str(info.value)
-        assert "attempt 2, p=2" in text and "read 2" in text and "read 3" in text
-
     def test_small_prime_is_read_only_at_a_certified_draw(self, monkeypatch):
         # no draw at p = 3 reaches q(d), so the degree-0 word is counted at
         # 2, 5 and 7; p = 2 still reads its certified draw
@@ -787,9 +719,10 @@ class TestEndCertificate:
             for salt in range(3):
                 for p in (5, 7):
                     ev._draws_for(M("2[1,2]"), p, salt)
-            # t passes over p = 2 and 3 and reads p = 5 and 7, each logged
-            # once; word counts on these draws would log nothing more
-            assert t_component(M("2[1,1]+1[2,2]"), 1, evaluator=ev) == 1
+            # reading two primes passes over p = 2 and 3 and reads p = 5
+            # and 7, each logged once; word counts on these draws would
+            # log nothing more
+            assert ev._read_primes(M("2[1,1]+1[2,2]"), 0, 2) == (5, 7)
             for p in (2, 3, 5, 7):
                 ev._draws_for(M("2[1,1]+1[2,2]"), p, 0)
             # a fresh evaluator reports its own votes
@@ -833,11 +766,6 @@ class TestEndCertificate:
                     "votes {0: 2, 1: 2, 2: 1}"
                 ) in text
         assert "p=2:" not in text and "p=3:" not in text
-        with monkeypatch.context() as patched:
-            patched.setattr(nilpotent, "t_at_point", lambda x, i: next(cycle))
-            with pytest.raises(ConsensusError) as info:
-                t_component(M("2[1,1]+1[2,2]"), 1)
-        assert "t at vertex 1 of Z(2[1,1]+1[2,2])" in str(info.value)
         assert main(["transition", "--dim", "1,1"]) == 20
         assert f"End dimensions {[2] * 40}" in capsys.readouterr().err
 
@@ -946,13 +874,13 @@ class TestQuotient:
 
 class TestShortcutIdentities:
     def test_top_identity_full_range(self):
-        # forced sampling against the combinatorial top, both vertices
+        # the closed forms reduce to the combinatorial top when no segment
+        # starts at i+1, at i = n in particular
         for n in (2, 3):
             for cls in classes_upto(n, 4):
-                assert t_component(cls, n, FORCED, n) == t_top(cls, n), cls
-                for i in range(1, n):
-                    if t_top(cls, i + 1) == 0:
-                        assert t_component(cls, i, FORCED, n) == t_top(cls, i), (
-                            cls,
-                            i,
-                        )
+                for i in range(1, n + 1):
+                    if i < n and t_top(cls, i + 1) != 0:
+                        continue
+                    assert t_component(cls, i) == t_top(cls, i), (cls, i)
+                    if t_top(cls, i):
+                        assert peel_component(cls, i) == peel_top(cls, i), (cls, i)

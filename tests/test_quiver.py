@@ -18,8 +18,10 @@ from semibasis import (
     generic_ext_simple,
     hom_dim,
     parse_word,
+    peel_component,
     peel_top,
     refine_order,
+    t_component,
     t_top,
     total_generic_flag,
     word_weight,
@@ -227,6 +229,42 @@ class TestTopPeel:
                     dv[i - 1] -= t
                     assert peeled.dim_vector(3) == tuple(dv)
                     assert t_top(peeled, i) == 0
+
+    def test_component_signature_rule(self):
+        # each case fails under a variant of the rule: matching [i, b] to
+        # [i+1, b'] with b' >= b would give t = 0 at the first; taking the
+        # [i, b] in increasing b would peel [1,2] instead of [1,1] at the
+        # second, giving 1[1,1]+1[2,3]+1[2,2]
+        cases = [
+            ("1[1,2]+1[2,2]", 1, 1, "2[2,2]"),
+            ("1[1,2]+1[1,1]+1[2,3]", 1, 1, "1[1,2]+1[2,3]"),
+            ("1[2,3]+1[2,2]+1[3,4]", 2, 1, "1[2,3]+1[3,4]"),
+            ("2[1,1]+1[2,2]", 1, 1, "1[1,1]+1[2,2]"),
+            ("1[1,1]+1[2,3]+1[2,2]", 1, 0, None),
+            ("1[1,3]+1[1,1]+1[2,2]", 1, 1, "1[1,1]+1[2,3]+1[2,2]"),
+        ]
+        for text, i, t, peeled in cases:
+            assert t_component(M(text), i) == t, text
+            if peeled is None:
+                with pytest.raises(ValueError, match="nothing to peel"):
+                    peel_component(M(text), i)
+            else:
+                assert peel_component(M(text), i) == M(peeled), text
+
+    def test_component_peel_clears_the_top(self):
+        for n in (2, 3, 4):
+            for d in oracles.grades_upto(n, 5):
+                for cls in enumerate_multisegments(Quiver(n), d):
+                    for i in range(1, n + 1):
+                        t = t_component(cls, i)
+                        assert t <= t_top(cls, i)
+                        if t == 0:
+                            continue
+                        peeled = peel_component(cls, i)
+                        dv = list(cls.dim_vector(n))
+                        dv[i - 1] -= t
+                        assert peeled.dim_vector(n) == tuple(dv)
+                        assert t_component(peeled, i) == 0, (cls, i)
 
     def test_generic_ext_values(self):
         assert generic_ext_simple(M("2[2,2]"), 1, 2) == M("2[1,2]")
