@@ -36,16 +36,15 @@ Word monomials are evaluated at a point by the flag recursion: the last
 letter (i, a) picks an a-dimensional subspace W of the joint kernel of
 the maps leaving i (such W are exactly the submodules isomorphic to
 S_i^a), and the rest of the word is evaluated on the quotient.  The
-expansion of a (point, letter) into weighted quotients does not depend
-on the rest of the word, so the words counted at one label share one
-dict of expansions, keyed by the point's prime, dimension vector and
-matrices and the letter; words ending in the same letters expand each
-point they pass through once.  The counts over F_p of a word w are
-modeled as a polynomial in p of degree at most word_degree_bound(w, d),
-the dimension of the product of the partial flag varieties its letters
-cut out of the V_i, and converted to Euler characteristics through
-verified interpolation at 1; non-polynomial behaviour or a consensus
-failure is surfaced, never averaged away.
+words counted at one point are counted together, in one walk of the
+trie of their reversed letters: words ending in the same letters expand
+each (point, letter) on their shared suffix once, and nothing outlives
+the walk.  The counts over F_p of a word w are modeled as a polynomial
+in p of degree at most word_degree_bound(w, d), the dimension of the
+product of the partial flag varieties its letters cut out of the V_i,
+and converted to Euler characteristics through verified interpolation
+at 1; non-polynomial behaviour or a consensus failure is surfaced, never
+averaged away.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConsensusError, InternalCheckError, InterpolationError
 from .hall import Rep, _as_combo, realize
@@ -295,17 +294,25 @@ def _generic_draws(
     return [x for e, x in draws if e == min(ends)][:VOTE_SIZE], ends
 
 
-def _majority(points: Sequence[LambdaPoint], read) -> tuple[object | None, Counter]:
-    # the value read at a strict majority of points, reading them in turn
-    # until one value holds it, or None; and the readings taken
+def _majority(
+    points: Sequence[LambdaPoint], words: Sequence[Word]
+) -> tuple[dict[Word, int], dict[Word, Counter]]:
+    # per word, the value read at a strict majority of points, reading them
+    # in turn and counting at each the words that no value holds a strict
+    # majority for yet; and the readings taken of each word
     need = len(points) // 2 + 1
-    votes: Counter = Counter()
+    values: dict[Word, int] = {}
+    votes = {w: Counter() for w in words}
     for x in points:
-        value = read(x)
-        votes[value] += 1
-        if votes[value] >= need:
-            return value, votes
-    return None, votes
+        todo = [w for w in words if w not in values]
+        if not todo:
+            break
+        counted = _count_words(x, todo)
+        for w in todo:
+            votes[w][counted[w]] += 1
+            if votes[w][counted[w]] >= need:
+                values[w] = counted[w]
+    return values, votes
 
 
 def _failure_text(headline: str, q: int, history: list) -> str:
@@ -462,7 +469,7 @@ def _kernel_split(
     return back(t_coords), back(f_coords)
 
 
-def _expand(x: LambdaPoint, i: int, a: int) -> list[tuple[int, LambdaPoint]]:
+def _expand(x: LambdaPoint, i: int, a: int) -> Iterator[tuple[int, LambdaPoint]]:
     # the choices for the last letter (i, a) of a word counted at x, as
     # (orbit weight, quotient point) pairs: the count of a word is the
     # weighted sum of the counts of its shorter word at the quotients
@@ -474,7 +481,7 @@ def _expand(x: LambdaPoint, i: int, a: int) -> list[tuple[int, LambdaPoint]]:
         rows.extend(x.stars[i - 2])
     kernel = kernel_basis_ff(rows, di, x.p)
     if len(kernel) < a:
-        return []
+        return
     # Candidate subspaces U decompose against the split kernel T + F as
     # U cap T plus a graph over a subspace of F.  Maps F -> T extend to
     # point automorphisms (F spans free S_i summands and T is exactly the
@@ -485,7 +492,6 @@ def _expand(x: LambdaPoint, i: int, a: int) -> list[tuple[int, LambdaPoint]]:
     # the full Grassmannian count.
     t_basis, f_basis = _kernel_split(x, i, kernel)
     t, c = len(t_basis), len(f_basis)
-    pairs = []
     for e in range(min(a, t) + 1):
         g = a - e
         if g > c:
@@ -493,42 +499,57 @@ def _expand(x: LambdaPoint, i: int, a: int) -> list[tuple[int, LambdaPoint]]:
         orbit = pow(x.p, g * (t - e)) * gaussian_binomial(c, g, x.p)
         graph_part = f_basis[:g]
         for u1 in subspaces_ff(t_basis, e, x.p):
-            pairs.append((orbit, _quotient_point(x, i, u1 + graph_part)))
-    return pairs
+            yield orbit, _quotient_point(x, i, u1 + graph_part)
 
 
-def _flag_count(x: LambdaPoint, w: Word, expansions: dict) -> int:
-    # a one-letter word has the point's own dimension vector, so its one
-    # flag is the whole space
-    if len(w) <= 1:
-        return 1
-    key = (x.p, x.dims, x.arrows, x.stars, w[-1])
-    pairs = expansions.get(key)
-    if pairs is None:
-        pairs = expansions[key] = _expand(x, *w[-1])
-    shorter = w[:-1]
-    return sum(orbit * _flag_count(y, shorter, expansions) for orbit, y in pairs)
+# _expand calls made by every walk so far; each counted batch logs its share
+_expand_calls = 0
 
 
-def evaluate_word_at_point(
-    x: LambdaPoint, w: Word, *, expansions: dict | None = None
-) -> int:
+def _count_words(x: LambdaPoint, words: Iterable[Word]) -> dict[Word, int]:
+    # the flag counts at x of words of x's weight, in one walk of the trie
+    # of their reversed letters.  A word is held by the node its letters
+    # after the first lead to: the first letter alone is then left, and it
+    # has the quotient's own dimension vector, so its one flag is the whole
+    # space.  The walk carries the product of the orbit weights on its path
+    # and adds it to every word held where it arrives
+    counts = dict.fromkeys(words, 0)
+    root: tuple[list[Word], dict] = ([], {})
+    for w in counts:
+        node = root
+        for letter in reversed(w[1:]):
+            node = node[1].setdefault(letter, ([], {}))
+        node[0].append(w)
+
+    def walk(y: LambdaPoint, node: tuple[list[Word], dict], weight: int) -> None:
+        global _expand_calls
+        held, children = node
+        for w in held:
+            counts[w] += weight
+        for letter, child in children.items():
+            _expand_calls += 1
+            for orbit, z in _expand(y, *letter):
+                walk(z, child, weight * orbit)
+
+    walk(x, root, 1)
+    return counts
+
+
+def evaluate_word_at_point(x: LambdaPoint, w: Word) -> int:
     """Number of flags of type w on the point: chains of submodules with
     semisimple layers prescribed by the letters, counted over F_p.
 
     The last letter (i, a) ranges over a-dimensional subspaces of the
     joint kernel of the maps leaving i (the submodules isomorphic to
-    S_i^a); the remainder of the word is counted on the quotient.
-    expansions, when given, maps (p, dims, arrows, stars, letter) to the
-    quotients that letter leads to; it is filled as the count goes, and
-    words counted through one dict share the expansions of every point
-    they pass through.  Left as None, the count uses a dict of its own.
+    S_i^a); the remainder of the word is counted on the quotient.  This
+    is the one-word case of the walk in which RhoEvaluator counts every
+    word it reads at a point together.
     """
     if word_weight(w, x.n) != x.dims:
         raise ValueError(
             f"word weight {word_weight(w, x.n)} does not match dimensions {x.dims}"
         )
-    return _flag_count(x, w, {} if expansions is None else expansions)
+    return _count_words(x, [w])[w]
 
 
 def flag_degree_bound(d: Iterable[int]) -> int:
@@ -558,21 +579,6 @@ def word_degree_bound(word: Word, d: Sequence[int]) -> int:
     return (sum(x * x for x in d) - sum(a * a for _, a in word)) // 2
 
 
-class _Expansions(dict):
-    # one label's (point, letter) expansions, counting the lookups that
-    # found one already computed
-    def __init__(self, label: Multisegment | None = None):
-        super().__init__()
-        self.label = label
-        self.reused = 0
-
-    def get(self, key, default=None):
-        found = super().get(key, default)
-        if found is not default:
-            self.reused += 1
-        return found
-
-
 class RhoEvaluator:
     """Evaluates word combinations at generic points of components.
 
@@ -580,13 +586,12 @@ class RhoEvaluator:
     points are shared across words; the star space of each
     (component, prime) is solved once, and the interpolated value of
     each (component, word) pair is computed once; this is what makes
-    whole evaluation matrices affordable.  The words counted at one label
-    also share one dict of expansions (see evaluate_word_at_point), so each
-    (point, letter) met at any depth of the flag recursion is expanded
-    once.  The dict holds one label at a time: chi starts a fresh one
-    when it counts at another label, and end_label drops it, so memory
-    stays that of one row of the evaluation matrix.  At DEBUG each label
-    left logs how many expansions it computed and how many it reused.
+    whole evaluation matrices affordable.  The words asked for at one
+    label together (a combination in rho, a row in rho_row) are counted
+    together: each draw is read once for all of them, in one walk of
+    their shared suffixes (see evaluate_word_at_point), and nothing of
+    the walk is kept.  At DEBUG each counted batch logs its label, how
+    many words it counted together and how many expansions it made.
     """
 
     def __init__(self, n: int, config: SampleConfig | None = None):
@@ -596,7 +601,6 @@ class RhoEvaluator:
         self._spaces: dict[tuple, tuple] = {}
         self._voted: set[tuple] = set()
         self._chi: dict[tuple, int] = {}
-        self._expansions = _Expansions()
 
     def fresh(self, namespace: str) -> "RhoEvaluator":
         """An evaluator with seeds disjoint from this one's.
@@ -682,14 +686,52 @@ class RhoEvaluator:
                 return None
         return tuple(sorted(read))
 
-    def end_label(self) -> None:
-        """Log and drop the expansions of the label counted last."""
-        memo = self._expansions
-        if memo.label is not None:
-            log.debug(
-                "expansions on Z(%s): %d computed, %d reused", memo.label, len(memo), memo.reused
-            )
-        self._expansions = _Expansions()
+    def _count(self, label: Multisegment, words: Iterable[Word]) -> None:
+        # count together the words not yet memoised at label, as chi says
+        todo = [w for w in dict.fromkeys(words) if (label.segments, w) not in self._chi]
+        if not todo:
+            return
+        d, q = label.dim_vector(self.n), _tits_form(label, self.n)
+        bounds = {w: word_degree_bound(w, d) for w in todo}
+        counts = {w: min(b + 3, flag_degree_bound(d) + 2) for w, b in bounds.items()}
+        history: dict[Word, list] = {w: [] for w in todo}
+        failures: dict[Word, Exception] = {}
+        batch, made = len(todo), _expand_calls
+        for salt in range(RETRY_BUDGET):
+            # every prime a word reads is read, so that a failure records all
+            # of them; each word reads a prefix of pool
+            series: dict[Word, list] = {w: [] for w in todo}
+            pool = self._read_primes(label, salt, max(counts[w] for w in todo))
+            for k, p in enumerate(pool):
+                reading = [w for w in todo if k < counts[w]]
+                points, ends = self._draws_for(label, p, salt)
+                values, votes = _majority(points, reading)
+                for w in reading:
+                    history[w].append((salt, p, ends, votes[w]))
+                    series[w].append((p, values.get(w)))
+            retry = []
+            for w in todo:
+                try:
+                    if any(value is None for _, value in series[w]):
+                        text = _failure_text("no majority at some prime", q, history[w])
+                        raise ConsensusError(text)
+                    self._chi[label.segments, w] = interpolate_eval_one(series[w], bounds[w])
+                except (ConsensusError, InterpolationError) as exc:
+                    failures[w] = exc
+                    retry.append(w)
+            todo = retry
+            if not todo:
+                break
+        log.debug(
+            "batch on Z(%s): %d words counted together, %d expansions",
+            label, batch, _expand_calls - made,
+        )
+        if todo:
+            word, failure = todo[0], failures[todo[0]]
+            raise type(failure)(
+                f"count of {format_word(word)} on Z({label}), degree bound {bounds[word]}, "
+                f"primes {list(pool[:counts[word]])}: {failure}"
+            ) from failure
 
     def chi(self, label: Multisegment, word: Word) -> int:
         """Generic Euler-characteristic value of the word count on Z_label.
@@ -705,49 +747,29 @@ class RhoEvaluator:
         b_w < B, one (as with the grade bound) when b_w = B.
         """
         key = (label.segments, word)
-        if key in self._chi:
-            return self._chi[key]
-        if self._expansions.label != label:
-            self.end_label()
-            self._expansions.label = label
-        expansions = self._expansions
-        d = label.dim_vector(self.n)
-        bound = word_degree_bound(word, d)
-        count = min(bound + 3, flag_degree_bound(d) + 2)
-        history: list = []
-        failure: Exception | None = None
-        for salt in range(RETRY_BUDGET):
-            # every prime is read, so that a failure records all of them
-            series = []
-            pool = self._read_primes(label, salt, count)
-            for p in pool:
-                points, ends = self._draws_for(label, p, salt)
-                value, votes = _majority(
-                    points, lambda x: evaluate_word_at_point(x, word, expansions=expansions)
-                )
-                history.append((salt, p, ends, votes))
-                series.append((p, value))
-            if any(value is None for _, value in series):
-                failure = ConsensusError(
-                    _failure_text("no majority at some prime", _tits_form(label, self.n), history)
-                )
-                continue
-            try:
-                value = interpolate_eval_one(series, bound)
-            except InterpolationError as exc:
-                failure = exc
-                continue
-            self._chi[key] = value
-            return value
-        assert failure is not None
-        raise type(failure)(
-            f"count of {format_word(word)} on Z({label}), degree bound {bound}, "
-            f"primes {list(pool)}: {failure}"
-        ) from failure
+        if key not in self._chi:
+            self._count(label, [word])
+        return self._chi[key]
 
     def rho(self, label: Multisegment, combo: Mapping[Word, int] | Word) -> int:
         """The generic value on Z_label of an integer word combination."""
-        return sum(coeff * self.chi(label, word) for word, coeff in _as_combo(combo).items())
+        return self.rho_row(label, [combo])[0]
+
+    def rho_row(
+        self, label: Multisegment, combos: Sequence[Mapping[Word, int] | Word]
+    ) -> tuple[int, ...]:
+        """The generic values on Z_label of word combinations, in order.
+
+        Their words are counted together (see the class docstring), and
+        each value reads them through chi.  The first word in the order
+        given that no attempt certifies raises chi's error.
+        """
+        combos = [_as_combo(combo) for combo in combos]
+        self._count(label, (word for combo in combos for word in combo))
+        return tuple(
+            sum(coeff * self.chi(label, word) for word, coeff in combo.items())
+            for combo in combos
+        )
 
 
 def rho_evaluate(

@@ -54,7 +54,6 @@ from .quiver import (
     enumerate_multisegments,
     flag_vertex,
     peel_component,
-    peel_top,
     refine_order,
     t_component,
 )
@@ -101,64 +100,47 @@ def _combine_words(base: WordCombo, other: WordCombo, coeff: int) -> WordCombo:
 class SemicanBasis:
     """Recursive construction of semicanonical elements over one quiver.
 
-    Shares one rho evaluator and write-once memos for elements and
-    per-vertex variants, so a full transition matrix touches each
+    Shares one rho evaluator and one write-once memo of elements, keyed
+    by class and peeling vertex, so a full transition matrix touches each
     expensive quantity once.  The top multiplicity and the peeled class
     at a vertex are the closed forms t_component and peel_component.
-    Given both, the evaluator must carry the config.
     """
 
-    def __init__(
-        self,
-        quiver: Quiver,
-        config: SampleConfig | None = None,
-        evaluator: RhoEvaluator | None = None,
-    ):
-        if evaluator is not None and config not in (None, evaluator.config):
-            raise ValueError("config must be the evaluator's")
+    def __init__(self, quiver: Quiver, config: SampleConfig | None = None):
         self.quiver = quiver
-        self.evaluator = evaluator or RhoEvaluator(quiver.n, config)
+        self.evaluator = RhoEvaluator(quiver.n, config)
         self._elements: dict[tuple, SemicanElement] = {}
-        self._components: dict[tuple, SemicanElement] = {}
 
-    def element(self, m: Multisegment) -> SemicanElement:
-        """The semicanonical element of the component over the orbit of m."""
-        key = m.segments
+    def element(self, m: Multisegment, i: int | None = None) -> SemicanElement:
+        """The semicanonical element of the component over the orbit of m.
+
+        It is built by peeling at vertex i, by default the flag vertex of
+        m, where t_component and peel_component are t_top and peel_top.
+        Correction terms of the recursion at vertex i are themselves
+        built at vertex i; their t there strictly exceeds the caller's,
+        which bounds the depth by the dimension at i.
+        """
+        # the zero class has no flag vertex; it is the unit, a base case
+        top = None if m.is_zero() else flag_vertex(m)[0]
+        i = top if i is None else i
+        key = (m.segments, i)
         found = self._elements.get(key)
         if found is not None:
             return found
-        if m.is_semisimple():
+        if i == top and m.is_semisimple():
             d = m.dim_vector(self.quiver.n)
-            word = tuple((i, d[i - 1]) for i in range(self.quiver.n, 0, -1) if d[i - 1])
+            word = tuple((v, d[v - 1]) for v in range(self.quiver.n, 0, -1) if d[v - 1])
             elem = SemicanElement(
                 word_to_pbw(self.quiver, word) if word
                 else PBWVector.unit(self.quiver.n),
                 {word: 1},
             )
         else:
-            i, mult = flag_vertex(m)
-            elem = self._peel_and_correct(m, i, mult, peel_top(m, i))
+            mult = t_component(m, i)
+            if mult <= 0:
+                raise InternalCheckError(f"correction class {m} has no top at vertex {i}")
+            elem = self._peel_and_correct(m, i, mult, peel_component(m, i))
         self._elements[key] = elem
-        return elem
-
-    def component_element(self, m: Multisegment, i: int) -> SemicanElement:
-        """The same element, constructed by peeling at a prescribed vertex.
-
-        Correction terms of the recursion at vertex i are themselves
-        built at vertex i; their t there strictly exceeds the caller's,
-        which bounds the depth by the dimension at i.
-        """
-        if flag_vertex(m)[0] == i:
-            return self.element(m)
-        key = (m.segments, i)
-        found = self._components.get(key)
-        if found is not None:
-            return found
-        mult = t_component(m, i)
-        if mult <= 0:
-            raise InternalCheckError(f"correction class {m} has no top at vertex {i}")
-        elem = self._peel_and_correct(m, i, mult, peel_component(m, i))
-        self._components[key] = elem
         return elem
 
     def _peel_and_correct(
@@ -174,7 +156,7 @@ class SemicanBasis:
             coeff = self.evaluator.rho(cls, words)
             if not coeff:
                 continue
-            correction = self.component_element(cls, i)
+            correction = self.element(cls, i)
             pbw = pbw - coeff * correction.pbw
             words = _combine_words(words, correction.words, -coeff)
         return SemicanElement(pbw, words)
@@ -199,10 +181,7 @@ def evaluation_matrix(
     classes = _ordered_classes(quiver, d)
     combos = pbw_to_words(quiver, d)
     ev = evaluator or RhoEvaluator(quiver.n, config)
-    rows = tuple(
-        tuple(ev.rho(k_cls, combos[n_cls]) for n_cls in classes) for k_cls in classes
-    )
-    ev.end_label()
+    rows = tuple(ev.rho_row(k_cls, [combos[n_cls] for n_cls in classes]) for k_cls in classes)
     return classes, rows
 
 
@@ -289,14 +268,13 @@ def _delta_report(
     elements: Mapping[Multisegment, SemicanElement],
 ) -> DeltaReport:
     ev = basis.evaluator
-    ev.end_label()
     fresh = ev.fresh("verify-delta")
     rows = []
     recounted: dict[Multisegment, str] = {}
     for r, k_cls in enumerate(classes):
         # read the row first: a count missing from the memo can read
         # further primes, which the certificate must cover
-        row = [ev.rho(k_cls, elements[m_cls].words) for m_cls in classes]
+        row = list(ev.rho_row(k_cls, [elements[m_cls].words for m_cls in classes]))
         read = ev.certified_primes(k_cls)
         if read is None:
             recounted[k_cls] = "voted in the construction"
@@ -306,10 +284,8 @@ def _delta_report(
             if fresh.certified_primes(k_cls, read) is None:
                 recounted[k_cls] = f"fresh draws missed q(d) at a prime of {list(read)}"
         if k_cls in recounted:
-            row = [fresh.rho(k_cls, elements[m_cls].words) for m_cls in classes]
+            row = fresh.rho_row(k_cls, [elements[m_cls].words for m_cls in classes])
         rows.append(tuple(row))
-    ev.end_label()
-    fresh.end_label()
     log.info(
         "delta check: %d of %d components read from the construction's counts, "
         "%d recounted in full at fresh seeds%s",

@@ -13,9 +13,11 @@ import json
 import logging
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,7 +45,7 @@ from semibasis import (
     total_generic_flag,
     transition_matrix,
 )
-from semibasis import nilpotent
+from semibasis import nilpotent, semican
 from semibasis.cli import main
 from semibasis.hall import Rep, pbw_to_words, realize
 from semibasis.linalg import (
@@ -52,7 +54,7 @@ from semibasis.linalg import (
     solve_affine_ff,
     subspaces_ff,
 )
-from semibasis.quiver import euler_form, hom_dim
+from semibasis.quiver import euler_form, format_word, hom_dim, refine_order
 from semibasis.semican import SemicanBasis
 from semibasis.nilpotent import (
     _end_dim,
@@ -327,101 +329,126 @@ def grade_words(d) -> list:
 
 
 class TestSharedExpansions:
-    def test_key_separates_primes_and_dimension_vectors(self):
-        # zero-map points of one vertex: their matrices are all empty, so
-        # only p and dims tell them apart; complete flags of F_p^2 and
-        # F_p^3 number p + 1 and (p^2 + p + 1)(p + 1)
-        shared: dict = {}
+    """The words read at one point are counted in one walk of the trie of
+    their reversed letters (nilpotent._count_words)."""
+
+    def test_zero_map_points_count_partial_flags(self):
+        # zero-map points of one vertex, all words of a point in one walk:
+        # complete flags of F_p^2 and F_p^3 number p + 1 and
+        # (p^2 + p + 1)(p + 1), and a line or a plane of F_p^3 has
+        # p^2 + p + 1 choices
         for p in (2, 3, 5):
-            for dims, want in (((2,), p + 1), ((3,), (p * p + p + 1) * (p + 1))):
+            for dims in ((2,), (3,)):
                 x = LambdaPoint(n=1, p=p, dims=dims, arrows=(), stars=(), label=None, seed=0)
-                w = ((1, 1),) * dims[0]
-                assert evaluate_word_at_point(x, w, expansions=shared) == want, (p, dims)
-                assert evaluate_word_at_point(x, w) == want
-        assert {key[:2] for key in shared} == {
-            (p, dims) for p in (2, 3, 5) for dims in ((2,), (3,))
-        }
+                if dims == (2,):
+                    want = {((1, 1),) * 2: p + 1, ((1, 2),): 1}
+                else:
+                    plane = p * p + p + 1
+                    want = {
+                        ((1, 1),) * 3: plane * (p + 1),
+                        ((1, 1), (1, 2)): plane,
+                        ((1, 2), (1, 1)): plane,
+                        ((1, 3),): 1,
+                    }
+                assert nilpotent._count_words(x, want) == want, (p, dims)
+                for w, count in want.items():
+                    assert evaluate_word_at_point(x, w) == count, (p, dims, w)
 
     def test_shared_counts_equal_unshared_counts(self):
         rng = random.Random(0)
         for d in ((3, 3), (2, 3, 1)):
             n = len(d)
             words = grade_words(d)
-            shared: dict = {}
             for m in enumerate_multisegments(Quiver(n), d):
                 for p in (5, 7):
                     x = accepted_point(m, n, p)
                     order = words[:]
                     rng.shuffle(order)
-                    got = {w: evaluate_word_at_point(x, w, expansions=shared) for w in order}
-                    want = {w: evaluate_word_at_point(x, w) for w in words}
-                    assert got == want, (m, p)
-            assert shared
+                    got = nilpotent._count_words(x, order)
+                    assert list(got) == order
+                    assert got == {w: evaluate_word_at_point(x, w) for w in words}, (m, p)
 
     def test_shared_counts_match_full_walk(self):
+        rng = random.Random(1)
         d = (1, 2, 1)
         words = grade_words(d)
         for p in (2, 3):
-            shared: dict = {}
             for m in enumerate_multisegments(Quiver(3), d):
                 x = accepted_point(m, 3, p)
+                order = words[:]
+                rng.shuffle(order)
+                got = nilpotent._count_words(x, order)
                 for w in words:
-                    assert evaluate_word_at_point(x, w, expansions=shared) == full_walk_count(
-                        x, w
-                    ), (m, p, w)
+                    assert got[w] == full_walk_count(x, w), (m, p, w)
 
-    def test_expansions_scoped_to_one_label(self, monkeypatch):
-        first, second = M("1[1,2]+2[1,1]+2[2,2]"), M("3[1,2]")
-        # two words ending in the same letters
+    def test_shared_suffix_expanded_once_per_walk(self, monkeypatch):
+        # two words ending in the same letters: counted together they
+        # expand each quotient on their shared suffix once, so they make
+        # fewer expansions than counted one by one, with the same values
+        m = M("1[1,2]+2[1,1]+2[2,2]")
         words = [((1, 1), (2, 1), (1, 2), (2, 2)), ((2, 1), (1, 1), (1, 2), (2, 2))]
-        real = nilpotent.evaluate_word_at_point
+        made: list[int] = []
+        expand = nilpotent._expand
 
-        def run(share: bool):
-            calls: list[int] = []
-            values = []
+        def counted(x, i, a):
+            made[-1] += 1
+            return expand(x, i, a)
 
-            def counted(x, w, *, expansions=None):
-                calls[-1] += 1
-                return real(x, w, expansions=expansions if share else None)
+        monkeypatch.setattr(nilpotent, "_expand", counted)
+        made.append(0)
+        together = RhoEvaluator(2).rho_row(m, words)
+        made.append(0)
+        alone = tuple(RhoEvaluator(2).chi(m, w) for w in words)
+        assert together == alone
+        assert 0 < made[0] < made[1], made
+        # likewise at one point, where the walk is all there is
+        x = accepted_point(m, 2, 5)
+        made.append(0)
+        together = nilpotent._count_words(x, words)
+        made.append(0)
+        alone = {w: nilpotent._count_words(x, [w])[w] for w in words}
+        assert together == alone
+        assert 0 < made[2] < made[3], made
 
-            monkeypatch.setattr(nilpotent, "evaluate_word_at_point", counted)
-            ev = RhoEvaluator(2, SampleConfig())
-            for m in (first, second):
-                if m == second:
-                    memo = ev._expansions
-                for w in words:
-                    calls.append(0)
-                    values.append(ev.chi(m, w))
-            monkeypatch.undo()
-            return ev, memo, calls, values
+    def test_expand_yields_its_quotients_lazily(self):
+        # no level of the walk holds its quotients in a list
+        x = accepted_point(M("3[1,2]"), 2, 3)
+        pairs = nilpotent._expand(x, 2, 1)
+        assert isinstance(pairs, Iterator) and not isinstance(pairs, (list, tuple))
+        lines = list(subspaces_ff(joint_kernel(x, 2), 1, 3))
+        assert sum(orbit for orbit, _ in pairs) == len(lines) > 1
 
-        ev, memo, calls, values = run(share=True)
-        tops = [
-            (x.p, x.dims, x.arrows, x.stars)
-            for (segments, _, _), (points, _) in ev._draws.items()
-            if segments == first.segments
-            for x in points
-        ]
-        assert tops and all(top + (words[0][-1],) in memo for top in tops)
-        assert ev._expansions is not memo and ev._expansions.label == second
-        assert not any(key[:4] in tops for key in ev._expansions)
-        # the second word reused what the first expanded at the same points
-        assert memo.reused > 0
-        _, _, unshared_calls, unshared_values = run(share=False)
-        assert calls == unshared_calls and values == unshared_values
-
-    def test_debug_log_counts_expansions_per_label(self, caplog, capsys):
+    def test_debug_log_counts_expansions_per_label(self, caplog, capsys, monkeypatch):
+        # one line per counted batch: its component, how many words it
+        # counted together and the expansions it made
         argv = ["transition", "--dim", "1,2,1", "--format", "json"]
+        marks = []
+        report = semican._delta_report
+
+        def marked(*args):
+            marks.append(len(caplog.records))
+            return report(*args)
+
+        monkeypatch.setattr(semican, "_delta_report", marked)
         with caplog.at_level(logging.DEBUG, logger="semibasis.nilpotent"):
             assert main(argv) == 0
         logged = capsys.readouterr().out
-        lines = [
-            r.getMessage() for r in caplog.records if r.getMessage().startswith("expansions on")
+        lines = [r.getMessage() for r in caplog.records if r.name == "semibasis.nilpotent"]
+        assert lines and all(
+            re.fullmatch(r"batch on Z\(.+\): \d+ words counted together, \d+ expansions", line)
+            for line in lines
+        ), lines
+        [start] = marks
+        delta = [r.getMessage() for r in caplog.records[start:]]
+        classes = list(enumerate_multisegments(Quiver(3), (1, 2, 1)))
+        # the evaluation pass reads every label first, a row per label
+        assert [line.split(":")[0] for line in lines[: len(classes)]] == [
+            f"batch on Z({cls})" for cls in refine_order(classes)
         ]
-        # the evaluation pass and the delta check each read every label
-        for cls in enumerate_multisegments(Quiver(3), (1, 2, 1)):
-            assert sum(line.startswith(f"expansions on Z({cls}): ") for line in lines) >= 2
-        assert any(not line.endswith(" 0 reused") for line in lines), lines
+        # and the delta check counts at every label again
+        for cls in classes:
+            assert any(line.startswith(f"batch on Z({cls}): ") for line in delta), cls
+        assert any(int(line.split(": ")[1].split()[0]) > 1 for line in lines), lines
         assert main(argv) == 0
         assert capsys.readouterr().out == logged
 
@@ -456,12 +483,12 @@ class TestSharedDraws:
         cycle = itertools.cycle((0, 1, 0, 1, 2))
         read = []
 
-        def counted(x, word, *, expansions=None):
+        def counted(x, words):
             read.append((x.p, x.seed))
-            return next(cycle)
+            return {word: next(cycle) for word in words}
 
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
-        monkeypatch.setattr(nilpotent, "evaluate_word_at_point", counted)
+        monkeypatch.setattr(nilpotent, "_count_words", counted)
         ev = RhoEvaluator(2)
         assert ev.config.samples_per_prime == 40 and nilpotent.VOTE_SIZE == 5
         with pytest.raises(ConsensusError):
@@ -533,14 +560,14 @@ class TestRho:
         # first five of least End vote
         m, w = M("1[1,2]+1[1,1]+1[2,2]"), ((2, 1), (1, 2), (2, 1))
         calls = Counter()
-        real = nilpotent.evaluate_word_at_point
+        real = nilpotent._count_words
 
-        def counted(x, word, *, expansions=None):
+        def counted(x, words):
             calls[x.p] += 1
-            return real(x, word, expansions=expansions)
+            return real(x, words)
 
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
-        monkeypatch.setattr(nilpotent, "evaluate_word_at_point", counted)
+        monkeypatch.setattr(nilpotent, "_count_words", counted)
         ev = RhoEvaluator(2, SampleConfig())
         value = ev.chi(m, w)
         monkeypatch.undo()
@@ -549,7 +576,7 @@ class TestRho:
         for p in sorted(calls):
             points, ends = ev._draws_for(m, p, 0)
             assert len(points) == nilpotent.VOTE_SIZE == 5 and len(ends) == 40
-            votes = Counter(real(x, w) for x in points).most_common(2)
+            votes = Counter(evaluate_word_at_point(x, w) for x in points).most_common(2)
             assert len(votes) == 1 or votes[0][1] > votes[1][1]
             series.append((p, votes[0][0]))
         assert value == interpolate_eval_one(series, word_degree_bound(w, (2, 2))) == 1
@@ -558,9 +585,7 @@ class TestRho:
 
     def test_interpolation_error_names_component_and_word(self, monkeypatch):
         # a count equal to p cannot fit the constant a degree-0 word allows
-        monkeypatch.setattr(
-            nilpotent, "evaluate_word_at_point", lambda x, w, *, expansions=None: x.p
-        )
+        monkeypatch.setattr(nilpotent, "_count_words", lambda x, words: dict.fromkeys(words, x.p))
         with pytest.raises(InterpolationError) as info:
             RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
@@ -572,13 +597,52 @@ class TestRho:
         cycle = itertools.cycle((0, 1, 0, 1, 2))
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
         monkeypatch.setattr(
-            nilpotent, "evaluate_word_at_point", lambda x, w, *, expansions=None: next(cycle)
+            nilpotent, "_count_words", lambda x, words: {w: next(cycle) for w in words}
         )
         with pytest.raises(ConsensusError) as info:
             RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
         assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
         assert "only the samples drawn" in text
+
+    def test_row_retries_only_its_failing_words(self, monkeypatch):
+        # a count equal to p fails the degree-0 fit of bad at every attempt;
+        # good certifies at the first attempt, so only bad is counted again
+        m = M("2[1,2]")
+        bad, good = ((1, 2), (2, 2)), ((2, 1), (1, 2), (2, 1))
+        count_words = nilpotent._count_words
+        batches = []
+
+        def faulty(x, words):
+            batches.append(tuple(words))
+            counts = count_words(x, words)
+            if bad in counts:
+                counts[bad] = x.p
+            return counts
+
+        monkeypatch.setattr(nilpotent, "_count_words", faulty)
+        ev = RhoEvaluator(2)
+        with pytest.raises(InterpolationError, match=r"count of \(1,2\)\(2,2\) on Z\(2\[1,2\]\)"):
+            ev.rho_row(m, [{good: 1}, {bad: 2, good: -1}])
+        assert (m.segments, good) in ev._chi and (m.segments, bad) not in ev._chi
+        first = max(k for k, words in enumerate(batches) if good in words) + 1
+        assert batches[0] == (good, bad)
+        assert first < len(batches) and set(batches[first:]) == {(bad,)}
+
+    def test_row_raises_for_its_first_failing_word(self, monkeypatch):
+        # counts of p^3 fit neither word's degree (0 and 1); the error names
+        # the first word in the order the row gives them
+        m = M("2[1,2]")
+        bad, good = ((1, 2), (2, 2)), ((2, 1), (1, 2), (2, 1))
+        monkeypatch.setattr(
+            nilpotent, "_count_words", lambda x, words: dict.fromkeys(words, x.p**3)
+        )
+        for order in ([bad, good], [good, bad]):
+            with pytest.raises(InterpolationError) as info:
+                RhoEvaluator(2).rho_row(m, [{order[0]: 1}, {order[1]: 1}])
+            text = str(info.value)
+            assert text.startswith(f"count of {format_word(order[0])} on Z(2[1,2])"), text
+            assert format_word(order[1]) not in text
 
     def test_seed_eight_certifies_on_1221(self):
         # under the vote with only b_w + 2 primes, a non-generic count at
@@ -675,13 +739,13 @@ class TestEndCertificate:
             nilpotent, "_end_dim", lambda x: real_end(x) + (x.p == 3)
         )
         counted = []
-        evaluate = nilpotent.evaluate_word_at_point
+        count_words = nilpotent._count_words
 
-        def recorded(x, word, *, expansions=None):
+        def recorded(x, words):
             counted.append(x.p)
-            return evaluate(x, word, expansions=expansions)
+            return count_words(x, words)
 
-        monkeypatch.setattr(nilpotent, "evaluate_word_at_point", recorded)
+        monkeypatch.setattr(nilpotent, "_count_words", recorded)
         assert RhoEvaluator(2).chi(m, w) == 1
         assert counted == [2, 5, 7]
         # a given pool must then hold enough primes that can be read
@@ -750,7 +814,7 @@ class TestEndCertificate:
         cycle = itertools.cycle((0, 1, 0, 1, 2))
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
         monkeypatch.setattr(
-            nilpotent, "evaluate_word_at_point", lambda x, w, *, expansions=None: next(cycle)
+            nilpotent, "_count_words", lambda x, words: {w: next(cycle) for w in words}
         )
         with pytest.raises(ConsensusError) as info:
             RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))

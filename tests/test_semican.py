@@ -119,12 +119,6 @@ class TestRecursionRoute:
                     vec = semican_recursive(quiver, cls)
                     assert tuple(vec.get(c) for c in classes) == a_mat[r], cls
 
-    def test_basis_takes_the_config_of_its_evaluator(self):
-        ev = RhoEvaluator(2, SampleConfig(root_seed=3))
-        assert SemicanBasis(Q2, ev.config, ev).evaluator is ev
-        with pytest.raises(ValueError, match="config must be the evaluator's"):
-            SemicanBasis(Q2, SampleConfig(root_seed=4), ev)
-
 
 class TestDelta:
     def test_identity_on_small_grades(self):
@@ -232,13 +226,15 @@ class TestDeltaCheck:
         # counts double, so every Euler characteristic doubles, but only at
         # points drawn from the verify-delta seeds, which certified rows
         # use only for the diagonal
-        evaluate = nilpotent.evaluate_word_at_point
+        count_words = nilpotent._count_words
 
-        def doubled(x, w, *, expansions=None):
-            count = evaluate(x, w, expansions=expansions)
-            return 2 * count if any(x.seed in ev.seeds for ev in fresh_evaluators) else count
+        def doubled(x, words):
+            counts = count_words(x, words)
+            if any(x.seed in ev.seeds for ev in fresh_evaluators):
+                return {w: 2 * count for w, count in counts.items()}
+            return counts
 
-        monkeypatch.setattr(nilpotent, "evaluate_word_at_point", doubled)
+        monkeypatch.setattr(nilpotent, "_count_words", doubled)
         with caplog.at_level(logging.INFO, logger="semibasis.semican"):
             with pytest.raises(DeltaCheckError) as info:
                 transition_matrix(Q3, (2, 3, 1))
