@@ -62,6 +62,7 @@ from .quiver import (
     total_generic_flag,
     word_weight,
 )
+from .torus import fixed_flag_count, graded_point
 from .semican import (
     CertifiedTransition,
     SemicanBasis,
@@ -102,9 +103,11 @@ __all__ = [
     "euler_form",
     "ext_dim",
     "flag_vertex",
+    "fixed_flag_count",
     "flag_word_matrix",
     "format_word",
     "generic_ext_simple",
+    "graded_point",
     "hall_counts_simple_top",
     "hom_dim",
     "iso_class",

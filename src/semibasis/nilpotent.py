@@ -7,7 +7,11 @@ component Z_M is the closure of the points whose arrow part lies in the
 orbit of M; such points are sampled by realizing M and solving the
 relations, which are linear in the stars, for a random solution.
 
-Word counts are read off sampled points.  (The component-level top at
+Word counts at a component with a graded point are the torus-fixed
+flags there (torus.graded_point and torus.fixed_flag_counts), which are
+exact and read no prime; every other word count is read off sampled
+points over prime fields, the F_p route below, which also serves the
+diagonal recount of semican's delta check.  (The component-level top at
 a vertex and the class it peels to need no points: they are the crystal
 signature rule of quiver.t_component and quiver.peel_component.)  A
 point x of Z_M lies in a dense orbit of the component iff
@@ -57,6 +61,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import torus
 from .errors import ConsensusError, InternalCheckError, InterpolationError
 from .hall import Rep, _as_combo, realize
 from .linalg import (
@@ -582,36 +587,43 @@ def word_degree_bound(word: Word, d: Sequence[int]) -> int:
 class RhoEvaluator:
     """Evaluates word combinations at generic points of components.
 
-    One evaluator owns one quiver size and one sampling config.  Sampled
-    points are shared across words; the star space of each
-    (component, prime) is solved once, and the interpolated value of
-    each (component, word) pair is computed once; this is what makes
-    whole evaluation matrices affordable.  The words asked for at one
-    label together (a combination in rho, a row in rho_row) are counted
-    together: each draw is read once for all of them, in one walk of
-    their shared suffixes (see evaluate_word_at_point), and nothing of
-    the walk is kept.  At DEBUG each counted batch logs its label, how
-    many words it counted together and how many expansions it made.
+    One evaluator owns one quiver size and one sampling config.  A label
+    with a graded point (see graded) is counted there by torus-fixed
+    flags; graded=False leaves every label to the F_p route, as fresh
+    does.  On that route sampled points are shared across words; the
+    star space of each (component, prime) is solved once, and the
+    interpolated value of each (component, word) pair is computed once;
+    this is what makes whole evaluation matrices affordable.  The words
+    asked for at one label together (a combination in rho, a row in
+    rho_row) are counted together: each draw is read once for all of
+    them, in one walk of their shared suffixes (see
+    evaluate_word_at_point), and nothing of the walk is kept.  At DEBUG
+    each counted batch logs its label, how many words it counted
+    together and how many expansions it made.
     """
 
-    def __init__(self, n: int, config: SampleConfig | None = None):
+    def __init__(self, n: int, config: SampleConfig | None = None, graded: bool = True):
         self.n = n
         self.config = config or SampleConfig()
         self._draws: dict[tuple, tuple[list[LambdaPoint], list[int]]] = {}
         self._spaces: dict[tuple, tuple] = {}
         self._voted: set[tuple] = set()
         self._chi: dict[tuple, int] = {}
+        # graded points by label, or None where the F_p route counts alone
+        self._points: dict[tuple, LambdaPoint | None] | None = {} if graded else None
 
     def fresh(self, namespace: str) -> "RhoEvaluator":
         """An evaluator with seeds disjoint from this one's.
 
         It shares this one's star spaces, which no seed enters, and none of
-        its draws or counts.  The delta check of semican draws from one at
-        every prime a component was read at, so that a fresh draw there
-        must again reach dim End = q(d), and recounts the diagonal with it.
+        its draws or counts, and it counts by the F_p route alone.  The
+        delta check of semican recounts every diagonal entry with one: at
+        a component read at primes, its draws must again reach
+        dim End = q(d) there; at a graded component, the torus-fixed
+        flags of the construction meet a count by the other method.
         """
         cfg = replace(self.config, root_seed=derive_seed(self.config.root_seed, namespace))
-        ev = RhoEvaluator(self.n, cfg)
+        ev = RhoEvaluator(self.n, cfg, graded=False)
         ev._spaces = self._spaces
         return ev
 
@@ -686,10 +698,28 @@ class RhoEvaluator:
                 return None
         return tuple(sorted(read))
 
+    def graded(self, label: Multisegment) -> LambdaPoint | None:
+        """The graded point at which label's words are counted, if any.
+
+        torus.graded_point, searched once per label and evaluator; always
+        None for an evaluator that counts by the F_p route alone (see
+        fresh).
+        """
+        if self._points is None:
+            return None
+        if label.segments not in self._points:
+            self._points[label.segments] = torus.graded_point(label, self.n)
+        return self._points[label.segments]
+
     def _count(self, label: Multisegment, words: Iterable[Word]) -> None:
         # count together the words not yet memoised at label, as chi says
         todo = [w for w in dict.fromkeys(words) if (label.segments, w) not in self._chi]
         if not todo:
+            return
+        x = self.graded(label)
+        if x is not None:
+            for w, count in torus.fixed_flag_counts(x, todo).items():
+                self._chi[label.segments, w] = count
             return
         d, q = label.dim_vector(self.n), _tits_form(label, self.n)
         bounds = {w: word_degree_bound(w, d) for w in todo}
@@ -736,7 +766,9 @@ class RhoEvaluator:
     def chi(self, label: Multisegment, word: Word) -> int:
         """Generic Euler-characteristic value of the word count on Z_label.
 
-        The count is taken at each prime and fitted with degree
+        At a label with a graded point (see graded) it is the number of
+        torus-fixed flags there, torus.fixed_flag_count, which is exact.
+        Elsewhere the count is taken at each prime and fitted with degree
         word_degree_bound(word, d) through the first min(b_w + 3, B + 2)
         primes of the grade's pool at which the label is read (see
         SampleConfig), B being flag_degree_bound(d).  Each

@@ -15,10 +15,14 @@ the f_Z in the PBW basis:
 Both must produce the same unitriangular matrix, and a delta-check must
 reproduce the identity; any mismatch is an error, never papered over.
 
-The delta-check evaluates every element at every component.  Where every
-draw a component's values were read at has dim End = q(d), Lang's theorem
-makes those values exact, and the same at any other draw at q(d), so its
-row is read from the construction's counts; fresh seeds then re-verify
+The delta-check evaluates every element at every component.  A
+component with a graded point has exact values, its torus-fixed flags
+(see torus), so its row is read from the construction's counts, and its
+diagonal entry is recounted by the F_p route at fresh seeds, where it
+must be 1: a check across two methods.  Where every draw a component's
+values were read at has dim End = q(d), Lang's theorem makes those
+values exact, and the same at any other draw at q(d), so its row is
+likewise read from the construction's counts; fresh seeds then re-verify
 that a draw at q(d) is reached at every prime the row was read at, and
 recount the diagonal entry, which must be 1.  A component read at a vote,
 or whose fresh draws miss q(d) at such a prime, is recounted in full at
@@ -32,6 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from . import torus
 from .errors import (
     CertificationError,
     DeltaCheckError,
@@ -246,12 +251,15 @@ def semican_recursive(
 class DeltaReport:
     """Every element of a grade evaluated at every component.
 
-    Row K holds rho_K(f_M) over the elements f_M.  A certified component,
-    one whose values were all read at draws with dim End = q(d), takes its
-    row from the construction's counts, which Lang's theorem makes exact;
-    its diagonal entry is recounted at fresh seeds, whose draws must reach
-    q(d) at every prime the row was read at.  Any other row is recounted
-    in full at fresh seeds.  ok iff the matrix is exactly the identity.
+    Row K holds rho_K(f_M) over the elements f_M.  A graded component
+    takes its row from the construction's torus-fixed flag counts, and
+    its diagonal entry, when that reads 1, is recounted by the F_p route
+    at fresh seeds.  A certified component, one whose values were all read
+    at draws with dim End = q(d), takes its row from the construction's
+    counts, which Lang's theorem makes exact; its diagonal entry is
+    recounted at fresh seeds, whose draws must reach q(d) at every prime
+    the row was read at.  Any other row is recounted in full at fresh
+    seeds.  ok iff the matrix is exactly the identity.
     """
 
     classes: tuple[Multisegment, ...]
@@ -275,13 +283,15 @@ def _delta_report(
         # read the row first: a count missing from the memo can read
         # further primes, which the certificate must cover
         row = list(ev.rho_row(k_cls, [elements[m_cls].words for m_cls in classes]))
+        graded = ev.graded(k_cls) is not None
         read = ev.certified_primes(k_cls)
         if read is None:
             recounted[k_cls] = "voted in the construction"
         elif row[r] == 1:
-            # the diagonal must come out 1 at the fresh points too
+            # the diagonal must come out 1 at the fresh points too, which
+            # at a graded component is a count by the other method
             row[r] = fresh.rho(k_cls, elements[k_cls].words)
-            if fresh.certified_primes(k_cls, read) is None:
+            if not graded and fresh.certified_primes(k_cls, read) is None:
                 recounted[k_cls] = f"fresh draws missed q(d) at a prime of {list(read)}"
         if k_cls in recounted:
             row = fresh.rho_row(k_cls, [elements[m_cls].words for m_cls in classes])
@@ -365,15 +375,18 @@ def transition_matrix(
     Raises RouteDisagreementError if the recursion and the inversion
     differ anywhere, DeltaCheckError if the delta-check (see DeltaReport)
     is not the identity, CertificationError on an order violation.  The
-    delta-check reads certified components from the counts both routes
-    shared, and re-verifies at fresh seeds that their primes reach
-    dim End = q(d) and that their diagonal entries are 1.
+    delta-check reads graded and certified components from the counts
+    both routes shared, and re-verifies at fresh seeds that their
+    diagonal entries are 1 by the F_p route and, for certified ones, that
+    their primes reach dim End = q(d).  How many of the grade's
+    components have a graded point is logged once, at INFO.
     """
     started = time.perf_counter()
     d = tuple(d)
     cfg = config or SampleConfig()
     basis = SemicanBasis(quiver, cfg)
     classes, a_mat, e_mat = transition_via_inversion(quiver, d, cfg, basis.evaluator)
+    torus.log_coverage({cls: basis.evaluator.graded(cls) for cls in classes})
     elements = {cls: basis.element(cls) for cls in classes}
     rec_mat = tuple(
         tuple(elements[m_cls].pbw.get(n_cls) for n_cls in classes) for m_cls in classes

@@ -1,0 +1,292 @@
+"""Exact word counts at graded points, by counting torus-fixed flags.
+
+A point x of the double quiver is graded when two things hold:
+
+  * it is monomial: every arrow and star sends each basis vector to a
+    multiple of at most one basis vector;
+  * the weights it admits separate the basis at every vertex.  These are
+    the integer w on basis vectors with w(b') - w(b) = deg(f) at every
+    nonzero entry f[b'][b], for one degree deg(f) per map f.
+
+The torus of such weights acts on the variety Fl_w(x) of flags of
+submodules of type w: it rescales every map as a whole, which keeps the
+submodules.  Its fixed flags are the chains of map-closed basis subsets
+whose layers are the word's letters, and they are finitely many, so by
+Bialynicki-Birula their number is the Euler characteristic of Fl_w(x)
+(Cerulli Irelli, "Quiver Grassmannians associated with string modules",
+2011; Haupt 2012).  Counting them needs no prime, no interpolation, no
+degree bound and no vote.
+
+That number is the generic value rho_M(w) once x lies in the dense orbit
+of the component Z_M, which the search certifies: x has arrow part
+realize(M) and satisfies the preprojective relations over Z, so
+dim End(x) >= q(d), as at every point of Z_M; rank mod p is at most rank
+over Q, so dim End(x) over F_p = q(d) at one prime proves dim End(x) over
+Q = q(d), and the orbit of x then has the dimension of Z_M.
+
+graded_point finds such a point by a deterministic search that draws no
+seed: the arrows are realize(m, n), each star column has at most one
+entry, +1 or -1, and the columns are chosen one at a time, in star order,
+each trying its entries before zero, pruned on the relations.  A
+component may have no graded point on realize's basis, or none within
+LEAF_CAP candidates; it is then read by the F_p route of
+nilpotent.RhoEvaluator.
+"""
+
+from __future__ import annotations
+
+import logging
+from itertools import combinations
+from typing import Iterable, Iterator, Mapping
+
+from . import nilpotent
+from .errors import InternalCheckError
+from .hall import realize
+from .linalg import rank_exact
+from .quiver import Multisegment, Word, word_weight
+
+__all__ = ["GRADED_PRIME", "LEAF_CAP", "graded_point", "fixed_flag_count", "fixed_flag_counts"]
+
+log = logging.getLogger(__name__)
+
+# the prime at which a candidate's End is computed; any prime proves
+# dim End = q(d), and a large one rarely undercounts a rank
+GRADED_PRIME = 2**31 - 1
+# candidates, each satisfying the relations, read per component
+LEAF_CAP = 64
+
+Matrix = tuple[tuple[int, ...], ...]
+
+
+def _candidates(m: Multisegment, n: int) -> Iterator[tuple[Matrix, ...]]:
+    # star tuples over realize(m, n), one entry of +1 or -1 per column at
+    # most, that satisfy the relations over Z, in depth-first order of
+    # their columns (s_1's first), at most LEAF_CAP of them.  Each column
+    # tries its entries before zero: the stars at a point of a dense orbit
+    # are as large as the relations allow (zero first finds, among others,
+    # 4 of the 6 components of (5,5) and 23 of the 35 of (2,2,2,2), where
+    # this order finds 6 and 33).  The relation
+    # a_{i-1} s_{i-1} + s_i a_i = 0 at column c of vertex i reads column c
+    # of s_{i-1} and column a_i(c) of s_i only, so it is checked when the
+    # later of the two is chosen.  Two entries in one row of a star give
+    # their columns equal weights, so no such row is tried
+    rep = realize(m, n)
+    dims = rep.dims
+    # image[v][c]: the row of a_v's entry in column c, or None
+    image = [
+        [next((r for r, row in enumerate(f) if row[c]), None) for c in range(dims[v - 1])]
+        for v, f in enumerate(rep.maps, start=1)
+    ]
+    columns = [(v, c) for v in range(1, n) for c in range(dims[v])]
+    position = {col: k for k, col in enumerate(columns)}
+    # the relation columns (i, c) whose later star column is columns[k]
+    checks: list[list[tuple[int, int]]] = [[] for _ in columns]
+    for i in range(1, n + 1):
+        for c in range(dims[i - 1]):
+            reads = [(i - 1, c)] if i >= 2 else []
+            if i <= n - 1 and image[i - 1][c] is not None:
+                reads.append((i, image[i - 1][c]))
+            if reads:
+                checks[max(position[col] for col in reads)].append((i, c))
+    chosen: dict[tuple[int, int], tuple[int, int] | None] = {}
+
+    def holds(i: int, c: int) -> bool:
+        # (a_{i-1} s_{i-1} + s_i a_i) e_c = 0, as a vector over V_i
+        total: dict[int, int] = {}
+        if i >= 2 and chosen[i - 1, c] is not None:
+            r, sign = chosen[i - 1, c]
+            if image[i - 2][r] is not None:
+                total[image[i - 2][r]] = sign
+        if i <= n - 1 and image[i - 1][c] is not None and chosen[i, image[i - 1][c]]:
+            r, sign = chosen[i, image[i - 1][c]]
+            total[r] = total.get(r, 0) + sign
+        return not any(total.values())
+
+    def stars() -> tuple[Matrix, ...]:
+        out = []
+        for v in range(1, n):
+            mat = [[0] * dims[v] for _ in range(dims[v - 1])]
+            for c in range(dims[v]):
+                if chosen[v, c] is not None:
+                    r, sign = chosen[v, c]
+                    mat[r][c] = sign
+            out.append(tuple(map(tuple, mat)))
+        return tuple(out)
+
+    leaves = 0
+
+    def walk(k: int) -> Iterator[tuple[Matrix, ...]]:
+        nonlocal leaves
+        if k == len(columns):
+            leaves += 1
+            yield stars()
+            return
+        v, c = columns[k]
+        used = {entry[0] for (u, _), entry in chosen.items() if u == v and entry}
+        options = [(r, sign) for r in range(dims[v - 1]) if r not in used for sign in (1, -1)]
+        for option in options + [None]:
+            chosen[v, c] = option
+            if all(holds(i, col) for i, col in checks[k]):
+                yield from walk(k + 1)
+                if leaves >= LEAF_CAP:
+                    break
+            del chosen[v, c]
+
+    yield from walk(0)
+
+
+def _maps(x: nilpotent.LambdaPoint) -> list[tuple[int, int, Matrix]]:
+    # (source vertex, target vertex, matrix) of every arrow and star
+    return [(i, i + 1, f) for i, f in enumerate(x.arrows, start=1)] + [
+        (i + 1, i, f) for i, f in enumerate(x.stars, start=1)
+    ]
+
+
+def _separated(x: nilpotent.LambdaPoint) -> bool:
+    # whether the weights x admits separate its basis at every vertex.  A
+    # walk of each connected piece of the support from a root b0 writes
+    # w(b) = w(b0) + c_b . deg for every b it reaches, c_b an integer vector
+    # over the maps; every other edge b -> b' of a map f asks
+    # (c_b + e_f - c_b') . deg = 0.  Two basis vectors at one vertex are
+    # then tied iff they lie in one piece and c_b - c_b' is in the span of
+    # those asks, decided by exact rank (a rank mod p may drop, which
+    # would wrongly separate them)
+    maps = _maps(x)
+    edges: dict[tuple[int, int], list[tuple[tuple[int, int], int, int]]] = {}
+    for j, (u, v, f) in enumerate(maps):
+        for r, row in enumerate(f):
+            for c, entry in enumerate(row):
+                if entry:
+                    edges.setdefault((u, c), []).append(((v, r), j, 1))
+                    edges.setdefault((v, r), []).append(((u, c), j, -1))
+    unit = [tuple(int(j == k) for k in range(len(maps))) for j in range(len(maps))]
+    potential: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, int]]] = {}
+    asks: list[tuple[int, ...]] = []
+    for v, dv in enumerate(x.dims, start=1):
+        for b in range(dv):
+            if (v, b) in potential:
+                continue
+            potential[v, b] = ((0,) * len(maps), (v, b))
+            todo = [(v, b)]
+            while todo:
+                here = todo.pop()
+                c_here, root = potential[here]
+                for there, j, sign in edges.get(here, ()):
+                    reach = tuple(a + sign * e for a, e in zip(c_here, unit[j]))
+                    if there not in potential:
+                        potential[there] = (reach, root)
+                        todo.append(there)
+                    elif potential[there][0] != reach:
+                        asks.append(tuple(a - e for a, e in zip(reach, potential[there][0])))
+    base = rank_exact(asks)
+    for v, dv in enumerate(x.dims, start=1):
+        for b, b2 in combinations(range(dv), 2):
+            (c, root), (c2, root2) = potential[v, b], potential[v, b2]
+            if root != root2:
+                continue
+            diff = tuple(a - e for a, e in zip(c, c2))
+            if not any(diff) or rank_exact(asks + [diff]) == base:
+                return False
+    return True
+
+
+def graded_point(m: Multisegment, n: int) -> nilpotent.LambdaPoint | None:
+    """A graded point of the dense orbit of Z_m, or None if the search finds none.
+
+    The candidates are the monomial points over realize(m, n) described
+    in the module docstring, read in a fixed order, at most LEAF_CAP of
+    them.  The first is returned that satisfies the relations over Z,
+    has dim End = q(d) at GRADED_PRIME (nilpotent._end_dim) and whose
+    weights separate the basis at every vertex.  Its entries are stored
+    mod GRADED_PRIME; the flag counts read only which are nonzero.
+    """
+    rep = realize(m, n)
+    q = nilpotent._tits_form(m, n)
+    p = GRADED_PRIME
+    for stars in _candidates(m, n):
+        reduced = tuple(tuple(tuple(e % p for e in row) for row in f) for f in stars)
+        x = nilpotent.LambdaPoint(n, p, rep.dims, rep.maps, reduced, m, 0)
+        try:
+            # an entry of a relation sums far fewer than p terms of size
+            # at most 1, so it vanishes mod p iff it vanishes over Z
+            nilpotent._check_relations(x)
+        except InternalCheckError:
+            continue
+        if nilpotent._end_dim(x) == q and _separated(x):
+            return x
+    return None
+
+
+def fixed_flag_counts(x: nilpotent.LambdaPoint, words: Iterable[Word]) -> dict[Word, int]:
+    """The torus-fixed flags of each word of x's weight at the graded point x.
+
+    A fixed flag is a chain of map-closed subsets of x's basis, built
+    from the bottom: the last letter (i, a) adds a basis vectors at
+    vertex i whose images all lie in the subset so far.  The words are
+    counted together in one walk of the trie of their reversed letters,
+    as nilpotent._count_words walks them; each level of the walk holds
+    the closed subsets it reached with their number of chains, so a
+    subset reached along several chains is expanded once.  Nothing of the
+    walk is kept.  A word whose weight is not x's raises ValueError.
+    """
+    offsets = [0]
+    for dv in x.dims:
+        offsets.append(offsets[-1] + dv)
+    # targets[b]: the basis vectors that the maps leaving b's vertex send
+    # b to, as a bit mask
+    targets = [0] * offsets[-1]
+    maps = _maps(x)
+    for u, v, f in maps:
+        for r, row in enumerate(f):
+            for c, entry in enumerate(row):
+                if entry:
+                    targets[offsets[u - 1] + c] |= 1 << (offsets[v - 1] + r)
+    counts = dict.fromkeys(words, 0)
+    root: tuple[list[Word], dict] = ([], {})
+    for w in counts:
+        if word_weight(w, x.n) != x.dims:
+            raise ValueError(
+                f"word weight {word_weight(w, x.n)} does not match dimensions {x.dims}"
+            )
+        node = root
+        for letter in reversed(w[1:]):
+            node = node[1].setdefault(letter, ([], {}))
+        node[0].append(w)
+
+    def walk(node: tuple[list[Word], dict], reached: dict[int, int]) -> None:
+        held, children = node
+        total = sum(reached.values())
+        for w in held:
+            counts[w] += total
+        for (i, a), child in children.items():
+            after: dict[int, int] = {}
+            for sub, chains in reached.items():
+                free = [
+                    b
+                    for b in range(offsets[i - 1], offsets[i])
+                    if not sub >> b & 1 and not targets[b] & ~sub
+                ]
+                for pick in combinations(free, a):
+                    grown = sub | sum(1 << b for b in pick)
+                    after[grown] = after.get(grown, 0) + chains
+            if after:
+                walk(child, after)
+
+    walk(root, {0: 1})
+    return counts
+
+
+def fixed_flag_count(x: nilpotent.LambdaPoint, word: Word) -> int:
+    """The number of torus-fixed flags of type word at the graded point x."""
+    return fixed_flag_counts(x, [word])[word]
+
+
+def log_coverage(points: Mapping[Multisegment, nilpotent.LambdaPoint | None]) -> None:
+    """Log, at INFO, how many of a grade's components have a graded point."""
+    missed = [m for m, x in points.items() if x is None]
+    log.info(
+        "graded points: %d of %d components read by torus-fixed flags%s",
+        len(points) - len(missed),
+        len(points),
+        "; F_p: " + ", ".join(f"Z({m})" for m in missed) if missed else "",
+    )

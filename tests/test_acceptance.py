@@ -10,6 +10,7 @@ import itertools
 import time
 
 import oracles
+from semibasis import torus
 from semibasis import (
     Multisegment,
     Quiver,
@@ -26,7 +27,8 @@ from semibasis import (
     transition_matrix,
     verify_delta,
 )
-from semibasis.hall import hom_rank
+from semibasis.hall import hom_rank, pbw_to_words
+from semibasis.semican import SemicanBasis
 
 M = Multisegment
 
@@ -41,6 +43,14 @@ def acceptance_grades():
             yield 2, d
     for d in itertools.product(range(3), repeat=3):
         yield 3, d
+
+
+# the transition grades of the benchmark (perfbench/run.py), by workload
+BENCHMARK_GRADES = [
+    (2, (3, 3)), (2, (2, 6)), (3, (2, 3, 1)), (3, (1, 3, 2)),
+    (2, (2, 2)), (4, (1, 1, 1, 1)), (4, (1, 2, 1, 1)), (4, (1, 2, 2, 1)),
+    (5, (1, 1, 1, 1, 1)), (6, (1, 1, 1, 1, 1, 1)),
+]
 
 
 def _finish(num: int, name: str, failures: list) -> None:
@@ -244,3 +254,34 @@ def test_10_performance_envelope():
     if elapsed >= 300.0:
         failures.append(f"took {elapsed:.1f}s, budget 300s")
     _finish(10, "full pipeline within budget", failures)
+
+
+def test_11_torus_counts_equal_prime_counts():
+    # at every component with a graded point, the torus-fixed flags of
+    # every word the pipeline reads there (the evaluation matrix's and the
+    # recursion's elements') equal the count interpolated from F_p
+    failures = []
+    pairs = 0
+    for n, d in list(acceptance_grades()) + BENCHMARK_GRADES:
+        quiver = Quiver(n)
+        classes = enumerate_multisegments(quiver, d)
+        combos = pbw_to_words(quiver, d)
+        basis = SemicanBasis(quiver)
+        words = {w for combo in combos.values() for w in combo}
+        words |= {w for cls in classes for w in basis.element(cls).words}
+        primes_only = RhoEvaluator(n, graded=False)
+        graded = 0
+        for cls in classes:
+            x = torus.graded_point(cls, n)
+            if x is None:
+                continue
+            graded += 1
+            fixed = torus.fixed_flag_counts(x, words)
+            counted = primes_only.rho_row(cls, sorted(words))
+            for w, value in zip(sorted(words), counted):
+                pairs += 1
+                if fixed[w] != value:
+                    failures.append(f"n={n} d={d} Z({cls}) {w}: {fixed[w]} != {value}")
+        print(f"n={n} d={d}: {graded} of {len(classes)} components graded")
+    print(f"{pairs} (component, word) pairs read both ways")
+    _finish(11, "torus-fixed flags equal F_p counts", failures)

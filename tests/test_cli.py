@@ -44,6 +44,23 @@ class TestTransition:
         assert "elapsed" not in json.loads(out)
         assert "s" in err
 
+    def test_graded_coverage_on_stderr_once_per_call(self, capsys):
+        # one coverage line per transition, on stderr; stdout is the
+        # payload's JSON alone
+        for dim, line in [
+            ("3,3", "graded points: 4 of 4 components read by torus-fixed flags"),
+            ("1,2,2,1", "graded points: 14 of 18 components read by torus-fixed flags;"
+             " F_p: Z(1[1,3]+1[2,2]+1[3,4]), Z(1[1,2]+1[2,4]+1[3,3]),"
+             " Z(1[1,2]+1[2,3]+1[3,3]+1[4,4]), Z(1[1,1]+1[2,3]+1[2,2]+1[3,4])"),
+        ]:
+            code, out, err = run(capsys, "transition", "--dim", dim, "--format", "json")
+            assert code == 0
+            coverage = [text for text in err.splitlines() if text.startswith("graded points:")]
+            assert coverage == [line]
+            n = len(dim.split(","))
+            payload = transition_matrix(Quiver(n), tuple(map(int, dim.split(",")))).to_payload()
+            assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
     def test_csv_and_pretty_forms(self, capsys):
         code, out, _ = run(capsys, "transition", "--dim", "1,1", "--format", "csv")
         assert code == 0

@@ -6,6 +6,11 @@ has zero arrow part, the star s_1 : V_2 -> V_1 is unconstrained, so a
 generic point has rank(s_1) = 1.  The top at vertex 1 then has
 dimension 2 - 1 = 1 although t_top is 2, and the image line is killed
 by the (zero) arrow, so the peeled class is 1[1,1]+1[2,2].
+
+The tests of draws, votes, fits and their errors build their evaluators
+with graded=False: such an evaluator counts every label by the F_p route,
+as the delta check's fresh evaluator does, where a default one would read
+a graded point's torus-fixed flags first.
 """
 
 import itertools
@@ -45,7 +50,7 @@ from semibasis import (
     total_generic_flag,
     transition_matrix,
 )
-from semibasis import nilpotent, semican
+from semibasis import nilpotent, semican, torus
 from semibasis.cli import main
 from semibasis.hall import Rep, pbw_to_words, realize
 from semibasis.linalg import (
@@ -396,9 +401,9 @@ class TestSharedExpansions:
 
         monkeypatch.setattr(nilpotent, "_expand", counted)
         made.append(0)
-        together = RhoEvaluator(2).rho_row(m, words)
+        together = RhoEvaluator(2, graded=False).rho_row(m, words)
         made.append(0)
-        alone = tuple(RhoEvaluator(2).chi(m, w) for w in words)
+        alone = tuple(RhoEvaluator(2, graded=False).chi(m, w) for w in words)
         assert together == alone
         assert 0 < made[0] < made[1], made
         # likewise at one point, where the walk is all there is
@@ -420,10 +425,12 @@ class TestSharedExpansions:
 
     def test_debug_log_counts_expansions_per_label(self, caplog, capsys, monkeypatch):
         # one line per counted batch: its component, how many words it
-        # counted together and the expansions it made
+        # counted together and the expansions it made; with no graded
+        # point, every count of the construction is such a batch
         argv = ["transition", "--dim", "1,2,1", "--format", "json"]
         marks = []
         report = semican._delta_report
+        monkeypatch.setattr(torus, "graded_point", lambda m, n: None)
 
         def marked(*args):
             marks.append(len(caplog.records))
@@ -548,7 +555,7 @@ class TestRho:
         cfg = SampleConfig(prime_pool=(5, 7))
         with pytest.raises(ValueError, match="fewer than"):
             # the degree-0 word needs a fit prime and two check primes
-            RhoEvaluator(2, cfg).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+            RhoEvaluator(2, cfg, graded=False).chi(M("2[1,2]"), ((1, 2), (2, 2)))
 
     def test_three_primes_serve_a_degree_zero_word(self):
         # b_w = 0 at grade (2,2), whose grade bound of 2 would want four
@@ -587,7 +594,7 @@ class TestRho:
         # a count equal to p cannot fit the constant a degree-0 word allows
         monkeypatch.setattr(nilpotent, "_count_words", lambda x, words: dict.fromkeys(words, x.p))
         with pytest.raises(InterpolationError) as info:
-            RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+            RhoEvaluator(2, SampleConfig(), graded=False).chi(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
         assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
         assert "degree bound 0" in text and "primes [2, 3, 5]" in text
@@ -621,7 +628,7 @@ class TestRho:
             return counts
 
         monkeypatch.setattr(nilpotent, "_count_words", faulty)
-        ev = RhoEvaluator(2)
+        ev = RhoEvaluator(2, graded=False)
         with pytest.raises(InterpolationError, match=r"count of \(1,2\)\(2,2\) on Z\(2\[1,2\]\)"):
             ev.rho_row(m, [{good: 1}, {bad: 2, good: -1}])
         assert (m.segments, good) in ev._chi and (m.segments, bad) not in ev._chi
@@ -639,7 +646,7 @@ class TestRho:
         )
         for order in ([bad, good], [good, bad]):
             with pytest.raises(InterpolationError) as info:
-                RhoEvaluator(2).rho_row(m, [{order[0]: 1}, {order[1]: 1}])
+                RhoEvaluator(2, graded=False).rho_row(m, [{order[0]: 1}, {order[1]: 1}])
             text = str(info.value)
             assert text.startswith(f"count of {format_word(order[0])} on Z(2[1,2])"), text
             assert format_word(order[1]) not in text
@@ -746,25 +753,26 @@ class TestEndCertificate:
             return count_words(x, words)
 
         monkeypatch.setattr(nilpotent, "_count_words", recorded)
-        assert RhoEvaluator(2).chi(m, w) == 1
+        assert RhoEvaluator(2, graded=False).chi(m, w) == 1
         assert counted == [2, 5, 7]
         # a given pool must then hold enough primes that can be read
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
         with pytest.raises(ConsensusError, match="fewer than 3 primes at which Z"):
-            RhoEvaluator(2, SampleConfig(prime_pool=(2, 3, 5, 7))).chi(m, w)
-        assert RhoEvaluator(2, SampleConfig(prime_pool=(2, 3, 5, 7, 11))).chi(m, w) == 1
+            RhoEvaluator(2, SampleConfig(prime_pool=(2, 3, 5, 7)), graded=False).chi(m, w)
+        wider = SampleConfig(prime_pool=(2, 3, 5, 7, 11))
+        assert RhoEvaluator(2, wider, graded=False).chi(m, w) == 1
 
     def test_certified_primes_are_the_primes_read_at_q(self, monkeypatch):
         # the degree-0 word reads three primes; a prime passed over is not
         # read, and one read at a vote leaves the label uncertified
         m, w = M("2[1,2]"), ((1, 2), (2, 2))
-        ev = RhoEvaluator(2)
+        ev = RhoEvaluator(2, graded=False)
         assert ev.certified_primes(m) == ()
         ev.chi(m, w)
         assert ev.certified_primes(m) == (2, 3, 5)
         real_end = nilpotent._end_dim
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: real_end(x) + (x.p in (3, 13)))
-        ev = RhoEvaluator(2)
+        ev = RhoEvaluator(2, graded=False)
         ev.chi(m, w)
         assert ev.certified_primes(m) == (2, 5, 7)
         # primes drawn on request must each reach q(d), even below p = 5
@@ -772,7 +780,7 @@ class TestEndCertificate:
         assert ev.certified_primes(m, (3,)) is None
         assert ev.certified_primes(m, (13,)) is None
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: real_end(x) + (x.p == 5))
-        ev = RhoEvaluator(2)
+        ev = RhoEvaluator(2, graded=False)
         ev.chi(m, w)
         assert ev.certified_primes(m) is None
 

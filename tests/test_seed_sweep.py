@@ -18,7 +18,8 @@ import logging
 
 import pytest
 
-from semibasis import Quiver, SampleConfig, transition_matrix
+from semibasis import Quiver, RhoEvaluator, SampleConfig, transition_matrix
+from semibasis.nilpotent import derive_seed
 
 FAILED_UNDER_VOTE = {
     (1, 1, 1, 1): (0,),
@@ -60,3 +61,30 @@ def test_component_without_dense_orbit_certifies(caplog):
     assert res.routes_agree and res.delta_ok
     assert len(res.classes) == 65
     assert any(f"draws on {NO_DENSE_ORBIT}" in r.getMessage() for r in caplog.records)
+
+
+# the flag-deep grades of the benchmark (perfbench/run.py)
+FLAG_DEEP = [(3, 3), (2, 6), (2, 3, 1), (1, 3, 2)]
+
+
+@pytest.mark.parametrize("d", FLAG_DEEP, ids=lambda d: ",".join(map(str, d)))
+def test_flag_deep_seeds_give_one_matrix(d, certified, monkeypatch):
+    # every component of these grades has a graded point, so the
+    # construction draws nothing: the only seeds read are those of the
+    # delta check's F_p recount of the diagonal
+    reference = certified(len(d), d)
+    roots = []
+    draws_for = RhoEvaluator._draws_for
+
+    def recorded(self, label, p, salt):
+        roots.append(self.config.root_seed)
+        return draws_for(self, label, p, salt)
+
+    monkeypatch.setattr(RhoEvaluator, "_draws_for", recorded)
+    for seed in range(20):
+        roots.clear()
+        res = transition_matrix(Quiver(len(d)), d, SampleConfig(root_seed=seed))
+        assert res.routes_agree and res.delta_ok
+        assert res.classes == reference.classes
+        assert res.matrix == reference.matrix, seed
+        assert roots and set(roots) == {derive_seed(seed, "verify-delta")}, seed

@@ -5,7 +5,7 @@ import logging
 import pytest
 
 import oracles
-from semibasis import nilpotent, semican
+from semibasis import nilpotent, semican, torus
 from semibasis.cli import main
 from semibasis.errors import DeltaCheckError
 from semibasis.linalg import primes
@@ -270,7 +270,9 @@ class TestDeltaCheck:
     def test_fresh_draws_off_q_force_a_full_recount(
         self, monkeypatch, caplog, fresh_evaluators
     ):
-        # the construction certifies, the fresh draws never reach q(d)
+        # the construction certifies at primes (no graded point), the
+        # fresh draws never reach q(d)
+        monkeypatch.setattr(torus, "graded_point", lambda m, n: None)
         real_end = nilpotent._end_dim
 
         def end_dim(x):
@@ -290,6 +292,66 @@ class TestDeltaCheck:
             " 3 recounted in full at fresh seeds"
         )
         assert line.count("fresh draws missed q(d) at a prime of [2, 3, 5") == 3
+
+    def test_fresh_draws_off_q_at_graded_components_recount_only_the_diagonal(
+        self, monkeypatch, caplog, fresh_evaluators
+    ):
+        # every component of (2,2) has a graded point, so its row is the
+        # torus count and the fresh F_p route recounts only the diagonal,
+        # even when its draws vote
+        real_end = nilpotent._end_dim
+
+        def end_dim(x):
+            return real_end(x) + any(x.seed in ev.seeds for ev in fresh_evaluators)
+
+        monkeypatch.setattr(nilpotent, "_end_dim", end_dim)
+        with caplog.at_level(logging.INFO, logger="semibasis.semican"):
+            res = transition_matrix(Q2, (2, 2))
+        assert res.delta_ok
+        basis = SemicanBasis(Q2)
+        [fresh] = fresh_evaluators
+        assert set(fresh._chi) == pairs(res.classes, lambda k: basis.element(k).words)
+        assert delta_lines(caplog) == [
+            "delta check: 3 of 3 components read from the construction's counts,"
+            " 0 recounted in full at fresh seeds"
+        ]
+
+    def test_torus_count_off_at_a_diagonal_word_fails(self, monkeypatch, caplog):
+        # the torus count of a word of f_K at Z_K is one too many all
+        # through the run.  The evaluation matrix still certifies and the
+        # routes agree, and f_K comes out right, since the recursion never
+        # reads Z_K's counts for it: the F_p route at fresh seeds reads its
+        # diagonal as 1, the torus count does not, and the delta check
+        # keeps the entry that misses 1
+        k = M("1[1,3]+1[1,1]+1[2,3]")
+        w = ((2, 1), (3, 2), (1, 2), (2, 1))
+        counts = torus.fixed_flag_counts
+
+        def off_by_one(x, words):
+            got = counts(x, words)
+            if x.label == k and w in got:
+                got[w] += 1
+            return got
+
+        monkeypatch.setattr(torus, "fixed_flag_counts", off_by_one)
+        real = semican._delta_report
+        seen = {}
+
+        def report(basis, classes, elements):
+            assert w in elements[k].words
+            seen["torus"] = basis.evaluator.rho(k, elements[k].words)
+            seen["primes"] = basis.evaluator.fresh("probe").rho(k, elements[k].words)
+            return real(basis, classes, elements)
+
+        monkeypatch.setattr(semican, "_delta_report", report)
+        with caplog.at_level(logging.INFO, logger="semibasis.semican"):
+            with pytest.raises(DeltaCheckError, match=r"grade \(2, 2, 2\)"):
+                transition_matrix(Q3, (2, 2, 2))
+        assert seen["torus"] != 1 and seen["primes"] == 1, seen
+        assert delta_lines(caplog) == [
+            "delta check: 10 of 10 components read from the construction's counts,"
+            " 0 recounted in full at fresh seeds"
+        ]
 
     def test_certified_grade_recounts_only_the_diagonal(
         self, capsys, caplog, fresh_evaluators

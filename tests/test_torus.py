@@ -1,0 +1,170 @@
+"""Graded points and torus-fixed flag counts.
+
+A graded point is monomial over realize(m, n), lies in the dense orbit
+of Z_m (dim End = q(d)) and admits weights that separate its basis at
+every vertex; its torus-fixed flags then number the generic Euler
+characteristic.  Worked case, n = 2, m = 2[1,1]+2[2,2]: the arrows are
+zero, q(d) = 4, and the star s_1 : V_2 -> V_1 must be invertible at a
+point of the dense orbit.  The zero star has End of dimension 8; a star
+with both entries in one row has rank 1, and forces w(b_1) = w(b_2) on
+the two basis vectors of V_2 that it sends to the same vector.
+"""
+
+import logging
+
+import pytest
+
+from semibasis import Multisegment, Quiver, RhoEvaluator, enumerate_multisegments, nilpotent
+from semibasis import torus
+from semibasis.quiver import euler_form
+
+M = Multisegment
+SQUARE = M("2[1,1]+2[2,2]")
+ZERO_ARROW = (((0, 0), (0, 0)),)
+
+
+def tits_form(x):
+    return euler_form(Quiver(x.n), x.dims, x.dims)
+
+
+def planted(monkeypatch, *candidates):
+    # the search reads exactly these star tuples
+    monkeypatch.setattr(torus, "_candidates", lambda m, n: iter(candidates))
+
+
+class TestGradedPoint:
+    def test_square_components_all_have_one(self):
+        for m in enumerate_multisegments(Quiver(2), (2, 2)):
+            x = torus.graded_point(m, 2)
+            assert x is not None and x.label == m
+            assert nilpotent._end_dim(x) == tits_form(x)
+
+    def test_search_is_deterministic(self):
+        for m in enumerate_multisegments(Quiver(3), (2, 3, 1)):
+            assert torus.graded_point(m, 3) == torus.graded_point(m, 3)
+
+    def test_end_above_q_is_rejected(self, monkeypatch):
+        # the zero star: its weights separate (no constraint binds them),
+        # but dim End = 8 > q(d) = 4, so it is off the dense orbit
+        zero = (((0, 0), (0, 0)),)
+        planted(monkeypatch, zero)
+        assert torus.graded_point(SQUARE, 2) is None
+        x = nilpotent.LambdaPoint(2, torus.GRADED_PRIME, (2, 2), ZERO_ARROW, zero, SQUARE, 0)
+        assert torus._separated(x) and nilpotent._end_dim(x) == 8
+
+    def test_weights_that_merge_a_vertex_are_rejected(self, monkeypatch):
+        # both columns in row 0: w(b_1) - w(t) = w(b_2) - w(t) fixes
+        # w(b_1) = w(b_2); End is taken as q(d) so only the weights decide
+        merged = (((1, -1), (0, 0)),)
+        planted(monkeypatch, merged)
+        monkeypatch.setattr(nilpotent, "_end_dim", tits_form)
+        assert torus.graded_point(SQUARE, 2) is None
+        x = nilpotent.LambdaPoint(2, torus.GRADED_PRIME, (2, 2), ZERO_ARROW, merged, SQUARE, 0)
+        assert not torus._separated(x)
+
+    def test_a_cycle_of_the_support_can_tie_weights(self):
+        # identity arrow u_k -> v_k and star v_1 -> u_2, v_2 -> u_1: the
+        # cycle u_1 v_1 u_2 v_2 forces 2 (deg a + deg s) = 0, hence
+        # w(u_1) = w(u_2), though no row of a map holds two entries.  The
+        # diagonal star closes two shorter cycles and ties nothing
+        arrows = (((1, 0), (0, 1)),)
+        crossed = nilpotent.LambdaPoint(2, 7, (2, 2), arrows, (((0, 1), (1, 0)),), None, 0)
+        straight = nilpotent.LambdaPoint(2, 7, (2, 2), arrows, (((1, 0), (0, 1)),), None, 0)
+        assert not torus._separated(crossed)
+        assert torus._separated(straight)
+
+    def test_relations_must_hold_over_z(self, monkeypatch):
+        # 1[1,2]+1[2,2]: the star column of the segment [1,2] must vanish
+        m = M("1[1,2]+1[2,2]")
+        planted(monkeypatch, (((1, 0),),))
+        monkeypatch.setattr(nilpotent, "_end_dim", tits_form)
+        assert torus.graded_point(m, 2) is None
+
+    def test_first_accepted_candidate_is_returned(self, monkeypatch):
+        zero, merged, swap = (((0, 0), (0, 0)),), (((1, 1), (0, 0)),), (((0, 1), (-1, 0)),)
+        planted(monkeypatch, zero, merged, swap)
+        x = torus.graded_point(SQUARE, 2)
+        assert x is not None and x.stars == (((0, 1), (torus.GRADED_PRIME - 1, 0)),)
+
+    def test_search_reads_at_most_the_leaf_cap(self, monkeypatch):
+        # with End above q(d) everywhere no candidate is accepted, and the
+        # search stops after LEAF_CAP of them
+        read = []
+        candidates = torus._candidates
+
+        def counted(m, n):
+            for stars in candidates(m, n):
+                read.append(stars)
+                yield stars
+
+        monkeypatch.setattr(torus, "_candidates", counted)
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
+        assert torus.graded_point(M("3[1,1]+3[2,2]"), 2) is None
+        assert len(read) == torus.LEAF_CAP
+        assert len(set(read)) == len(read)
+
+    def test_some_components_have_none(self):
+        # on realize's basis, Z(1[1,3]+1[2,2]+1[3,4]) of (1,2,2,1) has no
+        # graded point: the pruned tree is exhausted below the leaf cap
+        assert torus.graded_point(M("1[1,3]+1[2,2]+1[3,4]"), 4) is None
+
+
+class TestFixedFlags:
+    def test_square_values(self):
+        # the semisimple square: the flags of S_2^2 then S_1^2 are one
+        # chain, and those of S_1^2 then S_2^2 need a zero star
+        x = torus.graded_point(SQUARE, 2)
+        assert torus.fixed_flag_count(x, ((2, 2), (1, 2))) == 1
+        assert torus.fixed_flag_count(x, ((1, 2), (2, 2))) == 0
+        # one line of V_2 at a time: 2 fixed lines, then 1
+        assert torus.fixed_flag_count(x, ((2, 1), (2, 1), (1, 2))) == 2
+
+    def test_row_equals_one_word_at_a_time(self):
+        x = torus.graded_point(M("1[1,2]+2[1,1]+2[2,2]"), 2)
+        words = [((2, 1), (1, 1), (1, 2), (2, 2)), ((1, 1), (2, 1), (1, 2), (2, 2)),
+                 ((2, 3), (1, 3)), ((2, 1), (1, 3), (2, 2))]
+        row = torus.fixed_flag_counts(x, words)
+        assert row == {w: torus.fixed_flag_count(x, w) for w in words}
+
+    def test_weight_mismatch_rejected(self):
+        x = torus.graded_point(SQUARE, 2)
+        with pytest.raises(ValueError, match="does not match"):
+            torus.fixed_flag_count(x, ((1, 1), (2, 2)))
+
+
+class TestEvaluator:
+    def test_points_memoised_per_evaluator(self, monkeypatch):
+        searched = []
+        search = torus.graded_point
+
+        def counted(m, n):
+            searched.append(m)
+            return search(m, n)
+
+        monkeypatch.setattr(torus, "graded_point", counted)
+        w = ((2, 2), (1, 2))
+        ev = RhoEvaluator(2)
+        assert ev.chi(SQUARE, w) == 1 and ev.chi(SQUARE, ((1, 2), (2, 2))) == 0
+        assert searched == [SQUARE]
+        assert RhoEvaluator(2).chi(SQUARE, w) == 1
+        assert searched == [SQUARE, SQUARE]
+
+    def test_graded_label_draws_nothing(self):
+        ev = RhoEvaluator(2)
+        assert ev.chi(SQUARE, ((2, 2), (1, 2))) == 1
+        assert ev._draws == {} and ev.graded(SQUARE) is not None
+
+    def test_fresh_evaluator_counts_by_primes_only(self):
+        ev = RhoEvaluator(2).fresh("again")
+        assert ev.graded(SQUARE) is None
+        assert ev.chi(SQUARE, ((2, 2), (1, 2))) == 1
+        assert ev._draws
+
+    def test_end_patched_above_q_reaches_the_prime_route(self, monkeypatch, caplog):
+        # patching _end_dim, as the vote tests do, leaves no graded point
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
+        ev = RhoEvaluator(2)
+        with caplog.at_level(logging.WARNING, logger="semibasis.nilpotent"):
+            assert ev.chi(SQUARE, ((2, 2), (1, 2))) == 1
+        assert ev.graded(SQUARE) is None and ev._draws
+        assert any("voted" in r.getMessage() for r in caplog.records)
