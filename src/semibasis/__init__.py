@@ -40,7 +40,6 @@ from .nilpotent import (
     SampleConfig,
     evaluate_word_at_point,
     lift_generic,
-    rho_evaluate,
 )
 from .quiver import (
     Multisegment,
@@ -62,13 +61,12 @@ from .quiver import (
     total_generic_flag,
     word_weight,
 )
-from .torus import fixed_flag_count, graded_point
+from .torus import graded_point
 from .semican import (
     CertifiedTransition,
     SemicanBasis,
     SemicanElement,
     evaluation_matrix,
-    semican_recursive,
     transition_matrix,
     transition_via_inversion,
     verify_delta,
@@ -103,7 +101,6 @@ __all__ = [
     "euler_form",
     "ext_dim",
     "flag_vertex",
-    "fixed_flag_count",
     "flag_word_matrix",
     "format_word",
     "generic_ext_simple",
@@ -119,8 +116,6 @@ __all__ = [
     "peel_top",
     "realize",
     "refine_order",
-    "rho_evaluate",
-    "semican_recursive",
     "t_component",
     "t_top",
     "total_generic_flag",

@@ -11,7 +11,8 @@ Word counts at a component with a graded point are the torus-fixed
 flags there (torus.graded_point and torus.fixed_flag_counts), which are
 exact and read no prime; every other word count is read off sampled
 points over prime fields, the F_p route below, which also serves the
-diagonal recount of semican's delta check.  (The component-level top at
+diagonal recount of semican's delta check.  RhoEvaluator is the one
+place that picks between the two.  (The component-level top at
 a vertex and the class it peels to need no points: they are the crystal
 signature rule of quiver.t_component and quiver.peel_component.)  A
 point x of Z_M lies in a dense orbit of the component iff
@@ -95,7 +96,6 @@ __all__ = [
     "flag_degree_bound",
     "word_degree_bound",
     "RhoEvaluator",
-    "rho_evaluate",
 ]
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -511,20 +511,26 @@ def _expand(x: LambdaPoint, i: int, a: int) -> Iterator[tuple[int, LambdaPoint]]
 _expand_calls = 0
 
 
-def _count_words(x: LambdaPoint, words: Iterable[Word]) -> dict[Word, int]:
-    # the flag counts at x of words of x's weight, in one walk of the trie
-    # of their reversed letters.  A word is held by the node its letters
-    # after the first lead to: the first letter alone is then left, and it
-    # has the quotient's own dimension vector, so its one flag is the whole
-    # space.  The walk carries the product of the orbit weights on its path
-    # and adds it to every word held where it arrives
-    counts = dict.fromkeys(words, 0)
+def _suffix_trie(words: Iterable[Word]) -> tuple[list[Word], dict]:
+    # the trie of the words' reversed letters, as (words held, children by
+    # letter) nodes.  A word is held by the node its letters after the
+    # first lead to: a flag walk from the bottom that arrives there has
+    # only the first letter left, which has the quotient's own dimension
+    # vector, so its one flag is the whole space
     root: tuple[list[Word], dict] = ([], {})
-    for w in counts:
+    for w in words:
         node = root
         for letter in reversed(w[1:]):
             node = node[1].setdefault(letter, ([], {}))
         node[0].append(w)
+    return root
+
+
+def _count_words(x: LambdaPoint, words: Iterable[Word]) -> dict[Word, int]:
+    # the flag counts at x of words of x's weight, in one depth-first walk
+    # of their _suffix_trie.  The walk carries the product of the orbit
+    # weights on its path and adds it to every word held where it arrives
+    counts = dict.fromkeys(words, 0)
 
     def walk(y: LambdaPoint, node: tuple[list[Word], dict], weight: int) -> None:
         global _expand_calls
@@ -536,7 +542,7 @@ def _count_words(x: LambdaPoint, words: Iterable[Word]) -> dict[Word, int]:
             for orbit, z in _expand(y, *letter):
                 walk(z, child, weight * orbit)
 
-    walk(x, root, 1)
+    walk(x, _suffix_trie(counts), 1)
     return counts
 
 
@@ -587,13 +593,14 @@ def word_degree_bound(word: Word, d: Sequence[int]) -> int:
 class RhoEvaluator:
     """Evaluates word combinations at generic points of components.
 
-    One evaluator owns one quiver size and one sampling config.  A label
-    with a graded point (see graded) is counted there by torus-fixed
-    flags; graded=False leaves every label to the F_p route, as fresh
-    does.  On that route sampled points are shared across words; the
-    star space of each (component, prime) is solved once, and the
-    interpolated value of each (component, word) pair is computed once;
-    this is what makes whole evaluation matrices affordable.  The words
+    One evaluator owns one quiver size and one sampling config, and it
+    alone picks how a label is counted: at a graded point (see graded) by
+    torus-fixed flags, elsewhere by the F_p route, which the evaluators
+    that fresh hands out use for every label.  On that route sampled
+    points are shared across words; the star space of each (component,
+    prime) is solved once, and the interpolated value of each
+    (component, word) pair is computed once; this is what makes whole
+    evaluation matrices affordable.  The words
     asked for at one label together (a combination in rho, a row in
     rho_row) are counted together: each draw is read once for all of
     them, in one walk of their shared suffixes (see
@@ -602,7 +609,7 @@ class RhoEvaluator:
     together and how many expansions it made.
     """
 
-    def __init__(self, n: int, config: SampleConfig | None = None, graded: bool = True):
+    def __init__(self, n: int, config: SampleConfig | None = None):
         self.n = n
         self.config = config or SampleConfig()
         self._draws: dict[tuple, tuple[list[LambdaPoint], list[int]]] = {}
@@ -610,21 +617,23 @@ class RhoEvaluator:
         self._voted: set[tuple] = set()
         self._chi: dict[tuple, int] = {}
         # graded points by label, or None where the F_p route counts alone
-        self._points: dict[tuple, LambdaPoint | None] | None = {} if graded else None
+        self._points: dict[tuple, LambdaPoint | None] | None = {}
 
     def fresh(self, namespace: str) -> "RhoEvaluator":
         """An evaluator with seeds disjoint from this one's.
 
         It shares this one's star spaces, which no seed enters, and none of
-        its draws or counts, and it counts by the F_p route alone.  The
-        delta check of semican recounts every diagonal entry with one: at
-        a component read at primes, its draws must again reach
-        dim End = q(d) there; at a graded component, the torus-fixed
-        flags of the construction meet a count by the other method.
+        its draws or counts, and it counts every label by the F_p route;
+        no other evaluator does.  The delta check of semican recounts
+        every diagonal entry with one, whose draws must reach
+        dim End = q(d) at every prime the construction read and vote at
+        none; at a graded component, the torus-fixed flags of the
+        construction then meet a count by the other method.
         """
         cfg = replace(self.config, root_seed=derive_seed(self.config.root_seed, namespace))
-        ev = RhoEvaluator(self.n, cfg, graded=False)
+        ev = RhoEvaluator(self.n, cfg)
         ev._spaces = self._spaces
+        ev._points = None
         return ev
 
     def _seed(self, label: Multisegment, p: int, k: int, salt: int) -> int:
@@ -767,7 +776,7 @@ class RhoEvaluator:
         """Generic Euler-characteristic value of the word count on Z_label.
 
         At a label with a graded point (see graded) it is the number of
-        torus-fixed flags there, torus.fixed_flag_count, which is exact.
+        torus-fixed flags there, torus.fixed_flag_counts, which is exact.
         Elsewhere the count is taken at each prime and fitted with degree
         word_degree_bound(word, d) through the first min(b_w + 3, B + 2)
         primes of the grade's pool at which the label is read (see
@@ -803,16 +812,3 @@ class RhoEvaluator:
             for combo in combos
         )
 
-
-def rho_evaluate(
-    m: Multisegment,
-    w: Mapping[Word, int] | Word,
-    config: SampleConfig | None = None,
-    n: int | None = None,
-) -> int:
-    """One-shot evaluation of a word combination at the component of m."""
-    combo = _as_combo(w)
-    if n is None:
-        letters = [i for word in combo for i, _ in word]
-        n = max([m.max_end(), 1] + letters)
-    return RhoEvaluator(n, config).rho(m, combo)

@@ -33,7 +33,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InternalCheckError, ParseError
 
@@ -84,12 +84,6 @@ class Quiver:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def segments(self) -> Iterator[Segment]:
-        """All segments [a, b] with 1 <= a <= b <= n, canonical order."""
-        for a in range(1, self.n + 1):
-            for b in range(self.n, a - 1, -1):
-                yield (a, b)
-
 
 class Multisegment:
     """A multiset of segments, kept in canonical sorted form.
@@ -132,12 +126,6 @@ class Multisegment:
             parts.append(f"{len(tuple(group))}[{seg[0]},{seg[1]}]")
         return "+".join(parts)
 
-    def counts(self) -> dict[Segment, int]:
-        out: dict[Segment, int] = {}
-        for seg in self.segments:
-            out[seg] = out.get(seg, 0) + 1
-        return out
-
     def max_end(self) -> int:
         return max((b for _, b in self.segments), default=0)
 
@@ -151,9 +139,6 @@ class Multisegment:
             for i in range(a, b + 1):
                 d[i - 1] += 1
         return tuple(d)
-
-    def total_dim(self) -> int:
-        return sum(b - a + 1 for a, b in self.segments)
 
     def is_zero(self) -> bool:
         return not self.segments

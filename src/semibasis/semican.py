@@ -15,18 +15,17 @@ the f_Z in the PBW basis:
 Both must produce the same unitriangular matrix, and a delta-check must
 reproduce the identity; any mismatch is an error, never papered over.
 
-The delta-check evaluates every element at every component.  A
-component with a graded point has exact values, its torus-fixed flags
-(see torus), so its row is read from the construction's counts, and its
-diagonal entry is recounted by the F_p route at fresh seeds, where it
-must be 1: a check across two methods.  Where every draw a component's
-values were read at has dim End = q(d), Lang's theorem makes those
-values exact, and the same at any other draw at q(d), so its row is
-likewise read from the construction's counts; fresh seeds then re-verify
-that a draw at q(d) is reached at every prime the row was read at, and
-recount the diagonal entry, which must be 1.  A component read at a vote,
-or whose fresh draws miss q(d) at such a prime, is recounted in full at
-fresh seeds.
+The delta-check evaluates every element at every component, by one rule.
+A component whose values were all read at draws with dim End = q(d), or
+at its graded point (torus-fixed flags, see torus), which reads no prime
+at all, has exact values: Lang's theorem makes a count at such a draw the
+generic one, and the same at any other draw at q(d).  Its row is read
+from the construction's counts, and its diagonal entry, which must be 1,
+is recounted by the F_p route at fresh seeds, whose draws must reach
+q(d) at every prime the row was read at and vote at none; at a graded
+component this is a check across two methods.  A component read at a
+vote in the construction, or whose fresh draws vote or miss q(d) at such
+a prime, is recounted in full at fresh seeds.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ __all__ = [
     "CertifiedTransition",
     "evaluation_matrix",
     "transition_via_inversion",
-    "semican_recursive",
     "verify_delta",
     "transition_matrix",
 ]
@@ -172,20 +170,18 @@ def _ordered_classes(quiver: Quiver, d: Iterable[int]) -> tuple[Multisegment, ..
 
 
 def evaluation_matrix(
-    quiver: Quiver,
-    d: Iterable[int],
-    config: SampleConfig | None = None,
-    evaluator: RhoEvaluator | None = None,
+    quiver: Quiver, d: Iterable[int], evaluator: RhoEvaluator | None = None
 ) -> tuple[tuple[Multisegment, ...], Matrix]:
     """Values of every PBW element at every component of grade d.
 
     Row K, column N holds the generic value of P_N on Z_K; rows and
-    columns share the refined degeneration order.
+    columns share the refined degeneration order.  The values are read
+    by evaluator, by default a RhoEvaluator of the default config.
     """
     d = tuple(d)
     classes = _ordered_classes(quiver, d)
     combos = pbw_to_words(quiver, d)
-    ev = evaluator or RhoEvaluator(quiver.n, config)
+    ev = evaluator or RhoEvaluator(quiver.n)
     rows = tuple(ev.rho_row(k_cls, [combos[n_cls] for n_cls in classes]) for k_cls in classes)
     return classes, rows
 
@@ -212,10 +208,7 @@ def _certify_support(
 
 
 def transition_via_inversion(
-    quiver: Quiver,
-    d: Iterable[int],
-    config: SampleConfig | None = None,
-    evaluator: RhoEvaluator | None = None,
+    quiver: Quiver, d: Iterable[int], evaluator: RhoEvaluator | None = None
 ) -> tuple[tuple[Multisegment, ...], Matrix, Matrix]:
     """The transition matrix A with f_M = sum_N A[M][N] P_N, by inversion.
 
@@ -223,9 +216,10 @@ def transition_via_inversion(
     evaluation matrix.  E is certified lower unitriangular and A upper
     unitriangular with respect to the degeneration order before
     returning; A times E-transposed is re-checked to be the identity.
+    E is read by evaluator, as in evaluation_matrix.
     """
     d = tuple(d)
-    classes, e_mat = evaluation_matrix(quiver, d, config, evaluator)
+    classes, e_mat = evaluation_matrix(quiver, d, evaluator)
     _certify_support(classes, e_mat, lower=True, what="evaluation matrix")
     e_t = tuple(zip(*e_mat))
     try:
@@ -238,28 +232,19 @@ def transition_via_inversion(
     return classes, a_mat, e_mat
 
 
-def semican_recursive(
-    quiver: Quiver,
-    m: Multisegment,
-    config: SampleConfig | None = None,
-) -> PBWVector:
-    """PBW coordinates of one semicanonical element via the peel recursion."""
-    return SemicanBasis(quiver, config).element(m).pbw
-
-
 @dataclass(frozen=True)
 class DeltaReport:
     """Every element of a grade evaluated at every component.
 
-    Row K holds rho_K(f_M) over the elements f_M.  A graded component
-    takes its row from the construction's torus-fixed flag counts, and
-    its diagonal entry, when that reads 1, is recounted by the F_p route
-    at fresh seeds.  A certified component, one whose values were all read
-    at draws with dim End = q(d), takes its row from the construction's
-    counts, which Lang's theorem makes exact; its diagonal entry is
-    recounted at fresh seeds, whose draws must reach q(d) at every prime
-    the row was read at.  Any other row is recounted in full at fresh
-    seeds.  ok iff the matrix is exactly the identity.
+    Row K holds rho_K(f_M) over the elements f_M.  A component the
+    construction read at no vote (RhoEvaluator.certified_primes is not
+    None: every prime it read had a draw at dim End = q(d), and a graded
+    component read none) takes its row from the construction's counts.
+    Its diagonal entry, when that reads 1, is recounted by the F_p route
+    at fresh seeds, whose draws must reach q(d) at every prime the row was
+    read at and vote at none; otherwise the row is recounted in full at
+    fresh seeds, as is every row read at a vote.  ok iff the matrix is
+    exactly the identity.
     """
 
     classes: tuple[Multisegment, ...]
@@ -283,7 +268,6 @@ def _delta_report(
         # read the row first: a count missing from the memo can read
         # further primes, which the certificate must cover
         row = list(ev.rho_row(k_cls, [elements[m_cls].words for m_cls in classes]))
-        graded = ev.graded(k_cls) is not None
         read = ev.certified_primes(k_cls)
         if read is None:
             recounted[k_cls] = "voted in the construction"
@@ -291,8 +275,10 @@ def _delta_report(
             # the diagonal must come out 1 at the fresh points too, which
             # at a graded component is a count by the other method
             row[r] = fresh.rho(k_cls, elements[k_cls].words)
-            if not graded and fresh.certified_primes(k_cls, read) is None:
-                recounted[k_cls] = f"fresh draws missed q(d) at a prime of {list(read)}"
+            if fresh.certified_primes(k_cls, read) is None:
+                recounted[k_cls] = (
+                    f"fresh draws voted or missed q(d) at a prime of {list(read)}"
+                )
         if k_cls in recounted:
             row = fresh.rho_row(k_cls, [elements[m_cls].words for m_cls in classes])
         rows.append(tuple(row))
@@ -314,10 +300,11 @@ def verify_delta(
 ) -> DeltaReport:
     """Recompute all elements of grade d and check the delta-property.
 
-    Certified components read their rows from the counts of the
-    construction, recounting only the diagonal at fresh seeds; the others
-    are recounted in full at fresh seeds (see DeltaReport).  The report
-    passes iff the matrix is exactly the identity.
+    A component read at no vote takes its row from the counts of the
+    construction, recounting only the diagonal at fresh seeds, unless the
+    fresh draws vote or miss q(d); every other row is recounted in full at
+    fresh seeds (see DeltaReport).  The report passes iff the matrix is
+    exactly the identity.
     """
     basis = SemicanBasis(quiver, config)
     classes = _ordered_classes(quiver, tuple(d))
@@ -375,17 +362,18 @@ def transition_matrix(
     Raises RouteDisagreementError if the recursion and the inversion
     differ anywhere, DeltaCheckError if the delta-check (see DeltaReport)
     is not the identity, CertificationError on an order violation.  The
-    delta-check reads graded and certified components from the counts
-    both routes shared, and re-verifies at fresh seeds that their
-    diagonal entries are 1 by the F_p route and, for certified ones, that
-    their primes reach dim End = q(d).  How many of the grade's
-    components have a graded point is logged once, at INFO.
+    delta-check reads every component read at no vote from the counts
+    both routes shared, and re-verifies at fresh seeds, by the F_p route,
+    that its diagonal entry is 1 and that its fresh draws reach
+    dim End = q(d) at every prime it was read at and vote at none.  How
+    many of the grade's components have a graded point is logged once, at
+    INFO.
     """
     started = time.perf_counter()
     d = tuple(d)
     cfg = config or SampleConfig()
     basis = SemicanBasis(quiver, cfg)
-    classes, a_mat, e_mat = transition_via_inversion(quiver, d, cfg, basis.evaluator)
+    classes, a_mat, e_mat = transition_via_inversion(quiver, d, basis.evaluator)
     torus.log_coverage({cls: basis.evaluator.graded(cls) for cls in classes})
     elements = {cls: basis.element(cls) for cls in classes}
     rec_mat = tuple(

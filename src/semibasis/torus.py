@@ -45,7 +45,7 @@ from .hall import realize
 from .linalg import rank_exact
 from .quiver import Multisegment, Word, word_weight
 
-__all__ = ["GRADED_PRIME", "LEAF_CAP", "graded_point", "fixed_flag_count", "fixed_flag_counts"]
+__all__ = ["GRADED_PRIME", "LEAF_CAP", "graded_point", "fixed_flag_counts"]
 
 log = logging.getLogger(__name__)
 
@@ -224,10 +224,11 @@ def fixed_flag_counts(x: nilpotent.LambdaPoint, words: Iterable[Word]) -> dict[W
     from the bottom: the last letter (i, a) adds a basis vectors at
     vertex i whose images all lie in the subset so far.  The words are
     counted together in one walk of the trie of their reversed letters,
-    as nilpotent._count_words walks them; each level of the walk holds
-    the closed subsets it reached with their number of chains, so a
-    subset reached along several chains is expanded once.  Nothing of the
-    walk is kept.  A word whose weight is not x's raises ValueError.
+    nilpotent._suffix_trie, which nilpotent._count_words walks too; each
+    level of this walk holds the closed subsets it reached with their
+    number of chains, so a subset reached along several chains is
+    expanded once.  Nothing of the walk is kept.  A word whose weight is
+    not x's raises ValueError.
     """
     offsets = [0]
     for dv in x.dims:
@@ -242,16 +243,11 @@ def fixed_flag_counts(x: nilpotent.LambdaPoint, words: Iterable[Word]) -> dict[W
                 if entry:
                     targets[offsets[u - 1] + c] |= 1 << (offsets[v - 1] + r)
     counts = dict.fromkeys(words, 0)
-    root: tuple[list[Word], dict] = ([], {})
     for w in counts:
         if word_weight(w, x.n) != x.dims:
             raise ValueError(
                 f"word weight {word_weight(w, x.n)} does not match dimensions {x.dims}"
             )
-        node = root
-        for letter in reversed(w[1:]):
-            node = node[1].setdefault(letter, ([], {}))
-        node[0].append(w)
 
     def walk(node: tuple[list[Word], dict], reached: dict[int, int]) -> None:
         held, children = node
@@ -272,13 +268,8 @@ def fixed_flag_counts(x: nilpotent.LambdaPoint, words: Iterable[Word]) -> dict[W
             if after:
                 walk(child, after)
 
-    walk(root, {0: 1})
+    walk(nilpotent._suffix_trie(counts), {0: 1})
     return counts
-
-
-def fixed_flag_count(x: nilpotent.LambdaPoint, word: Word) -> int:
-    """The number of torus-fixed flags of type word at the graded point x."""
-    return fixed_flag_counts(x, [word])[word]
 
 
 def log_coverage(points: Mapping[Multisegment, nilpotent.LambdaPoint | None]) -> None:

@@ -7,10 +7,10 @@ generic point has rank(s_1) = 1.  The top at vertex 1 then has
 dimension 2 - 1 = 1 although t_top is 2, and the image line is killed
 by the (zero) arrow, so the peeled class is 1[1,1]+1[2,2].
 
-The tests of draws, votes, fits and their errors build their evaluators
-with graded=False: such an evaluator counts every label by the F_p route,
-as the delta check's fresh evaluator does, where a default one would read
-a graded point's torus-fixed flags first.
+The tests of draws, votes, fits and their errors that read labels with a
+graded point take the primes_only fixture, under which no label has one:
+their evaluators then count every label by the F_p route, as the delta
+check's fresh evaluator does, at the seeds a default evaluator draws.
 """
 
 import itertools
@@ -44,7 +44,6 @@ from semibasis import (
     lift_generic,
     peel_component,
     peel_top,
-    rho_evaluate,
     t_component,
     t_top,
     total_generic_flag,
@@ -309,6 +308,12 @@ class TestEvaluate:
                             assert evaluate_word_at_point(x, w) == full_walk_count(x, w)
 
 
+@pytest.fixture
+def primes_only(monkeypatch):
+    """No label has a graded point, so every evaluator counts by F_p."""
+    monkeypatch.setattr(torus, "graded_point", lambda m, n: None)
+
+
 def accepted_point(m: Multisegment, n: int, p: int) -> LambdaPoint:
     # the first draw with dim End = q(d), as chi reads it
     points, ends = nilpotent._generic_draws(
@@ -386,7 +391,7 @@ class TestSharedExpansions:
                 for w in words:
                     assert got[w] == full_walk_count(x, w), (m, p, w)
 
-    def test_shared_suffix_expanded_once_per_walk(self, monkeypatch):
+    def test_shared_suffix_expanded_once_per_walk(self, monkeypatch, primes_only):
         # two words ending in the same letters: counted together they
         # expand each quotient on their shared suffix once, so they make
         # fewer expansions than counted one by one, with the same values
@@ -401,9 +406,9 @@ class TestSharedExpansions:
 
         monkeypatch.setattr(nilpotent, "_expand", counted)
         made.append(0)
-        together = RhoEvaluator(2, graded=False).rho_row(m, words)
+        together = RhoEvaluator(2).rho_row(m, words)
         made.append(0)
-        alone = tuple(RhoEvaluator(2, graded=False).chi(m, w) for w in words)
+        alone = tuple(RhoEvaluator(2).chi(m, w) for w in words)
         assert together == alone
         assert 0 < made[0] < made[1], made
         # likewise at one point, where the walk is all there is
@@ -423,14 +428,15 @@ class TestSharedExpansions:
         lines = list(subspaces_ff(joint_kernel(x, 2), 1, 3))
         assert sum(orbit for orbit, _ in pairs) == len(lines) > 1
 
-    def test_debug_log_counts_expansions_per_label(self, caplog, capsys, monkeypatch):
+    def test_debug_log_counts_expansions_per_label(
+        self, caplog, capsys, monkeypatch, primes_only
+    ):
         # one line per counted batch: its component, how many words it
         # counted together and the expansions it made; with no graded
         # point, every count of the construction is such a batch
         argv = ["transition", "--dim", "1,2,1", "--format", "json"]
         marks = []
         report = semican._delta_report
-        monkeypatch.setattr(torus, "graded_point", lambda m, n: None)
 
         def marked(*args):
             marks.append(len(caplog.records))
@@ -515,33 +521,32 @@ class TestSharedDraws:
 class TestRho:
     def test_unit_square_diagonal(self):
         # the generic component only pairs with the matching word order
-        assert rho_evaluate(M("1[1,1]+1[2,2]"), ((1, 1), (2, 1))) == 0
-        assert rho_evaluate(M("1[1,1]+1[2,2]"), ((2, 1), (1, 1))) == 1
-        assert rho_evaluate(M("1[1,2]"), ((1, 1), (2, 1))) == 1
-        assert rho_evaluate(M("1[1,2]"), ((2, 1), (1, 1))) == 0
+        assert RhoEvaluator(2).rho(M("1[1,1]+1[2,2]"), ((1, 1), (2, 1))) == 0
+        assert RhoEvaluator(2).rho(M("1[1,1]+1[2,2]"), ((2, 1), (1, 1))) == 1
+        assert RhoEvaluator(2).rho(M("1[1,2]"), ((1, 1), (2, 1))) == 1
+        assert RhoEvaluator(2).rho(M("1[1,2]"), ((2, 1), (1, 1))) == 0
 
     def test_square_grade_values(self):
         w1 = ((1, 2), (2, 2))
         w2 = ((2, 1), (1, 2), (2, 1))
         m1, m2 = M("2[1,2]"), M("1[1,2]+1[1,1]+1[2,2]")
-        assert rho_evaluate(m1, w1) == 1
-        assert rho_evaluate(m2, w2) == 1
-        assert rho_evaluate(m1, w2) == 0
+        assert RhoEvaluator(2).rho(m1, w1) == 1
+        assert RhoEvaluator(2).rho(m2, w2) == 1
+        assert RhoEvaluator(2).rho(m1, w2) == 0
 
     def test_combination_linearity(self):
         w1 = ((1, 2), (2, 2))
         w2 = ((2, 1), (1, 2), (2, 1))
         m1 = M("2[1,2]")
         combo = {w1: 3, w2: -5}
-        assert rho_evaluate(m1, combo) == 3 * rho_evaluate(m1, w1) - 5 * rho_evaluate(
-            m1, w2
-        )
+        ev = RhoEvaluator(2)
+        assert ev.rho(m1, combo) == 3 * ev.rho(m1, w1) - 5 * ev.rho(m1, w2)
 
     def test_seed_independent(self):
         w = ((2, 1), (1, 2), (2, 1))
         m = M("1[1,2]+1[1,1]+1[2,2]")
         for seed in (0, 1234, 987654321):
-            assert rho_evaluate(m, w, SampleConfig(root_seed=seed)) == 1
+            assert RhoEvaluator(2, SampleConfig(root_seed=seed)).rho(m, w) == 1
 
     def test_evaluator_caches_are_per_instance(self):
         ev = RhoEvaluator(2, SampleConfig())
@@ -551,11 +556,11 @@ class TestRho:
         fresh = ev.fresh("again")
         assert fresh.rho(m, {w: 1}) == 1
 
-    def test_prime_pool_override_must_be_large_enough(self):
+    def test_prime_pool_override_must_be_large_enough(self, primes_only):
         cfg = SampleConfig(prime_pool=(5, 7))
         with pytest.raises(ValueError, match="fewer than"):
             # the degree-0 word needs a fit prime and two check primes
-            RhoEvaluator(2, cfg, graded=False).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+            RhoEvaluator(2, cfg).chi(M("2[1,2]"), ((1, 2), (2, 2)))
 
     def test_three_primes_serve_a_degree_zero_word(self):
         # b_w = 0 at grade (2,2), whose grade bound of 2 would want four
@@ -590,11 +595,11 @@ class TestRho:
         assert len(calls) == 4  # b_w = 1: two fit primes and two checks
         assert all(c <= 3 for c in calls.values()), calls
 
-    def test_interpolation_error_names_component_and_word(self, monkeypatch):
+    def test_interpolation_error_names_component_and_word(self, monkeypatch, primes_only):
         # a count equal to p cannot fit the constant a degree-0 word allows
         monkeypatch.setattr(nilpotent, "_count_words", lambda x, words: dict.fromkeys(words, x.p))
         with pytest.raises(InterpolationError) as info:
-            RhoEvaluator(2, SampleConfig(), graded=False).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+            RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
         assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
         assert "degree bound 0" in text and "primes [2, 3, 5]" in text
@@ -612,7 +617,7 @@ class TestRho:
         assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
         assert "only the samples drawn" in text
 
-    def test_row_retries_only_its_failing_words(self, monkeypatch):
+    def test_row_retries_only_its_failing_words(self, monkeypatch, primes_only):
         # a count equal to p fails the degree-0 fit of bad at every attempt;
         # good certifies at the first attempt, so only bad is counted again
         m = M("2[1,2]")
@@ -628,7 +633,7 @@ class TestRho:
             return counts
 
         monkeypatch.setattr(nilpotent, "_count_words", faulty)
-        ev = RhoEvaluator(2, graded=False)
+        ev = RhoEvaluator(2)
         with pytest.raises(InterpolationError, match=r"count of \(1,2\)\(2,2\) on Z\(2\[1,2\]\)"):
             ev.rho_row(m, [{good: 1}, {bad: 2, good: -1}])
         assert (m.segments, good) in ev._chi and (m.segments, bad) not in ev._chi
@@ -636,7 +641,7 @@ class TestRho:
         assert batches[0] == (good, bad)
         assert first < len(batches) and set(batches[first:]) == {(bad,)}
 
-    def test_row_raises_for_its_first_failing_word(self, monkeypatch):
+    def test_row_raises_for_its_first_failing_word(self, monkeypatch, primes_only):
         # counts of p^3 fit neither word's degree (0 and 1); the error names
         # the first word in the order the row gives them
         m = M("2[1,2]")
@@ -646,7 +651,7 @@ class TestRho:
         )
         for order in ([bad, good], [good, bad]):
             with pytest.raises(InterpolationError) as info:
-                RhoEvaluator(2, graded=False).rho_row(m, [{order[0]: 1}, {order[1]: 1}])
+                RhoEvaluator(2).rho_row(m, [{order[0]: 1}, {order[1]: 1}])
             text = str(info.value)
             assert text.startswith(f"count of {format_word(order[0])} on Z(2[1,2])"), text
             assert format_word(order[1]) not in text
@@ -737,7 +742,7 @@ class TestEndCertificate:
         assert ends == [5, 3, 4, 3, 6]
         assert [x.seed for x in points] == [1, 3]
 
-    def test_small_prime_is_read_only_at_a_certified_draw(self, monkeypatch):
+    def test_small_prime_is_read_only_at_a_certified_draw(self, monkeypatch, primes_only):
         # no draw at p = 3 reaches q(d), so the degree-0 word is counted at
         # 2, 5 and 7; p = 2 still reads its certified draw
         m, w = M("2[1,2]"), ((1, 2), (2, 2))
@@ -753,26 +758,26 @@ class TestEndCertificate:
             return count_words(x, words)
 
         monkeypatch.setattr(nilpotent, "_count_words", recorded)
-        assert RhoEvaluator(2, graded=False).chi(m, w) == 1
+        assert RhoEvaluator(2).chi(m, w) == 1
         assert counted == [2, 5, 7]
         # a given pool must then hold enough primes that can be read
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
         with pytest.raises(ConsensusError, match="fewer than 3 primes at which Z"):
-            RhoEvaluator(2, SampleConfig(prime_pool=(2, 3, 5, 7)), graded=False).chi(m, w)
+            RhoEvaluator(2, SampleConfig(prime_pool=(2, 3, 5, 7))).chi(m, w)
         wider = SampleConfig(prime_pool=(2, 3, 5, 7, 11))
-        assert RhoEvaluator(2, wider, graded=False).chi(m, w) == 1
+        assert RhoEvaluator(2, wider).chi(m, w) == 1
 
-    def test_certified_primes_are_the_primes_read_at_q(self, monkeypatch):
+    def test_certified_primes_are_the_primes_read_at_q(self, monkeypatch, primes_only):
         # the degree-0 word reads three primes; a prime passed over is not
         # read, and one read at a vote leaves the label uncertified
         m, w = M("2[1,2]"), ((1, 2), (2, 2))
-        ev = RhoEvaluator(2, graded=False)
+        ev = RhoEvaluator(2)
         assert ev.certified_primes(m) == ()
         ev.chi(m, w)
         assert ev.certified_primes(m) == (2, 3, 5)
         real_end = nilpotent._end_dim
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: real_end(x) + (x.p in (3, 13)))
-        ev = RhoEvaluator(2, graded=False)
+        ev = RhoEvaluator(2)
         ev.chi(m, w)
         assert ev.certified_primes(m) == (2, 5, 7)
         # primes drawn on request must each reach q(d), even below p = 5
@@ -780,7 +785,7 @@ class TestEndCertificate:
         assert ev.certified_primes(m, (3,)) is None
         assert ev.certified_primes(m, (13,)) is None
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: real_end(x) + (x.p == 5))
-        ev = RhoEvaluator(2, graded=False)
+        ev = RhoEvaluator(2)
         ev.chi(m, w)
         assert ev.certified_primes(m) is None
 

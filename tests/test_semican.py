@@ -22,7 +22,6 @@ from semibasis import (
     evaluation_matrix,
     pbw_to_words,
     refine_order,
-    semican_recursive,
     transition_matrix,
     transition_via_inversion,
     verify_delta,
@@ -95,28 +94,30 @@ class TestInversionRoute:
 class TestRecursionRoute:
     def test_square_elements(self):
         m1, m2, m3 = M("2[1,2]"), M("1[1,2]+1[1,1]+1[2,2]"), M("2[1,1]+2[2,2]")
-        assert semican_recursive(Q2, m3) == PBWVector(2, (2, 2), {m3: 1})
-        assert semican_recursive(Q2, m2) == PBWVector(2, (2, 2), {m2: 1, m3: 2})
-        assert semican_recursive(Q2, m1) == PBWVector(2, (2, 2), {m1: 1, m2: 1, m3: 1})
+        basis = SemicanBasis(Q2)
+        assert basis.element(m3).pbw == PBWVector(2, (2, 2), {m3: 1})
+        assert basis.element(m2).pbw == PBWVector(2, (2, 2), {m2: 1, m3: 2})
+        assert basis.element(m1).pbw == PBWVector(2, (2, 2), {m1: 1, m2: 1, m3: 1})
 
     def test_semisimple_is_pbw_class(self):
         for n in (2, 3):
             for d in oracles.grades_upto(n, 4):
                 cls = oracles.semisimple(n, d)
-                got = semican_recursive(Quiver(n), cls)
+                got = SemicanBasis(Quiver(n)).element(cls).pbw
                 assert got == PBWVector(n, d, {cls: 1}), cls
 
     def test_interval_element(self):
-        got = semican_recursive(Q2, M("1[1,2]"))
+        got = SemicanBasis(Q2).element(M("1[1,2]")).pbw
         assert got == PBWVector(2, (1, 1), {M("1[1,2]"): 1, M("1[1,1]+1[2,2]"): 1})
 
     def test_agrees_with_inversion(self):
         for n, bound in ((2, 4), (3, 3)):
             quiver = Quiver(n)
+            basis = SemicanBasis(quiver)
             for d in oracles.grades_upto(n, bound):
                 classes, a_mat, _ = transition_via_inversion(quiver, d)
                 for r, cls in enumerate(classes):
-                    vec = semican_recursive(quiver, cls)
+                    vec = basis.element(cls).pbw
                     assert tuple(vec.get(c) for c in classes) == a_mat[r], cls
 
 
@@ -291,14 +292,14 @@ class TestDeltaCheck:
             "delta check: 0 of 3 components read from the construction's counts,"
             " 3 recounted in full at fresh seeds"
         )
-        assert line.count("fresh draws missed q(d) at a prime of [2, 3, 5") == 3
+        assert line.count("fresh draws voted or missed q(d) at a prime of [2, 3, 5") == 3
 
-    def test_fresh_draws_off_q_at_graded_components_recount_only_the_diagonal(
+    def test_fresh_draws_off_q_at_graded_components_force_a_full_recount(
         self, monkeypatch, caplog, fresh_evaluators
     ):
-        # every component of (2,2) has a graded point, so its row is the
-        # torus count and the fresh F_p route recounts only the diagonal,
-        # even when its draws vote
+        # every component of (2,2) has a graded point and reads no prime in
+        # the construction, but the fresh draws that recount its diagonal
+        # vote, so its row is recounted in full, as at any other component
         real_end = nilpotent._end_dim
 
         def end_dim(x):
@@ -309,11 +310,17 @@ class TestDeltaCheck:
             res = transition_matrix(Q2, (2, 2))
         assert res.delta_ok
         basis = SemicanBasis(Q2)
+        every_word = [w for m in res.classes for w in basis.element(m).words]
+        assert all(basis.evaluator.graded(m) is not None for m in res.classes)
         [fresh] = fresh_evaluators
-        assert set(fresh._chi) == pairs(res.classes, lambda k: basis.element(k).words)
+        assert set(fresh._chi) == pairs(res.classes, lambda k: every_word)
         assert delta_lines(caplog) == [
-            "delta check: 3 of 3 components read from the construction's counts,"
-            " 0 recounted in full at fresh seeds"
+            "delta check: 0 of 3 components read from the construction's counts,"
+            " 3 recounted in full at fresh seeds"
+            + "".join(
+                f"; Z({m}): fresh draws voted or missed q(d) at a prime of []"
+                for m in res.classes
+            )
         ]
 
     def test_torus_count_off_at_a_diagonal_word_fails(self, monkeypatch, caplog):
@@ -435,8 +442,9 @@ class TestCertifiedTransition:
             assert all(type(x) is int for row in mat for x in row)
         combos = pbw_to_words(quiver, d)
         ev = RhoEvaluator(quiver.n)
+        basis = SemicanBasis(quiver)
         for m in res.classes:
-            elem = semican_recursive(quiver, m)
+            elem = basis.element(m).pbw
             assert all(type(c) is int for c in elem.coeffs.values())
             assert all(type(c) is int for c in combos[m].values())
             assert all(type(ev.rho(k, combos[m])) is int for k in res.classes)
