@@ -38,7 +38,7 @@ from .hall import (
     realize,
 )
 from .linalg import is_prime
-from .nilpotent import VOTE_SIZE, SampleConfig
+from .nilpotent import SampleConfig
 from .quiver import (
     Multisegment,
     Quiver,
@@ -73,22 +73,11 @@ def _build_parser() -> _Parser:
     fmt = _Parser(add_help=False)
     fmt.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
 
-    sampling = _Parser(add_help=False)
-    sampling.add_argument("--seed", type=int, default=0, help="root seed")
-    sampling.add_argument(
-        "--samples",
-        type=int,
-        default=SampleConfig.samples_per_prime,
-        help="cap on the points drawn per prime and attempt; a vote, where no"
-        f" draw is certified generic, reads at most {VOTE_SIZE} of them",
-    )
-    sampling.add_argument(
-        "--primes", default=None, help="comma-separated prime pool override"
-    )
-
-    tr = sub.add_parser("transition", parents=[fmt, sampling])
+    tr = sub.add_parser("transition", parents=[fmt])
     tr.add_argument("--n", type=int, default=None, help="number of vertices")
     tr.add_argument("--dim", required=True, help="dimension vector, e.g. 2,2")
+    tr.add_argument("--seed", type=int, default=0, help="root seed")
+    tr.add_argument("--primes", default=None, help="comma-separated prime pool override")
     tr.set_defaults(func=_cmd_transition)
 
     ins = sub.add_parser("inspect", parents=[])
@@ -126,7 +115,7 @@ def _build_parser() -> _Parser:
     pe.add_argument("--level", choices=("top", "component"), default="top")
     pe.set_defaults(func=_cmd_peel)
 
-    st = sub.add_parser("selftest", parents=[sampling])
+    st = sub.add_parser("selftest")
     st.add_argument("--dim-bound", type=int, default=5, help="grade bound for suites")
     st.set_defaults(func=_cmd_selftest)
 
@@ -170,14 +159,12 @@ def _check_vertex(args, n: int) -> None:
 
 def _config_from(args) -> SampleConfig:
     pool = None
-    if getattr(args, "primes", None):
+    if args.primes:
         try:
             pool = tuple(int(p) for p in args.primes.split(","))
         except ValueError as exc:
             raise ParseError(f"bad prime pool {args.primes!r}") from exc
-    return SampleConfig(
-        root_seed=args.seed, samples_per_prime=args.samples, prime_pool=pool
-    )
+    return SampleConfig(root_seed=args.seed, prime_pool=pool)
 
 
 def _emit(args, payload: dict, csv_rows: list[list], pretty_lines: list[str]) -> None:
@@ -309,8 +296,8 @@ def _cmd_peel(args) -> int:
 # selftest suites
 
 
-def _suite_transition_regression(cfg: SampleConfig) -> tuple[bool, str]:
-    res = transition_matrix(Quiver(2), (2, 2), cfg)
+def _suite_transition_regression() -> tuple[bool, str]:
+    res = transition_matrix(Quiver(2), (2, 2))
     want = ((1, 1, 1), (0, 1, 2), (0, 0, 1))
     got = tuple(tuple(v for v in row) for row in res.matrix)
     if got != want:
@@ -318,13 +305,13 @@ def _suite_transition_regression(cfg: SampleConfig) -> tuple[bool, str]:
     order = [c.text() for c in res.classes]
     if order != ["2[1,2]", "1[1,2]+1[1,1]+1[2,2]", "2[1,1]+2[2,2]"]:
         return False, f"grade (2,2) order {order}"
-    res3 = transition_matrix(Quiver(3), (1, 1, 1), cfg)
+    res3 = transition_matrix(Quiver(3), (1, 1, 1))
     if len(res3.classes) != 4:
         return False, f"grade (1,1,1) has {len(res3.classes)} classes, expected 4"
     return True, "grades (2,2) and (1,1,1) certified"
 
 
-def _suite_serre(cfg: SampleConfig, bound: int) -> tuple[bool, str]:
+def _suite_serre(bound: int) -> tuple[bool, str]:
     report = check_serre(Quiver(3), bound)
     detail = f"{report.relations_checked} relations at n=3, grades to {bound}"
     if not report.ok:
@@ -332,7 +319,7 @@ def _suite_serre(cfg: SampleConfig, bound: int) -> tuple[bool, str]:
     return True, detail
 
 
-def _suite_hom_oracle(cfg: SampleConfig, bound: int) -> tuple[bool, str]:
+def _suite_hom_oracle(bound: int) -> tuple[bool, str]:
     checked = 0
     for n in (2, 3):
         quiver = Quiver(n)
@@ -349,7 +336,7 @@ def _suite_hom_oracle(cfg: SampleConfig, bound: int) -> tuple[bool, str]:
     return True, f"{checked} hom dimensions match intertwiner ranks"
 
 
-def _suite_realize_roundtrip(cfg: SampleConfig, bound: int) -> tuple[bool, str]:
+def _suite_realize_roundtrip(bound: int) -> tuple[bool, str]:
     checked = 0
     for n in (2, 3):
         quiver = Quiver(n)
@@ -361,7 +348,7 @@ def _suite_realize_roundtrip(cfg: SampleConfig, bound: int) -> tuple[bool, str]:
     return True, f"{checked} classes round trip"
 
 
-def _suite_generic_ext(cfg: SampleConfig, bound: int) -> tuple[bool, str]:
+def _suite_generic_ext(bound: int) -> tuple[bool, str]:
     checked = 0
     for n in (2, 3):
         quiver = Quiver(n)
@@ -385,16 +372,15 @@ def _suite_generic_ext(cfg: SampleConfig, bound: int) -> tuple[bool, str]:
 
 
 def _cmd_selftest(args) -> int:
-    cfg = _config_from(args)
     bound = args.dim_bound
     if bound < 0:
         raise ParseError(f"--dim-bound must be non-negative, got {bound}")
     suites = [
-        ("transition-regression", lambda: _suite_transition_regression(cfg)),
-        ("serre-relations", lambda: _suite_serre(cfg, bound)),
-        ("hom-intertwiner-oracle", lambda: _suite_hom_oracle(cfg, bound)),
-        ("realize-roundtrip", lambda: _suite_realize_roundtrip(cfg, bound)),
-        ("generic-ext-minimality", lambda: _suite_generic_ext(cfg, bound)),
+        ("transition-regression", _suite_transition_regression),
+        ("serre-relations", lambda: _suite_serre(bound)),
+        ("hom-intertwiner-oracle", lambda: _suite_hom_oracle(bound)),
+        ("realize-roundtrip", lambda: _suite_realize_roundtrip(bound)),
+        ("generic-ext-minimality", lambda: _suite_generic_ext(bound)),
     ]
     started = time.perf_counter()
     exit_code = 0

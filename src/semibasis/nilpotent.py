@@ -20,7 +20,7 @@ dim End(x) = q(d), the Tits form: an orbit has dimension
 sum d_i^2 - dim End and every component sum d_i d_{i+1}.  For n <= 4 the
 preprojective algebra is representation-finite (Geiss-Leclerc-Schroer),
 so every component has such an orbit; for n >= 5 some need not.  Each
-(component, prime, attempt) draws up to samples_per_prime points, once
+(component, prime, attempt) draws up to SAMPLES_PER_PRIME points, once
 per evaluator: every word count reads the same draws, and the star
 relations of each (component, prime) are solved once, each draw only
 combining their kernel basis.  The first draw with dim End = q(d) is
@@ -29,13 +29,13 @@ every F_p-point of its orbit is isomorphic to it, and its values are
 exactly the generic ones over every prime field, F_2 included.  When no
 draw reaches q(d), at most VOTE_SIZE draws of least End vote, and the
 reading is the value held by a strict majority of them; such votes are
-logged.  Votes are read only at primes from VOTE_PRIME_START up: over
-F_2 and F_3 the points off the dense orbit are common enough to carry a
-vote, so there a (component, prime) without a draw at q(d) is passed
-over, logged, and the component reads the next primes of the pool in
-its place.  A vote without a majority, or a fit its spare primes
-reject, makes the attempt inconclusive; after RETRY_BUDGET attempts
-sampling fails loudly.
+logged, and RhoEvaluator.voted reports them.  Votes are read only at
+primes from VOTE_PRIME_START up: over F_2 and F_3 the points off the
+dense orbit are common enough to carry a vote, so there a
+(component, prime) without a draw at q(d) is passed over, logged, and
+the component reads the next primes of the pool in its place.  A vote
+without a majority, or a fit its spare primes reject, makes the attempt
+inconclusive; after RETRY_BUDGET attempts sampling fails loudly.
 
 Word monomials are evaluated at a point by the flag recursion: the last
 letter (i, a) picks an a-dimensional subspace W of the joint kernel of
@@ -109,6 +109,9 @@ VOTE_SIZE = 5
 # votes are read only at primes from this one up; a smaller prime is read
 # only at a draw with dim End = q(d)
 VOTE_PRIME_START = 5
+# draws per (component, prime, attempt); the first at dim End = q(d) is read
+# alone, else at most VOTE_SIZE of least End vote, so more draws add no count
+SAMPLES_PER_PRIME = 40
 
 
 def derive_seed(*parts) -> int:
@@ -130,24 +133,18 @@ class SampleConfig:
     component has no draw with dim End = q(d) is passed over for that
     component, which then reads one more prime of the pool.
 
-    samples_per_prime, at least 1, caps the draws per prime and attempt.
-    The first draw with dim End = q(d) is read alone; if none reaches
-    q(d), at most VOTE_SIZE draws of least End vote, so a larger cap only
-    adds draws, never counts.  An attempt whose vote has no
+    Each prime and attempt draws SAMPLES_PER_PRIME points.  The first
+    draw with dim End = q(d) is read alone; if none reaches q(d), at most
+    VOTE_SIZE draws of least End vote.  An attempt whose vote has no
     strict majority, or whose fit the spare primes reject, is retried
-    with fresh draws up to RETRY_BUDGET attempts in all.  Bad values raise
-    ValueError before any draw.
+    with fresh draws up to RETRY_BUDGET attempts in all.  A bad pool
+    raises ValueError before any draw.
     """
 
     root_seed: int = 0
-    samples_per_prime: int = 40
     prime_pool: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.samples_per_prime < 1:
-            raise ValueError(
-                f"samples per prime must be at least 1, got {self.samples_per_prime}"
-            )
         for k, p in enumerate(self.prime_pool or ()):
             if not is_prime(p):
                 raise ValueError(f"prime pool entry {p} is not a prime")
@@ -160,8 +157,7 @@ class LambdaPoint:
     """Explicit matrices of a double-quiver module over a prime field.
 
     arrows[k] is a_{k+1} with shape d_{k+2} x d_{k+1}; stars[k] is
-    s_{k+1} with the transposed shape.  label records the class whose
-    orbit the arrow part was realized from (None for derived points).
+    s_{k+1} with the transposed shape.
     """
 
     n: int
@@ -169,7 +165,6 @@ class LambdaPoint:
     dims: tuple[int, ...]
     arrows: tuple[Matrix, ...]
     stars: tuple[Matrix, ...]
-    label: Multisegment | None
     seed: int
 
 
@@ -241,7 +236,7 @@ def lift_generic(
             tuple(tuple(flat[pos + row * c + col] for col in range(c)) for row in range(r))
         )
         pos += r * c
-    point = LambdaPoint(n, p, rep.dims, rep.maps, tuple(stars), m, seed)
+    point = LambdaPoint(n, p, rep.dims, rep.maps, tuple(stars), seed)
     _check_relations(point)
     return point
 
@@ -437,7 +432,7 @@ def _quotient_point(x: LambdaPoint, i: int, sub: list[tuple[int, ...]]) -> Lambd
     if i <= x.n - 1:
         arrows[i - 1] = out_of(arrows[i - 1])
         stars[i - 1] = into(stars[i - 1])
-    return LambdaPoint(x.n, p, new_dims, tuple(arrows), tuple(stars), None, x.seed)
+    return LambdaPoint(x.n, p, new_dims, tuple(arrows), tuple(stars), x.seed)
 
 
 def _kernel_split(
@@ -614,6 +609,8 @@ class RhoEvaluator:
         self.config = config or SampleConfig()
         self._draws: dict[tuple, tuple[list[LambdaPoint], list[int]]] = {}
         self._spaces: dict[tuple, tuple] = {}
+        # (component, prime) pairs with a draw set that missed q(d): each
+        # is logged once, and those from VOTE_PRIME_START up make voted
         self._voted: set[tuple] = set()
         self._chi: dict[tuple, int] = {}
         # graded points by label, or None where the F_p route counts alone
@@ -625,9 +622,10 @@ class RhoEvaluator:
         It shares this one's star spaces, which no seed enters, and none of
         its draws or counts, and it counts every label by the F_p route;
         no other evaluator does.  The delta check of semican recounts
-        every diagonal entry with one, whose draws must reach
-        dim End = q(d) at every prime the construction read and vote at
-        none; at a graded component, the torus-fixed flags of the
+        every diagonal entry with one, which like any evaluator reads a
+        prime below VOTE_PRIME_START only at a draw with dim End = q(d),
+        and whose draws must vote at none of the primes it reads (see
+        voted); at a graded component, the torus-fixed flags of the
         construction then meet a count by the other method.
         """
         cfg = replace(self.config, root_seed=derive_seed(self.config.root_seed, namespace))
@@ -642,7 +640,7 @@ class RhoEvaluator:
     def _draws_for(
         self, label: Multisegment, p: int, salt: int
     ) -> tuple[list[LambdaPoint], list[int]]:
-        # _generic_draws of up to samples_per_prime seeds, read by every
+        # _generic_draws of up to SAMPLES_PER_PRIME seeds, read by every
         # word; the star relations of a (component, prime) are solved
         # once, and its vote, or its passing over, logged once
         key = (label.segments, p, salt)
@@ -651,9 +649,7 @@ class RhoEvaluator:
             space = self._spaces.get(key[:2])
             if space is None:
                 space = self._spaces[key[:2]] = _star_space(label, self.n, p)
-            seeds = (
-                self._seed(label, p, k, salt) for k in range(self.config.samples_per_prime)
-            )
+            seeds = (self._seed(label, p, k, salt) for k in range(SAMPLES_PER_PRIME))
             found = self._draws[key] = _generic_draws(label, self.n, p, seeds, space)
             q = _tits_form(label, self.n)
             if q not in found[1] and key[:2] not in self._voted:
@@ -681,31 +677,19 @@ class RhoEvaluator:
             f" dim End = q(d) = {q} is read"
         )
 
-    def certified_primes(
-        self, label: Multisegment, draw: Iterable[int] = ()
-    ) -> tuple[int, ...] | None:
-        """The primes at which label's draws were read, if all at dim End = q(d).
+    def voted(self, label: Multisegment) -> bool:
+        """Whether some draw set read at label so far votes.
 
         A draw set is read when it holds a draw with dim End = q(d), or,
         from VOTE_PRIME_START up, when it votes; a smaller prime without
-        such a draw is passed over and not read.  Returns None if some
-        draw set read so far votes, else the primes read, in increasing
-        order: every value read at label is then exactly its generic one
-        by Lang's theorem.  draw, when given, names primes at which
-        attempt 0 is drawn first, and each must hold a draw at q(d).
+        such a draw is passed over and not read.  While this is False,
+        every value read at label is exactly its generic one by Lang's
+        theorem.
         """
-        q = _tits_form(label, self.n)
-        if any(q not in self._draws_for(label, p, 0)[1] for p in draw):
-            return None
-        read = set()
-        for (segments, p, _), (_, ends) in self._draws.items():
-            if segments != label.segments:
-                continue
-            if q in ends:
-                read.add(p)
-            elif p >= VOTE_PRIME_START:
-                return None
-        return tuple(sorted(read))
+        return any(
+            segments == label.segments and p >= VOTE_PRIME_START
+            for segments, p in self._voted
+        )
 
     def graded(self, label: Multisegment) -> LambdaPoint | None:
         """The graded point at which label's words are counted, if any.

@@ -21,11 +21,11 @@ at its graded point (torus-fixed flags, see torus), which reads no prime
 at all, has exact values: Lang's theorem makes a count at such a draw the
 generic one, and the same at any other draw at q(d).  Its row is read
 from the construction's counts, and its diagonal entry, which must be 1,
-is recounted by the F_p route at fresh seeds, whose draws must reach
-q(d) at every prime the row was read at and vote at none; at a graded
-component this is a check across two methods.  A component read at a
-vote in the construction, or whose fresh draws vote or miss q(d) at such
-a prime, is recounted in full at fresh seeds.
+is recounted by the F_p route at fresh seeds; at a graded component this
+is a check across two methods.  The fresh recount, like the
+construction, reads a prime below 5 only at a draw with dim End = q(d).
+A component read at a vote in the construction, or whose fresh draws
+vote at some prime from 5 up, is recounted in full at fresh seeds.
 """
 
 from __future__ import annotations
@@ -237,14 +237,13 @@ class DeltaReport:
     """Every element of a grade evaluated at every component.
 
     Row K holds rho_K(f_M) over the elements f_M.  A component the
-    construction read at no vote (RhoEvaluator.certified_primes is not
-    None: every prime it read had a draw at dim End = q(d), and a graded
-    component read none) takes its row from the construction's counts.
-    Its diagonal entry, when that reads 1, is recounted by the F_p route
-    at fresh seeds, whose draws must reach q(d) at every prime the row was
-    read at and vote at none; otherwise the row is recounted in full at
-    fresh seeds, as is every row read at a vote.  ok iff the matrix is
-    exactly the identity.
+    construction read at no vote (RhoEvaluator.voted is False: every prime
+    it read had a draw at dim End = q(d), and a graded component read
+    none) takes its row from the construction's counts.  Its diagonal
+    entry, when that reads 1, is recounted by the F_p route at fresh
+    seeds; if those draws vote at some prime from 5 up, the row is
+    recounted in full at fresh seeds, as is every row read at a vote.
+    ok iff the matrix is exactly the identity.
     """
 
     classes: tuple[Multisegment, ...]
@@ -268,17 +267,14 @@ def _delta_report(
         # read the row first: a count missing from the memo can read
         # further primes, which the certificate must cover
         row = list(ev.rho_row(k_cls, [elements[m_cls].words for m_cls in classes]))
-        read = ev.certified_primes(k_cls)
-        if read is None:
+        if ev.voted(k_cls):
             recounted[k_cls] = "voted in the construction"
         elif row[r] == 1:
             # the diagonal must come out 1 at the fresh points too, which
             # at a graded component is a count by the other method
             row[r] = fresh.rho(k_cls, elements[k_cls].words)
-            if fresh.certified_primes(k_cls, read) is None:
-                recounted[k_cls] = (
-                    f"fresh draws voted or missed q(d) at a prime of {list(read)}"
-                )
+            if fresh.voted(k_cls):
+                recounted[k_cls] = "fresh draws voted"
         if k_cls in recounted:
             row = fresh.rho_row(k_cls, [elements[m_cls].words for m_cls in classes])
         rows.append(tuple(row))
@@ -302,9 +298,9 @@ def verify_delta(
 
     A component read at no vote takes its row from the counts of the
     construction, recounting only the diagonal at fresh seeds, unless the
-    fresh draws vote or miss q(d); every other row is recounted in full at
-    fresh seeds (see DeltaReport).  The report passes iff the matrix is
-    exactly the identity.
+    fresh draws vote; every other row is recounted in full at fresh seeds
+    (see DeltaReport).  The report passes iff the matrix is exactly the
+    identity.
     """
     basis = SemicanBasis(quiver, config)
     classes = _ordered_classes(quiver, tuple(d))
@@ -364,10 +360,9 @@ def transition_matrix(
     is not the identity, CertificationError on an order violation.  The
     delta-check reads every component read at no vote from the counts
     both routes shared, and re-verifies at fresh seeds, by the F_p route,
-    that its diagonal entry is 1 and that its fresh draws reach
-    dim End = q(d) at every prime it was read at and vote at none.  How
-    many of the grade's components have a graded point is logged once, at
-    INFO.
+    that its diagonal entry is 1; a row whose fresh draws vote is
+    recounted in full.  How many of the grade's components have a graded
+    point is logged once, at INFO.
     """
     started = time.perf_counter()
     d = tuple(d)

@@ -205,7 +205,7 @@ def graded_point(m: Multisegment, n: int) -> nilpotent.LambdaPoint | None:
     p = GRADED_PRIME
     for stars in _candidates(m, n):
         reduced = tuple(tuple(tuple(e % p for e in row) for row in f) for f in stars)
-        x = nilpotent.LambdaPoint(n, p, rep.dims, rep.maps, reduced, m, 0)
+        x = nilpotent.LambdaPoint(n, p, rep.dims, rep.maps, reduced, 0)
         try:
             # an entry of a relation sums far fewer than p terms of size
             # at most 1, so it vanishes mod p iff it vanishes over Z

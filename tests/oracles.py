@@ -228,7 +228,7 @@ def quotient_by_change_of_basis(x: LambdaPoint, i: int, sub) -> LambdaPoint:
         arrows[i - 1] = out_of(arrows[i - 1])
         stars[i - 1] = into(stars[i - 1], x.dims[i])
     dims = tuple(d - a if v == i else d for v, d in enumerate(x.dims, start=1))
-    return LambdaPoint(x.n, x.p, dims, tuple(arrows), tuple(stars), None, x.seed)
+    return LambdaPoint(x.n, x.p, dims, tuple(arrows), tuple(stars), x.seed)
 
 
 def end_dim_by_images(x: LambdaPoint) -> int:

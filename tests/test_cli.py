@@ -134,9 +134,10 @@ class TestTransition:
         (["transition", "--dim", "2,2", "--primes", "0,5,7,11"], "0"),
         (["transition", "--dim", "2,2", "--primes", "25,49,121,169"], "25"),
         (["transition", "--dim", "2,2", "--primes", "5,7,7,11"], "7"),
-        (["transition", "--dim", "2,2", "--samples", "0"], "0"),
-        (["transition", "--dim", "2,2", "--samples", "-3"], "-3"),
-        (["selftest", "--samples", "0"], "0"),
+        # the removed sampling flags
+        (["transition", "--dim", "2,2", "--samples", "40"], "--samples"),
+        (["selftest", "--seed", "1"], "--seed"),
+        (["selftest", "--primes", "5,7"], "--primes"),
         (["selftest", "--dim-bound", "-1"], "-1"),
         (["inspect", "t", "--module", "1[1,2]", "--vertex", "5"], "5"),
         (["inspect", "peel", "--module", "1[1,2]", "--vertex", "5"], "5"),

@@ -115,7 +115,6 @@ def ss_point(p: int, star: int) -> LambdaPoint:
         dims=(1, 1),
         arrows=(((0,),),),
         stars=(((star,),),),
-        label=M("1[1,1]+1[2,2]"),
         seed=0,
     )
 
@@ -283,7 +282,6 @@ class TestEvaluate:
             dims=x.dims,
             arrows=(mul(mul(g2, x.arrows[0]), g1_inv),),
             stars=(mul(mul(g1, x.stars[0]), g2_inv),),
-            label=x.label,
             seed=x.seed,
         )
         assert star_system_holds(y)
@@ -349,7 +347,7 @@ class TestSharedExpansions:
         # p^2 + p + 1 choices
         for p in (2, 3, 5):
             for dims in ((2,), (3,)):
-                x = LambdaPoint(n=1, p=p, dims=dims, arrows=(), stars=(), label=None, seed=0)
+                x = LambdaPoint(n=1, p=p, dims=dims, arrows=(), stars=(), seed=0)
                 if dims == (2,):
                     want = {((1, 1),) * 2: p + 1, ((1, 2),): 1}
                 else:
@@ -503,7 +501,7 @@ class TestSharedDraws:
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
         monkeypatch.setattr(nilpotent, "_count_words", counted)
         ev = RhoEvaluator(2)
-        assert ev.config.samples_per_prime == 40 and nilpotent.VOTE_SIZE == 5
+        assert nilpotent.SAMPLES_PER_PRIME == 40 and nilpotent.VOTE_SIZE == 5
         with pytest.raises(ConsensusError):
             ev.chi(m, w)
         assert read == [
@@ -767,27 +765,28 @@ class TestEndCertificate:
         wider = SampleConfig(prime_pool=(2, 3, 5, 7, 11))
         assert RhoEvaluator(2, wider).chi(m, w) == 1
 
-    def test_certified_primes_are_the_primes_read_at_q(self, monkeypatch, primes_only):
-        # the degree-0 word reads three primes; a prime passed over is not
-        # read, and one read at a vote leaves the label uncertified
+    def test_voted_only_from_the_vote_primes(self, monkeypatch, primes_only):
+        # a pass-over at p = 2 or 3 reads nothing, so it leaves the label
+        # certified; a draw set from p = 5 up without a draw at q(d) votes,
+        # in whichever attempt it was drawn
         m, w = M("2[1,2]"), ((1, 2), (2, 2))
         ev = RhoEvaluator(2)
-        assert ev.certified_primes(m) == ()
+        assert not ev.voted(m)
         ev.chi(m, w)
-        assert ev.certified_primes(m) == (2, 3, 5)
+        assert not ev.voted(m)
         real_end = nilpotent._end_dim
-        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: real_end(x) + (x.p in (3, 13)))
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: real_end(x) + (x.p in (2, 3, 13)))
         ev = RhoEvaluator(2)
         ev.chi(m, w)
-        assert ev.certified_primes(m) == (2, 5, 7)
-        # primes drawn on request must each reach q(d), even below p = 5
-        assert ev.certified_primes(m, (11,)) == (2, 5, 7, 11)
-        assert ev.certified_primes(m, (3,)) is None
-        assert ev.certified_primes(m, (13,)) is None
+        ev._draws_for(m, 2, 1)
+        assert sorted(ev._voted) == [(m.segments, 2), (m.segments, 3)]
+        assert not ev.voted(m)
+        ev._draws_for(m, 13, 1)
+        assert ev.voted(m) and not ev.voted(M("1[1,2]+1[1,1]+1[2,2]"))
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: real_end(x) + (x.p == 5))
         ev = RhoEvaluator(2)
         ev.chi(m, w)
-        assert ev.certified_primes(m) is None
+        assert ev.voted(m)
 
     def test_vote_logged_once_per_component_and_prime(self, monkeypatch, caplog):
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)

@@ -292,7 +292,7 @@ class TestDeltaCheck:
             "delta check: 0 of 3 components read from the construction's counts,"
             " 3 recounted in full at fresh seeds"
         )
-        assert line.count("fresh draws voted or missed q(d) at a prime of [2, 3, 5") == 3
+        assert line.count("fresh draws voted") == 3
 
     def test_fresh_draws_off_q_at_graded_components_force_a_full_recount(
         self, monkeypatch, caplog, fresh_evaluators
@@ -317,10 +317,44 @@ class TestDeltaCheck:
         assert delta_lines(caplog) == [
             "delta check: 0 of 3 components read from the construction's counts,"
             " 3 recounted in full at fresh seeds"
-            + "".join(
-                f"; Z({m}): fresh draws voted or missed q(d) at a prime of []"
-                for m in res.classes
-            )
+            + "".join(f"; Z({m}): fresh draws voted" for m in res.classes)
+        ]
+
+    def test_fresh_pass_overs_below_five_recount_only_the_diagonal(
+        self, monkeypatch, caplog, fresh_evaluators
+    ):
+        # the construction certifies at primes from 2 (no graded point);
+        # the fresh draws miss q(d) at p = 2 and 3 only, which passes those
+        # primes over and reads the diagonal from p = 5 up, at no vote
+        monkeypatch.setattr(torus, "graded_point", lambda m, n: None)
+        real_end = nilpotent._end_dim
+
+        def end_dim(x):
+            fresh = any(x.seed in ev.seeds for ev in fresh_evaluators)
+            return real_end(x) + (fresh and x.p < 5)
+
+        monkeypatch.setattr(nilpotent, "_end_dim", end_dim)
+        real = semican._delta_report
+        rows = {}
+
+        def report(basis, classes, elements):
+            ev = basis.evaluator
+            for k in classes:
+                rows[k] = ev.rho_row(k, [elements[m].words for m in classes])
+            return real(basis, classes, elements)
+
+        monkeypatch.setattr(semican, "_delta_report", report)
+        with caplog.at_level(logging.INFO, logger="semibasis.semican"):
+            res = transition_matrix(Q2, (2, 2))
+        assert res.delta_ok
+        assert tuple(rows[k] for k in res.classes) == res.delta.matrix
+        basis = SemicanBasis(Q2)
+        [fresh] = fresh_evaluators
+        assert set(fresh._chi) == pairs(res.classes, lambda k: basis.element(k).words)
+        assert {p for _, p in fresh._voted} == {2, 3}
+        assert delta_lines(caplog) == [
+            "delta check: 3 of 3 components read from the construction's counts,"
+            " 0 recounted in full at fresh seeds"
         ]
 
     def test_torus_count_off_at_a_diagonal_word_fails(self, monkeypatch, caplog):
@@ -333,10 +367,11 @@ class TestDeltaCheck:
         k = M("1[1,3]+1[1,1]+1[2,3]")
         w = ((2, 1), (3, 2), (1, 2), (2, 1))
         counts = torus.fixed_flag_counts
+        at_k = torus.graded_point(k, 3)
 
         def off_by_one(x, words):
             got = counts(x, words)
-            if x.label == k and w in got:
+            if x == at_k and w in got:
                 got[w] += 1
             return got
 

@@ -16,6 +16,7 @@ import pytest
 
 from semibasis import Multisegment, Quiver, RhoEvaluator, enumerate_multisegments, nilpotent
 from semibasis import torus
+from semibasis.hall import realize
 from semibasis.quiver import euler_form
 
 M = Multisegment
@@ -41,7 +42,7 @@ class TestGradedPoint:
     def test_square_components_all_have_one(self):
         for m in enumerate_multisegments(Quiver(2), (2, 2)):
             x = torus.graded_point(m, 2)
-            assert x is not None and x.label == m
+            assert x is not None and x.arrows == realize(m, 2).maps
             assert nilpotent._end_dim(x) == tits_form(x)
 
     def test_search_is_deterministic(self):
@@ -54,7 +55,7 @@ class TestGradedPoint:
         zero = (((0, 0), (0, 0)),)
         planted(monkeypatch, zero)
         assert torus.graded_point(SQUARE, 2) is None
-        x = nilpotent.LambdaPoint(2, torus.GRADED_PRIME, (2, 2), ZERO_ARROW, zero, SQUARE, 0)
+        x = nilpotent.LambdaPoint(2, torus.GRADED_PRIME, (2, 2), ZERO_ARROW, zero, 0)
         assert torus._separated(x) and nilpotent._end_dim(x) == 8
 
     def test_weights_that_merge_a_vertex_are_rejected(self, monkeypatch):
@@ -64,7 +65,7 @@ class TestGradedPoint:
         planted(monkeypatch, merged)
         monkeypatch.setattr(nilpotent, "_end_dim", tits_form)
         assert torus.graded_point(SQUARE, 2) is None
-        x = nilpotent.LambdaPoint(2, torus.GRADED_PRIME, (2, 2), ZERO_ARROW, merged, SQUARE, 0)
+        x = nilpotent.LambdaPoint(2, torus.GRADED_PRIME, (2, 2), ZERO_ARROW, merged, 0)
         assert not torus._separated(x)
 
     def test_a_cycle_of_the_support_can_tie_weights(self):
@@ -73,8 +74,8 @@ class TestGradedPoint:
         # w(u_1) = w(u_2), though no row of a map holds two entries.  The
         # diagonal star closes two shorter cycles and ties nothing
         arrows = (((1, 0), (0, 1)),)
-        crossed = nilpotent.LambdaPoint(2, 7, (2, 2), arrows, (((0, 1), (1, 0)),), None, 0)
-        straight = nilpotent.LambdaPoint(2, 7, (2, 2), arrows, (((1, 0), (0, 1)),), None, 0)
+        crossed = nilpotent.LambdaPoint(2, 7, (2, 2), arrows, (((0, 1), (1, 0)),), 0)
+        straight = nilpotent.LambdaPoint(2, 7, (2, 2), arrows, (((1, 0), (0, 1)),), 0)
         assert not torus._separated(crossed)
         assert torus._separated(straight)
 
