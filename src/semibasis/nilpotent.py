@@ -49,7 +49,10 @@ in p of degree at most word_degree_bound(w, d), the dimension of the
 product of the partial flag varieties its letters cut out of the V_i,
 and converted to Euler characteristics through verified interpolation
 at 1; non-polynomial behaviour or a consensus failure is surfaced, never
-averaged away.
+averaged away.  At a component with a graded point, which only the
+evaluators of RhoEvaluator.fresh count by primes, the degree is at most
+the tangent-space bound of torus.tangent_bounds, the dimension of the
+flag variety there, and a fit takes the smaller of the two.
 """
 
 from __future__ import annotations
@@ -126,10 +129,12 @@ class SampleConfig:
 
     prime_pool, when given, overrides the default pool (consecutive
     primes from 2) and must hold distinct primes.  A word w at
-    grade d is counted at the first min(b_w + 3, B + 2) primes of the
-    pool, where b_w is word_degree_bound(w, d) and B is
-    flag_degree_bound(d), so the pool must hold that many primes for
-    every word in play.  A prime below VOTE_PRIME_START at which a
+    grade d is counted at the first min(b + 3, B + 2) primes of the
+    pool, where b is its fit degree and B is flag_degree_bound(d), so
+    the pool must hold that many primes for every word in play.  The fit
+    degree is word_degree_bound(w, d), or, when a fresh evaluator counts
+    a component with a graded point, the tangent bound where that is
+    smaller (see RhoEvaluator.chi).  A prime below VOTE_PRIME_START at which a
     component has no draw with dim End = q(d) is passed over for that
     component, which then reads one more prime of the pool.
 
@@ -601,7 +606,8 @@ class RhoEvaluator:
     them, in one walk of their shared suffixes (see
     evaluate_word_at_point), and nothing of the walk is kept.  At DEBUG
     each counted batch logs its label, how many words it counted
-    together and how many expansions it made.
+    together, how many expansions it made, how many fits a tangent
+    bound lowered and the largest prime it read.
     """
 
     def __init__(self, n: int, config: SampleConfig | None = None):
@@ -613,25 +619,28 @@ class RhoEvaluator:
         # is logged once, and those from VOTE_PRIME_START up make voted
         self._voted: set[tuple] = set()
         self._chi: dict[tuple, int] = {}
-        # graded points by label, or None where the F_p route counts alone
-        self._points: dict[tuple, LambdaPoint | None] | None = {}
+        # graded points by label (None where the search finds none), and
+        # whether words are counted there by torus-fixed flags
+        self._points: dict[tuple, LambdaPoint | None] = {}
+        self._by_torus = True
 
     def fresh(self, namespace: str) -> "RhoEvaluator":
         """An evaluator with seeds disjoint from this one's.
 
-        It shares this one's star spaces, which no seed enters, and none of
-        its draws or counts, and it counts every label by the F_p route;
-        no other evaluator does.  The delta check of semican recounts
-        every diagonal entry with one, which like any evaluator reads a
-        prime below VOTE_PRIME_START only at a draw with dim End = q(d),
-        and whose draws must vote at none of the primes it reads (see
-        voted); at a graded component, the torus-fixed flags of the
-        construction then meet a count by the other method.
+        It shares this one's star spaces and graded points, which no seed
+        enters, and none of its draws or counts, and it counts every label
+        by the F_p route; no other evaluator does.  At a label with a
+        graded point it fits each word at the tangent bound where that
+        undercuts word_degree_bound (see chi).  The delta check of semican
+        recounts every diagonal entry with one, which like any evaluator
+        reads a prime below VOTE_PRIME_START only at a draw with
+        dim End = q(d), and whose draws must vote at none of the primes it
+        reads (see voted); at a graded component, the torus-fixed flags of
+        the construction then meet a count by the other method.
         """
         cfg = replace(self.config, root_seed=derive_seed(self.config.root_seed, namespace))
         ev = RhoEvaluator(self.n, cfg)
-        ev._spaces = self._spaces
-        ev._points = None
+        ev._spaces, ev._points, ev._by_torus = self._spaces, self._points, False
         return ev
 
     def _seed(self, label: Multisegment, p: int, k: int, salt: int) -> int:
@@ -694,12 +703,15 @@ class RhoEvaluator:
     def graded(self, label: Multisegment) -> LambdaPoint | None:
         """The graded point at which label's words are counted, if any.
 
-        torus.graded_point, searched once per label and evaluator; always
-        None for an evaluator that counts by the F_p route alone (see
-        fresh).
+        torus.graded_point, searched once per label for an evaluator and
+        the evaluators its fresh hands out; always None for one of those,
+        which count by the F_p route alone and read the point only for
+        its tangent bounds.
         """
-        if self._points is None:
-            return None
+        return self._graded_point(label) if self._by_torus else None
+
+    def _graded_point(self, label: Multisegment) -> LambdaPoint | None:
+        # torus.graded_point, searched once per label and evaluator family
         if label.segments not in self._points:
             self._points[label.segments] = torus.graded_point(label, self.n)
         return self._points[label.segments]
@@ -709,22 +721,30 @@ class RhoEvaluator:
         todo = [w for w in dict.fromkeys(words) if (label.segments, w) not in self._chi]
         if not todo:
             return
-        x = self.graded(label)
-        if x is not None:
+        x = self._graded_point(label)
+        if x is not None and self._by_torus:
             for w, count in torus.fixed_flag_counts(x, todo).items():
                 self._chi[label.segments, w] = count
             return
         d, q = label.dim_vector(self.n), _tits_form(label, self.n)
         bounds = {w: word_degree_bound(w, d) for w in todo}
+        lowered = 0
+        if x is not None:
+            fitted = [w for w in todo if bounds[w] >= 1]
+            for w, tangent in torus.tangent_bounds(x, fitted).items():
+                if max(tangent, 0) < bounds[w]:
+                    bounds[w] = max(tangent, 0)
+                    lowered += 1
         counts = {w: min(b + 3, flag_degree_bound(d) + 2) for w, b in bounds.items()}
         history: dict[Word, list] = {w: [] for w in todo}
         failures: dict[Word, Exception] = {}
-        batch, made = len(todo), _expand_calls
+        batch, made, largest = len(todo), _expand_calls, 0
         for salt in range(RETRY_BUDGET):
             # every prime a word reads is read, so that a failure records all
             # of them; each word reads a prefix of pool
             series: dict[Word, list] = {w: [] for w in todo}
             pool = self._read_primes(label, salt, max(counts[w] for w in todo))
+            largest = max(largest, pool[-1])
             for k, p in enumerate(pool):
                 reading = [w for w in todo if k < counts[w]]
                 points, ends = self._draws_for(label, p, salt)
@@ -746,8 +766,9 @@ class RhoEvaluator:
             if not todo:
                 break
         log.debug(
-            "batch on Z(%s): %d words counted together, %d expansions",
-            label, batch, _expand_calls - made,
+            "batch on Z(%s): %d words counted together, %d expansions, "
+            "%d fits lowered by tangent bounds, largest prime %d",
+            label, batch, _expand_calls - made, lowered, largest,
         )
         if todo:
             word, failure = todo[0], failures[todo[0]]
@@ -762,14 +783,20 @@ class RhoEvaluator:
         At a label with a graded point (see graded) it is the number of
         torus-fixed flags there, torus.fixed_flag_counts, which is exact.
         Elsewhere the count is taken at each prime and fitted with degree
-        word_degree_bound(word, d) through the first min(b_w + 3, B + 2)
-        primes of the grade's pool at which the label is read (see
-        SampleConfig), B being flag_degree_bound(d).  Each
+        b through the first min(b + 3, B + 2) primes of the grade's pool
+        at which the label is read (see SampleConfig), B being
+        flag_degree_bound(d).  b is b_w = word_degree_bound(word, d),
+        except at a label with a graded point counted by a fresh
+        evaluator: there a word with b_w >= 1 is fitted at
+        min(b_w, max(t, 0)), t its torus.tangent_bounds, an upper bound
+        on the dimension of its flag variety (-1 when that is empty); a
+        word with b_w = 0 reads no tangent bound.  Each
         prime evaluates the word once at its draw with dim End = q(d),
         which is exactly generic, or else votes over its draws of least
         End, stopping once one count holds a strict majority.  A degree-b
         fit through N primes exposes any N - b - 1 wrong values: two when
-        b_w < B, one (as with the grade bound) when b_w = B.
+        b < B, one (as with the grade bound) when b = B; those spare
+        primes check a fit at a tangent bound as they check any other.
         """
         key = (label.segments, word)
         if key not in self._chi:

@@ -22,8 +22,11 @@ at all, has exact values: Lang's theorem makes a count at such a draw the
 generic one, and the same at any other draw at q(d).  Its row is read
 from the construction's counts, and its diagonal entry, which must be 1,
 is recounted by the F_p route at fresh seeds; at a graded component this
-is a check across two methods.  The fresh recount, like the
-construction, reads a prime below 5 only at a draw with dim End = q(d).
+is a check across two methods, whose fits take the degree of each word
+from the tangent space at the point's torus-fixed flags
+(torus.tangent_bounds) where that undercuts word_degree_bound.  The
+fresh recount, like the construction, reads a prime below 5 only at a
+draw with dim End = q(d).
 A component read at a vote in the construction, or whose fresh draws
 vote at some prime from 5 up, is recounted in full at fresh seeds.
 """
@@ -241,9 +244,11 @@ class DeltaReport:
     it read had a draw at dim End = q(d), and a graded component read
     none) takes its row from the construction's counts.  Its diagonal
     entry, when that reads 1, is recounted by the F_p route at fresh
-    seeds; if those draws vote at some prime from 5 up, the row is
-    recounted in full at fresh seeds, as is every row read at a vote.
-    ok iff the matrix is exactly the identity.
+    seeds, fitted at a graded component to the tangent bounds of
+    torus.tangent_bounds (see RhoEvaluator.chi); if those draws vote at
+    some prime from 5 up, the row is recounted in full at fresh seeds,
+    as is every row read at a vote.  ok iff the matrix is exactly the
+    identity.
     """
 
     classes: tuple[Multisegment, ...]

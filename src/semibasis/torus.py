@@ -15,7 +15,9 @@ whose layers are the word's letters, and they are finitely many, so by
 Bialynicki-Birula their number is the Euler characteristic of Fl_w(x)
 (Cerulli Irelli, "Quiver Grassmannians associated with string modules",
 2011; Haupt 2012).  Counting them needs no prime, no interpolation, no
-degree bound and no vote.
+degree bound and no vote.  The tangent spaces at the same flags bound
+dim Fl_w(x) (tangent_bounds), which is the degree that the F_p route
+fits when it recounts such a component for the delta check.
 
 That number is the generic value rho_M(w) once x lies in the dense orbit
 of the component Z_M, which the search certifies: x has arrow part
@@ -45,7 +47,7 @@ from .hall import realize
 from .linalg import rank_exact
 from .quiver import Multisegment, Word, word_weight
 
-__all__ = ["GRADED_PRIME", "LEAF_CAP", "graded_point", "fixed_flag_counts"]
+__all__ = ["GRADED_PRIME", "LEAF_CAP", "graded_point", "fixed_flag_counts", "tangent_bounds"]
 
 log = logging.getLogger(__name__)
 
@@ -217,6 +219,71 @@ def graded_point(m: Multisegment, n: int) -> nilpotent.LambdaPoint | None:
     return None
 
 
+def _edges(x: nilpotent.LambdaPoint) -> tuple[list[int], list[list[tuple[int, int, int]]]]:
+    # the offset of each vertex's basis in one numbering of x's basis, and
+    # per map the (source, target, entry) of its nonzero entries there
+    offsets = [0]
+    for dv in x.dims:
+        offsets.append(offsets[-1] + dv)
+    edges = [
+        [
+            (offsets[u - 1] + c, offsets[v - 1] + r, entry)
+            for r, row in enumerate(f)
+            for c, entry in enumerate(row)
+            if entry
+        ]
+        for u, v, f in _maps(x)
+    ]
+    return offsets, edges
+
+
+def _chains(
+    x: nilpotent.LambdaPoint, words: Iterable[Word], whole: bool
+) -> Iterator[tuple[list[Word], dict[tuple[int, ...], int]]]:
+    # the torus-fixed flags of the words, walked from the bottom along
+    # nilpotent._suffix_trie: the last letter (i, a) adds a basis vectors
+    # at vertex i whose images all lie in the subset so far.  Yields, per
+    # trie node with words, those words and the chains of subsets that
+    # reach it, from the empty one up to the last below the whole basis,
+    # with their number: each chain whole, mapped to 1, or else only its
+    # last subset, so that a subset reached along several chains is
+    # expanded once.  A word whose weight is not x's raises ValueError
+    words = list(words)
+    for w in words:
+        if word_weight(w, x.n) != x.dims:
+            raise ValueError(
+                f"word weight {word_weight(w, x.n)} does not match dimensions {x.dims}"
+            )
+    offsets, edges = _edges(x)
+    # targets[b]: the basis vectors that the maps leaving b's vertex send
+    # b to, as a bit mask
+    targets = [0] * offsets[-1]
+    for source, target, _ in (edge for f in edges for edge in f):
+        targets[source] |= 1 << target
+
+    def walk(node: tuple[list[Word], dict], reached: dict) -> Iterator:
+        held, children = node
+        if held:
+            yield held, reached
+        for (i, a), child in children.items():
+            after: dict[tuple[int, ...], int] = {}
+            for chain, number in reached.items():
+                sub = chain[-1]
+                free = [
+                    b
+                    for b in range(offsets[i - 1], offsets[i])
+                    if not sub >> b & 1 and not targets[b] & ~sub
+                ]
+                for pick in combinations(free, a):
+                    grown = sub | sum(1 << b for b in pick)
+                    key = (chain if whole else ()) + (grown,)
+                    after[key] = after.get(key, 0) + number
+            if after:
+                yield from walk(child, after)
+
+    yield from walk(nilpotent._suffix_trie(words), {(0,): 1})
+
+
 def fixed_flag_counts(x: nilpotent.LambdaPoint, words: Iterable[Word]) -> dict[Word, int]:
     """The torus-fixed flags of each word of x's weight at the graded point x.
 
@@ -230,46 +297,134 @@ def fixed_flag_counts(x: nilpotent.LambdaPoint, words: Iterable[Word]) -> dict[W
     expanded once.  Nothing of the walk is kept.  A word whose weight is
     not x's raises ValueError.
     """
-    offsets = [0]
-    for dv in x.dims:
-        offsets.append(offsets[-1] + dv)
-    # targets[b]: the basis vectors that the maps leaving b's vertex send
-    # b to, as a bit mask
-    targets = [0] * offsets[-1]
-    maps = _maps(x)
-    for u, v, f in maps:
-        for r, row in enumerate(f):
-            for c, entry in enumerate(row):
-                if entry:
-                    targets[offsets[u - 1] + c] |= 1 << (offsets[v - 1] + r)
     counts = dict.fromkeys(words, 0)
-    for w in counts:
-        if word_weight(w, x.n) != x.dims:
-            raise ValueError(
-                f"word weight {word_weight(w, x.n)} does not match dimensions {x.dims}"
-            )
-
-    def walk(node: tuple[list[Word], dict], reached: dict[int, int]) -> None:
-        held, children = node
-        total = sum(reached.values())
+    for held, reached in _chains(x, counts, whole=False):
         for w in held:
-            counts[w] += total
-        for (i, a), child in children.items():
-            after: dict[int, int] = {}
-            for sub, chains in reached.items():
-                free = [
-                    b
-                    for b in range(offsets[i - 1], offsets[i])
-                    if not sub >> b & 1 and not targets[b] & ~sub
-                ]
-                for pick in combinations(free, a):
-                    grown = sub | sum(1 << b for b in pick)
-                    after[grown] = after.get(grown, 0) + chains
-            if after:
-                walk(child, after)
-
-    walk(nilpotent._suffix_trie(counts), {0: 1})
+            counts[w] += sum(reached.values())
     return counts
+
+
+def _kernel_dim(unknowns: int, equations: Iterable[list[tuple[int, int]]], p: int) -> int:
+    # the dimension over F_p of the solutions of equations in unknowns
+    # 0 .. unknowns - 1, each equation a list of (unknown, coefficient)
+    # with at most two terms.  One term sets its unknown to zero, two tie
+    # one unknown to a multiple of the other; so each class of tied
+    # unknowns, held as multiples of its root, is free or zero
+    root: dict[int, int] = {}
+    scale: dict[int, int] = {}
+    members: dict[int, list[int]] = {}
+    zero: set[int] = set()
+    for terms in equations:
+        for u, _ in terms:
+            if u not in root:
+                root[u], scale[u], members[u] = u, 1, [u]
+        if len(terms) == 1:
+            zero.add(root[terms[0][0]])
+        else:
+            (u, a), (v, b) = terms
+            # v = ratio * u
+            ratio = -a * pow(b, -1, p) % p
+            ru, rv = root[u], root[v]
+            if ru == rv:
+                if scale[v] != ratio * scale[u] % p:
+                    zero.add(ru)
+                continue
+            # the root of v is factor times the root of u
+            factor = ratio * scale[u] * pow(scale[v], -1, p) % p
+            if len(members[ru]) < len(members[rv]):
+                ru, rv, factor = rv, ru, pow(factor, -1, p)
+            for m in members[rv]:
+                root[m], scale[m] = ru, scale[m] * factor % p
+            members[ru] += members.pop(rv)
+            if rv in zero:
+                zero.discard(rv)
+                zero.add(ru)
+    return unknowns - len(root) + len(members) - len(zero)
+
+
+def tangent_bounds(x: nilpotent.LambdaPoint, words: Iterable[Word]) -> dict[Word, int]:
+    """Per word of x's weight, an upper bound on dim Fl_w(x), or -1 if it is empty.
+
+    A generic one-parameter subgroup of x's torus has the fixed flags of
+    fixed_flag_counts as its fixed points, and every point of the
+    projective Fl_w(x) flows to one of them, into a cell that the
+    tangent space there bounds (Bialynicki-Birula); with no fixed flag,
+    Fl_w(x) is empty.  At a flag U_1 < ... < U_(k-1) of submodules of
+    the module M of x, that tangent space holds the tuples (phi_j),
+    phi_j in Hom_Lambda(U_j, M/U_j), with phi_(j+1) restricted to U_j
+    equal to phi_j taken mod U_(j+1): the quiver-Grassmannian tangent
+    space Hom_Lambda(U, M/U) of Cerulli Irelli (2011) on every step.
+    Its dimension is taken at GRADED_PRIME, which can only overstate it
+    (rank mod p is at most rank over Q); the bound is the largest over
+    the fixed flags, and it never exceeds word_degree_bound, the
+    dimension of the space of all flags of vector spaces of type w, at
+    which the walk over a word's flags stops.  Every map of a graded
+    point is a partial injection on the basis (separating weights
+    forbid two entries in a row), so each equation ties at most two
+    unknowns.  A word whose weight is not x's raises ValueError.
+    """
+    p = GRADED_PRIME
+    offsets, edges = _edges(x)
+    size = offsets[-1]
+    # per map, source -> (target, entry) and target -> (source, entry)
+    forward = [{s: (t, e) for s, t, e in f} for f in edges]
+    backward = [{t: (s, e) for s, t, e in f} for f in edges]
+    if any(len(g) < len(f) or len(h) < len(f) for f, g, h in zip(edges, forward, backward)):
+        raise InternalCheckError("a map of a graded point is not a partial injection")
+    ends = [(u - 1, v - 1) for u, v, _ in _maps(x)]
+
+    def slot(j: int, t: int, b: int) -> int:
+        # the unknown phi_j(b) at t, for b in U_j and t off U_j at one vertex
+        return (j * size + t) * size + b
+
+    def dimension(chain: tuple[int, ...]) -> int:
+        # chain[0] is the empty subset, which carries no unknown
+        inside, outside = (
+            [
+                [[b for b in range(offsets[v], offsets[v + 1]) if (sub >> b & 1) == keep]
+                 for v in range(x.n)]
+                for sub in chain
+            ]
+            for keep in (1, 0)
+        )
+        unknowns = sum(
+            len(ins) * len(outs) for j in range(len(chain))
+            for ins, outs in zip(inside[j], outside[j])
+        )
+        equations: list[list[tuple[int, int]]] = []
+        for j, sub in enumerate(chain):
+            # phi_j f = f phi_j at (t, b), for b in U_j and t off U_j
+            for f, g, (u, v) in zip(forward, backward, ends):
+                for b in inside[j][u]:
+                    for t in outside[j][v]:
+                        terms = []
+                        if b in f:
+                            image, entry = f[b]
+                            terms.append((slot(j, t, image), entry))
+                        if t in g and not sub >> g[t][0] & 1:
+                            source, entry = g[t]
+                            terms.append((slot(j, source, b), -entry))
+                        if terms:
+                            equations.append(terms)
+            if j + 1 < len(chain):
+                # phi_(j+1) on U_j is phi_j mod U_(j+1)
+                for ins, outs in zip(inside[j], outside[j + 1]):
+                    for b in ins:
+                        for t in outs:
+                            equations.append([(slot(j + 1, t, b), 1), (slot(j, t, b), -1)])
+        return _kernel_dim(unknowns, equations, p)
+
+    bounds = dict.fromkeys(words, -1)
+    for held, reached in _chains(x, bounds, whole=True):
+        cap = nilpotent.word_degree_bound(held[0], x.dims)
+        best = -1
+        for chain in reached:
+            best = max(best, dimension(chain))
+            if best >= cap:
+                break
+        for w in held:
+            bounds[w] = best
+    return bounds
 
 
 def log_coverage(points: Mapping[Multisegment, nilpotent.LambdaPoint | None]) -> None:

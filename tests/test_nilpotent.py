@@ -430,8 +430,10 @@ class TestSharedExpansions:
         self, caplog, capsys, monkeypatch, primes_only
     ):
         # one line per counted batch: its component, how many words it
-        # counted together and the expansions it made; with no graded
-        # point, every count of the construction is such a batch
+        # counted together, the expansions it made, how many fits a
+        # tangent bound lowered and the largest prime read; with no graded
+        # point, every count of the construction is such a batch, and no
+        # tangent bound lowers a fit
         argv = ["transition", "--dim", "1,2,1", "--format", "json"]
         marks = []
         report = semican._delta_report
@@ -446,7 +448,11 @@ class TestSharedExpansions:
         logged = capsys.readouterr().out
         lines = [r.getMessage() for r in caplog.records if r.name == "semibasis.nilpotent"]
         assert lines and all(
-            re.fullmatch(r"batch on Z\(.+\): \d+ words counted together, \d+ expansions", line)
+            re.fullmatch(
+                r"batch on Z\(.+\): \d+ words counted together, \d+ expansions, "
+                r"0 fits lowered by tangent bounds, largest prime [1-9]\d*",
+                line,
+            )
             for line in lines
         ), lines
         [start] = marks
@@ -687,7 +693,7 @@ class TestEndCertificate:
             return found
 
         monkeypatch.setattr(nilpotent, "_generic_draws", recorded)
-        for d in ((2, 2), (1, 1, 1, 1), (1, 2, 2, 1)):
+        for d in ((2, 2), (1, 1, 1, 1), (1, 2, 1, 1), (1, 2, 2, 1)):
             res = transition_matrix(Quiver(len(d)), d)
             assert res.routes_agree and res.delta_ok
         accepted = 0

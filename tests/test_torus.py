@@ -11,13 +11,23 @@ the two basis vectors of V_2 that it sends to the same vector.
 """
 
 import logging
+import re
 
 import pytest
 
-from semibasis import Multisegment, Quiver, RhoEvaluator, enumerate_multisegments, nilpotent
+from semibasis import (
+    InterpolationError,
+    Multisegment,
+    Quiver,
+    RhoEvaluator,
+    enumerate_multisegments,
+    nilpotent,
+)
 from semibasis import torus
-from semibasis.hall import realize
+from semibasis.hall import pbw_to_words, realize
+from semibasis.linalg import interpolate_eval_one
 from semibasis.quiver import euler_form
+from semibasis.semican import SemicanBasis
 
 M = Multisegment
 SQUARE = M("2[1,1]+2[2,2]")
@@ -174,3 +184,171 @@ class TestEvaluator:
             assert ev.chi(SQUARE, ((2, 2), (1, 2))) == 1
         assert ev.graded(SQUARE) is None and ev._draws
         assert any("voted" in r.getMessage() for r in caplog.records)
+
+
+# at (1,3,2): the tangent bound of this word is 1, its word_degree_bound 3,
+# and both routes count 2
+LOWERED = M("1[1,1]+2[2,3]+1[2,2]")
+LOWERED_WORD = ((2, 2), (3, 1), (1, 1), (2, 1), (3, 1))
+
+
+def grade_words(n, d):
+    # every word the pipeline reads at grade d: the PBW elements' and the
+    # recursion's elements'
+    quiver = Quiver(n)
+    basis = SemicanBasis(quiver)
+    words = {w for combo in pbw_to_words(quiver, d).values() for w in combo}
+    words |= {w for m in enumerate_multisegments(quiver, d) for w in basis.element(m).words}
+    return sorted(words)
+
+
+def prime_series(ev, label, words, count):
+    # each word's F_p counts at the first count primes at which ev reads
+    # label, as (prime, count) pairs
+    series = {w: [] for w in words}
+    for p in ev._read_primes(label, 0, count):
+        points, _ = ev._draws_for(label, p, 0)
+        values, _ = nilpotent._majority(points, words)
+        for w in words:
+            series[w].append((p, values[w]))
+    return series
+
+
+def fitted(monkeypatch):
+    # (number of (prime, count) pairs, degree) of every fit the evaluators make
+    fits = []
+    real = nilpotent.interpolate_eval_one
+
+    def recorded(points, bound):
+        points = list(points)
+        fits.append((len(points), bound))
+        return real(points, bound)
+
+    monkeypatch.setattr(nilpotent, "interpolate_eval_one", recorded)
+    return fits
+
+
+class TestTangentBounds:
+    def test_square_values(self):
+        # one line of V_2 at a time is a P^1 of flags; the flags of S_2^2
+        # then S_1^2 are one point, and those of S_1^2 then S_2^2 none
+        x = torus.graded_point(SQUARE, 2)
+        words = [((2, 1), (2, 1), (1, 2)), ((2, 2), (1, 2)), ((1, 2), (2, 2))]
+        assert torus.tangent_bounds(x, words) == dict(zip(words, (1, 0, -1)))
+
+    def test_kernel_of_tied_unknowns(self):
+        p = 7
+        # u0 = u1 = u2 leaves one free class; u2 = -u0 then closes a cycle
+        # that forces it to 0
+        assert torus._kernel_dim(3, [[(0, 1), (1, -1)], [(1, 1), (2, -1)]], p) == 1
+        assert torus._kernel_dim(3, [[(0, 1), (1, -1)], [(1, 1), (2, -1)],
+                                     [(2, 1), (0, 1)]], p) == 0
+        # a single term zeroes its class; untouched unknowns stay free
+        assert torus._kernel_dim(4, [[(0, 1), (1, 2)], [(1, 3)]], p) == 2
+
+    def test_never_above_word_degree_bound(self):
+        words = grade_words(3, (2, 3, 1))
+        for m in enumerate_multisegments(Quiver(3), (2, 3, 1)):
+            x = torus.graded_point(m, 3)
+            bounds = torus.tangent_bounds(x, words)
+            counts = torus.fixed_flag_counts(x, words)
+            for w in words:
+                assert bounds[w] <= nilpotent.word_degree_bound(w, (2, 3, 1))
+                # no fixed flag iff the bound reads empty
+                assert (bounds[w] == -1) == (counts[w] == 0)
+
+    @pytest.mark.parametrize("d", [(1, 3, 2), (2, 3, 1)])
+    def test_prime_counts_have_exactly_the_tangent_degree(self, d):
+        # every graded pair whose tangent bound undercuts word_degree_bound:
+        # its F_p counts through tangent + 4 primes fit at degree tangent,
+        # not at tangent - 1, with the torus count as value at 1
+        words = grade_words(3, d)
+        ev = RhoEvaluator(3).fresh("tangent degree")
+        pairs = 0
+        for m in enumerate_multisegments(Quiver(3), d):
+            x = torus.graded_point(m, 3)
+            assert x is not None
+            bounds = torus.tangent_bounds(x, words)
+            lowered = [w for w in words if bounds[w] < nilpotent.word_degree_bound(w, d)]
+            counts = torus.fixed_flag_counts(x, lowered)
+            top = max((bounds[w] for w in lowered), default=-1)
+            series = prime_series(ev, m, lowered, top + 4)
+            for w in lowered:
+                pairs += 1
+                points = series[w][: bounds[w] + 4]
+                if bounds[w] == -1:
+                    assert all(count == 0 for _, count in points) and counts[w] == 0
+                    continue
+                assert interpolate_eval_one(points, bounds[w]) == counts[w] != 0
+                if bounds[w] > 0:
+                    with pytest.raises(InterpolationError):
+                        interpolate_eval_one(points, bounds[w] - 1)
+        assert pairs > 20
+
+    def test_bound_one_too_small_raises(self, monkeypatch):
+        x = torus.graded_point(LOWERED, 3)
+        assert torus.tangent_bounds(x, [LOWERED_WORD]) == {LOWERED_WORD: 1}
+        assert nilpotent.word_degree_bound(LOWERED_WORD, (1, 3, 2)) == 3
+        assert fixed_flags(x, LOWERED_WORD) == 2
+        assert RhoEvaluator(3).fresh("true").chi(LOWERED, LOWERED_WORD) == 2
+        monkeypatch.setattr(
+            torus, "tangent_bounds", lambda x, words: dict.fromkeys(words, 0)
+        )
+        ev = RhoEvaluator(3)
+        assert ev.chi(LOWERED, LOWERED_WORD) == 2
+        # the counts are p + 1, which a constant cannot fit
+        with pytest.raises(
+            InterpolationError,
+            match=r"degree bound 0, primes \[2, 3, 5\]: degree 0 fit predicts 3 at 3, observed 4",
+        ):
+            ev.fresh("planted").rho(LOWERED, LOWERED_WORD)
+
+    def test_fresh_fit_reads_bound_plus_three_primes(self, monkeypatch):
+        fits = fitted(monkeypatch)
+        ev = RhoEvaluator(3)
+        assert ev.chi(LOWERED, LOWERED_WORD) == 2 and not fits
+        assert ev.fresh("graded").chi(LOWERED, LOWERED_WORD) == 2
+        assert fits == [(1 + 3, 1)]
+        # no graded point: the fit is at word_degree_bound, through at most
+        # flag_degree_bound + 2 primes
+        m, d = M("1[1,3]+1[2,2]+1[3,4]"), (1, 2, 2, 1)
+        assert torus.graded_point(m, 4) is None
+        words = [((2, 1), (3, 1), (1, 1), (2, 1), (3, 1), (4, 1)),
+                 ((3, 1), (4, 1), (2, 2), (3, 1), (1, 1)), ((4, 1), (3, 2), (2, 2), (1, 1))]
+        fits.clear()
+        RhoEvaluator(4).fresh("ungraded").rho_row(m, words)
+        top = nilpotent.flag_degree_bound(d) + 2
+        expected = [
+            (min(b + 3, top), b) for b in (nilpotent.word_degree_bound(w, d) for w in words)
+        ]
+        assert sorted(fits) == sorted(expected) == [(3, 0), (4, 1), (4, 2)]
+
+    def test_fresh_evaluator_shares_the_graded_points(self, monkeypatch):
+        searched = []
+        search = torus.graded_point
+
+        def counted(m, n):
+            searched.append(m)
+            return search(m, n)
+
+        monkeypatch.setattr(torus, "graded_point", counted)
+        ev = RhoEvaluator(3)
+        ev.chi(LOWERED, LOWERED_WORD)
+        fresh = ev.fresh("shared")
+        assert fresh.chi(LOWERED, LOWERED_WORD) == 2
+        assert searched == [LOWERED] and fresh.graded(LOWERED) is None
+
+    def test_debug_line_counts_lowered_fits(self, caplog):
+        ev = RhoEvaluator(3)
+        other = ((2, 3), (3, 2), (1, 1))
+        assert nilpotent.word_degree_bound(other, (1, 3, 2)) == 0
+        with caplog.at_level(logging.DEBUG, logger="semibasis.nilpotent"):
+            ev.fresh("logged").rho_row(LOWERED, [LOWERED_WORD, other])
+        [line] = [r.getMessage() for r in caplog.records]
+        # the word of bound 0 reads no tangent bound; the other reads
+        # 1 + 3 primes, 2, 3, 5 and 7
+        assert re.fullmatch(
+            r"batch on Z\(1\[1,1\]\+2\[2,3\]\+1\[2,2\]\): 2 words counted together, "
+            r"\d+ expansions, 1 fits lowered by tangent bounds, largest prime 7",
+            line,
+        ), line
