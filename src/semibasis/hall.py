@@ -23,15 +23,20 @@ with n_b the number of N's [i, b], so the count is
 
     prod over b >= i of C(n_b + k_b, k_b),
 
-exact, with no prime and nothing stored.  The test suite checks it
-against prime interpolation, a full grade scan and its column sums
-C(t_top(L, i), a).
+exact, with no prime and nothing stored.  L is written straight in
+canonical form: N's segments run head (start < i), the [i, .] block, the
+[i+1, .] block and tail (start > i + 1), so L is head, then its [i, .]
+block written from the counts n_b + k_b (ends descending, the heads
+last), then the [i+1, .] segments not promoted, then tail.  The test
+suite checks the count against prime interpolation, a full grade scan
+and its column sums C(t_top(L, i), a), and the tuples against sorting.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -348,24 +353,40 @@ class PBWVector:
 
 def _extensions(
     src: Multisegment, i: int, a: int
-) -> Iterator[tuple[Multisegment, int]]:
-    # every class L with a submodule U = src, L/U = S_i^a, and the q = 1
-    # count of such U, prod_b C(n_b + k_b, k_b) (module docstring)
-    have = Counter(b for s, b in src.segments if s == i)
-    promotable = Counter(b for s, b in src.segments if s == i + 1)
-    ends = sorted(promotable)
+) -> Iterator[tuple[tuple[Segment, ...], int]]:
+    """Every class L with a submodule U = src and L/U = S_i^a, with the
+    q = 1 count of such U, prod_b C(n_b + k_b, k_b) (module docstring).
+
+    L comes as its canonical segment tuple, built without a sort: src's
+    head (start < i) and tail (start > i + 1) are kept as slices, and
+    the two blocks between them are written from counts, ends
+    descending.  Yields the class with no promoted segment first.
+    """
+    segs = src.segments
+    # canonical order sorts by start first, and (s, 0) precedes every [s, .]
+    lo = bisect_left(segs, (i, 0))
+    hi = bisect_left(segs, (i + 2, 0), lo)
+    have: dict[int, int] = {}
+    spare: dict[int, int] = {}
+    for s, b in segs[lo:hi]:
+        block = have if s == i else spare
+        block[b] = block.get(b, 0) + 1
+    ends = sorted(spare)
+    tops = sorted(have.keys() | spare.keys() | {i}, reverse=True)
+    head, tail = segs[:lo], segs[hi:]
     for total in range(a + 1):
-        heads = a - total
-        for pick in _bounded_compositions(tuple(promotable[b] for b in ends), total):
-            segs = list(src.segments)
-            count = math.comb(have[i] + heads, heads)
-            for end, k in zip(ends, pick):
-                for _ in range(k):
-                    segs.remove((i + 1, end))
-                segs.extend([(i, end)] * k)
-                count *= math.comb(have[end] + k, k)
-            segs.extend([(i, i)] * heads)
-            yield Multisegment(segs), count
+        for pick in _bounded_compositions(tuple(spare[b] for b in ends), total):
+            k = dict(zip(ends, pick))
+            k[i] = a - total
+            count = 1
+            mid: list[Segment] = []
+            for b in tops:
+                m, e = have.get(b, 0), k.get(b, 0)
+                count *= math.comb(m + e, e)
+                mid += [(i, b)] * (m + e)
+            for b in reversed(ends):
+                mid += [(i + 1, b)] * (spare[b] - k[b])
+            yield head + tuple(mid) + tail, count
 
 
 def left_mul_divided_power(i: int, a: int, vec: PBWVector) -> PBWVector:
@@ -382,11 +403,12 @@ def left_mul_divided_power(i: int, a: int, vec: PBWVector) -> PBWVector:
     if a == 0:
         return PBWVector(n, vec.grade, vec.coeffs)
     grade = tuple(d + (a if v == i else 0) for v, d in enumerate(vec.grade, start=1))
-    out: dict[Multisegment, int] = {}
+    out: dict[tuple[Segment, ...], int] = {}
     for src, coeff in vec.coeffs.items():
-        for cls, count in _extensions(src, i, a):
-            out[cls] = out.get(cls, 0) + coeff * count
-    return PBWVector(n, grade, out)
+        for segs, count in _extensions(src, i, a):
+            out[segs] = out.get(segs, 0) + coeff * count
+    # PBWVector checks the grade of every class, so a wrong tuple raises
+    return PBWVector(n, grade, {Multisegment._canonical(s): c for s, c in out.items()})
 
 
 def _as_combo(w: Word | Mapping[Word, int]) -> WordCombo:
@@ -507,7 +529,9 @@ def check_serre(quiver: Quiver, dim_bound: int) -> SerreReport:
 
     For each adjacent ordered pair (i, j) and each class N with |grade|
     <= dim_bound, the residual e_i^{(2)} e_j P_N - e_i e_j e_i P_N +
-    e_j e_i^{(2)} P_N must vanish identically.
+    e_j e_i^{(2)} P_N must vanish identically.  The products e_k P_N and
+    e_k^{(2)} P_N are made once per class and shared by the pairs at k;
+    every other product is made afresh, e_i^{(2)} always at a = 2.
     """
     n = quiver.n
     pairs = [(i, j) for i in quiver.vertices() for j in quiver.vertices() if abs(i - j) == 1]
@@ -518,11 +542,13 @@ def check_serre(quiver: Quiver, dim_bound: int) -> SerreReport:
     for d in iter_dim_vectors(n, dim_bound):
         for cls in enumerate_multisegments(quiver, d):
             v = PBWVector(n, d, {cls: 1})
+            once = {k: lm(k, 1, v) for k in quiver.vertices()}
+            twice = {k: lm(k, 2, v) for k in quiver.vertices()}
             for i, j in pairs:
                 residual = (
-                    lm(i, 2, lm(j, 1, v))
-                    - lm(i, 1, lm(j, 1, lm(i, 1, v)))
-                    + lm(j, 1, lm(i, 2, v))
+                    lm(i, 2, once[j])
+                    - lm(i, 1, lm(j, 1, once[i]))
+                    + lm(j, 1, twice[i])
                 )
                 checked += 1
                 if residual:

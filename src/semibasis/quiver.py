@@ -109,6 +109,14 @@ class Multisegment:
                 segs.append((a, b))
         object.__setattr__(self, "segments", tuple(sorted(segs, key=_seg_key)))
 
+    @classmethod
+    def _canonical(cls, segments: tuple[Segment, ...]) -> "Multisegment":
+        # wraps a tuple that is already valid and in canonical order, such
+        # as one derived from a class by an order-keeping rule
+        m = object.__new__(cls)
+        object.__setattr__(m, "segments", segments)
+        return m
+
     @staticmethod
     def zero() -> "Multisegment":
         return Multisegment(())
@@ -132,13 +140,16 @@ class Multisegment:
     def dim_vector(self, n: int | None = None) -> tuple[int, ...]:
         if n is None:
             n = self.max_end()
-        if n < self.max_end():
-            raise ValueError(f"{self} does not fit in {n} vertices")
-        d = [0] * n
-        for a, b in self.segments:
-            for i in range(a, b + 1):
-                d[i - 1] += 1
-        return tuple(d)
+        # difference array: each segment [a, b] adds 1 from vertex a to b;
+        # a segment past n indexes past its end
+        diff = [0] * (n + 1)
+        try:
+            for a, b in self.segments:
+                diff[a - 1] += 1
+                diff[b] -= 1
+        except IndexError:
+            raise ValueError(f"{self} does not fit in {n} vertices") from None
+        return tuple(itertools.accumulate(diff[:n]))
 
     def is_zero(self) -> bool:
         return not self.segments

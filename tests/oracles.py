@@ -10,8 +10,10 @@ the package itself.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 from semibasis.hall import Rep, hall_counts_simple_top, iso_class, realize
 from semibasis.linalg import (
@@ -183,6 +185,34 @@ def brute_left_mul(i: int, a: int, vec: PBWVector, n: int) -> PBWVector:
     return PBWVector(n, d, out)
 
 
+def extensions_by_removal(src: Multisegment, i: int, a: int) -> Counter:
+    """The (class, count) pairs of the q = 1 product e_i^(a) P_src, each L
+    built from a copy of src's segments by list.remove and a sort.
+
+    L promotes k_b of src's [i+1, b] to [i, b] and adds a - sum k_b heads
+    [i, i]; the count is prod_b C(n_b + k_b, k_b), n_b the number of
+    src's [i, b].
+    """
+    have = Counter(b for s, b in src.segments if s == i)
+    promotable = Counter(b for s, b in src.segments if s == i + 1)
+    ends = sorted(promotable)
+    out: Counter = Counter()
+    for pick in itertools.product(*(range(promotable[b] + 1) for b in ends)):
+        heads = a - sum(pick)
+        if heads < 0:
+            continue
+        segs = list(src.segments)
+        count = comb(have[i] + heads, heads)
+        for end, k in zip(ends, pick):
+            for _ in range(k):
+                segs.remove((i + 1, end))
+            segs.extend([(i, end)] * k)
+            count *= comb(have[end] + k, k)
+        segs.extend([(i, i)] * heads)
+        out[Multisegment(segs), count] += 1
+    return out
+
+
 def semisimple(n: int, d: tuple[int, ...]) -> Multisegment:
     segs = []
     for v, mult in enumerate(d, start=1):
@@ -192,8 +222,6 @@ def semisimple(n: int, d: tuple[int, ...]) -> Multisegment:
 
 def grades_upto(n: int, total: int):
     """Dimension vectors over n vertices with entry sum at most total."""
-    import itertools
-
     for d in itertools.product(range(total + 1), repeat=n):
         if sum(d) <= total:
             yield d

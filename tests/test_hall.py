@@ -8,6 +8,7 @@ C(t_top(L, i), a) of the products.
 """
 
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
@@ -237,6 +238,38 @@ class TestLeftMul:
         assert left_mul_divided_power(1, 1, vec) == left_mul_divided_power(1, 1, vec)
         assert calls == [(M("1[1,2]"), 1, 1)] * 2
 
+    def test_extensions_are_canonical_and_match_sorting(self):
+        # each L is written in canonical order with no sort; the oracle
+        # builds it by list.remove and a sort
+        cases = 0
+        for n in range(1, 5):
+            for cls in classes_upto(n, 5):
+                for i in range(1, n + 1):
+                    for a in (1, 2, 3):
+                        grade = list(cls.dim_vector(n))
+                        grade[i - 1] += a
+                        got = list(hall._extensions(cls, i, a))
+                        for segs, _ in got:
+                            assert segs == M(segs).segments, (cls, i, a, segs)
+                            assert M(segs).dim_vector(n) == tuple(grade), (cls, i, a)
+                        pairs = Counter((M(segs), c) for segs, c in got)
+                        assert pairs == oracles.extensions_by_removal(cls, i, a), (cls, i, a)
+                        cases += len(got)
+        assert cases == 7698
+
+    def test_product_of_wrong_grade_raises(self, monkeypatch):
+        # one extra segment per extension: PBWVector's grade check catches it
+        extensions = hall._extensions
+        monkeypatch.setattr(
+            hall,
+            "_extensions",
+            lambda src, i, a: (
+                (M(segs + ((i, i),)).segments, c) for segs, c in extensions(src, i, a)
+            ),
+        )
+        with pytest.raises(ValueError, match="not of grade"):
+            left_mul_divided_power(1, 1, PBWVector(2, (0, 1), {M("1[2,2]"): 1}))
+
     def test_coefficients_nonnegative_integers(self):
         # counts evaluated at 1 stay nonnegative integers on basis vectors
         for n in (2, 3):
@@ -264,6 +297,28 @@ class TestSerre:
         report = check_serre(Quiver(3), 4)
         assert report.ok
         assert report.relations_checked > 0
+
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("fault", ["dropped", "recounted"])
+    def test_planted_fault_fails(self, monkeypatch, power, fault):
+        # a fault in the products at one power only: the first class is
+        # dropped, or its count is one too high
+        clean = {n: check_serre(Quiver(n), 4) for n in (2, 3)}
+        extensions = hall._extensions
+
+        def faulty(src, i, a):
+            out = list(extensions(src, i, a))
+            if a == power:
+                segs, count = out.pop(0)
+                if fault == "recounted":
+                    out.insert(0, (segs, count + 1))
+            return iter(out)
+
+        monkeypatch.setattr(hall, "_extensions", faulty)
+        for n in (2, 3):
+            report = check_serre(Quiver(n), 4)
+            assert clean[n].ok and not report.ok, (n, power, fault)
+            assert report.relations_checked == clean[n].relations_checked
 
     def test_distant_generators_commute(self):
         for cls in classes_upto(3, 3):

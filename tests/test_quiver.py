@@ -63,6 +63,27 @@ class TestParseFormat:
         assert M.zero().dim_vector(2) == (0, 0)
         with pytest.raises(ValueError):
             M("1[1,3]").dim_vector(2)
+        with pytest.raises(ValueError, match="does not fit in 2 vertices"):
+            M("1[1,1]+1[3,3]").dim_vector(2)
+
+    def test_dim_vector_counts_covering_segments(self):
+        cases = 0
+        for n in range(1, 6):
+            for d in oracles.grades_upto(n, 5):
+                for cls in enumerate_multisegments(Quiver(n), d):
+                    want = tuple(
+                        sum(1 for a, b in cls.segments if a <= v <= b)
+                        for v in range(1, n + 1)
+                    )
+                    assert cls.dim_vector(n) == want == d, cls
+                    assert cls.dim_vector() == want[: cls.max_end()], cls
+                    cases += 1
+        assert cases == 1086
+
+    def test_dim_vector_without_n_stops_at_the_last_end(self):
+        assert M.zero().dim_vector() == ()
+        assert M("1[2,2]").dim_vector() == (0, 1)
+        assert M("1[1,3]+1[2,2]").dim_vector() == (1, 2, 1)
 
 
 class TestEnumeration:
