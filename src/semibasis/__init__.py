@@ -66,10 +66,8 @@ from .semican import (
     CertifiedTransition,
     SemicanBasis,
     SemicanElement,
-    evaluation_matrix,
     transition_matrix,
     transition_via_inversion,
-    verify_delta,
 )
 
 __version__ = "0.1.0"
@@ -97,7 +95,6 @@ __all__ = [
     "deg_leq",
     "enumerate_multisegments",
     "evaluate_word_at_point",
-    "evaluation_matrix",
     "euler_form",
     "ext_dim",
     "flag_vertex",
@@ -121,7 +118,6 @@ __all__ = [
     "total_generic_flag",
     "transition_matrix",
     "transition_via_inversion",
-    "verify_delta",
     "word_to_pbw",
     "word_weight",
     "__version__",

@@ -39,7 +39,6 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InternalCheckError
@@ -459,7 +458,7 @@ def flag_word_matrix(
     for r, word in enumerate(words):
         vec = word_to_pbw(quiver, word)
         for cls in vec.coeffs:
-            if not deg_leq_cached(classes[r], cls):
+            if not deg_leq(classes[r], cls):
                 raise InternalCheckError(
                     f"word of {classes[r]} hits {cls}, not a degeneration of it"
                 )
@@ -467,22 +466,13 @@ def flag_word_matrix(
     return classes, words, tuple(rows)
 
 
-# deg_leq is pure and gets hammered by flag_word_matrix and the
-# certification checks, so route it through a small memo
-@lru_cache(maxsize=None)
-def _deg_leq_memo(m_segs: tuple[Segment, ...], n_segs: tuple[Segment, ...]) -> bool:
-    return deg_leq(Multisegment(m_segs), Multisegment(n_segs))
-
-
-def deg_leq_cached(m: Multisegment, n: Multisegment) -> bool:
-    return _deg_leq_memo(m.segments, n.segments)
-
-
 def pbw_to_words(quiver: Quiver, d: Iterable[int]) -> dict[Multisegment, WordCombo]:
     """Express every PBW class of grade d in terms of generic flag words.
 
     Inverts the unitriangular expansion matrix of flag_word_matrix, so
-    P_M = sum over classes N of T^{-1}[M][N] * word(N).
+    P_M = sum over classes N of T^{-1}[M][N] * word(N).  The keys run in
+    flag_word_matrix's class order, refine_order of the grade: the
+    refined degeneration order, generic classes first.
     """
     classes, words, t_mat = flag_word_matrix(quiver, d)
     try:

@@ -166,12 +166,6 @@ class Multisegment:
     def __hash__(self) -> int:
         return hash(self.segments)
 
-    def __lt__(self, other: "Multisegment") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "Multisegment") -> bool:
-        return self.sort_key() <= other.sort_key()
-
     def __str__(self) -> str:
         return self.text()
 
@@ -266,11 +260,13 @@ def euler_form(quiver: Quiver, d: Iterable[int], e: Iterable[int]) -> int:
     return val
 
 
+@lru_cache(maxsize=None)
 def deg_leq(m: Multisegment, n: Multisegment) -> bool:
     """Degeneration order: the orbit of n lies in the orbit closure of m.
 
     Equivalent to dim Hom(m, L) <= dim Hom(n, L) for every interval L,
-    once the dimension vectors agree.
+    once the dimension vectors agree.  Memoized per pair, process-wide:
+    refine_order, the support checks and the CLI all ask it.
     """
     if m == n:
         return True

@@ -14,6 +14,9 @@ the f_Z in the PBW basis:
 
 Both must produce the same unitriangular matrix, and a delta-check must
 reproduce the identity; any mismatch is an error, never papered over.
+transition_matrix is the one entry point that runs all three; the
+grade's classes come once, in the key order of pbw_to_words, and every
+support check asks the one order predicate, quiver.deg_leq.
 
 The delta-check evaluates every element at every component, by one rule.
 A component whose values were all read at draws with dim End = q(d), or
@@ -48,7 +51,6 @@ from .errors import (
 from .hall import (
     PBWVector,
     WordCombo,
-    deg_leq_cached,
     left_mul_divided_power,
     pbw_to_words,
     word_to_pbw,
@@ -58,10 +60,10 @@ from .nilpotent import RhoEvaluator, SampleConfig, flag_degree_bound
 from .quiver import (
     Multisegment,
     Quiver,
+    deg_leq,
     enumerate_multisegments,
     flag_vertex,
     peel_component,
-    refine_order,
     t_component,
 )
 
@@ -69,9 +71,7 @@ __all__ = [
     "SemicanElement",
     "SemicanBasis",
     "CertifiedTransition",
-    "evaluation_matrix",
     "transition_via_inversion",
-    "verify_delta",
     "transition_matrix",
 ]
 
@@ -168,27 +168,6 @@ class SemicanBasis:
         return SemicanElement(pbw, words)
 
 
-def _ordered_classes(quiver: Quiver, d: Iterable[int]) -> tuple[Multisegment, ...]:
-    return tuple(refine_order(enumerate_multisegments(quiver, d)))
-
-
-def evaluation_matrix(
-    quiver: Quiver, d: Iterable[int], evaluator: RhoEvaluator | None = None
-) -> tuple[tuple[Multisegment, ...], Matrix]:
-    """Values of every PBW element at every component of grade d.
-
-    Row K, column N holds the generic value of P_N on Z_K; rows and
-    columns share the refined degeneration order.  The values are read
-    by evaluator, by default a RhoEvaluator of the default config.
-    """
-    d = tuple(d)
-    classes = _ordered_classes(quiver, d)
-    combos = pbw_to_words(quiver, d)
-    ev = evaluator or RhoEvaluator(quiver.n)
-    rows = tuple(ev.rho_row(k_cls, [combos[n_cls] for n_cls in classes]) for k_cls in classes)
-    return classes, rows
-
-
 def _certify_support(
     classes: tuple[Multisegment, ...], mat: Matrix, lower: bool, what: str
 ) -> None:
@@ -203,7 +182,7 @@ def _certify_support(
             if not val or r == c:
                 continue
             small, big = (classes[c], classes[r]) if lower else (classes[r], classes[c])
-            if not deg_leq_cached(small, big):
+            if not deg_leq(small, big):
                 raise CertificationError(
                     f"{what} entry at row {classes[r]}, column {classes[c]} is "
                     f"{val}, outside the degeneration order"
@@ -215,14 +194,20 @@ def transition_via_inversion(
 ) -> tuple[tuple[Multisegment, ...], Matrix, Matrix]:
     """The transition matrix A with f_M = sum_N A[M][N] P_N, by inversion.
 
-    The delta-conditions say A is the inverse transpose of the
-    evaluation matrix.  E is certified lower unitriangular and A upper
-    unitriangular with respect to the degeneration order before
-    returning; A times E-transposed is re-checked to be the identity.
-    E is read by evaluator, as in evaluation_matrix.
+    Returns (classes, A, E).  E is the evaluation matrix: row K, column N
+    holds the generic value of P_N on Z_K, read by evaluator, by default
+    a RhoEvaluator of the default config.  Rows and columns of both run
+    in the key order of pbw_to_words, the refined degeneration order.
+    The delta-conditions say A is the inverse transpose of E.  E is
+    certified lower unitriangular and A upper unitriangular with respect
+    to the degeneration order before returning; A times E-transposed is
+    re-checked to be the identity.
     """
-    d = tuple(d)
-    classes, e_mat = evaluation_matrix(quiver, d, evaluator)
+    combos = pbw_to_words(quiver, d)
+    classes = tuple(combos)
+    ev = evaluator or RhoEvaluator(quiver.n)
+    columns = list(combos.values())
+    e_mat = tuple(ev.rho_row(k_cls, columns) for k_cls in classes)
     _certify_support(classes, e_mat, lower=True, what="evaluation matrix")
     e_t = tuple(zip(*e_mat))
     try:
@@ -292,25 +277,6 @@ def _delta_report(
         "".join(f"; Z({cls}): {why}" for cls, why in recounted.items()),
     )
     return DeltaReport(classes, tuple(rows))
-
-
-def verify_delta(
-    quiver: Quiver,
-    d: Iterable[int],
-    config: SampleConfig | None = None,
-) -> DeltaReport:
-    """Recompute all elements of grade d and check the delta-property.
-
-    A component read at no vote takes its row from the counts of the
-    construction, recounting only the diagonal at fresh seeds, unless the
-    fresh draws vote; every other row is recounted in full at fresh seeds
-    (see DeltaReport).  The report passes iff the matrix is exactly the
-    identity.
-    """
-    basis = SemicanBasis(quiver, config)
-    classes = _ordered_classes(quiver, tuple(d))
-    elements = {cls: basis.element(cls) for cls in classes}
-    return _delta_report(basis, classes, elements)
 
 
 @dataclass(frozen=True)

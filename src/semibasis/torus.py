@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Mapping
 
 from . import nilpotent
 from .errors import InternalCheckError
-from .hall import realize
+from .hall import Rep, realize
 from .linalg import rank_exact
 from .quiver import Multisegment, Word, word_weight
 
@@ -60,8 +60,8 @@ LEAF_CAP = 64
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _candidates(m: Multisegment, n: int) -> Iterator[tuple[Matrix, ...]]:
-    # star tuples over realize(m, n), one entry of +1 or -1 per column at
+def _candidates(rep: Rep) -> Iterator[tuple[Matrix, ...]]:
+    # star tuples over rep = realize(m, n), one entry of +1 or -1 per column at
     # most, that satisfy the relations over Z, in depth-first order of
     # their columns (s_1's first), at most LEAF_CAP of them.  Each column
     # tries its entries before zero: the stars at a point of a dense orbit
@@ -72,8 +72,7 @@ def _candidates(m: Multisegment, n: int) -> Iterator[tuple[Matrix, ...]]:
     # of s_{i-1} and column a_i(c) of s_i only, so it is checked when the
     # later of the two is chosen.  Two entries in one row of a star give
     # their columns equal weights, so no such row is tried
-    rep = realize(m, n)
-    dims = rep.dims
+    n, dims = rep.n, rep.dims
     # image[v][c]: the row of a_v's entry in column c, or None
     image = [
         [next((r for r, row in enumerate(f) if row[c]), None) for c in range(dims[v - 1])]
@@ -205,7 +204,7 @@ def graded_point(m: Multisegment, n: int) -> nilpotent.LambdaPoint | None:
     rep = realize(m, n)
     q = nilpotent._tits_form(m, n)
     p = GRADED_PRIME
-    for stars in _candidates(m, n):
+    for stars in _candidates(rep):
         reduced = tuple(tuple(tuple(e % p for e in row) for row in f) for f in stars)
         x = nilpotent.LambdaPoint(n, p, rep.dims, rep.maps, reduced, 0)
         try:

@@ -25,7 +25,6 @@ from semibasis import (
     peel_component,
     t_component,
     transition_matrix,
-    verify_delta,
 )
 from semibasis.hall import hom_rank, pbw_to_words
 from semibasis.semican import SemicanBasis
@@ -113,7 +112,7 @@ def test_03_delta_identity():
     fresh = SampleConfig(root_seed=271828)
     failures = []
     for n, d in acceptance_grades():
-        report = verify_delta(Quiver(n), d, fresh)
+        report = transition_matrix(Quiver(n), d, fresh).delta
         if not report.ok:
             failures.append(f"n={n} d={d} matrix {report.matrix}")
     _finish(3, "delta property with fresh seeds", failures)

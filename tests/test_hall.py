@@ -418,3 +418,13 @@ class TestPBWToWords:
                 for cls, combo in combos.items():
                     vec = word_to_pbw(q, combo)
                     assert vec == PBWVector(n, d, {cls: 1}), cls
+
+    def test_keys_run_in_refined_order(self):
+        # the one class order of a grade: transition_via_inversion reads
+        # its rows and columns from these keys
+        for n, bound in ((1, 4), (2, 4), (3, 3)):
+            q = Quiver(n)
+            for d in oracles.grades_upto(n, bound):
+                assert tuple(pbw_to_words(q, d)) == tuple(
+                    refine_order(enumerate_multisegments(q, d))
+                ), d

@@ -1,13 +1,14 @@
 """The dual basis construction and its certification machinery."""
 
 import logging
+import sys
 
 import pytest
 
 import oracles
 from semibasis import nilpotent, semican, torus
 from semibasis.cli import main
-from semibasis.errors import DeltaCheckError
+from semibasis.errors import CertificationError, DeltaCheckError
 from semibasis.linalg import primes
 from semibasis.quiver import euler_form
 from semibasis.semican import SemicanBasis, SemicanElement
@@ -19,12 +20,10 @@ from semibasis import (
     SampleConfig,
     enumerate_multisegments,
     deg_leq,
-    evaluation_matrix,
     pbw_to_words,
     refine_order,
     transition_matrix,
     transition_via_inversion,
-    verify_delta,
 )
 
 M = Multisegment
@@ -39,7 +38,7 @@ def F(rows):
 
 class TestEvaluationMatrix:
     def test_unit_square(self):
-        classes, rows = evaluation_matrix(Q2, (1, 1))
+        classes, _, rows = transition_via_inversion(Q2, (1, 1))
         assert [c.text() for c in classes] == ["1[1,2]", "1[1,1]+1[2,2]"]
         # the semisimple component pairs against the interval class with
         # sign -1: its word contributes nothing and the correction term
@@ -47,17 +46,58 @@ class TestEvaluationMatrix:
         assert rows == F([[1, 0], [-1, 1]])
 
     def test_square(self):
-        classes, rows = evaluation_matrix(Q2, (2, 2))
+        rows = transition_via_inversion(Q2, (2, 2))[2]
         assert rows == F([[1, 0, 0], [-1, 1, 0], [1, -2, 1]])
 
     def test_lower_unitriangular_small_range(self):
         for n, bound in ((2, 4), (3, 3)):
             for d in oracles.grades_upto(n, bound):
-                classes, rows = evaluation_matrix(Quiver(n), d)
+                classes, _, rows = transition_via_inversion(Quiver(n), d)
                 for r in range(len(classes)):
                     assert rows[r][r] == 1
                     for c in range(r + 1, len(classes)):
                         assert rows[r][c] == 0
+
+    def test_value_outside_the_order_is_refused(self):
+        # 1[1,2]+1[3,3] and 1[1,1]+1[2,3] are incomparable, so a nonzero
+        # value of P(1[1,2]+1[3,3]) on Z(1[1,1]+1[2,3]) sits below the
+        # diagonal of E, where only the order check can refuse it
+        small, big = M("1[1,2]+1[3,3]"), M("1[1,1]+1[2,3]")
+        assert not deg_leq(small, big) and not deg_leq(big, small)
+        column = list(pbw_to_words(Q3, (1, 1, 1))).index(small)
+        real = RhoEvaluator(3)
+
+        class Planted:
+            def rho_row(self, label, combos):
+                row = list(real.rho_row(label, combos))
+                if label == big:
+                    row[column] += 1
+                return tuple(row)
+
+        with pytest.raises(
+            CertificationError,
+            match=r"evaluation matrix entry at row 1\[1,1\]\+1\[2,3\], column "
+            r"1\[1,2\]\+1\[3,3\] is 1, outside the degeneration order",
+        ):
+            transition_via_inversion(Q3, (1, 1, 1), Planted())
+
+
+class TestOneClassOrder:
+    def test_transition_refines_the_order_once(self, monkeypatch):
+        # the classes come from pbw_to_words alone, whose keys are built
+        # in the refined order, so no other caller orders the grade again
+        calls = []
+
+        def counted(classes):
+            calls.append(1)
+            return refine_order(classes)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("semibasis") and hasattr(mod, "refine_order"):
+                monkeypatch.setattr(mod, "refine_order", counted)
+        res = transition_matrix(Q3, (1, 2, 1))
+        assert len(calls) == 1
+        assert res.classes == tuple(refine_order(enumerate_multisegments(Q3, (1, 2, 1))))
 
 
 class TestInversionRoute:
@@ -124,7 +164,7 @@ class TestRecursionRoute:
 class TestDelta:
     def test_identity_on_small_grades(self):
         for d in ((1, 1), (2, 2), (2, 0), (0, 2)):
-            report = verify_delta(Q2, d)
+            report = transition_matrix(Q2, d).delta
             assert report.ok
             k = len(report.classes)
             assert report.matrix == tuple(
@@ -132,7 +172,7 @@ class TestDelta:
             )
 
     def test_unit_cube(self):
-        assert verify_delta(Q3, (1, 1, 1)).ok
+        assert transition_matrix(Q3, (1, 1, 1)).delta.ok
 
 
 @pytest.fixture

@@ -45,7 +45,7 @@ def fixed_flags(x, word):
 
 def planted(monkeypatch, *candidates):
     # the search reads exactly these star tuples
-    monkeypatch.setattr(torus, "_candidates", lambda m, n: iter(candidates))
+    monkeypatch.setattr(torus, "_candidates", lambda rep: iter(candidates))
 
 
 class TestGradedPoint:
@@ -108,8 +108,8 @@ class TestGradedPoint:
         read = []
         candidates = torus._candidates
 
-        def counted(m, n):
-            for stars in candidates(m, n):
+        def counted(rep):
+            for stars in candidates(rep):
                 read.append(stars)
                 yield stars
 
