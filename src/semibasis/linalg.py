@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InterpolationError
@@ -77,7 +78,14 @@ def gaussian_binomial(t: int, k: int, q: int) -> int:
 
 
 def rref_ff(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form mod p.  Returns (rows, pivot column list)."""
+    """Reduced row echelon form mod p.  Returns (rows, pivot column list).
+
+    The rows come back in full, the pivot rows first.  Each elimination
+    step reads the pivot row's nonzero entries once, from the pivot
+    column on (the entries before it are zero), and touches only those
+    columns of the rows it clears: the systems solved here are mostly
+    zeros, so a step costs the nonzeros of its pivot row, not the width.
+    """
     mat = [[x % p for x in row] for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
@@ -88,12 +96,19 @@ def rref_ff(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], lis
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
+        row = mat[r]
+        inv = pow(row[c], -1, p)
+        terms = []
+        for j in range(c, ncols):
+            if row[j]:
+                row[j] = row[j] * inv % p
+                terms.append((j, row[j]))
         for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+            other = mat[i]
+            f = other[c]
+            if f and i != r:
+                for j, y in terms:
+                    other[j] = (other[j] - f * y) % p
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -179,18 +194,22 @@ def matmul_ff(
     p: int,
     bcols: int | None = None,
 ) -> Matrix:
-    """Matrix product mod p.  `bcols` is required when b has no rows."""
+    """Matrix product mod p.  `bcols` is required when b has no rows.
+
+    Each row of the product sums the rows of b that the row of a weights
+    by a nonzero factor; a zero factor costs nothing.
+    """
     if b:
         bcols = len(b[0])
     elif bcols is None:
         raise ValueError("column count needed for a matrix with no rows")
-    bt = list(zip(*b)) if b else []
     out = []
     for row in a:
-        if bt:
-            out.append(tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt))
-        else:
-            out.append(tuple([0] * bcols))
+        acc = [0] * bcols
+        for x, b_row in zip(row, b):
+            if x:
+                acc = [u + x * y for u, y in zip(acc, b_row)]
+        out.append(tuple(u % p for u in acc))
     return tuple(out)
 
 
@@ -360,16 +379,22 @@ def interpolate_eval_one(points: Iterable[tuple[int, int]], bound: int) -> int:
             f"need at least {bound + 2} points for degree bound {bound}, got {len(pts)}"
         )
     fit = pts[: bound + 1]
+    # the Lagrange form over one integer denominator: term j is
+    # y_j prod_{k != j} (x - x_k) / dens[j], and den, the least common
+    # multiple of the dens[j], makes each weight y_j den / dens[j] an integer
+    dens = [
+        prod(xj - xk for k, (xk, _) in enumerate(fit) if k != j)
+        for j, (xj, _) in enumerate(fit)
+    ]
+    den = lcm(*dens)
+    weights = [yj * (den // dj) for (_, yj), dj in zip(fit, dens)]
 
     def eval_at(x: int) -> Fraction:
-        total = Fraction(0)
-        for j, (xj, yj) in enumerate(fit):
-            term = Fraction(yj)
-            for k, (xk, _) in enumerate(fit):
-                if k != j:
-                    term *= Fraction(x - xk, xj - xk)
-            total += term
-        return total
+        num = 0
+        for j, w in enumerate(weights):
+            if w:
+                num += w * prod(x - xk for k, (xk, _) in enumerate(fit) if k != j)
+        return Fraction(num, den)
 
     for x, y in pts[bound + 1 :]:
         got = eval_at(x)

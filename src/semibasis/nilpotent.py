@@ -40,15 +40,18 @@ inconclusive; after RETRY_BUDGET attempts sampling fails loudly.
 Word monomials are evaluated at a point by the flag recursion: the last
 letter (i, a) picks an a-dimensional subspace W of the joint kernel of
 the maps leaving i (such W are exactly the submodules isomorphic to
-S_i^a), and the rest of the word is evaluated on the quotient.  The
-words counted at one point are counted together, in one walk of the
-trie of their reversed letters: words ending in the same letters expand
-each (point, letter) on their shared suffix once, and nothing outlives
-the walk.  The counts over F_p of a word w are modeled as a polynomial
-in p of degree at most word_degree_bound(w, d), the dimension of the
-product of the partial flag varieties its letters cut out of the V_i,
-and converted to Euler characteristics through verified interpolation
-at 1; non-polynomial behaviour or a consensus failure is surfaced, never
+S_i^a), and the rest of the word is evaluated on the quotient.  When the
+joint kernel has dimension exactly a, the kernel is the one choice and
+is quotiented out directly; otherwise the expansion splits the kernel
+and sums orbits of choices (see _expand).  The words counted at one
+point are counted together, in one walk of the trie of their reversed
+letters: words ending in the same letters expand each (point, letter)
+on their shared suffix once, and nothing outlives the walk.  The
+counts over F_p of a word w are modeled as a polynomial in p of degree
+at most word_degree_bound(w, d), the dimension of the product of the
+partial flag varieties its letters cut out of the V_i, and converted to
+Euler characteristics through verified interpolation at 1;
+non-polynomial behaviour or a consensus failure is surfaced, never
 averaged away.  At a component with a graded point, which only the
 evaluators of RhoEvaluator.fresh count by primes, the degree is at most
 the tangent-space bound of torus.tangent_bounds, the dimension of the
@@ -286,12 +289,18 @@ def _generic_draws(
 ) -> tuple[list[LambdaPoint], list[int]]:
     # the first point lifted from seeds whose End has dimension q(d),
     # alone, or failing that the first VOTE_SIZE draws of least End; and
-    # the End dimensions drawn.  space is as for lift_generic
+    # the End dimensions drawn, one per draw and computed once per
+    # distinct point.  space is as for lift_generic
     q = _tits_form(m, n)
     draws: list[tuple[int, LambdaPoint]] = []
+    # End of each distinct point drawn: the arrows and p are fixed here,
+    # so the stars tell points apart, and small star spaces repeat points
+    seen: dict[tuple[Matrix, ...], int] = {}
     for seed in seeds:
         x = lift_generic(m, n, p, seed, space)
-        e = _end_dim(x)
+        e = seen.get(x.stars)
+        if e is None:
+            e = seen[x.stars] = _end_dim(x)
         if e == q:
             return [x], [e for e, _ in draws] + [e]
         draws.append((e, x))
@@ -486,6 +495,12 @@ def _expand(x: LambdaPoint, i: int, a: int) -> Iterator[tuple[int, LambdaPoint]]
         rows.extend(x.stars[i - 2])
     kernel = kernel_basis_ff(rows, di, x.p)
     if len(kernel) < a:
+        return
+    if len(kernel) == a:
+        # the kernel itself is the one candidate: the split below would
+        # give e = t and g = c, orbit 1, and the span of T + F, which is
+        # the kernel, so there is nothing to split
+        yield 1, _quotient_point(x, i, kernel)
         return
     # Candidate subspaces U decompose against the split kernel T + F as
     # U cap T plus a graph over a subspace of F.  Maps F -> T extend to

@@ -261,23 +261,35 @@ def euler_form(quiver: Quiver, d: Iterable[int], e: Iterable[int]) -> int:
 
 
 @lru_cache(maxsize=None)
+def _hom_profile(m: Multisegment) -> dict[tuple[int, int], int]:
+    # the nonzero dim Hom(m, [c, d]) by interval: a segment [a, b] maps
+    # onto [c, d] exactly when c <= a <= d <= b.  Memoized per class, as
+    # deg_leq is per pair; callers only read it
+    profile: dict[tuple[int, int], int] = {}
+    for a, b in m.segments:
+        for c in range(1, a + 1):
+            for d in range(a, b + 1):
+                profile[c, d] = profile.get((c, d), 0) + 1
+    return profile
+
+
+@lru_cache(maxsize=None)
 def deg_leq(m: Multisegment, n: Multisegment) -> bool:
     """Degeneration order: the orbit of n lies in the orbit closure of m.
 
     Equivalent to dim Hom(m, L) <= dim Hom(n, L) for every interval L,
-    once the dimension vectors agree.  Memoized per pair, process-wide:
-    refine_order, the support checks and the CLI all ask it.
+    once the dimension vectors agree; an interval that m does not map to
+    holds trivially, so only m's nonzero Hom profile is compared.
+    Memoized per pair, process-wide: refine_order, the support checks
+    and the CLI all ask it.
     """
     if m == n:
         return True
     top = max(m.max_end(), n.max_end())
     if m.dim_vector(top) != n.dim_vector(top):
         return False
-    for c in range(1, top + 1):
-        for d in range(c, top + 1):
-            if _hom_to_interval(m, c, d) > _hom_to_interval(n, c, d):
-                return False
-    return True
+    theirs = _hom_profile(n)
+    return all(h <= theirs.get(key, 0) for key, h in _hom_profile(m).items())
 
 
 def refine_order(classes: Iterable[Multisegment]) -> list[Multisegment]:

@@ -18,7 +18,9 @@ from math import comb
 from semibasis.hall import Rep, hall_counts_simple_top, iso_class, realize
 from semibasis.linalg import (
     complete_basis_ff,
+    gaussian_binomial,
     interpolate_eval_one,
+    kernel_basis_ff,
     mat_inverse_ff,
     matmul_ff,
     primes,
@@ -28,7 +30,8 @@ from semibasis.linalg import (
     solve_ff,
     subspaces_ff,
 )
-from semibasis.errors import ConsensusError
+from semibasis import nilpotent
+from semibasis.errors import ConsensusError, InterpolationError
 from semibasis.hall import PBWVector
 from semibasis.nilpotent import RETRY_BUDGET, LambdaPoint, RhoEvaluator
 from semibasis.quiver import Multisegment, Quiver, Segment, enumerate_multisegments, t_top
@@ -353,3 +356,109 @@ def sampled_top(m: Multisegment, i: int, ev: RhoEvaluator) -> tuple[int, Multise
         if None not in values and len(set(values)) == 1:
             return values[0]
     raise ConsensusError(f"no sampled reading of t at vertex {i} of Z({m}): {readings}")
+
+
+def rref_dense(rows, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form mod p by whole-row operations: every
+    step scales and subtracts full rows, zeros included."""
+    mat = [[x % p for x in row] for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = pow(mat[r][c], -1, p)
+        mat[r] = [(x * inv) % p for x in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat, pivots
+
+
+def matmul_dense(a, b, p: int, bcols: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Matrix product mod p as dot products of rows of a with columns of
+    b, every factor summed, zero or not."""
+    if b:
+        bcols = len(b[0])
+    elif bcols is None:
+        raise ValueError("column count needed for a matrix with no rows")
+    bt = list(zip(*b)) if b else []
+    out = []
+    for row in a:
+        if bt:
+            out.append(tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt))
+        else:
+            out.append(tuple([0] * bcols))
+    return tuple(out)
+
+
+def interpolate_by_fractions(points, bound: int) -> int:
+    """interpolate_eval_one with each Lagrange term a product of
+    Fractions, one per factor, re-derived at every point evaluated."""
+    pts = [(int(x), int(y)) for x, y in points]
+    if len({x for x, _ in pts}) != len(pts):
+        raise ValueError("sample points must be distinct")
+    if bound < 0:
+        raise ValueError("degree bound must be non-negative")
+    if len(pts) < bound + 2:
+        raise InterpolationError(
+            f"need at least {bound + 2} points for degree bound {bound}, got {len(pts)}"
+        )
+    fit = pts[: bound + 1]
+
+    def eval_at(x: int) -> Fraction:
+        total = Fraction(0)
+        for j, (xj, yj) in enumerate(fit):
+            term = Fraction(yj)
+            for k, (xk, _) in enumerate(fit):
+                if k != j:
+                    term *= Fraction(x - xk, xj - xk)
+            total += term
+        return total
+
+    for x, y in pts[bound + 1 :]:
+        got = eval_at(x)
+        if got != y:
+            raise InterpolationError(
+                f"degree {bound} fit predicts {got} at {x}, observed {y}; "
+                f"series {pts}"
+            )
+    value = eval_at(1)
+    if value.denominator != 1:
+        raise InterpolationError(f"value at 1 is not an integer: {value}")
+    return int(value)
+
+
+def expand_by_split(x: LambdaPoint, i: int, a: int) -> list[tuple[int, LambdaPoint]]:
+    """The (orbit weight, quotient) pairs of the last letter (i, a) at x,
+    always through the split of the joint kernel as T + F, even where the
+    kernel itself is the one a-dimensional choice."""
+    di = x.dims[i - 1]
+    rows: list[tuple[int, ...]] = []
+    if i <= x.n - 1:
+        rows.extend(x.arrows[i - 1])
+    if i >= 2:
+        rows.extend(x.stars[i - 2])
+    kernel = kernel_basis_ff(rows, di, x.p)
+    if len(kernel) < a:
+        return []
+    t_basis, f_basis = nilpotent._kernel_split(x, i, kernel)
+    t, c = len(t_basis), len(f_basis)
+    pairs = []
+    for e in range(min(a, t) + 1):
+        g = a - e
+        if g > c:
+            continue
+        orbit = pow(x.p, g * (t - e)) * gaussian_binomial(c, g, x.p)
+        for u1 in subspaces_ff(t_basis, e, x.p):
+            pairs.append((orbit, nilpotent._quotient_point(x, i, u1 + f_basis[:g])))
+    return pairs

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from semibasis import InterpolationError
 from semibasis.linalg import (
     complete_basis_ff,
@@ -299,6 +300,31 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             interpolate_eval_one([(2, 3), (2, 3), (5, 6)], 1)
 
+    def test_non_integer_prediction_is_reported_exactly(self):
+        # the fit through (2, 0) and (4, 1) is (x - 2) / 2
+        with pytest.raises(InterpolationError, match=r"fit predicts 3/2 at 5, observed 0;"):
+            interpolate_eval_one([(2, 0), (4, 1), (5, 0)], 1)
+
+    def test_matches_term_by_term_fractions(self):
+        # values and error texts equal the Fraction-per-factor Lagrange form
+        # on random fits, some with a planted wrong value
+        rng = random.Random(7)
+        for _ in range(300):
+            bound = rng.randrange(11)
+            xs = rng.sample(primes(20), bound + 2 + rng.randrange(3))
+            coeffs = [rng.randrange(-5, 6) for _ in range(bound + 1)]
+            pts = [(x, sum(c * x**k for k, c in enumerate(coeffs))) for x in xs]
+            if rng.random() < 0.3:
+                k = rng.randrange(len(pts))
+                pts[k] = (pts[k][0], pts[k][1] + rng.choice((-1, 1)))
+            outcomes = []
+            for fn in (interpolate_eval_one, oracles.interpolate_by_fractions):
+                try:
+                    outcomes.append(fn(pts, bound))
+                except InterpolationError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (pts, bound)
+
 
 class TestRref:
     def test_idempotent(self):
@@ -316,3 +342,61 @@ class TestRref:
         for r, c in enumerate(pivots):
             col = [red[i][c] for i in range(len(pivots))]
             assert col == [1 if i == r else 0 for i in range(len(pivots))]
+
+
+SPARSE_PRIMES = (2, 3, 5, 7, 2**31 - 1)
+
+
+def sparse_matrix(rng, rows, cols, p, density):
+    return [
+        [rng.randrange(1, p) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def shapes(rng):
+    # no rows, rows of width 0, an all-zero block, wide, tall and square,
+    # sparse and dense, with entries outside [0, p) left to the reduction
+    yield [], 0
+    yield [[], []], 0
+    yield [[0, 0, 0], [0, 0, 0]], 3
+    for _ in range(60):
+        rows, cols = rng.choice(((2, 9), (9, 2), (5, 5), (1, 7), (7, 1), (12, 30)))
+        density = rng.choice((0.1, 0.3, 1.0))
+        yield [[rng.randrange(-40, 40) if rng.random() < density else 0 for _ in range(cols)]
+               for _ in range(rows)], cols
+
+
+class TestSparseMatchesDense:
+    """rref_ff and matmul_ff skip zeros; the dense forms in oracles read
+    every entry.  Both must return exactly the same values."""
+
+    def test_rref_matches_dense(self):
+        rng = random.Random(11)
+        for p in SPARSE_PRIMES:
+            for mat, _ in shapes(rng):
+                assert rref_ff(mat, p) == oracles.rref_dense(mat, p), (p, mat)
+
+    def test_rref_of_relation_like_systems(self):
+        # mostly zeros, a few terms per row, as End and the star relations are
+        rng = random.Random(12)
+        for p in SPARSE_PRIMES:
+            for _ in range(30):
+                mat = sparse_matrix(rng, rng.randrange(1, 25), rng.randrange(1, 25), p, 0.08)
+                assert rref_ff(mat, p) == oracles.rref_dense(mat, p), (p, mat)
+
+    def test_matmul_matches_dense(self):
+        rng = random.Random(13)
+        for p in SPARSE_PRIMES:
+            for a, inner in shapes(rng):
+                cols = rng.randrange(5)
+                b = [[rng.randrange(-40, 40) if rng.random() < 0.4 else 0 for _ in range(cols)]
+                     for _ in range(inner)]
+                got = matmul_ff(a, b, p, bcols=cols)
+                assert got == oracles.matmul_dense(a, b, p, bcols=cols), (p, a, b)
+
+    def test_matmul_without_rows(self):
+        assert matmul_ff([], [[1, 2]], 5) == oracles.matmul_dense([], [[1, 2]], 5) == ()
+        assert matmul_ff([[], []], [], 5, bcols=3) == ((0, 0, 0), (0, 0, 0))
+        with pytest.raises(ValueError):
+            matmul_ff([[1]], [], 5)

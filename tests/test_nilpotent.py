@@ -470,6 +470,49 @@ class TestSharedExpansions:
         assert capsys.readouterr().out == logged
 
 
+class TestWholeKernel:
+    """A letter (i, a) whose joint kernel has dimension a has one choice,
+    the kernel itself: _expand quotients by it without _kernel_split, and
+    yields what the split path yields (oracles.expand_by_split)."""
+
+    @staticmethod
+    def letters():
+        # (point, vertex, a, kernel dimension) over accepted points of a
+        # few grades, at every letter the kernel admits
+        for n, d in ((2, (3, 3)), (3, (2, 3, 1)), (4, (1, 2, 2, 1))):
+            for m in enumerate_multisegments(Quiver(n), d):
+                for p in (2, 3):
+                    x = accepted_point(m, n, p)
+                    for i in range(1, n + 1):
+                        k = len(joint_kernel(x, i))
+                        for a in range(1, k + 1):
+                            yield x, i, a, k
+
+    def test_expand_matches_split_path(self, monkeypatch):
+        split = nilpotent._kernel_split
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return split(*args)
+
+        monkeypatch.setattr(nilpotent, "_kernel_split", counted)
+        whole = proper = 0
+        for x, i, a, k in self.letters():
+            want = oracles.expand_by_split(x, i, a)
+            calls.clear()
+            got = list(nilpotent._expand(x, i, a))
+            assert got == want, (x, i, a)
+            if a == k:
+                # exactly one pair, of orbit weight 1, and no split
+                assert len(got) == 1 and got[0][0] == 1 and calls == [], (x, i, a)
+                whole += 1
+            else:
+                assert calls == [i], (x, i, a)
+                proper += 1
+        assert whole > 100 and proper > 30, (whole, proper)
+
+
 class TestSharedDraws:
     def test_each_draw_lifted_once_and_each_star_space_solved_once(self, monkeypatch):
         # one transition: the word counts of both routes and the delta
