@@ -12,9 +12,10 @@ flags there (torus.graded_point and torus.fixed_flag_counts), which are
 exact and read no prime; every other word count is read off sampled
 points over prime fields, the F_p route below, which also serves the
 diagonal recount of semican's delta check.  RhoEvaluator is the one
-place that picks between the two.  (The component-level top at
-a vertex and the class it peels to need no points: they are the crystal
-signature rule of quiver.t_component and quiver.peel_component.)  A
+place that picks between the two.  (The component-level top at a
+vertex needs no points: it is the crystal signature rule of
+quiver.t_component, which semican reads to pick the recursion's
+corrections.)  A
 point x of Z_M lies in a dense orbit of the component iff
 dim End(x) = q(d), the Tits form: an orbit has dimension
 sum d_i^2 - dim End and every component sum d_i d_{i+1}.  For n <= 4 the
@@ -175,6 +176,12 @@ class LambdaPoint:
     stars: tuple[Matrix, ...]
     seed: int
 
+    def maps(self) -> list[tuple[int, int, Matrix]]:
+        """(source vertex, target vertex, matrix) of every arrow, then every star."""
+        return [(i, i + 1, f) for i, f in enumerate(self.arrows, start=1)] + [
+            (i + 1, i, f) for i, f in enumerate(self.stars, start=1)
+        ]
+
 
 def _relation_rows(rep: Rep) -> tuple[list[list[int]], list[tuple[int, int]]]:
     # the preprojective relations as a linear system in the star entries;
@@ -258,10 +265,8 @@ def _end_dim(x: LambdaPoint) -> int:
     for dv in dims:
         offsets.append(offsets[-1] + dv * dv)
     unknowns = offsets[-1]
-    maps = [(i, i + 1, x.arrows[i - 1]) for i in range(1, x.n)]
-    maps += [(i + 1, i, x.stars[i - 1]) for i in range(1, x.n)]
     rows: list[list[int]] = []
-    for u, v, f in maps:
+    for u, v, f in x.maps():
         du, dv = dims[u - 1], dims[v - 1]
         ou, ov = offsets[u - 1], offsets[v - 1]
         for r in range(dv):
@@ -391,12 +396,7 @@ def _columns(mat: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
 
 def _incoming_vectors(x: LambdaPoint, i: int) -> list[tuple[int, ...]]:
     # columns of every double-quiver map landing in V_i
-    vecs: list[tuple[int, ...]] = []
-    if i >= 2:
-        vecs.extend(_columns(x.arrows[i - 2], x.dims[i - 2]))
-    if i <= x.n - 1:
-        vecs.extend(_columns(x.stars[i - 1], x.dims[i]))
-    return vecs
+    return [vec for u, v, f in x.maps() if v == i for vec in _columns(f, x.dims[u - 1])]
 
 
 # ---------------------------------------------------------------------------

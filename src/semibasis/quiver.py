@@ -154,9 +154,6 @@ class Multisegment:
     def is_zero(self) -> bool:
         return not self.segments
 
-    def is_semisimple(self) -> bool:
-        return all(a == b for a, b in self.segments)
-
     def sort_key(self) -> tuple[tuple[int, int], ...]:
         return tuple(_seg_key(s) for s in self.segments)
 
@@ -221,17 +218,23 @@ def enumerate_multisegments(quiver: Quiver, d: Iterable[int]) -> tuple[Multisegm
     return _enumerate_cached(quiver.n, dv)
 
 
-def _hom_to_interval(m: Multisegment, c: int, d: int) -> int:
-    # Hom([a,b], [c,d]) is one-dimensional exactly when c <= a <= d <= b.
-    return sum(1 for a, b in m.segments if c <= a <= d <= b)
+@lru_cache(maxsize=None)
+def _hom_profile(m: Multisegment) -> dict[tuple[int, int], int]:
+    # the nonzero dim Hom(m, [c, d]) by interval: a segment [a, b] maps
+    # onto [c, d] exactly when c <= a <= d <= b.  Memoized per class, as
+    # deg_leq is per pair; hom_dim and deg_leq only read it
+    profile: dict[tuple[int, int], int] = {}
+    for a, b in m.segments:
+        for c in range(1, a + 1):
+            for d in range(a, b + 1):
+                profile[c, d] = profile.get((c, d), 0) + 1
+    return profile
 
 
 def hom_dim(m: Multisegment, n: Multisegment) -> int:
     """dim Hom(M, N), additively over the interval decompositions."""
-    total = 0
-    for c, d in n.segments:
-        total += _hom_to_interval(m, c, d)
-    return total
+    profile = _hom_profile(m)
+    return sum(profile.get(seg, 0) for seg in n.segments)
 
 
 def ext_dim(m: Multisegment, n: Multisegment) -> int:
@@ -258,19 +261,6 @@ def euler_form(quiver: Quiver, d: Iterable[int], e: Iterable[int]) -> int:
     val = sum(di * ei for di, ei in zip(dv, ev))
     val -= sum(dv[i] * ev[i + 1] for i in range(quiver.n - 1))
     return val
-
-
-@lru_cache(maxsize=None)
-def _hom_profile(m: Multisegment) -> dict[tuple[int, int], int]:
-    # the nonzero dim Hom(m, [c, d]) by interval: a segment [a, b] maps
-    # onto [c, d] exactly when c <= a <= d <= b.  Memoized per class, as
-    # deg_leq is per pair; callers only read it
-    profile: dict[tuple[int, int], int] = {}
-    for a, b in m.segments:
-        for c in range(1, a + 1):
-            for d in range(a, b + 1):
-                profile[c, d] = profile.get((c, d), 0) + 1
-    return profile
 
 
 @lru_cache(maxsize=None)

@@ -8,9 +8,10 @@ the f_Z in the PBW basis:
   * inversion: evaluate every PBW element at every component (the
     evaluation matrix E) and invert its transpose;
 
-  * recursion: peel a simple top off the component, multiply the
-    smaller element back, and subtract the evaluation at components
-    with a strictly larger top, which restores the delta-conditions.
+  * recursion: peel the module's simple top at its largest start,
+    multiply the smaller element back, and subtract the elements of the
+    classes whose components have a strictly larger top there
+    (quiver.t_component), which restores the delta-conditions.
 
 Both must produce the same unitriangular matrix, and a delta-check must
 reproduce the identity; any mismatch is an error, never papered over.
@@ -42,19 +43,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import torus
-from .errors import (
-    CertificationError,
-    DeltaCheckError,
-    InternalCheckError,
-    RouteDisagreementError,
-)
-from .hall import (
-    PBWVector,
-    WordCombo,
-    left_mul_divided_power,
-    pbw_to_words,
-    word_to_pbw,
-)
+from .errors import CertificationError, DeltaCheckError, RouteDisagreementError
+from .hall import PBWVector, WordCombo, left_mul_divided_power, pbw_to_words
 from .linalg import identity_exact, invert_unitriangular, matmul_exact, primes
 from .nilpotent import RhoEvaluator, SampleConfig, flag_degree_bound
 from .quiver import (
@@ -63,7 +53,7 @@ from .quiver import (
     deg_leq,
     enumerate_multisegments,
     flag_vertex,
-    peel_component,
+    peel_top,
     t_component,
 )
 
@@ -106,10 +96,9 @@ def _combine_words(base: WordCombo, other: WordCombo, coeff: int) -> WordCombo:
 class SemicanBasis:
     """Recursive construction of semicanonical elements over one quiver.
 
-    Shares one rho evaluator and one write-once memo of elements, keyed
-    by class and peeling vertex, so a full transition matrix touches each
-    expensive quantity once.  The top multiplicity and the peeled class
-    at a vertex are the closed forms t_component and peel_component.
+    Shares one rho evaluator and one write-once memo of elements, one
+    per class, so a full transition matrix touches each expensive
+    quantity once.
     """
 
     def __init__(self, quiver: Quiver, config: SampleConfig | None = None):
@@ -117,55 +106,42 @@ class SemicanBasis:
         self.evaluator = RhoEvaluator(quiver.n, config)
         self._elements: dict[tuple, SemicanElement] = {}
 
-    def element(self, m: Multisegment, i: int | None = None) -> SemicanElement:
+    def element(self, m: Multisegment) -> SemicanElement:
         """The semicanonical element of the component over the orbit of m.
 
-        It is built by peeling at vertex i, by default the flag vertex of
-        m, where t_component and peel_component are t_top and peel_top.
-        Correction terms of the recursion at vertex i are themselves
-        built at vertex i; their t there strictly exceeds the caller's,
-        which bounds the depth by the dimension at i.
+        The zero class is the unit.  Any other m is peeled at its flag
+        vertex i, its largest start, with t = t_top(m, i): no segment
+        starts at i + 1, so the peeled class is peel_top(m, i).  Every
+        class cls of the grade with t_component(cls, i) > t is then
+        subtracted at its rho-value, which restores the delta-conditions.
+        The recursion ends: peeling lowers the grade, and along a
+        correction the pair (flag vertex, t_top there) rises strictly in
+        lexicographic order within the grade, since cls keeps an
+        unmatched [i, b], so its flag vertex j is at least i, and
+        t_top(cls, i) >= t_component(cls, i) > t when j = i.
         """
-        # the zero class has no flag vertex; it is the unit, a base case
-        top = None if m.is_zero() else flag_vertex(m)[0]
-        i = top if i is None else i
-        key = (m.segments, i)
-        found = self._elements.get(key)
+        found = self._elements.get(m.segments)
         if found is not None:
             return found
-        if i == top and m.is_semisimple():
-            d = m.dim_vector(self.quiver.n)
-            word = tuple((v, d[v - 1]) for v in range(self.quiver.n, 0, -1) if d[v - 1])
-            elem = SemicanElement(
-                word_to_pbw(self.quiver, word) if word
-                else PBWVector.unit(self.quiver.n),
-                {word: 1},
-            )
+        if m.is_zero():
+            elem = SemicanElement(PBWVector.unit(self.quiver.n), {(): 1})
         else:
-            mult = t_component(m, i)
-            if mult <= 0:
-                raise InternalCheckError(f"correction class {m} has no top at vertex {i}")
-            elem = self._peel_and_correct(m, i, mult, peel_component(m, i))
-        self._elements[key] = elem
+            i, t = flag_vertex(m)
+            base = self.element(peel_top(m, i))
+            pbw = left_mul_divided_power(i, t, base.pbw)
+            words: WordCombo = {((i, t),) + w: c for w, c in base.words.items()}
+            for cls in enumerate_multisegments(self.quiver, m.dim_vector(self.quiver.n)):
+                if t_component(cls, i) <= t:
+                    continue
+                coeff = self.evaluator.rho(cls, words)
+                if not coeff:
+                    continue
+                correction = self.element(cls)
+                pbw = pbw - coeff * correction.pbw
+                words = _combine_words(words, correction.words, -coeff)
+            elem = SemicanElement(pbw, words)
+        self._elements[m.segments] = elem
         return elem
-
-    def _peel_and_correct(
-        self, m: Multisegment, i: int, mult: int, peeled: Multisegment
-    ) -> SemicanElement:
-        base = self.element(peeled)
-        pbw = left_mul_divided_power(i, mult, base.pbw)
-        words: WordCombo = {((i, mult),) + w: c for w, c in base.words.items()}
-        d = m.dim_vector(self.quiver.n)
-        for cls in enumerate_multisegments(self.quiver, d):
-            if t_component(cls, i) <= mult:
-                continue
-            coeff = self.evaluator.rho(cls, words)
-            if not coeff:
-                continue
-            correction = self.element(cls, i)
-            pbw = pbw - coeff * correction.pbw
-            words = _combine_words(words, correction.words, -coeff)
-        return SemicanElement(pbw, words)
 
 
 def _certify_support(

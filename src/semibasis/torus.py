@@ -136,13 +136,6 @@ def _candidates(rep: Rep) -> Iterator[tuple[Matrix, ...]]:
     yield from walk(0)
 
 
-def _maps(x: nilpotent.LambdaPoint) -> list[tuple[int, int, Matrix]]:
-    # (source vertex, target vertex, matrix) of every arrow and star
-    return [(i, i + 1, f) for i, f in enumerate(x.arrows, start=1)] + [
-        (i + 1, i, f) for i, f in enumerate(x.stars, start=1)
-    ]
-
-
 def _separated(x: nilpotent.LambdaPoint) -> bool:
     # whether the weights x admits separate its basis at every vertex.  A
     # walk of each connected piece of the support from a root b0 writes
@@ -152,7 +145,7 @@ def _separated(x: nilpotent.LambdaPoint) -> bool:
     # then tied iff they lie in one piece and c_b - c_b' is in the span of
     # those asks, decided by exact rank (a rank mod p may drop, which
     # would wrongly separate them)
-    maps = _maps(x)
+    maps = x.maps()
     edges: dict[tuple[int, int], list[tuple[tuple[int, int], int, int]]] = {}
     for j, (u, v, f) in enumerate(maps):
         for r, row in enumerate(f):
@@ -231,7 +224,7 @@ def _edges(x: nilpotent.LambdaPoint) -> tuple[list[int], list[list[tuple[int, in
             for c, entry in enumerate(row)
             if entry
         ]
-        for u, v, f in _maps(x)
+        for u, v, f in x.maps()
     ]
     return offsets, edges
 
@@ -370,7 +363,7 @@ def tangent_bounds(x: nilpotent.LambdaPoint, words: Iterable[Word]) -> dict[Word
     backward = [{t: (s, e) for s, t, e in f} for f in edges]
     if any(len(g) < len(f) or len(h) < len(f) for f, g, h in zip(edges, forward, backward)):
         raise InternalCheckError("a map of a graded point is not a partial injection")
-    ends = [(u - 1, v - 1) for u, v, _ in _maps(x)]
+    ends = [(u - 1, v - 1) for u, v, _ in x.maps()]
 
     def slot(j: int, t: int, b: int) -> int:
         # the unknown phi_j(b) at t, for b in U_j and t off U_j at one vertex

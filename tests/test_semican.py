@@ -1,5 +1,6 @@
 """The dual basis construction and its certification machinery."""
 
+import itertools
 import logging
 import sys
 
@@ -10,7 +11,7 @@ from semibasis import nilpotent, semican, torus
 from semibasis.cli import main
 from semibasis.errors import CertificationError, DeltaCheckError
 from semibasis.linalg import primes
-from semibasis.quiver import euler_form
+from semibasis.quiver import euler_form, flag_vertex, t_component
 from semibasis.semican import SemicanBasis, SemicanElement
 from semibasis import (
     Multisegment,
@@ -151,14 +152,44 @@ class TestRecursionRoute:
         assert got == PBWVector(2, (1, 1), {M("1[1,2]"): 1, M("1[1,1]+1[2,2]"): 1})
 
     def test_agrees_with_inversion(self):
-        for n, bound in ((2, 4), (3, 3)):
+        # (2,3,1) holds corrections whose class has another flag vertex
+        # than the class it corrects (see test_corrections_terminate)
+        for n, grades in (
+            (2, oracles.grades_upto(2, 4)),
+            (3, [*oracles.grades_upto(3, 3), (2, 3, 1)]),
+        ):
             quiver = Quiver(n)
             basis = SemicanBasis(quiver)
-            for d in oracles.grades_upto(n, bound):
+            for d in grades:
                 classes, a_mat, _ = transition_via_inversion(quiver, d)
                 for r, cls in enumerate(classes):
                     vec = basis.element(cls).pbw
                     assert tuple(vec.get(c) for c in classes) == a_mat[r], cls
+
+    def test_corrections_terminate(self):
+        # element(m) peels at i, t = flag_vertex(m) and corrects by every
+        # class cls of the grade with t_component(cls, i) > t; the pair
+        # (flag vertex, t_top there) of cls is lexicographically larger,
+        # so corrections within a grade cannot cycle
+        pairs, elsewhere = 0, []
+        for n in range(1, 6):
+            for d in itertools.product(range(4), repeat=n):
+                if not 0 < sum(d) <= 6:
+                    continue
+                classes = enumerate_multisegments(Quiver(n), d)
+                for m in classes:
+                    i, t = flag_vertex(m)
+                    for cls in classes:
+                        if t_component(cls, i) <= t:
+                            continue
+                        pairs += 1
+                        j, u = flag_vertex(cls)
+                        assert (j, u) > (i, t), (m, cls)
+                        if j != i:
+                            elsewhere.append((m, cls))
+        assert pairs == 1266
+        assert len(elsewhere) == 50
+        assert (M("1[1,3]+1[1,2]+1[2,2]"), M("2[1,1]+3[2,2]+1[3,3]")) in elsewhere
 
 
 class TestDelta:
