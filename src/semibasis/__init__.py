@@ -37,8 +37,6 @@ from .hall import (
 from .nilpotent import (
     LambdaPoint,
     RhoEvaluator,
-    SampleConfig,
-    evaluate_word_at_point,
     lift_generic,
 )
 from .quiver import (
@@ -86,7 +84,6 @@ __all__ = [
     "Quiver",
     "RhoEvaluator",
     "RouteDisagreementError",
-    "SampleConfig",
     "SemibasisError",
     "SemicanBasis",
     "SemicanElement",
@@ -94,7 +91,6 @@ __all__ = [
     "check_serre",
     "deg_leq",
     "enumerate_multisegments",
-    "evaluate_word_at_point",
     "euler_form",
     "ext_dim",
     "flag_vertex",

@@ -38,7 +38,6 @@ from .hall import (
     realize,
 )
 from .linalg import is_prime
-from .nilpotent import SampleConfig
 from .quiver import (
     Multisegment,
     Quiver,
@@ -77,7 +76,6 @@ def _build_parser() -> _Parser:
     tr.add_argument("--n", type=int, default=None, help="number of vertices")
     tr.add_argument("--dim", required=True, help="dimension vector, e.g. 2,2")
     tr.add_argument("--seed", type=int, default=0, help="root seed")
-    tr.add_argument("--primes", default=None, help="comma-separated prime pool override")
     tr.set_defaults(func=_cmd_transition)
 
     ins = sub.add_parser("inspect", parents=[])
@@ -157,16 +155,6 @@ def _check_vertex(args, n: int) -> None:
         raise ParseError(f"--vertex must lie in 1..{n}, got {args.vertex}")
 
 
-def _config_from(args) -> SampleConfig:
-    pool = None
-    if args.primes:
-        try:
-            pool = tuple(int(p) for p in args.primes.split(","))
-        except ValueError as exc:
-            raise ParseError(f"bad prime pool {args.primes!r}") from exc
-    return SampleConfig(root_seed=args.seed, prime_pool=pool)
-
-
 def _emit(args, payload: dict, csv_rows: list[list], pretty_lines: list[str]) -> None:
     if args.format == "json":
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -186,8 +174,7 @@ def _emit(args, payload: dict, csv_rows: list[list], pretty_lines: list[str]) ->
 
 def _cmd_transition(args) -> int:
     quiver, dims = _quiver_dim(args)
-    cfg = _config_from(args)
-    result = transition_matrix(quiver, dims, cfg)
+    result = transition_matrix(quiver, dims, args.seed)
     print(f"elapsed: {result.elapsed:.2f}s", file=sys.stderr)
     payload = result.to_payload()
     csv_rows = [["class"] + [c.text() for c in result.classes]]

@@ -15,8 +15,10 @@ diagonal recount of semican's delta check.  RhoEvaluator is the one
 place that picks between the two.  (The component-level top at a
 vertex needs no points: it is the crystal signature rule of
 quiver.t_component, which semican reads to pick the recursion's
-corrections.)  A
-point x of Z_M lies in a dense orbit of the component iff
+corrections.)
+
+The F_p route reads the consecutive primes from 2, prime_pool, in
+order.  A point x of Z_M lies in a dense orbit of the component iff
 dim End(x) = q(d), the Tits form: an orbit has dimension
 sum d_i^2 - dim End and every component sum d_i d_{i+1}.  For n <= 4 the
 preprojective algebra is representation-finite (Geiss-Leclerc-Schroer),
@@ -66,7 +68,7 @@ import itertools
 import logging
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import torus
@@ -95,11 +97,10 @@ from .quiver import (
 )
 
 __all__ = [
-    "SampleConfig",
     "LambdaPoint",
     "derive_seed",
+    "prime_pool",
     "lift_generic",
-    "evaluate_word_at_point",
     "flag_degree_bound",
     "word_degree_bound",
     "RhoEvaluator",
@@ -127,38 +128,13 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-@dataclass(frozen=True)
-class SampleConfig:
-    """Knobs for genericity sampling and Euler-characteristic extraction.
+def prime_pool() -> Iterator[int]:
+    """The consecutive primes from 2, in order: the pool every F_p count reads.
 
-    prime_pool, when given, overrides the default pool (consecutive
-    primes from 2) and must hold distinct primes.  A word w at
-    grade d is counted at the first min(b + 3, B + 2) primes of the
-    pool, where b is its fit degree and B is flag_degree_bound(d), so
-    the pool must hold that many primes for every word in play.  The fit
-    degree is word_degree_bound(w, d), or, when a fresh evaluator counts
-    a component with a graded point, the tangent bound where that is
-    smaller (see RhoEvaluator.chi).  A prime below VOTE_PRIME_START at which a
-    component has no draw with dim End = q(d) is passed over for that
-    component, which then reads one more prime of the pool.
-
-    Each prime and attempt draws SAMPLES_PER_PRIME points.  The first
-    draw with dim End = q(d) is read alone; if none reaches q(d), at most
-    VOTE_SIZE draws of least End vote.  An attempt whose vote has no
-    strict majority, or whose fit the spare primes reject, is retried
-    with fresh draws up to RETRY_BUDGET attempts in all.  A bad pool
-    raises ValueError before any draw.
+    Each word reads a prefix of the primes at which its component is read
+    (see RhoEvaluator.chi), at most flag_degree_bound(d) + 2 of them.
     """
-
-    root_seed: int = 0
-    prime_pool: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        for k, p in enumerate(self.prime_pool or ()):
-            if not is_prime(p):
-                raise ValueError(f"prime pool entry {p} is not a prime")
-            if p in self.prime_pool[:k]:
-                raise ValueError(f"prime pool repeats {p}")
+    return filter(is_prime, itertools.count(2))
 
 
 @dataclass(frozen=True)
@@ -561,23 +537,6 @@ def _count_words(x: LambdaPoint, words: Iterable[Word]) -> dict[Word, int]:
     return counts
 
 
-def evaluate_word_at_point(x: LambdaPoint, w: Word) -> int:
-    """Number of flags of type w on the point: chains of submodules with
-    semisimple layers prescribed by the letters, counted over F_p.
-
-    The last letter (i, a) ranges over a-dimensional subspaces of the
-    joint kernel of the maps leaving i (the submodules isomorphic to
-    S_i^a); the remainder of the word is counted on the quotient.  This
-    is the one-word case of the walk in which RhoEvaluator counts every
-    word it reads at a point together.
-    """
-    if word_weight(w, x.n) != x.dims:
-        raise ValueError(
-            f"word weight {word_weight(w, x.n)} does not match dimensions {x.dims}"
-        )
-    return _count_words(x, [w])[w]
-
-
 def flag_degree_bound(d: Iterable[int]) -> int:
     """Degree bound shared by every word of dimension vector d.
 
@@ -608,26 +567,25 @@ def word_degree_bound(word: Word, d: Sequence[int]) -> int:
 class RhoEvaluator:
     """Evaluates word combinations at generic points of components.
 
-    One evaluator owns one quiver size and one sampling config, and it
-    alone picks how a label is counted: at a graded point (see graded) by
+    One evaluator owns one quiver size and one root seed, and it alone
+    picks how a label is counted: at a graded point (see graded) by
     torus-fixed flags, elsewhere by the F_p route, which the evaluators
     that fresh hands out use for every label.  On that route sampled
     points are shared across words; the star space of each (component,
     prime) is solved once, and the interpolated value of each
     (component, word) pair is computed once; this is what makes whole
-    evaluation matrices affordable.  The words
-    asked for at one label together (a combination in rho, a row in
-    rho_row) are counted together: each draw is read once for all of
-    them, in one walk of their shared suffixes (see
-    evaluate_word_at_point), and nothing of the walk is kept.  At DEBUG
+    evaluation matrices affordable.  The words asked for at one label
+    together (a combination in rho, a row in rho_row) are counted
+    together: each draw is read once for all of them, in one walk of
+    their shared suffixes, and nothing of the walk is kept.  At DEBUG
     each counted batch logs its label, how many words it counted
     together, how many expansions it made, how many fits a tangent
     bound lowered and the largest prime it read.
     """
 
-    def __init__(self, n: int, config: SampleConfig | None = None):
+    def __init__(self, n: int, root_seed: int = 0):
         self.n = n
-        self.config = config or SampleConfig()
+        self.root_seed = root_seed
         self._draws: dict[tuple, tuple[list[LambdaPoint], list[int]]] = {}
         self._spaces: dict[tuple, tuple] = {}
         # (component, prime) pairs with a draw set that missed q(d): each
@@ -653,13 +611,12 @@ class RhoEvaluator:
         reads (see voted); at a graded component, the torus-fixed flags of
         the construction then meet a count by the other method.
         """
-        cfg = replace(self.config, root_seed=derive_seed(self.config.root_seed, namespace))
-        ev = RhoEvaluator(self.n, cfg)
+        ev = RhoEvaluator(self.n, derive_seed(self.root_seed, namespace))
         ev._spaces, ev._points, ev._by_torus = self._spaces, self._points, False
         return ev
 
     def _seed(self, label: Multisegment, p: int, k: int, salt: int) -> int:
-        return derive_seed(self.config.root_seed, "rho", self.n, label.text(), p, k, salt)
+        return derive_seed(self.root_seed, "rho", self.n, label.text(), p, k, salt)
 
     def _draws_for(
         self, label: Multisegment, p: int, salt: int
@@ -685,21 +642,13 @@ class RhoEvaluator:
         # the first count primes of the pool at which attempt salt reads
         # label: those from VOTE_PRIME_START up, and the smaller ones with
         # a draw at dim End = q(d)
-        pool = self.config.prime_pool
-        if pool is not None and len(pool) < count:
-            raise ValueError(f"prime pool {pool} has fewer than {count} primes")
         q = _tits_form(label, self.n)
-        read: list[int] = []
-        for p in pool or filter(is_prime, itertools.count(2)):
-            if p >= VOTE_PRIME_START or q in self._draws_for(label, p, salt)[1]:
-                read.append(p)
-                if len(read) == count:
-                    return tuple(read)
-        raise ConsensusError(
-            f"prime pool {pool} has fewer than {count} primes at which Z({label}) can"
-            f" be read in attempt {salt}: below p={VOTE_PRIME_START} only a draw with"
-            f" dim End = q(d) = {q} is read"
+        readable = (
+            p
+            for p in prime_pool()
+            if p >= VOTE_PRIME_START or q in self._draws_for(label, p, salt)[1]
         )
+        return tuple(itertools.islice(readable, count))
 
     def voted(self, label: Multisegment) -> bool:
         """Whether some draw set read at label so far votes.
@@ -798,17 +747,16 @@ class RhoEvaluator:
         At a label with a graded point (see graded) it is the number of
         torus-fixed flags there, torus.fixed_flag_counts, which is exact.
         Elsewhere the count is taken at each prime and fitted with degree
-        b through the first min(b + 3, B + 2) primes of the grade's pool
-        at which the label is read (see SampleConfig), B being
-        flag_degree_bound(d).  b is b_w = word_degree_bound(word, d),
-        except at a label with a graded point counted by a fresh
-        evaluator: there a word with b_w >= 1 is fitted at
-        min(b_w, max(t, 0)), t its torus.tangent_bounds, an upper bound
-        on the dimension of its flag variety (-1 when that is empty); a
-        word with b_w = 0 reads no tangent bound.  Each
-        prime evaluates the word once at its draw with dim End = q(d),
-        which is exactly generic, or else votes over its draws of least
-        End, stopping once one count holds a strict majority.  A degree-b
+        b through the first min(b + 3, B + 2) primes of prime_pool at
+        which the label is read, B being flag_degree_bound(d).  b is
+        b_w = word_degree_bound(word, d), except at a label with a graded
+        point counted by a fresh evaluator: there a word with b_w >= 1 is
+        fitted at min(b_w, max(t, 0)), t its torus.tangent_bounds, an
+        upper bound on the dimension of its flag variety (-1 when that is
+        empty); a word with b_w = 0 reads no tangent bound.  Each prime
+        evaluates the word once at its draw with dim End = q(d), which
+        is exactly generic, or else votes over its draws of least End,
+        stopping once one count holds a strict majority.  A degree-b
         fit through N primes exposes any N - b - 1 wrong values: two when
         b < B, one (as with the grade bound) when b = B; those spare
         primes check a fit at a tangent bound as they check any other.

@@ -37,16 +37,17 @@ vote at some prime from 5 up, is recounted in full at fresh seeds.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from . import torus
+from . import nilpotent, torus
 from .errors import CertificationError, DeltaCheckError, RouteDisagreementError
 from .hall import PBWVector, WordCombo, left_mul_divided_power, pbw_to_words
-from .linalg import identity_exact, invert_unitriangular, matmul_exact, primes
-from .nilpotent import RhoEvaluator, SampleConfig, flag_degree_bound
+from .linalg import identity_exact, invert_unitriangular, matmul_exact
+from .nilpotent import RhoEvaluator, flag_degree_bound
 from .quiver import (
     Multisegment,
     Quiver,
@@ -101,9 +102,9 @@ class SemicanBasis:
     quantity once.
     """
 
-    def __init__(self, quiver: Quiver, config: SampleConfig | None = None):
+    def __init__(self, quiver: Quiver, root_seed: int = 0):
         self.quiver = quiver
-        self.evaluator = RhoEvaluator(quiver.n, config)
+        self.evaluator = RhoEvaluator(quiver.n, root_seed)
         self._elements: dict[tuple, SemicanElement] = {}
 
     def element(self, m: Multisegment) -> SemicanElement:
@@ -172,7 +173,7 @@ def transition_via_inversion(
 
     Returns (classes, A, E).  E is the evaluation matrix: row K, column N
     holds the generic value of P_N on Z_K, read by evaluator, by default
-    a RhoEvaluator of the default config.  Rows and columns of both run
+    a RhoEvaluator at root seed 0.  Rows and columns of both run
     in the key order of pbw_to_words, the refined degeneration order.
     The delta-conditions say A is the inverse transpose of E.  E is
     certified lower unitriangular and A upper unitriangular with respect
@@ -296,9 +297,7 @@ class CertifiedTransition:
 
 
 def transition_matrix(
-    quiver: Quiver,
-    d: Iterable[int],
-    config: SampleConfig | None = None,
+    quiver: Quiver, d: Iterable[int], root_seed: int = 0
 ) -> CertifiedTransition:
     """Both routes, the delta-check, and the certified result for grade d.
 
@@ -313,8 +312,7 @@ def transition_matrix(
     """
     started = time.perf_counter()
     d = tuple(d)
-    cfg = config or SampleConfig()
-    basis = SemicanBasis(quiver, cfg)
+    basis = SemicanBasis(quiver, root_seed)
     classes, a_mat, e_mat = transition_via_inversion(quiver, d, basis.evaluator)
     torus.log_coverage({cls: basis.evaluator.graded(cls) for cls in classes})
     elements = {cls: basis.element(cls) for cls in classes}
@@ -336,8 +334,8 @@ def transition_matrix(
         raise DeltaCheckError(
             f"delta-check of grade {d} is not the identity: {delta.matrix}"
         )
-    used = flag_degree_bound(d) + 2
-    pool = (cfg.prime_pool or primes(used))[:used]
+    # the most primes any word of the grade reads
+    pool = itertools.islice(nilpotent.prime_pool(), flag_degree_bound(d) + 2)
     return CertifiedTransition(
         n=quiver.n,
         dim=d,
@@ -346,7 +344,7 @@ def transition_matrix(
         recursion_matrix=rec_mat,
         evaluation=e_mat,
         delta=delta,
-        root_seed=cfg.root_seed,
+        root_seed=root_seed,
         interpolation_primes=tuple(pool),
         elapsed=time.perf_counter() - started,
     )

@@ -189,10 +189,12 @@ def graded_point(m: Multisegment, n: int) -> nilpotent.LambdaPoint | None:
 
     The candidates are the monomial points over realize(m, n) described
     in the module docstring, read in a fixed order, at most LEAF_CAP of
-    them.  The first is returned that satisfies the relations over Z,
-    has dim End = q(d) at GRADED_PRIME (nilpotent._end_dim) and whose
-    weights separate the basis at every vertex.  Its entries are stored
-    mod GRADED_PRIME; the flag counts read only which are nonzero.
+    them, each satisfying the relations over Z.  The first is returned
+    that has dim End = q(d) at GRADED_PRIME (nilpotent._end_dim) and
+    whose weights separate the basis at every vertex.  Its entries are
+    stored mod GRADED_PRIME, where the relations are checked again; a
+    candidate that fails there raises InternalCheckError.  The flag
+    counts read only which entries are nonzero.
     """
     rep = realize(m, n)
     q = nilpotent._tits_form(m, n)
@@ -200,12 +202,10 @@ def graded_point(m: Multisegment, n: int) -> nilpotent.LambdaPoint | None:
     for stars in _candidates(rep):
         reduced = tuple(tuple(tuple(e % p for e in row) for row in f) for f in stars)
         x = nilpotent.LambdaPoint(n, p, rep.dims, rep.maps, reduced, 0)
-        try:
-            # an entry of a relation sums far fewer than p terms of size
-            # at most 1, so it vanishes mod p iff it vanishes over Z
-            nilpotent._check_relations(x)
-        except InternalCheckError:
-            continue
+        # _candidates checks every relation over Z; an entry of a relation
+        # sums far fewer than p terms of size at most 1, so it vanishes
+        # mod p iff it vanishes over Z, and a failure here is a fault
+        nilpotent._check_relations(x)
         if nilpotent._end_dim(x) == q and _separated(x):
             return x
     return None

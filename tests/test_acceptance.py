@@ -15,7 +15,6 @@ from semibasis import (
     Multisegment,
     Quiver,
     RhoEvaluator,
-    SampleConfig,
     check_serre,
     deg_leq,
     enumerate_multisegments,
@@ -109,10 +108,9 @@ def test_02_unitriangular_support(certified):
 
 
 def test_03_delta_identity():
-    fresh = SampleConfig(root_seed=271828)
     failures = []
     for n, d in acceptance_grades():
-        report = transition_matrix(Quiver(n), d, fresh).delta
+        report = transition_matrix(Quiver(n), d, root_seed=271828).delta
         if not report.ok:
             failures.append(f"n={n} d={d} matrix {report.matrix}")
     _finish(3, "delta property with fresh seeds", failures)

@@ -97,44 +97,30 @@ class TestTransition:
         assert a["root_seed"] != b["root_seed"]
 
     def test_primes_reports_only_the_primes_used(self, capsys):
-        # grade (2,2) has B = 2, so only the first B + 2 = 4 primes of the
-        # pool are used
-        code, out, _ = run(
-            capsys,
-            "transition",
-            "--dim",
-            "2,2",
-            "--primes",
-            "5,7,11,13,17,19,23",
-            "--format",
-            "json",
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["interpolation_primes"] == [5, 7, 11, 13]
-        assert payload["matrix"] == [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
-        # the default pool is the consecutive primes from 2
-        _, default, _ = run(capsys, "transition", "--dim", "2,2", "--format", "json")
-        assert json.loads(default)["interpolation_primes"] == [2, 3, 5, 7]
+        # the pool is the consecutive primes from 2, and a grade reports
+        # its first B + 2, the most any word reads: B = 2 at (2,2) and
+        # B = 6 at (3,3)
+        for dim, used in (("2,2", [2, 3, 5, 7]), ("3,3", [2, 3, 5, 7, 11, 13, 17, 19])):
+            code, out, _ = run(capsys, "transition", "--dim", dim, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["interpolation_primes"] == used
 
     def test_small_primes_certify(self, capsys):
-        code, out, _ = run(
-            capsys, "transition", "--dim", "2,2", "--primes", "2,3,5,7", "--format", "json"
-        )
+        code, out, _ = run(capsys, "transition", "--dim", "2,2", "--format", "json")
         assert code == 0
         payload = json.loads(out)
         assert payload["matrix"] == [[1, 1, 1], [0, 1, 2], [0, 0, 1]]
-        assert payload["interpolation_primes"] == [2, 3, 5, 7]
+        assert payload["interpolation_primes"][:2] == [2, 3]
 
 
 @pytest.mark.parametrize(
     "argv, bad",
     [
-        (["transition", "--dim", "2,2", "--primes", "1,5,7,11"], "1"),
-        (["transition", "--dim", "2,2", "--primes", "0,5,7,11"], "0"),
-        (["transition", "--dim", "2,2", "--primes", "25,49,121,169"], "25"),
-        (["transition", "--dim", "2,2", "--primes", "5,7,7,11"], "7"),
+        (["transition", "--dim", "2,2", "--seed", "x"], "'x'"),
+        (["transition", "--dim", "2,x"], "'2,x'"),
+        (["transition", "--dim", "2,-1"], "'2,-1'"),
         # the removed sampling flags
+        (["transition", "--dim", "2,2", "--primes", "5,7"], "--primes"),
         (["transition", "--dim", "2,2", "--samples", "40"], "--samples"),
         (["selftest", "--seed", "1"], "--seed"),
         (["selftest", "--primes", "5,7"], "--primes"),

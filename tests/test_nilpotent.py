@@ -37,9 +37,7 @@ from semibasis import (
     Multisegment,
     Quiver,
     RhoEvaluator,
-    SampleConfig,
     enumerate_multisegments,
-    evaluate_word_at_point,
     iso_class,
     lift_generic,
     peel_component,
@@ -105,6 +103,11 @@ def star_system_holds(x: LambdaPoint) -> bool:
         if any(any(row) for row in total):
             return False
     return True
+
+
+def count_word(x: LambdaPoint, w) -> int:
+    """The flags of type w at x over F_p, by the walk the evaluator counts with."""
+    return nilpotent._count_words(x, [w])[w]
 
 
 def ss_point(p: int, star: int) -> LambdaPoint:
@@ -240,26 +243,31 @@ class TestEvaluate:
         for i, m, n in ((1, 2, 2), (2, 1, 2), (3, 2, 3)):
             cls = M([(i, i)] * m)
             x = lift_generic(cls, n, 5, 99)
-            assert evaluate_word_at_point(x, ((i, m),)) == 1
+            assert count_word(x, ((i, m),)) == 1
 
     def test_generic_semisimple_point_word_order(self):
         x = ss_point(5, star=1)
-        assert evaluate_word_at_point(x, ((2, 1), (1, 1))) == 1
-        assert evaluate_word_at_point(x, ((1, 1), (2, 1))) == 0
+        assert count_word(x, ((2, 1), (1, 1))) == 1
+        assert count_word(x, ((1, 1), (2, 1))) == 0
 
     def test_degenerate_star_point_differs(self):
         x = ss_point(5, star=0)
-        assert evaluate_word_at_point(x, ((1, 1), (2, 1))) == 1
+        assert count_word(x, ((1, 1), (2, 1))) == 1
 
     def test_weight_mismatch_rejected(self):
-        x = ss_point(5, star=1)
-        with pytest.raises(ValueError):
-            evaluate_word_at_point(x, ((1, 2), (2, 1)))
+        # by torus-fixed flags at the graded point, and by the F_p route
+        # of a fresh evaluator, which sizes its fit by word_degree_bound
+        m, w = M("1[1,1]+1[2,2]"), ((1, 2), (2, 1))
+        ev = RhoEvaluator(2)
+        assert ev.graded(m) is not None
+        for reader in (ev, ev.fresh("weight")):
+            with pytest.raises(ValueError, match="does not match"):
+                reader.chi(m, w)
 
     def test_counts_word_flags_on_interval(self):
         x = lift_generic(M("1[1,2]"), 2, 3, 7)
-        assert evaluate_word_at_point(x, ((1, 1), (2, 1))) == 1
-        assert evaluate_word_at_point(x, ((2, 1), (1, 1))) == 0
+        assert count_word(x, ((1, 1), (2, 1))) == 1
+        assert count_word(x, ((2, 1), (1, 1))) == 0
 
     def test_conjugation_invariance(self):
         # counts only see the isomorphism class of the point
@@ -286,7 +294,7 @@ class TestEvaluate:
         )
         assert star_system_holds(y)
         for w in (((2, 1), (1, 2), (2, 1)), ((1, 2), (2, 2)), ((2, 2), (1, 2))):
-            assert evaluate_word_at_point(x, w) == evaluate_word_at_point(y, w)
+            assert count_word(x, w) == count_word(y, w)
 
     def test_orbit_grouping_matches_full_walk(self):
         # the production recursion only enumerates subspaces of the part
@@ -303,7 +311,7 @@ class TestEvaluate:
                     for p in ps:
                         x = lift_generic(m, n, p, derive_seed("walk", m.text(), p))
                         for w in words:
-                            assert evaluate_word_at_point(x, w) == full_walk_count(x, w)
+                            assert count_word(x, w) == full_walk_count(x, w)
 
 
 @pytest.fixture
@@ -360,7 +368,7 @@ class TestSharedExpansions:
                     }
                 assert nilpotent._count_words(x, want) == want, (p, dims)
                 for w, count in want.items():
-                    assert evaluate_word_at_point(x, w) == count, (p, dims, w)
+                    assert count_word(x, w) == count, (p, dims, w)
 
     def test_shared_counts_equal_unshared_counts(self):
         rng = random.Random(0)
@@ -374,7 +382,7 @@ class TestSharedExpansions:
                     rng.shuffle(order)
                     got = nilpotent._count_words(x, order)
                     assert list(got) == order
-                    assert got == {w: evaluate_word_at_point(x, w) for w in words}, (m, p)
+                    assert got == {w: count_word(x, w) for w in words}, (m, p)
 
     def test_shared_counts_match_full_walk(self):
         rng = random.Random(1)
@@ -593,26 +601,29 @@ class TestRho:
         w = ((2, 1), (1, 2), (2, 1))
         m = M("1[1,2]+1[1,1]+1[2,2]")
         for seed in (0, 1234, 987654321):
-            assert RhoEvaluator(2, SampleConfig(root_seed=seed)).rho(m, w) == 1
+            assert RhoEvaluator(2, seed).rho(m, w) == 1
 
     def test_evaluator_caches_are_per_instance(self):
-        ev = RhoEvaluator(2, SampleConfig())
+        ev = RhoEvaluator(2)
         w = ((1, 2), (2, 2))
         m = M("2[1,2]")
         assert ev.rho(m, {w: 1}) == 1
         fresh = ev.fresh("again")
         assert fresh.rho(m, {w: 1}) == 1
 
-    def test_prime_pool_override_must_be_large_enough(self, primes_only):
-        cfg = SampleConfig(prime_pool=(5, 7))
-        with pytest.raises(ValueError, match="fewer than"):
-            # the degree-0 word needs a fit prime and two check primes
-            RhoEvaluator(2, cfg).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+    def test_three_primes_serve_a_degree_zero_word(self, monkeypatch, primes_only):
+        # b_w = 0 at grade (2,2), whose grade bound of 2 would want four:
+        # a fit prime and two check primes
+        counted = []
+        count_words = nilpotent._count_words
 
-    def test_three_primes_serve_a_degree_zero_word(self):
-        # b_w = 0 at grade (2,2), whose grade bound of 2 would want four
-        cfg = SampleConfig(prime_pool=(5, 7, 11))
-        assert RhoEvaluator(2, cfg).chi(M("2[1,2]"), ((1, 2), (2, 2))) == 1
+        def recorded(x, words):
+            counted.append(x.p)
+            return count_words(x, words)
+
+        monkeypatch.setattr(nilpotent, "_count_words", recorded)
+        assert RhoEvaluator(2).chi(M("2[1,2]"), ((1, 2), (2, 2))) == 1
+        assert counted == [2, 3, 5]
 
     def test_vote_stops_at_strict_majority(self, monkeypatch):
         # with no draw at dim End = q(d), all 40 draws are taken and the
@@ -627,7 +638,7 @@ class TestRho:
 
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
         monkeypatch.setattr(nilpotent, "_count_words", counted)
-        ev = RhoEvaluator(2, SampleConfig())
+        ev = RhoEvaluator(2)
         value = ev.chi(m, w)
         monkeypatch.undo()
         # the full five-sample mode at the same points and primes
@@ -635,7 +646,7 @@ class TestRho:
         for p in sorted(calls):
             points, ends = ev._draws_for(m, p, 0)
             assert len(points) == nilpotent.VOTE_SIZE == 5 and len(ends) == 40
-            votes = Counter(evaluate_word_at_point(x, w) for x in points).most_common(2)
+            votes = Counter(count_word(x, w) for x in points).most_common(2)
             assert len(votes) == 1 or votes[0][1] > votes[1][1]
             series.append((p, votes[0][0]))
         assert value == interpolate_eval_one(series, word_degree_bound(w, (2, 2))) == 1
@@ -646,7 +657,7 @@ class TestRho:
         # a count equal to p cannot fit the constant a degree-0 word allows
         monkeypatch.setattr(nilpotent, "_count_words", lambda x, words: dict.fromkeys(words, x.p))
         with pytest.raises(InterpolationError) as info:
-            RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+            RhoEvaluator(2).chi(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
         assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
         assert "degree bound 0" in text and "primes [2, 3, 5]" in text
@@ -659,7 +670,7 @@ class TestRho:
             nilpotent, "_count_words", lambda x, words: {w: next(cycle) for w in words}
         )
         with pytest.raises(ConsensusError) as info:
-            RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+            RhoEvaluator(2).chi(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
         assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
         assert "only the samples drawn" in text
@@ -706,7 +717,7 @@ class TestRho:
     def test_seed_eight_certifies_on_1221(self):
         # under the vote with only b_w + 2 primes, a non-generic count at
         # p = 5 and p = 7 fitted a constant here and the routes disagreed
-        res = transition_matrix(Quiver(4), (1, 2, 2, 1), SampleConfig(root_seed=8))
+        res = transition_matrix(Quiver(4), (1, 2, 2, 1), 8)
         assert res.routes_agree and res.delta_ok
 
 
@@ -807,12 +818,6 @@ class TestEndCertificate:
         monkeypatch.setattr(nilpotent, "_count_words", recorded)
         assert RhoEvaluator(2).chi(m, w) == 1
         assert counted == [2, 5, 7]
-        # a given pool must then hold enough primes that can be read
-        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
-        with pytest.raises(ConsensusError, match="fewer than 3 primes at which Z"):
-            RhoEvaluator(2, SampleConfig(prime_pool=(2, 3, 5, 7))).chi(m, w)
-        wider = SampleConfig(prime_pool=(2, 3, 5, 7, 11))
-        assert RhoEvaluator(2, wider).chi(m, w) == 1
 
     def test_voted_only_from_the_vote_primes(self, monkeypatch, primes_only):
         # a pass-over at p = 2 or 3 reads nothing, so it leaves the label
@@ -839,7 +844,7 @@ class TestEndCertificate:
 
     def test_vote_logged_once_per_component_and_prime(self, monkeypatch, caplog):
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
-        ev = RhoEvaluator(2, SampleConfig())
+        ev = RhoEvaluator(2)
         with caplog.at_level(logging.WARNING, logger="semibasis.nilpotent"):
             for salt in range(3):
                 for p in (5, 7):
@@ -878,7 +883,7 @@ class TestEndCertificate:
             nilpotent, "_count_words", lambda x, words: {w: next(cycle) for w in words}
         )
         with pytest.raises(ConsensusError) as info:
-            RhoEvaluator(2, SampleConfig()).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+            RhoEvaluator(2).chi(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
         assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
         assert "dim End = q(d) = 4" in text
@@ -935,8 +940,8 @@ class TestDegreeBound:
         # matching flag_degree_bound((2,)) = 1
         for p in (2, 3, 5):
             x = lift_generic(M("2[1,1]"), 1, p, 3)
-            assert evaluate_word_at_point(x, ((1, 1), (1, 1))) == p + 1
-            assert evaluate_word_at_point(x, ((1, 2),)) == 1
+            assert count_word(x, ((1, 1), (1, 1))) == p + 1
+            assert count_word(x, ((1, 2),)) == 1
         assert flag_degree_bound((2,)) == 1
         assert word_degree_bound(((1, 1), (1, 1)), (2,)) == 1
         assert word_degree_bound(((1, 2),), (2,)) == 0

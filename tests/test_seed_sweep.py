@@ -18,7 +18,7 @@ import logging
 
 import pytest
 
-from semibasis import Quiver, RhoEvaluator, SampleConfig, transition_matrix
+from semibasis import Quiver, RhoEvaluator, transition_matrix
 from semibasis.nilpotent import derive_seed
 
 FAILED_UNDER_VOTE = {
@@ -49,7 +49,7 @@ def test_seeds_certify_with_one_matrix(d, certified):
     for seed in FAILED_UNDER_VOTE[d]:
         if seed == 0:
             continue
-        res = transition_matrix(Quiver(len(d)), d, SampleConfig(root_seed=seed))
+        res = transition_matrix(Quiver(len(d)), d, seed)
         assert res.routes_agree and res.delta_ok
         assert res.classes == reference.classes
         assert res.matrix == reference.matrix, seed
@@ -77,13 +77,13 @@ def test_flag_deep_seeds_give_one_matrix(d, certified, monkeypatch):
     draws_for = RhoEvaluator._draws_for
 
     def recorded(self, label, p, salt):
-        roots.append(self.config.root_seed)
+        roots.append(self.root_seed)
         return draws_for(self, label, p, salt)
 
     monkeypatch.setattr(RhoEvaluator, "_draws_for", recorded)
     for seed in range(20):
         roots.clear()
-        res = transition_matrix(Quiver(len(d)), d, SampleConfig(root_seed=seed))
+        res = transition_matrix(Quiver(len(d)), d, seed)
         assert res.routes_agree and res.delta_ok
         assert res.classes == reference.classes
         assert res.matrix == reference.matrix, seed

@@ -18,7 +18,6 @@ from semibasis import (
     PBWVector,
     Quiver,
     RhoEvaluator,
-    SampleConfig,
     enumerate_multisegments,
     deg_leq,
     pbw_to_words,
@@ -517,21 +516,30 @@ class TestCertifiedTransition:
         again = transition_matrix(Q2, (2, 2)).to_payload()
         assert again == payload
 
-    @pytest.mark.parametrize("d", [(3, 3), (2, 3, 1), (2, 2, 2)])
-    def test_default_pool_and_pool_from_five_agree(self, certified, d):
+    @pytest.mark.parametrize("d", [(3, 3), (2, 3, 1), (2, 2, 2), (1, 2, 2, 1)])
+    def test_default_pool_and_pool_from_five_agree(self, certified, d, monkeypatch):
         # a point with dim End = q(d) is exactly generic over every F_p,
-        # so the default pool from 2 and the pool from 5 certify the same
-        # matrices
+        # so the default pool from 2 and a pool from 5 certify the same
+        # payload; only the primes it reports differ.  Both the counts
+        # and interpolation_primes read nilpotent.prime_pool
         res = certified(len(d), d)
         used = len(res.interpolation_primes)
         assert res.interpolation_primes == primes(used)
-        other = transition_matrix(
-            Quiver(len(d)), d, SampleConfig(prime_pool=primes(used + 3, 5))
-        )
+        drawn = set()
+        draws_for = RhoEvaluator._draws_for
+
+        def recorded(self, label, p, salt):
+            drawn.add(p)
+            return draws_for(self, label, p, salt)
+
+        monkeypatch.setattr(RhoEvaluator, "_draws_for", recorded)
+        monkeypatch.setattr(nilpotent, "prime_pool", lambda: iter(primes(100, 5)))
+        other = transition_matrix(Quiver(len(d)), d)
+        assert min(drawn) == 5
         assert other.interpolation_primes == primes(used, 5)
-        assert other.classes == res.classes
-        assert other.matrix == res.matrix
-        assert other.evaluation == res.evaluation
+        payload, other_payload = res.to_payload(), other.to_payload()
+        del payload["interpolation_primes"], other_payload["interpolation_primes"]
+        assert other_payload == payload
 
     def test_matrix_is_integral_here(self, certified):
         for d in ((1, 1), (1, 2), (2, 2)):
@@ -566,6 +574,6 @@ class TestCertifiedTransition:
 
     def test_custom_seed_same_matrix(self):
         base = transition_matrix(Q2, (1, 2))
-        other = transition_matrix(Q2, (1, 2), SampleConfig(root_seed=314159))
+        other = transition_matrix(Q2, (1, 2), 314159)
         assert base.matrix == other.matrix
         assert other.root_seed == 314159

@@ -16,6 +16,7 @@ import re
 import pytest
 
 from semibasis import (
+    InternalCheckError,
     InterpolationError,
     Multisegment,
     Quiver,
@@ -90,11 +91,15 @@ class TestGradedPoint:
         assert torus._separated(straight)
 
     def test_relations_must_hold_over_z(self, monkeypatch):
-        # 1[1,2]+1[2,2]: the star column of the segment [1,2] must vanish
+        # 1[1,2]+1[2,2]: the star column of the segment [1,2] must vanish.
+        # _candidates checks every relation over Z, so a candidate that
+        # breaks one is a fault of the search, raised, not passed over
         m = M("1[1,2]+1[2,2]")
+        assert (((1, 0),),) not in list(torus._candidates(realize(m, 2)))
         planted(monkeypatch, (((1, 0),),))
         monkeypatch.setattr(nilpotent, "_end_dim", tits_form)
-        assert torus.graded_point(m, 2) is None
+        with pytest.raises(InternalCheckError, match="preprojective relation fails"):
+            torus.graded_point(m, 2)
 
     def test_first_accepted_candidate_is_returned(self, monkeypatch):
         zero, merged, swap = (((0, 0), (0, 0)),), (((1, 1), (0, 0)),), (((0, 1), (-1, 0)),)
