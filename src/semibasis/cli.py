@@ -54,6 +54,7 @@ from .quiver import (
     total_generic_flag,
 )
 from .semican import transition_matrix
+from .torus import GRADED_PRIME
 
 __all__ = ["main"]
 
@@ -227,6 +228,10 @@ def _cmd_flag(args) -> int:
 
 def _cmd_hall(args) -> int:
     m, n = _module_arg(args)
+    # is_prime divides by trial, which up to GRADED_PRIME, the largest
+    # prime the package reads itself, takes milliseconds
+    if args.prime > GRADED_PRIME:
+        raise ParseError(f"--prime must be at most {GRADED_PRIME}, got {args.prime}")
     if not is_prime(args.prime):
         raise ParseError(f"--prime must be a prime, got {args.prime}")
     if args.size < 0:

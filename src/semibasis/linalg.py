@@ -15,22 +15,18 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm, prod
+from math import isqrt, lcm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InterpolationError
 
 __all__ = [
     "is_prime",
-    "primes",
     "gaussian_binomial",
     "rref_ff",
     "rank_ff",
     "kernel_basis_ff",
-    "solve_ff",
-    "solve_affine_ff",
     "matmul_ff",
-    "mat_inverse_ff",
     "subspaces_ff",
     "complete_basis_ff",
     "row_space_basis_ff",
@@ -46,18 +42,7 @@ Vector = tuple[int, ...]
 
 
 def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
-
-
-def primes(count: int, start: int = 2) -> tuple[int, ...]:
-    """The first `count` primes that are >= start."""
-    out: list[int] = []
-    cand = max(2, start)
-    while len(out) < count:
-        if is_prime(cand):
-            out.append(cand)
-        cand += 1
-    return tuple(out)
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
 def gaussian_binomial(t: int, k: int, q: int) -> int:
@@ -140,47 +125,16 @@ def kernel_basis_ff(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[V
     return basis
 
 
-def solve_ff(rows: Sequence[Sequence[int]], b: Sequence[int], ncols: int, p: int) -> Vector | None:
-    """One solution of A x = b, or None when the system is inconsistent."""
-    if not rows:
-        return tuple([0] * ncols)
-    aug = [list(row) + [bi] for row, bi in zip(rows, b)]
-    red, pivots = rref_ff(aug, p)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    return tuple(x)
-
-
-def solve_affine_ff(
-    rows: Sequence[Sequence[int]],
-    b: Sequence[int],
-    ncols: int,
-    p: int,
-    rng: random.Random,
-) -> Vector | None:
-    """A random point of the solution space of A x = b, or None.
-
-    The point is a particular solution plus a uniformly random combination
-    of a kernel basis, so repeated calls sample the affine solution space.
-    """
-    part = solve_ff(rows, b, ncols, p)
-    if part is None:
-        return None
-    return random_span_point_ff(part, kernel_basis_ff(rows, ncols, p), p, rng)
-
-
 def random_span_point_ff(
-    base: Sequence[int], basis: Sequence[Sequence[int]], p: int, rng: random.Random
+    basis: Sequence[Sequence[int]], width: int, p: int, rng: random.Random
 ) -> Vector:
-    """base plus a uniformly random combination of basis, mod p.
+    """A uniformly random combination mod p of basis, whose vectors have
+    length width; the zero vector of that length when basis is empty.
 
     One coefficient is drawn from rng per basis vector, in order, so a
-    caller holding the basis draws the same points as solve_affine_ff.
+    seeded rng draws the same point every time.
     """
-    x = list(base)
+    x = [0] * width
     for vec in basis:
         c = rng.randrange(p)
         if c:
@@ -211,16 +165,6 @@ def matmul_ff(
                 acc = [u + x * y for u, y in zip(acc, b_row)]
         out.append(tuple(u % p for u in acc))
     return tuple(out)
-
-
-def mat_inverse_ff(rows: Sequence[Sequence[int]], p: int) -> Matrix:
-    """Inverse of a square matrix mod p (raises on a singular input)."""
-    n = len(rows)
-    aug = [list(row) + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(rows)]
-    red, pivots = rref_ff(aug, p)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(red[i][n:]) for i in range(n))
 
 
 def row_space_basis_ff(rows: Sequence[Sequence[int]], p: int) -> list[Vector]:

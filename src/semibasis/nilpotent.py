@@ -212,14 +212,14 @@ def lift_generic(
 
     The arrow part is realize(m, n); the stars solve the preprojective
     relations, which are linear in them, with a seed-determined random
-    element of the solution space, drawn as solve_affine_ff draws it.
+    combination of a kernel basis of the relations (random_span_point_ff).
     space, when given, is _star_space(m, n, p), solved once by a caller
     that lifts many seeds; the point is the same either way.  The
     relations are re-checked exactly before the point is returned.
     """
     rep, shapes, kernel = space or _star_space(m, n, p)
     unknowns = sum(r * c for r, c in shapes)
-    flat = random_span_point_ff((0,) * unknowns, kernel, p, random.Random(seed))
+    flat = random_span_point_ff(kernel, unknowns, p, random.Random(seed))
     stars: list[Matrix] = []
     pos = 0
     for r, c in shapes:

@@ -197,35 +197,13 @@ def transition_via_inversion(
     return classes, a_mat, e_mat
 
 
-@dataclass(frozen=True)
-class DeltaReport:
-    """Every element of a grade evaluated at every component.
-
-    Row K holds rho_K(f_M) over the elements f_M.  A component the
-    construction read at no vote (RhoEvaluator.voted is False: every prime
-    it read had a draw at dim End = q(d), and a graded component read
-    none) takes its row from the construction's counts.  Its diagonal
-    entry, when that reads 1, is recounted by the F_p route at fresh
-    seeds, fitted at a graded component to the tangent bounds of
-    torus.tangent_bounds (see RhoEvaluator.chi); if those draws vote at
-    some prime from 5 up, the row is recounted in full at fresh seeds,
-    as is every row read at a vote.  ok iff the matrix is exactly the
-    identity.
-    """
-
-    classes: tuple[Multisegment, ...]
-    matrix: Matrix
-
-    @property
-    def ok(self) -> bool:
-        return self.matrix == identity_exact(len(self.classes))
-
-
 def _delta_report(
     basis: SemicanBasis,
     classes: tuple[Multisegment, ...],
     elements: Mapping[Multisegment, SemicanElement],
-) -> DeltaReport:
+) -> Matrix:
+    # row K holds rho_K(f_M) over the elements f_M, by the rule of the
+    # module docstring
     ev = basis.evaluator
     fresh = ev.fresh("verify-delta")
     rows = []
@@ -253,7 +231,7 @@ def _delta_report(
         len(recounted),
         "".join(f"; Z({cls}): {why}" for cls, why in recounted.items()),
     )
-    return DeltaReport(classes, tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -266,7 +244,7 @@ class CertifiedTransition:
     matrix: Matrix
     recursion_matrix: Matrix
     evaluation: Matrix
-    delta: DeltaReport
+    delta: Matrix
     root_seed: int
     interpolation_primes: tuple[int, ...]
     elapsed: float
@@ -277,7 +255,7 @@ class CertifiedTransition:
 
     @property
     def delta_ok(self) -> bool:
-        return self.delta.ok
+        return self.delta == identity_exact(len(self.classes))
 
     def to_payload(self) -> dict:
         """Report as plain data; deliberately excludes timing so equal
@@ -302,13 +280,13 @@ def transition_matrix(
     """Both routes, the delta-check, and the certified result for grade d.
 
     Raises RouteDisagreementError if the recursion and the inversion
-    differ anywhere, DeltaCheckError if the delta-check (see DeltaReport)
-    is not the identity, CertificationError on an order violation.  The
-    delta-check reads every component read at no vote from the counts
-    both routes shared, and re-verifies at fresh seeds, by the F_p route,
-    that its diagonal entry is 1; a row whose fresh draws vote is
-    recounted in full.  How many of the grade's components have a graded
-    point is logged once, at INFO.
+    differ anywhere, DeltaCheckError if the delta-check is not the
+    identity, CertificationError on an order violation.  The delta-check
+    reads every component read at no vote from the counts both routes
+    shared, and re-verifies at fresh seeds, by the F_p route, that its
+    diagonal entry is 1; a row whose fresh draws vote is recounted in
+    full.  How many of the grade's components have a graded point is
+    logged once, at INFO.
     """
     started = time.perf_counter()
     d = tuple(d)
@@ -330,10 +308,8 @@ def transition_matrix(
             "inversion and recursion disagree at " + "; ".join(diffs[:5])
         )
     delta = _delta_report(basis, classes, elements)
-    if not delta.ok:
-        raise DeltaCheckError(
-            f"delta-check of grade {d} is not the identity: {delta.matrix}"
-        )
+    if delta != identity_exact(len(classes)):
+        raise DeltaCheckError(f"delta-check of grade {d} is not the identity: {delta}")
     # the most primes any word of the grade reads
     pool = itertools.islice(nilpotent.prime_pool(), flag_degree_bound(d) + 2)
     return CertifiedTransition(

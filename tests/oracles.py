@@ -5,13 +5,16 @@ take: brute-force enumeration where the library uses a formula, literal
 matrix ranks where the library uses segment combinatorics, a full scan
 of the target grade where the library generates candidates.  Agreement
 between the two routes is the point; none of this code is imported by
-the package itself.
+the package itself.  The helpers at the top (primes, solve_ff,
+mat_inverse_ff) serve these oracles and the tests; the package runs none
+of them.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
 
@@ -20,14 +23,13 @@ from semibasis.linalg import (
     complete_basis_ff,
     gaussian_binomial,
     interpolate_eval_one,
+    is_prime,
     kernel_basis_ff,
-    mat_inverse_ff,
     matmul_ff,
-    primes,
     rank_exact,
     rank_ff,
+    rref_ff,
     row_space_basis_ff,
-    solve_ff,
     subspaces_ff,
 )
 from semibasis import nilpotent
@@ -35,6 +37,44 @@ from semibasis.errors import ConsensusError, InterpolationError
 from semibasis.hall import PBWVector
 from semibasis.nilpotent import RETRY_BUDGET, LambdaPoint, RhoEvaluator
 from semibasis.quiver import Multisegment, Quiver, Segment, enumerate_multisegments, t_top
+
+
+def primes(count: int, start: int = 2) -> tuple[int, ...]:
+    """The first `count` primes that are >= start, by trial division
+    (nilpotent.prime_pool is the package's own pool, from 2)."""
+    out: list[int] = []
+    cand = max(2, start)
+    while len(out) < count:
+        if is_prime(cand):
+            out.append(cand)
+        cand += 1
+    return tuple(out)
+
+
+def solve_ff(
+    rows: Sequence[Sequence[int]], b: Sequence[int], ncols: int, p: int
+) -> tuple[int, ...] | None:
+    """One solution of A x = b, or None when the system is inconsistent."""
+    if not rows:
+        return tuple([0] * ncols)
+    aug = [list(row) + [bi] for row, bi in zip(rows, b)]
+    red, pivots = rref_ff(aug, p)
+    if ncols in pivots:
+        return None
+    x = [0] * ncols
+    for r, c in enumerate(pivots):
+        x[c] = red[r][ncols]
+    return tuple(x)
+
+
+def mat_inverse_ff(rows: Sequence[Sequence[int]], p: int) -> tuple[tuple[int, ...], ...]:
+    """Inverse of a square matrix mod p (raises on a singular input)."""
+    n = len(rows)
+    aug = [list(row) + [1 if j == i else 0 for j in range(n)] for i, row in enumerate(rows)]
+    red, pivots = rref_ff(aug, p)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(red[i][n:]) for i in range(n))
 
 
 def brute_multisegments(n: int, d: tuple[int, ...]) -> set[Multisegment]:

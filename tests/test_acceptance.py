@@ -110,9 +110,9 @@ def test_02_unitriangular_support(certified):
 def test_03_delta_identity():
     failures = []
     for n, d in acceptance_grades():
-        report = transition_matrix(Quiver(n), d, root_seed=271828).delta
-        if not report.ok:
-            failures.append(f"n={n} d={d} matrix {report.matrix}")
+        res = transition_matrix(Quiver(n), d, root_seed=271828)
+        if not res.delta_ok:
+            failures.append(f"n={n} d={d} matrix {res.delta}")
     _finish(3, "delta property with fresh seeds", failures)
 
 

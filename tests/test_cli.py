@@ -142,7 +142,18 @@ def test_bad_sampling_input_exits_10(capsys, argv, bad):
 
 @pytest.mark.parametrize(
     "flag, bad",
-    [("--prime", "1"), ("--prime", "0"), ("--prime", "6"), ("--size", "-1"), ("--vertex", "3")],
+    [
+        ("--prime", "1"),
+        ("--prime", "0"),
+        ("--prime", "6"),
+        ("--size", "-1"),
+        ("--vertex", "3"),
+        # above 2^31 - 1, rejected before any primality test, so a prime
+        # of 21 digits and a value of 401 digits fail at once
+        ("--prime", "2147483648"),
+        ("--prime", "100000000000000000039"),
+        pytest.param("--prime", str(10**400 + 1), id="--prime-401-digits"),
+    ],
 )
 def test_bad_hall_input_exits_10(capsys, flag, bad):
     args = {"--module": "2[1,1]+2[2,2]", "--vertex": "1", "--size": "1", "--prime": "3"}
@@ -202,6 +213,24 @@ class TestInspect:
         payload = json.loads(out)
         assert payload["counts"] == {"1[1,1]+2[2,2]": 4}
         assert payload["total"] == 4
+
+    def test_hall_counts_at_the_largest_prime(self, capsys):
+        # 2^31 - 1, the largest prime the package reads, is accepted
+        code, out, _ = run(
+            capsys,
+            "inspect",
+            "hall",
+            "--module",
+            "1[1,1]",
+            "--vertex",
+            "1",
+            "--size",
+            "1",
+            "--prime",
+            "2147483647",
+        )
+        assert code == 0
+        assert out == "0: 1\ntotal: 1\n"
 
     def test_t_top_and_component(self, capsys):
         code, out, _ = run(

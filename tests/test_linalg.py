@@ -1,31 +1,33 @@
 """Finite-field and exact rational linear algebra."""
 
+import ast
 import random
 from fractions import Fraction
+from math import isqrt
+from pathlib import Path
 
 import pytest
 
 import oracles
-from semibasis import InterpolationError
+from oracles import mat_inverse_ff, primes, solve_ff
+from semibasis import InterpolationError, linalg
 from semibasis.linalg import (
     complete_basis_ff,
     gaussian_binomial,
     identity_exact,
     interpolate_eval_one,
     invert_unitriangular,
+    is_prime,
     kernel_basis_ff,
-    mat_inverse_ff,
     matmul_exact,
     matmul_ff,
-    primes,
     rank_exact,
     rank_ff,
     row_space_basis_ff,
     rref_ff,
-    solve_affine_ff,
-    solve_ff,
     subspaces_ff,
 )
+from semibasis.nilpotent import prime_pool
 
 
 def random_matrix(rng, rows, cols, p):
@@ -34,9 +36,25 @@ def random_matrix(rng, rows, cols, p):
 
 class TestPrimes:
     def test_first_few(self):
+        pool = prime_pool()
+        assert [next(pool) for _ in range(10)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert primes(5) == (2, 3, 5, 7, 11)
         assert primes(3, start=5) == (5, 7, 11)
         assert primes(0) == ()
+
+    def test_is_prime_matches_a_sieve(self):
+        bound = 10**4
+        sieve = [False, False] + [True] * (bound - 1)
+        for k in range(2, isqrt(bound) + 1):
+            if sieve[k]:
+                sieve[k * k :: k] = [False] * len(sieve[k * k :: k])
+        assert [k for k in range(-3, bound + 1) if is_prime(k)] == [
+            k for k in range(bound + 1) if sieve[k]
+        ]
+
+    def test_is_prime_at_the_graded_prime(self):
+        assert is_prime(2**31 - 1)
+        assert not is_prime(2**31 + 1)
 
 
 class TestGaussianBinomial:
@@ -103,27 +121,6 @@ class TestSolve:
             assert got is not None
             for row, bi in zip(a, b):
                 assert sum(r * x for r, x in zip(row, got)) % p == bi
-
-    def test_affine_samples_satisfy_and_vary(self):
-        a = [[1, 1]]
-        b = [1]
-        seen = set()
-        for seed in range(20):
-            x = solve_affine_ff(a, b, 2, 5, random.Random(seed))
-            assert x is not None
-            assert (x[0] + x[1]) % 5 == 1
-            seen.add(x)
-        assert len(seen) > 1  # the kernel direction is actually explored
-
-    def test_affine_reproducible(self):
-        a = [[0, 0, 0]]
-        b = [0]
-        one = solve_affine_ff(a, b, 3, 7, random.Random(123))
-        two = solve_affine_ff(a, b, 3, 7, random.Random(123))
-        assert one == two
-
-    def test_affine_inconsistent(self):
-        assert solve_affine_ff([[0]], [1], 1, 2, random.Random(0)) is None
 
 
 class TestKernelAndBases:
@@ -400,3 +397,19 @@ class TestSparseMatchesDense:
         assert matmul_ff([[], []], [], 5, bcols=3) == ((0, 0, 0), (0, 0, 0))
         with pytest.raises(ValueError):
             matmul_ff([[1]], [], 5)
+
+
+def test_every_exported_name_is_imported_by_the_package():
+    # linalg keeps only what the package runs: each name it exports is
+    # imported, by a `from ... import` statement, in another module
+    imported = set()
+    for path in Path(linalg.__file__).parent.glob("*.py"):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                (node.level == 1 and node.module == "linalg")
+                or (node.level == 0 and node.module == "semibasis.linalg")
+            ):
+                imported.update(alias.name for alias in node.names)
+    assert sorted(set(linalg.__all__) - imported) == []

@@ -10,7 +10,6 @@ import oracles
 from semibasis import nilpotent, semican, torus
 from semibasis.cli import main
 from semibasis.errors import CertificationError, DeltaCheckError
-from semibasis.linalg import primes
 from semibasis.quiver import euler_form, flag_vertex, t_component
 from semibasis.semican import SemicanBasis, SemicanElement
 from semibasis import (
@@ -194,15 +193,15 @@ class TestRecursionRoute:
 class TestDelta:
     def test_identity_on_small_grades(self):
         for d in ((1, 1), (2, 2), (2, 0), (0, 2)):
-            report = transition_matrix(Q2, d).delta
-            assert report.ok
-            k = len(report.classes)
-            assert report.matrix == tuple(
+            res = transition_matrix(Q2, d)
+            assert res.delta_ok
+            k = len(res.classes)
+            assert res.delta == tuple(
                 tuple(1 if r == c else 0 for c in range(k)) for r in range(k)
             )
 
     def test_unit_cube(self):
-        assert transition_matrix(Q3, (1, 1, 1)).delta.ok
+        assert transition_matrix(Q3, (1, 1, 1)).delta_ok
 
 
 @pytest.fixture
@@ -417,7 +416,7 @@ class TestDeltaCheck:
         with caplog.at_level(logging.INFO, logger="semibasis.semican"):
             res = transition_matrix(Q2, (2, 2))
         assert res.delta_ok
-        assert tuple(rows[k] for k in res.classes) == res.delta.matrix
+        assert tuple(rows[k] for k in res.classes) == res.delta
         basis = SemicanBasis(Q2)
         [fresh] = fresh_evaluators
         assert set(fresh._chi) == pairs(res.classes, lambda k: basis.element(k).words)
@@ -524,7 +523,7 @@ class TestCertifiedTransition:
         # and interpolation_primes read nilpotent.prime_pool
         res = certified(len(d), d)
         used = len(res.interpolation_primes)
-        assert res.interpolation_primes == primes(used)
+        assert res.interpolation_primes == oracles.primes(used)
         drawn = set()
         draws_for = RhoEvaluator._draws_for
 
@@ -533,10 +532,10 @@ class TestCertifiedTransition:
             return draws_for(self, label, p, salt)
 
         monkeypatch.setattr(RhoEvaluator, "_draws_for", recorded)
-        monkeypatch.setattr(nilpotent, "prime_pool", lambda: iter(primes(100, 5)))
+        monkeypatch.setattr(nilpotent, "prime_pool", lambda: iter(oracles.primes(100, 5)))
         other = transition_matrix(Quiver(len(d)), d)
         assert min(drawn) == 5
-        assert other.interpolation_primes == primes(used, 5)
+        assert other.interpolation_primes == oracles.primes(used, 5)
         payload, other_payload = res.to_payload(), other.to_payload()
         del payload["interpolation_primes"], other_payload["interpolation_primes"]
         assert other_payload == payload
@@ -552,7 +551,7 @@ class TestCertifiedTransition:
     def test_every_coefficient_is_an_int(self, certified, d):
         quiver = Quiver(len(d))
         res = certified(len(d), d)
-        for mat in (res.matrix, res.recursion_matrix, res.evaluation, res.delta.matrix):
+        for mat in (res.matrix, res.recursion_matrix, res.evaluation, res.delta):
             assert all(type(x) is int for row in mat for x in row)
         combos = pbw_to_words(quiver, d)
         ev = RhoEvaluator(quiver.n)
