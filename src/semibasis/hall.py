@@ -42,7 +42,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InternalCheckError
-from .linalg import gaussian_binomial, invert_unitriangular, matmul_ff, rank_exact, rank_ff
+from .linalg import (
+    gaussian_binomial,
+    invert_unitriangular,
+    matmul_ff,
+    matrix_equation_rows,
+    rank_exact,
+    rank_ff,
+)
 from .quiver import (
     Multisegment,
     Quiver,
@@ -114,42 +121,20 @@ def realize(m: Multisegment, n: int) -> Rep:
 
 def hom_rank(m: Multisegment, w: Multisegment, n: int) -> int:
     """dim Hom(M, W) as the solution-space dimension of the intertwiner
-    system phi_{v+1} x^M_v = x^W_v phi_v between the canonical
+    system phi_{v+1} x^M_v - x^W_v phi_v = 0 between the canonical
     realizations, solved exactly over Q.
 
     An oracle for quiver.hom_dim, which takes the segment formula.
     """
     src = realize(m, n)
     dst = realize(w, n)
-    cols = sum(a * b for a, b in zip(src.dims, dst.dims))
-    if cols == 0:
-        return 0
-    offsets = [0]
-    for a, b in zip(src.dims, dst.dims):
-        offsets.append(offsets[-1] + a * b)
-
-    def slot(v: int, r: int, c: int) -> int:
-        # entry (r, c) of phi_v, shape dst.dims[v-1] x src.dims[v-1]
-        return offsets[v - 1] + r * src.dims[v - 1] + c
-
-    rows = []
-    for v in range(1, n):
-        a_src = src.maps[v - 1]
-        a_dst = dst.maps[v - 1]
-        for r in range(dst.dims[v]):
-            for c in range(src.dims[v - 1]):
-                row = [0] * cols
-                # (phi_{v+1} a^M)[r][c]
-                for k in range(src.dims[v]):
-                    if a_src[k][c]:
-                        row[slot(v + 1, r, k)] += a_src[k][c]
-                # -(a^N phi_v)[r][c]
-                for k in range(dst.dims[v - 1]):
-                    if a_dst[r][k]:
-                        row[slot(v, k, c)] -= a_dst[r][k]
-                if any(row):
-                    rows.append(tuple(row))
-    return cols - rank_exact(rows)
+    # phi_v : M_v -> W_v
+    equations = [
+        (dst.dims[v + 1], src.dims[v], ((v + 1, x_m, 1),), ((v, x_w, -1),))
+        for v, (x_m, x_w) in enumerate(zip(src.maps, dst.maps))
+    ]
+    rows, unknowns = matrix_equation_rows(list(zip(dst.dims, src.dims)), equations)
+    return unknowns - rank_exact(rows)
 
 
 def _path_ranks(rep: Rep, p: int) -> dict[tuple[int, int], int]:

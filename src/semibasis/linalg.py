@@ -2,10 +2,13 @@
 
 Everything here is elementary and exact: Gaussian elimination mod p,
 echelon enumeration of subspaces, back substitution for unitriangular
-integer matrices, and Lagrange interpolation.  Every coefficient the
-package computes is an integer; this is the one module that touches
-Fraction, inside rank_exact and the interpolation fit, and both hand back
-ints.  Matrices are tuples (or lists) of row tuples; functions that must
+integer matrices, and Lagrange interpolation.  The linear systems in
+unknown matrices that the package solves (the preprojective relations,
+End of a point, Hom between representations) are all written down by
+one builder, matrix_equation_rows.  Every coefficient the package
+computes is an integer; this is the one module that touches Fraction,
+inside rank_exact and the interpolation fit, and both hand back ints.
+Matrices are tuples (or lists) of row tuples; functions that must
 cope with a matrix that has no rows take the column count explicitly,
 because a 0 x c matrix carries no shape information of its own.
 """
@@ -23,6 +26,7 @@ from .errors import InterpolationError
 __all__ = [
     "is_prime",
     "gaussian_binomial",
+    "matrix_equation_rows",
     "rref_ff",
     "rank_ff",
     "kernel_basis_ff",
@@ -56,6 +60,59 @@ def gaussian_binomial(t: int, k: int, q: int) -> int:
         den *= q**j - 1
     assert num % den == 0
     return num // den
+
+
+def matrix_equation_rows(
+    shapes: Sequence[tuple[int, int]],
+    equations: Sequence[tuple[int, int, Sequence[tuple], Sequence[tuple]]],
+) -> tuple[list[list[int]], int]:
+    """The linear system of matrix equations in unknown matrices X_k.
+
+    X_k has shape shapes[k], and the unknowns are the entries of X_0,
+    X_1, ... in row-major order.  Each equation (rows, cols, right, left)
+    asks that the rows x cols matrix  sum s X_k f + sum s g X_k  vanish,
+    where right holds its terms (k, f, s), X_k f, and left its terms
+    (k, g, s), g X_k, with signs s.  Returns one row per entry of each
+    equation, in order, those that are identically zero left out, and
+    the number of unknowns.  The commutant of a nilpotent Jordan block
+    J, the solutions of X J - J X = 0, has dimension 2:
+
+    >>> J = ((0, 1), (0, 0))
+    >>> rows, unknowns = matrix_equation_rows([(2, 2)], [(2, 2, [(0, J, 1)], [(0, J, -1)])])
+    >>> rows
+    [[0, 0, -1, 0], [1, 0, 0, -1], [0, 0, 1, 0]]
+    >>> unknowns - rank_exact(rows)
+    2
+
+    Each term reads its coefficient matrix once, and only the nonzero
+    coefficients touch the rows.
+    """
+    offsets = [0]
+    for r, c in shapes:
+        offsets.append(offsets[-1] + r * c)
+    # entry (r, c) of an equation is row at + r ncols + c, with `at` its
+    # first row; X_k[i][j] is unknown offsets[k] + i w + j, w its width
+    rows = [[0] * offsets[-1] for _ in range(sum(r * c for r, c, _, _ in equations))]
+    at = 0
+    for nrows, ncols, right, left in equations:
+        for k, f, s in right:
+            # f[j][c] weighs X_k[r][j] in (X_k f)[r][c]
+            o, w = offsets[k], shapes[k][1]
+            for j, f_j in enumerate(f):
+                for c, x in enumerate(f_j):
+                    if x:
+                        for r in range(nrows):
+                            rows[at + r * ncols + c][o + r * w + j] += s * x
+        for k, g, s in left:
+            # g[r][j] weighs X_k[j][c] in (g X_k)[r][c]
+            o, w = offsets[k], shapes[k][1]
+            for r, g_r in enumerate(g):
+                for j, x in enumerate(g_r):
+                    if x:
+                        for c in range(ncols):
+                            rows[at + r * ncols + c][o + j * w + c] += s * x
+        at += nrows * ncols
+    return list(filter(any, rows)), offsets[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,7 @@ from .linalg import (
     is_prime,
     kernel_basis_ff,
     matmul_ff,
+    matrix_equation_rows,
     random_span_point_ff,
     rank_ff,
     row_space_basis_ff,
@@ -160,41 +161,13 @@ class LambdaPoint:
 
 
 def _relation_rows(rep: Rep) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    # the preprojective relations as a linear system in the star entries;
-    # unknowns are the entries of s_1, ..., s_{n-1} in row-major order
-    n = rep.n
-    dims = rep.dims
-    shapes = [(dims[v - 1], dims[v]) for v in range(1, n)]
-    offsets = [0]
-    for rows_, cols_ in shapes:
-        offsets.append(offsets[-1] + rows_ * cols_)
-    unknowns = offsets[-1]
-
-    def star_slot(v: int, r: int, c: int) -> int:
-        # entry (r, c) of s_v, shape d_v x d_{v+1}
-        return offsets[v - 1] + r * shapes[v - 1][1] + c
-
-    rows: list[list[int]] = []
-    for i in range(1, n + 1):
-        di = dims[i - 1]
-        for r in range(di):
-            for c in range(di):
-                row = [0] * unknowns
-                if i >= 2:
-                    # (a_{i-1} @ s_{i-1})[r][c]
-                    a_prev = rep.maps[i - 2]
-                    for k in range(dims[i - 2]):
-                        if a_prev[r][k]:
-                            row[star_slot(i - 1, k, c)] += a_prev[r][k]
-                if i <= n - 1:
-                    # (s_i @ a_i)[r][c]
-                    a_next = rep.maps[i - 1]
-                    for k in range(dims[i]):
-                        if a_next[k][c]:
-                            row[star_slot(i, r, k)] += a_next[k][c]
-                if any(row):
-                    rows.append(row)
-    return rows, shapes
+    # a_{i-1} s_{i-1} + s_i a_i = 0 at every vertex i, linear in the stars
+    # s_i : V_{i+1} -> V_i; returns its rows and the shapes of the s_i
+    shapes = list(zip(rep.dims, rep.dims[1:]))
+    # s_i a_i is absent at i = n, and a_{i-1} s_{i-1} at i = 1
+    terms = [((k, a, 1),) for k, a in enumerate(rep.maps)]
+    equations = list(zip(rep.dims, rep.dims, terms + [()], [()] + terms))
+    return matrix_equation_rows(shapes, equations)[0], shapes
 
 
 def _star_space(m: Multisegment, n: int, p: int) -> tuple[Rep, list[tuple[int, int]], list]:
@@ -233,30 +206,11 @@ def lift_generic(
 
 
 def _end_dim(x: LambdaPoint) -> int:
-    # dim End(x) over F_p: the families phi_v in End(V_v) with
-    # phi_v f = f phi_u for every map f : V_u -> V_v of the double quiver;
-    # unknowns are the entries of phi_1, ..., phi_n in row-major order
-    dims = x.dims
-    offsets = [0]
-    for dv in dims:
-        offsets.append(offsets[-1] + dv * dv)
-    unknowns = offsets[-1]
-    rows: list[list[int]] = []
-    for u, v, f in x.maps():
-        du, dv = dims[u - 1], dims[v - 1]
-        ou, ov = offsets[u - 1], offsets[v - 1]
-        for r in range(dv):
-            for c in range(du):
-                # (phi_v f - f phi_u)[r][c]
-                row = [0] * unknowns
-                for k in range(dv):
-                    if f[k][c]:
-                        row[ov + r * dv + k] += f[k][c]
-                for k in range(du):
-                    if f[r][k]:
-                        row[ou + k * du + c] -= f[r][k]
-                if any(row):
-                    rows.append(row)
+    # dim End(x) over F_p: the phi_v in End(V_v) with phi_v f - f phi_u = 0
+    # for every map f : V_u -> V_v of the double quiver
+    d = x.dims
+    equations = [(d[v - 1], d[u - 1], ((v - 1, f, 1),), ((u - 1, f, -1),)) for u, v, f in x.maps()]
+    rows, unknowns = matrix_equation_rows([(dv, dv) for dv in d], equations)
     return unknowns - rank_ff(rows, x.p)
 
 
@@ -364,15 +318,9 @@ def _check_relations(x: LambdaPoint) -> None:
             raise InternalCheckError(f"preprojective relation fails at vertex {i}")
 
 
-def _columns(mat: Sequence[Sequence[int]], ncols: int) -> list[tuple[int, ...]]:
-    if not mat:
-        return [()] * ncols if ncols else []
-    return [tuple(row[c] for row in mat) for c in range(ncols)]
-
-
 def _incoming_vectors(x: LambdaPoint, i: int) -> list[tuple[int, ...]]:
     # columns of every double-quiver map landing in V_i
-    return [vec for u, v, f in x.maps() if v == i for vec in _columns(f, x.dims[u - 1])]
+    return [vec for u, v, f in x.maps() if v == i for vec in zip(*f)]
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +545,9 @@ class RhoEvaluator:
         self._points: dict[tuple, LambdaPoint | None] = {}
         self._by_torus = True
 
-    def fresh(self, namespace: str) -> "RhoEvaluator":
-        """An evaluator with seeds disjoint from this one's.
+    def fresh(self) -> "RhoEvaluator":
+        """An evaluator at root seed derive_seed(root_seed, "verify-delta"),
+        so with seeds disjoint from this one's.
 
         It shares this one's star spaces and graded points, which no seed
         enters, and none of its draws or counts, and it counts every label
@@ -611,7 +560,7 @@ class RhoEvaluator:
         reads (see voted); at a graded component, the torus-fixed flags of
         the construction then meet a count by the other method.
         """
-        ev = RhoEvaluator(self.n, derive_seed(self.root_seed, namespace))
+        ev = RhoEvaluator(self.n, derive_seed(self.root_seed, "verify-delta"))
         ev._spaces, ev._points, ev._by_torus = self._spaces, self._points, False
         return ev
 

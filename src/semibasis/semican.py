@@ -205,7 +205,7 @@ def _delta_report(
     # row K holds rho_K(f_M) over the elements f_M, by the rule of the
     # module docstring
     ev = basis.evaluator
-    fresh = ev.fresh("verify-delta")
+    fresh = ev.fresh()
     rows = []
     recounted: dict[Multisegment, str] = {}
     for r, k_cls in enumerate(classes):

@@ -266,7 +266,7 @@ def test_11_torus_counts_equal_prime_counts():
         basis = SemicanBasis(quiver)
         words = {w for combo in combos.values() for w in combo}
         words |= {w for cls in classes for w in basis.element(cls).words}
-        primes_only = RhoEvaluator(n).fresh("primes only")
+        primes_only = RhoEvaluator(n).fresh()
         graded = 0
         for cls in classes:
             x = torus.graded_point(cls, n)

@@ -21,6 +21,7 @@ from semibasis.linalg import (
     kernel_basis_ff,
     matmul_exact,
     matmul_ff,
+    matrix_equation_rows,
     rank_exact,
     rank_ff,
     row_space_basis_ff,
@@ -255,6 +256,43 @@ class TestExactMatrices:
             invert_unitriangular([[2, 0], [0, 1]])
         with pytest.raises(ValueError):
             invert_unitriangular([[1, 0, 0], [0, 1, 0]])
+
+
+class TestMatrixEquationRows:
+    def test_rows_are_the_coefficients_of_the_matrix_sums(self):
+        # X_0 is 2 x 3 and X_1 is 4 x 1; the blocks are the 2 x 1 matrix
+        # X_0 f - g X_1 and the 2 x 3 matrix X_0 h + 2 k X_0, whose entry
+        # (1, 2) vanishes identically: column 2 of h and row 1 of k are zero
+        shapes = [(2, 3), (4, 1)]
+        rng = random.Random(11)
+        for _ in range(20):
+            f = random_matrix(rng, 3, 1, 5)
+            g = random_matrix(rng, 2, 4, 5)
+            h = [row[:2] + [0] for row in random_matrix(rng, 3, 3, 5)]
+            k = [random_matrix(rng, 1, 2, 5)[0], [0, 0]]
+            rows, unknowns = matrix_equation_rows(
+                shapes, [(2, 1, [(0, f, 1)], [(1, g, -1)]), (2, 3, [(0, h, 1)], [(0, k, 2)])]
+            )
+            assert unknowns == 10
+
+            def sums(flat):
+                x0 = [flat[0:3], flat[3:6]]
+                x1 = [[v] for v in flat[6:10]]
+                first = [
+                    [a - b for a, b in zip(ra, rb)]
+                    for ra, rb in zip(matmul_exact(x0, f), matmul_exact(g, x1))
+                ]
+                second = [
+                    [a + 2 * b for a, b in zip(ra, rb)]
+                    for ra, rb in zip(matmul_exact(x0, h), matmul_exact(k, x0))
+                ]
+                return [v for block in (first, second) for row in block for v in row]
+
+            # column u of the system is the sums at the u-th unit unknown
+            columns = [sums([int(u == j) for j in range(unknowns)]) for u in range(unknowns)]
+            coefficients = [list(row) for row in zip(*columns)]
+            assert not any(coefficients[2 + 5])
+            assert rows == [row for row in coefficients if any(row)]
 
 
 class TestInterpolation:

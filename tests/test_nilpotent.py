@@ -253,7 +253,7 @@ class TestEvaluate:
         m, w = M("1[1,1]+1[2,2]"), ((1, 2), (2, 1))
         ev = RhoEvaluator(2)
         assert ev.graded(m) is not None
-        for reader in (ev, ev.fresh("weight")):
+        for reader in (ev, ev.fresh()):
             with pytest.raises(ValueError, match="does not match"):
                 reader.chi(m, w)
 
@@ -599,7 +599,7 @@ class TestRho:
         w = ((1, 2), (2, 2))
         m = M("2[1,2]")
         assert ev.rho(m, {w: 1}) == 1
-        fresh = ev.fresh("again")
+        fresh = ev.fresh()
         assert fresh.rho(m, {w: 1}) == 1
 
     def test_three_primes_serve_a_degree_zero_word(self, monkeypatch, primes_only):
@@ -847,7 +847,7 @@ class TestEndCertificate:
             for p in (2, 3, 5, 7):
                 ev._draws_for(M("2[1,1]+1[2,2]"), p, 0)
             # a fresh evaluator reports its own votes
-            ev.fresh("again")._draws_for(M("2[1,2]"), 5, 0)
+            ev.fresh()._draws_for(M("2[1,2]"), 5, 0)
         assert [r.getMessage() for r in caplog.records] == [
             f"draws on Z(2[1,2]) at p={p} voted: no draw of 40 reached"
             " dim End = q(d) = 4; 5 draws of least End 5 vote"

@@ -210,8 +210,8 @@ def fresh_evaluators(monkeypatch):
     made = []
     real = RhoEvaluator.fresh
 
-    def recorded(self, namespace):
-        ev = real(self, namespace)
+    def recorded(self):
+        ev = real(self)
         seed = ev._seed
         ev.seeds = set()
 
@@ -451,7 +451,7 @@ class TestDeltaCheck:
         def report(basis, classes, elements):
             assert w in elements[k].words
             seen["torus"] = basis.evaluator.rho(k, elements[k].words)
-            seen["primes"] = basis.evaluator.fresh("probe").rho(k, elements[k].words)
+            seen["primes"] = basis.evaluator.fresh().rho(k, elements[k].words)
             return real(basis, classes, elements)
 
         monkeypatch.setattr(semican, "_delta_report", report)

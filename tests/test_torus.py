@@ -176,7 +176,7 @@ class TestEvaluator:
         assert ev._draws == {} and ev.graded(SQUARE) is not None
 
     def test_fresh_evaluator_counts_by_primes_only(self):
-        ev = RhoEvaluator(2).fresh("again")
+        ev = RhoEvaluator(2).fresh()
         assert ev.graded(SQUARE) is None
         assert ev.chi(SQUARE, ((2, 2), (1, 2))) == 1
         assert ev._draws
@@ -268,7 +268,7 @@ class TestTangentBounds:
         # its F_p counts through tangent + 4 primes fit at degree tangent,
         # not at tangent - 1, with the torus count as value at 1
         words = grade_words(3, d)
-        ev = RhoEvaluator(3).fresh("tangent degree")
+        ev = RhoEvaluator(3).fresh()
         pairs = 0
         for m in enumerate_multisegments(Quiver(3), d):
             x = torus.graded_point(m, 3)
@@ -295,7 +295,7 @@ class TestTangentBounds:
         assert torus.tangent_bounds(x, [LOWERED_WORD]) == {LOWERED_WORD: 1}
         assert nilpotent.word_degree_bound(LOWERED_WORD, (1, 3, 2)) == 3
         assert fixed_flags(x, LOWERED_WORD) == 2
-        assert RhoEvaluator(3).fresh("true").chi(LOWERED, LOWERED_WORD) == 2
+        assert RhoEvaluator(3).fresh().chi(LOWERED, LOWERED_WORD) == 2
         monkeypatch.setattr(
             torus, "tangent_bounds", lambda x, words: dict.fromkeys(words, 0)
         )
@@ -306,13 +306,13 @@ class TestTangentBounds:
             InterpolationError,
             match=r"degree bound 0, primes \[2, 3, 5\]: degree 0 fit predicts 3 at 3, observed 4",
         ):
-            ev.fresh("planted").rho(LOWERED, LOWERED_WORD)
+            ev.fresh().rho(LOWERED, LOWERED_WORD)
 
     def test_fresh_fit_reads_bound_plus_three_primes(self, monkeypatch):
         fits = fitted(monkeypatch)
         ev = RhoEvaluator(3)
         assert ev.chi(LOWERED, LOWERED_WORD) == 2 and not fits
-        assert ev.fresh("graded").chi(LOWERED, LOWERED_WORD) == 2
+        assert ev.fresh().chi(LOWERED, LOWERED_WORD) == 2
         assert fits == [(1 + 3, 1)]
         # no graded point: the fit is at word_degree_bound, through at most
         # flag_degree_bound + 2 primes
@@ -321,7 +321,7 @@ class TestTangentBounds:
         words = [((2, 1), (3, 1), (1, 1), (2, 1), (3, 1), (4, 1)),
                  ((3, 1), (4, 1), (2, 2), (3, 1), (1, 1)), ((4, 1), (3, 2), (2, 2), (1, 1))]
         fits.clear()
-        RhoEvaluator(4).fresh("ungraded").rho_row(m, words)
+        RhoEvaluator(4).fresh().rho_row(m, words)
         top = nilpotent.flag_degree_bound(d) + 2
         expected = [
             (min(b + 3, top), b) for b in (nilpotent.word_degree_bound(w, d) for w in words)
@@ -339,7 +339,7 @@ class TestTangentBounds:
         monkeypatch.setattr(torus, "graded_point", counted)
         ev = RhoEvaluator(3)
         ev.chi(LOWERED, LOWERED_WORD)
-        fresh = ev.fresh("shared")
+        fresh = ev.fresh()
         assert fresh.chi(LOWERED, LOWERED_WORD) == 2
         assert searched == [LOWERED] and fresh.graded(LOWERED) is None
 
@@ -348,7 +348,7 @@ class TestTangentBounds:
         other = ((2, 3), (3, 2), (1, 1))
         assert nilpotent.word_degree_bound(other, (1, 3, 2)) == 0
         with caplog.at_level(logging.DEBUG, logger="semibasis.nilpotent"):
-            ev.fresh("logged").rho_row(LOWERED, [LOWERED_WORD, other])
+            ev.fresh().rho_row(LOWERED, [LOWERED_WORD, other])
         [line] = [r.getMessage() for r in caplog.records]
         # the word of bound 0 reads no tangent bound; the other reads
         # 1 + 3 primes, 2, 3, 5 and 7
