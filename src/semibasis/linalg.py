@@ -3,9 +3,10 @@
 Everything here is elementary and exact: Gaussian elimination mod p,
 echelon enumeration of subspaces, back substitution for unitriangular
 integer matrices, and Lagrange interpolation.  The linear systems in
-unknown matrices that the package solves (the preprojective relations,
-End of a point, Hom between representations) are all written down by
-one builder, matrix_equation_rows.  Every coefficient the package
+unknown matrices that the package eliminates (the preprojective
+relations, Hom between representations) are written down by one
+builder, matrix_equation_rows; End of a point needs none, since
+nilpotent's End template writes it over a closed-form basis.  Every coefficient the package
 computes is an integer; this is the one module that touches Fraction,
 inside rank_exact and the interpolation fit, and both hand back ints.
 Matrices are tuples (or lists) of row tuples; functions that must

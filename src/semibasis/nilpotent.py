@@ -22,7 +22,13 @@ order.  A point x of Z_M lies in a dense orbit of the component iff
 dim End(x) = q(d), the Tits form: an orbit has dimension
 sum d_i^2 - dim End and every component sum d_i d_{i+1}.  For n <= 4 the
 preprojective algebra is representation-finite (Geiss-Leclerc-Schroer),
-so every component has such an orbit; for n >= 5 some need not.  Each
+so every component has such an orbit; for n >= 5 some need not.
+dim End(x) is computed one way only, from the End template of the
+component (_end_template): End(x) is the commutant of x's stars inside
+End of the arrow module realize(M), which has a closed-form basis of
+segment maps.  The template, built once per component, lists the terms
+of each basis map's commutator with the stars, so a point fills that
+integral matrix from its stars alone and takes one rank.  Each
 (component, prime, attempt) draws up to SAMPLES_PER_PRIME points, once
 per evaluator: every word count reads the same draws, and the star
 relations of each (component, prime) are solved once, each draw only
@@ -80,7 +86,6 @@ from .linalg import (
     interpolate_eval_one,
     is_prime,
     kernel_basis_ff,
-    matmul_ff,
     matrix_equation_rows,
     random_span_point_ff,
     rank_ff,
@@ -205,28 +210,90 @@ def lift_generic(
     return point
 
 
-def _end_dim(x: LambdaPoint) -> int:
-    # dim End(x) over F_p: the phi_v in End(V_v) with phi_v f - f phi_u = 0
-    # for every map f : V_u -> V_v of the double quiver
-    d = x.dims
-    equations = [(d[v - 1], d[u - 1], ((v - 1, f, 1),), ((u - 1, f, -1),)) for u, v, f in x.maps()]
-    rows, unknowns = matrix_equation_rows([(dv, dv) for dv in d], equations)
-    return unknowns - rank_ff(rows, x.p)
+@dataclass(frozen=True)
+class _EndTemplate:
+    """End(x) for every point x over one arrow module M = realize(m, n).
+
+    End(x) is the commutant of x's stars inside End(M), and End(M) has
+    the basis of segment maps B_kl: one for each pair of m's segments
+    k = [a, b], l = [c, e] with c <= a <= e <= b, sending k's coordinate
+    to l's at every vertex of [a, e]; there are hom_dim(m, m) of them.
+    Number the entries of the s_v : V_(v+1) -> V_v, and so of the
+    d_v x d_(v+1) matrices phi_v s_v - s_v phi_(v+1), row-major in star
+    order.  terms[B] lists (entry, star entry, sign): the entry of that
+    matrix at phi = B is the sum of sign * s[star entry] over its terms.
+    The h x sum d_v d_(v+1) matrix so filled is integral, and
+    dim End(x) = h - its rank.  q is dim End at a point of a dense
+    orbit of Z_m, the Tits form q(d).
+    """
+
+    rep: Rep
+    q: int
+    terms: tuple[tuple[tuple[int, int, int], ...], ...]
 
 
-def _tits_form(m: Multisegment, n: int) -> int:
-    d = m.dim_vector(n)
-    return euler_form(Quiver(n), d, d)
+def _end_template(m: Multisegment, n: int) -> _EndTemplate:
+    rep = realize(m, n)
+    d = (0,) + rep.dims
+    # position[v][k]: the coordinate realize gives segment k at vertex v
+    position: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for k, (a, b) in enumerate(m.segments):
+        for v in range(a, b + 1):
+            position[v][k] = len(position[v])
+    # s_v's entries start at offset[v]
+    offset = [0] * (n + 1)
+    for v in range(1, n):
+        offset[v + 1] = offset[v] + d[v] * d[v + 1]
+    terms = []
+    for k, (a, b) in enumerate(m.segments):
+        for l, (c, e) in enumerate(m.segments):
+            if not c <= a <= e <= b:
+                continue
+            signs: dict[tuple[int, int], int] = {}
+            for v in range(max(a - 1, 1), min(e, n - 1) + 1):
+                o, w = offset[v], d[v + 1]
+                if v >= a:
+                    # (B s_v)[l(v)][col] = s_v[k(v)][col]
+                    row, star = o + position[v][l] * w, o + position[v][k] * w
+                    for col in range(w):
+                        signs[row + col, star + col] = 1
+                if v + 1 <= e:
+                    # (s_v B)[r][k(v+1)] = s_v[r][l(v+1)], which cancels
+                    # the term above at r = k(v) when l = k
+                    col, star = position[v + 1][k], position[v + 1][l]
+                    for r in range(d[v]):
+                        key = (o + r * w + col, o + r * w + star)
+                        signs[key] = signs.get(key, 0) - 1
+            terms.append(tuple((at, star, s) for (at, star), s in signs.items() if s))
+    q = euler_form(Quiver(n), rep.dims, rep.dims)
+    return _EndTemplate(rep, q, tuple(terms))
+
+
+def _end_dim(x: LambdaPoint, template: _EndTemplate) -> int:
+    # dim End(x) over F_p: the phi in End(M) with phi_v s_v - s_v phi_(v+1) = 0
+    # at every star, M the arrow module template was built on
+    if x.arrows != template.rep.maps or x.dims != template.rep.dims:
+        raise InternalCheckError("End template built on other arrows than the point's")
+    flat = [e for s in x.stars for row in s for e in row]
+    width = len(flat)
+    rows = []
+    for terms in template.terms:
+        row = [0] * width
+        for at, star, sign in terms:
+            row[at] += sign * flat[star]
+        rows.append(row)
+    return len(rows) - rank_ff(rows, x.p)
 
 
 def _generic_draws(
-    m: Multisegment, n: int, p: int, seeds: Iterable[int], space: tuple
+    m: Multisegment, n: int, p: int, seeds: Iterable[int], space: tuple, template: _EndTemplate
 ) -> tuple[list[LambdaPoint], list[int]]:
     # the first point lifted from seeds whose End has dimension q(d),
     # alone, or failing that the first VOTE_SIZE draws of least End; and
     # the End dimensions drawn, one per draw and computed once per
-    # distinct point.  space is as for lift_generic
-    q = _tits_form(m, n)
+    # distinct point.  space is as for lift_generic, template is
+    # _end_template(m, n)
+    q = template.q
     draws: list[tuple[int, LambdaPoint]] = []
     # End of each distinct point drawn: the arrows and p are fixed here,
     # so the stars tell points apart, and small star spaces repeat points
@@ -235,7 +302,7 @@ def _generic_draws(
         x = lift_generic(m, n, p, seed, space)
         e = seen.get(x.stars)
         if e is None:
-            e = seen[x.stars] = _end_dim(x)
+            e = seen[x.stars] = _end_dim(x, template)
         if e == q:
             return [x], [e for e, _ in draws] + [e]
         draws.append((e, x))
@@ -301,21 +368,18 @@ def _log_vote(what: str, p: int, q: int, points: list[LambdaPoint], ends: list[i
 
 
 def _check_relations(x: LambdaPoint) -> None:
+    # each entry of a_{i-1} s_{i-1} + s_i a_i, a sum over the products
+    # f g present at i of row r of f against column c of g
     for i in range(1, x.n + 1):
-        di = x.dims[i - 1]
-        total = [[0] * di for _ in range(di)]
+        products = []
         if i >= 2:
-            prod = matmul_ff(x.arrows[i - 2], x.stars[i - 2], x.p, bcols=di)
-            for r in range(di):
-                for c in range(di):
-                    total[r][c] += prod[r][c] if prod else 0
+            products.append((x.arrows[i - 2], x.stars[i - 2]))
         if i <= x.n - 1:
-            prod = matmul_ff(x.stars[i - 1], x.arrows[i - 1], x.p, bcols=di)
-            for r in range(di):
-                for c in range(di):
-                    total[r][c] += prod[r][c] if prod else 0
-        if any(v % x.p for row in total for v in row):
-            raise InternalCheckError(f"preprojective relation fails at vertex {i}")
+            products.append((x.stars[i - 1], x.arrows[i - 1]))
+        for r in range(x.dims[i - 1]):
+            for c in range(x.dims[i - 1]):
+                if sum(f[r][j] * g_j[c] for f, g in products for j, g_j in enumerate(g)) % x.p:
+                    raise InternalCheckError(f"preprojective relation fails at vertex {i}")
 
 
 def _incoming_vectors(x: LambdaPoint, i: int) -> list[tuple[int, ...]]:
@@ -520,8 +584,9 @@ class RhoEvaluator:
     torus-fixed flags, elsewhere by the F_p route, which the evaluators
     that fresh hands out use for every label.  On that route sampled
     points are shared across words; the star space of each (component,
-    prime) is solved once, and the interpolated value of each
-    (component, word) pair is computed once; this is what makes whole
+    prime) is solved once, the End template and q(d) of each component
+    are built once, and the interpolated value of each (component,
+    word) pair is computed once; this is what makes whole
     evaluation matrices affordable.  The words asked for at one label
     together (a combination in rho, a row in rho_row) are counted
     together: each draw is read once for all of them, in one walk of
@@ -536,6 +601,7 @@ class RhoEvaluator:
         self.root_seed = root_seed
         self._draws: dict[tuple, tuple[list[LambdaPoint], list[int]]] = {}
         self._spaces: dict[tuple, tuple] = {}
+        self._templates: dict[tuple, _EndTemplate] = {}
         # (component, prime) pairs with a draw set that missed q(d): each
         # is logged once, and those from VOTE_PRIME_START up make voted
         self._voted: set[tuple] = set()
@@ -549,20 +615,28 @@ class RhoEvaluator:
         """An evaluator at root seed derive_seed(root_seed, "verify-delta"),
         so with seeds disjoint from this one's.
 
-        It shares this one's star spaces and graded points, which no seed
-        enters, and none of its draws or counts, and it counts every label
-        by the F_p route; no other evaluator does.  At a label with a
-        graded point it fits each word at the tangent bound where that
-        undercuts word_degree_bound (see chi).  The delta check of semican
-        recounts every diagonal entry with one, which like any evaluator
-        reads a prime below VOTE_PRIME_START only at a draw with
-        dim End = q(d), and whose draws must vote at none of the primes it
-        reads (see voted); at a graded component, the torus-fixed flags of
-        the construction then meet a count by the other method.
+        It shares this one's star spaces, End templates and graded
+        points, which no seed enters, and none of its draws or counts,
+        and it counts every label by the F_p route; no other evaluator
+        does.  At a label with a graded point it fits each word at the
+        tangent bound where that undercuts word_degree_bound (see chi).
+        The delta check of semican recounts every diagonal entry with
+        one, which like any evaluator reads a prime below
+        VOTE_PRIME_START only at a draw with dim End = q(d), and whose
+        draws must vote at none of the primes it reads (see voted); at a
+        graded component, the torus-fixed flags of the construction then
+        meet a count by the other method.
         """
         ev = RhoEvaluator(self.n, derive_seed(self.root_seed, "verify-delta"))
-        ev._spaces, ev._points, ev._by_torus = self._spaces, self._points, False
+        ev._spaces, ev._templates, ev._points = self._spaces, self._templates, self._points
+        ev._by_torus = False
         return ev
+
+    def _template(self, label: Multisegment) -> _EndTemplate:
+        # _end_template, built once per label and evaluator family
+        if label.segments not in self._templates:
+            self._templates[label.segments] = _end_template(label, self.n)
+        return self._templates[label.segments]
 
     def _seed(self, label: Multisegment, p: int, k: int, salt: int) -> int:
         return derive_seed(self.root_seed, "rho", self.n, label.text(), p, k, salt)
@@ -580,8 +654,9 @@ class RhoEvaluator:
             if space is None:
                 space = self._spaces[key[:2]] = _star_space(label, self.n, p)
             seeds = (self._seed(label, p, k, salt) for k in range(SAMPLES_PER_PRIME))
-            found = self._draws[key] = _generic_draws(label, self.n, p, seeds, space)
-            q = _tits_form(label, self.n)
+            template = self._template(label)
+            found = self._draws[key] = _generic_draws(label, self.n, p, seeds, space, template)
+            q = template.q
             if q not in found[1] and key[:2] not in self._voted:
                 self._voted.add(key[:2])
                 _log_vote(f"draws on Z({label})", p, q, *found)
@@ -591,7 +666,7 @@ class RhoEvaluator:
         # the first count primes of the pool at which attempt salt reads
         # label: those from VOTE_PRIME_START up, and the smaller ones with
         # a draw at dim End = q(d)
-        q = _tits_form(label, self.n)
+        q = self._template(label).q
         readable = (
             p
             for p in prime_pool()
@@ -639,7 +714,7 @@ class RhoEvaluator:
             for w, count in torus.fixed_flag_counts(x, todo).items():
                 self._chi[label.segments, w] = count
             return
-        d, q = label.dim_vector(self.n), _tits_form(label, self.n)
+        d, q = label.dim_vector(self.n), self._template(label).q
         bounds = {w: word_degree_bound(w, d) for w in todo}
         lowered = 0
         if x is not None:

@@ -22,9 +22,12 @@ fits when it recounts such a component for the delta check.
 That number is the generic value rho_M(w) once x lies in the dense orbit
 of the component Z_M, which the search certifies: x has arrow part
 realize(M) and satisfies the preprojective relations over Z, so
-dim End(x) >= q(d), as at every point of Z_M; rank mod p is at most rank
-over Q, so dim End(x) over F_p = q(d) at one prime proves dim End(x) over
-Q = q(d), and the orbit of x then has the dimension of Z_M.
+dim End(x) >= q(d), as at every point of Z_M.  dim End(x) is h minus the
+rank of the matrix of nilpotent's End template, h = hom_dim(M, M), over
+whichever field; that matrix is integral, each entry a signed sum of
+star entries, and its rank mod p is at most its rank over Q.  So
+dim End(x) over F_p = q(d) at one prime proves dim End(x) over Q = q(d),
+and the orbit of x then has the dimension of Z_M.
 
 graded_point finds such a point by a deterministic search that draws no
 seed: the arrows are realize(m, n), each star column has at most one
@@ -43,7 +46,7 @@ from typing import Iterable, Iterator, Mapping
 
 from . import nilpotent
 from .errors import InternalCheckError
-from .hall import Rep, realize
+from .hall import Rep
 from .linalg import rank_exact
 from .quiver import Multisegment, Word, word_weight
 
@@ -190,14 +193,17 @@ def graded_point(m: Multisegment, n: int) -> nilpotent.LambdaPoint | None:
     The candidates are the monomial points over realize(m, n) described
     in the module docstring, read in a fixed order, at most LEAF_CAP of
     them, each satisfying the relations over Z.  The first is returned
-    that has dim End = q(d) at GRADED_PRIME (nilpotent._end_dim) and
-    whose weights separate the basis at every vertex.  Its entries are
-    stored mod GRADED_PRIME, where the relations are checked again; a
+    that has dim End = q(d) at GRADED_PRIME and whose weights separate
+    the basis at every vertex.  End is read by nilpotent._end_dim from
+    one End template built for the search; the template's matrix is
+    integral and a rank mod p is at most the rank over Q, so End = q(d)
+    at GRADED_PRIME certifies the dense orbit over Q.  The point's
+    entries are stored mod GRADED_PRIME, where the relations are checked again; a
     candidate that fails there raises InternalCheckError.  The flag
     counts read only which entries are nonzero.
     """
-    rep = realize(m, n)
-    q = nilpotent._tits_form(m, n)
+    template = nilpotent._end_template(m, n)
+    rep = template.rep
     p = GRADED_PRIME
     for stars in _candidates(rep):
         reduced = tuple(tuple(tuple(e % p for e in row) for row in f) for f in stars)
@@ -206,7 +212,7 @@ def graded_point(m: Multisegment, n: int) -> nilpotent.LambdaPoint | None:
         # sums far fewer than p terms of size at most 1, so it vanishes
         # mod p iff it vanishes over Z, and a failure here is a fault
         nilpotent._check_relations(x)
-        if nilpotent._end_dim(x) == q and _separated(x):
+        if nilpotent._end_dim(x, template) == template.q and _separated(x):
             return x
     return None
 

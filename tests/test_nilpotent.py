@@ -180,6 +180,29 @@ class TestLift:
                         x = lift_generic(cls, n, p, seed, space)
                         assert x == lift_generic(cls, n, p, seed)
 
+    def test_relation_check_raises_exactly_when_a_relation_fails(self):
+        # _check_relations sums each entry of a_{i-1} s_{i-1} + s_i a_i
+        # itself; against the matrix products of star_system_holds, at
+        # every lifted point and at each single star entry moved by one
+        failing = 0
+        for n in (2, 3, 4):
+            for cls in classes_upto(n, 4):
+                x = lift_generic(cls, n, 5, derive_seed("relations", cls.text()))
+                nilpotent._check_relations(x)
+                for k, s in enumerate(x.stars):
+                    for r, row in enumerate(s):
+                        for c in range(len(row)):
+                            moved = [list(map(list, t)) for t in x.stars]
+                            moved[k][r][c] = (moved[k][r][c] + 1) % 5
+                            y = replace(x, stars=tuple(tuple(map(tuple, t)) for t in moved))
+                            if star_system_holds(y):
+                                nilpotent._check_relations(y)
+                                continue
+                            failing += 1
+                            with pytest.raises(InternalCheckError, match="relation fails"):
+                                nilpotent._check_relations(y)
+        assert failing > 100, failing
+
 
 class TestGenericTop:
     """The closed t and peel (quiver.t_component, quiver.peel_component)
@@ -319,6 +342,7 @@ def accepted_point(m: Multisegment, n: int, p: int) -> LambdaPoint:
         p,
         (derive_seed("accepted", m.text(), p, k) for k in range(40)),
         nilpotent._star_space(m, n, p),
+        nilpotent._end_template(m, n),
     )
     assert ends[-1] == tits_form(points[0]), (m, p, ends)
     return points[0]
@@ -546,7 +570,7 @@ class TestSharedDraws:
             read.append((x.p, x.seed))
             return {word: next(cycle) for word in words}
 
-        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: tits_form(x) + 1)
         monkeypatch.setattr(nilpotent, "_count_words", counted)
         ev = RhoEvaluator(2)
         assert nilpotent.SAMPLES_PER_PRIME == 40 and nilpotent.VOTE_SIZE == 5
@@ -627,7 +651,7 @@ class TestRho:
             calls[x.p] += 1
             return real(x, words)
 
-        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: tits_form(x) + 1)
         monkeypatch.setattr(nilpotent, "_count_words", counted)
         ev = RhoEvaluator(2)
         value = ev.chi(m, w)
@@ -656,7 +680,7 @@ class TestRho:
     def test_consensus_error_names_component_and_word(self, monkeypatch):
         # every draw is voted, and values 0, 1, 0, 1, 2 at every prime tie
         cycle = itertools.cycle((0, 1, 0, 1, 2))
-        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: tits_form(x) + 1)
         monkeypatch.setattr(
             nilpotent, "_count_words", lambda x, words: {w: next(cycle) for w in words}
         )
@@ -726,14 +750,66 @@ class TestEndCertificate:
                     x = lift_generic(m, n, p, derive_seed("end", m.text(), p))
                     zero = tuple(tuple((0,) * len(row) for row in s) for s in x.stars)
                     x = replace(x, stars=zero)
-                    assert _end_dim(x) == hom_dim(m, m) == oracles.end_dim_by_images(x)
+                    template = nilpotent._end_template(m, n)
+                    assert _end_dim(x, template) == hom_dim(m, m) == oracles.end_dim_by_images(x)
+
+    def test_template_end_equals_the_commutator_oracle(self):
+        # the segment-basis template against the commutator map of every
+        # matrix unit: on every class with n <= 4 and |d| <= 5 and the n = 5
+        # and n = 6 all-ones grades, at lifted draws, at zero stars (End of
+        # the arrow module, hom_dim(m, m)) and at every graded candidate
+        grades = [d for n in (1, 2, 3, 4) for d in oracles.grades_upto(n, 5)]
+        points = 0
+        for d in grades + [(1,) * 5, (1,) * 6]:
+            n = len(d)
+            for m in enumerate_multisegments(Quiver(n), d):
+                template = nilpotent._end_template(m, n)
+                assert template.q == euler_form(Quiver(n), d, d)
+                for p in (2, 3, 5, torus.GRADED_PRIME):
+                    space = nilpotent._star_space(m, n, p)
+                    for seed in range(3):
+                        x = lift_generic(m, n, p, derive_seed("template", m.text(), p, seed), space)
+                        assert _end_dim(x, template) == oracles.end_dim_by_images(x), (m, p)
+                        points += 1
+                    zero = tuple(tuple((0,) * len(row) for row in s) for s in x.stars)
+                    x = replace(x, stars=zero)
+                    assert _end_dim(x, template) == hom_dim(m, m) == oracles.end_dim_by_images(x)
+                    # the template never reads the relations, so it holds at
+                    # stars off them too; there a wrong sign of its
+                    # s_v phi_(v+1) terms shows, as it did at no point above
+                    rng = random.Random(derive_seed("template", m.text(), p))
+                    wild = tuple(
+                        tuple(tuple(rng.randrange(p) for _ in row) for row in s) for s in zero
+                    )
+                    x = replace(x, stars=wild)
+                    assert _end_dim(x, template) == oracles.end_dim_by_images(x), (m, p, wild)
+                for stars in torus._candidates(template.rep):
+                    p = torus.GRADED_PRIME
+                    reduced = tuple(tuple(tuple(e % p for e in row) for row in f) for f in stars)
+                    x = LambdaPoint(n, p, d, template.rep.maps, reduced, 0)
+                    assert _end_dim(x, template) == oracles.end_dim_by_images(x), (m, stars)
+                    points += 1
+        assert points > 9000
+
+    def test_template_of_other_arrows_raises(self):
+        # 1[1,2] and 1[1,1]+1[2,2] share their dimensions, not their arrows;
+        # 1[1,1] and 2[1,1] at n = 2 share their (empty) arrows, not their
+        # dimensions
+        for m, other, n in (
+            (M("1[1,2]"), M("1[1,1]+1[2,2]"), 2),
+            (M("1[1,1]"), M("2[1,1]"), 2),
+        ):
+            x = lift_generic(m, n, 5, 0)
+            assert _end_dim(x, nilpotent._end_template(m, n)) >= 1
+            with pytest.raises(InternalCheckError, match="other arrows"):
+                _end_dim(x, nilpotent._end_template(other, n))
 
     def test_accepted_points_attain_tits_form(self, monkeypatch):
         draws = []
         real = nilpotent._generic_draws
 
-        def recorded(m, n, p, seeds, space):
-            found = real(m, n, p, seeds, space)
+        def recorded(m, n, p, seeds, space, template):
+            found = real(m, n, p, seeds, space, template)
             draws.append(found)
             return found
 
@@ -765,13 +841,14 @@ class TestEndCertificate:
             y for y in (lift_generic(m, 4, 5, seed) for seed in range(20))
             if y.stars[2] != ((0,),)
         )
-        assert _end_dim(x) == tits_form(x) == 1
+        template = nilpotent._end_template(m, 4)
+        assert _end_dim(x, template) == tits_form(x) == 1
         planted = replace(x, stars=x.stars[:2] + (((0,),),))
         assert star_system_holds(planted)
-        assert _end_dim(planted) == oracles.end_dim_by_images(planted) > 1
+        assert _end_dim(planted, template) == oracles.end_dim_by_images(planted) > 1
         monkeypatch.setattr(nilpotent, "lift_generic", lambda *args: planted)
         space = nilpotent._star_space(m, 4, 5)
-        points, ends = nilpotent._generic_draws(m, 4, 5, range(5), space)
+        points, ends = nilpotent._generic_draws(m, 4, 5, range(5), space, template)
         # not read alone: all five draws are kept for a vote
         assert len(ends) == 5 and 1 not in ends and points == [planted] * 5
         with monkeypatch.context() as patched:
@@ -779,15 +856,16 @@ class TestEndCertificate:
             patched.setattr(
                 nilpotent, "lift_generic", lambda *args: x if args[3] == 3 else planted
             )
-            points, ends = nilpotent._generic_draws(m, 4, 5, range(5), space)
+            points, ends = nilpotent._generic_draws(m, 4, 5, range(5), space, template)
         assert points == [x] and ends == [ends[0]] * 3 + [1] and ends[0] > 1
 
     def test_vote_keeps_draws_of_least_end(self, monkeypatch):
         # q = 1 on Z(1[1,2]+1[3,3]+1[4,4]); no planted End reaches it
         m = M("1[1,2]+1[3,3]+1[4,4]")
         planted = {0: 5, 1: 3, 2: 4, 3: 3, 4: 6}
-        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: planted[x.seed])
-        points, ends = nilpotent._generic_draws(m, 4, 5, range(5), nilpotent._star_space(m, 4, 5))
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: planted[x.seed])
+        space, template = nilpotent._star_space(m, 4, 5), nilpotent._end_template(m, 4)
+        points, ends = nilpotent._generic_draws(m, 4, 5, range(5), space, template)
         assert ends == [5, 3, 4, 3, 6]
         assert [x.seed for x in points] == [1, 3]
 
@@ -797,7 +875,7 @@ class TestEndCertificate:
         m, w = M("2[1,2]"), ((1, 2), (2, 2))
         real_end = nilpotent._end_dim
         monkeypatch.setattr(
-            nilpotent, "_end_dim", lambda x: real_end(x) + (x.p == 3)
+            nilpotent, "_end_dim", lambda x, template: real_end(x, template) + (x.p == 3)
         )
         counted = []
         count_words = nilpotent._count_words
@@ -820,7 +898,7 @@ class TestEndCertificate:
         ev.chi(m, w)
         assert not ev.voted(m)
         real_end = nilpotent._end_dim
-        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: real_end(x) + (x.p in (2, 3, 13)))
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: real_end(x, template) + (x.p in (2, 3, 13)))
         ev = RhoEvaluator(2)
         ev.chi(m, w)
         ev._draws_for(m, 2, 1)
@@ -828,13 +906,13 @@ class TestEndCertificate:
         assert not ev.voted(m)
         ev._draws_for(m, 13, 1)
         assert ev.voted(m) and not ev.voted(M("1[1,2]+1[1,1]+1[2,2]"))
-        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: real_end(x) + (x.p == 5))
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: real_end(x, template) + (x.p == 5))
         ev = RhoEvaluator(2)
         ev.chi(m, w)
         assert ev.voted(m)
 
     def test_vote_logged_once_per_component_and_prime(self, monkeypatch, caplog):
-        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: tits_form(x) + 1)
         ev = RhoEvaluator(2)
         with caplog.at_level(logging.WARNING, logger="semibasis.nilpotent"):
             for salt in range(3):
@@ -869,7 +947,7 @@ class TestEndCertificate:
         # End is q + 1 at every draw, so every prime votes, and values
         # 0, 1, 0, 1, 2 tie each vote
         cycle = itertools.cycle((0, 1, 0, 1, 2))
-        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: tits_form(x) + 1)
         monkeypatch.setattr(
             nilpotent, "_count_words", lambda x, words: {w: next(cycle) for w in words}
         )
@@ -899,7 +977,7 @@ class TestEndCertificate:
             "from semibasis import nilpotent\n"
             "from semibasis.cli import main\n"
             "from semibasis.quiver import Quiver, euler_form\n"
-            "nilpotent._end_dim = lambda x: euler_form(Quiver(x.n), x.dims, x.dims) + 1\n"
+            "nilpotent._end_dim = lambda x, template: euler_form(Quiver(x.n), x.dims, x.dims) + 1\n"
             "sys.exit(main(['transition', '--dim', '2,2', '--format', 'json']))\n"
         )
         src = str(Path(nilpotent.__file__).parents[1])

@@ -322,7 +322,7 @@ class TestDeltaCheck:
         # with End at q + 1 everywhere every draw votes, so no row may be
         # read from the construction's counts
         monkeypatch.setattr(
-            nilpotent, "_end_dim", lambda x: euler_form(Quiver(x.n), x.dims, x.dims) + 1
+            nilpotent, "_end_dim", lambda x, template: euler_form(Quiver(x.n), x.dims, x.dims) + 1
         )
         with caplog.at_level(logging.INFO, logger="semibasis.semican"):
             res = transition_matrix(Q2, (2, 2))
@@ -345,8 +345,8 @@ class TestDeltaCheck:
         monkeypatch.setattr(torus, "graded_point", lambda m, n: None)
         real_end = nilpotent._end_dim
 
-        def end_dim(x):
-            return real_end(x) + any(x.seed in ev.seeds for ev in fresh_evaluators)
+        def end_dim(x, template):
+            return real_end(x, template) + any(x.seed in ev.seeds for ev in fresh_evaluators)
 
         monkeypatch.setattr(nilpotent, "_end_dim", end_dim)
         with caplog.at_level(logging.INFO, logger="semibasis.semican"):
@@ -371,8 +371,8 @@ class TestDeltaCheck:
         # vote, so its row is recounted in full, as at any other component
         real_end = nilpotent._end_dim
 
-        def end_dim(x):
-            return real_end(x) + any(x.seed in ev.seeds for ev in fresh_evaluators)
+        def end_dim(x, template):
+            return real_end(x, template) + any(x.seed in ev.seeds for ev in fresh_evaluators)
 
         monkeypatch.setattr(nilpotent, "_end_dim", end_dim)
         with caplog.at_level(logging.INFO, logger="semibasis.semican"):
@@ -398,9 +398,9 @@ class TestDeltaCheck:
         monkeypatch.setattr(torus, "graded_point", lambda m, n: None)
         real_end = nilpotent._end_dim
 
-        def end_dim(x):
+        def end_dim(x, template):
             fresh = any(x.seed in ev.seeds for ev in fresh_evaluators)
-            return real_end(x) + (fresh and x.p < 5)
+            return real_end(x, template) + (fresh and x.p < 5)
 
         monkeypatch.setattr(nilpotent, "_end_dim", end_dim)
         real = semican._delta_report

@@ -54,7 +54,7 @@ class TestGradedPoint:
         for m in enumerate_multisegments(Quiver(2), (2, 2)):
             x = torus.graded_point(m, 2)
             assert x is not None and x.arrows == realize(m, 2).maps
-            assert nilpotent._end_dim(x) == tits_form(x)
+            assert nilpotent._end_dim(x, nilpotent._end_template(m, 2)) == tits_form(x)
 
     def test_search_is_deterministic(self):
         for m in enumerate_multisegments(Quiver(3), (2, 3, 1)):
@@ -67,14 +67,15 @@ class TestGradedPoint:
         planted(monkeypatch, zero)
         assert torus.graded_point(SQUARE, 2) is None
         x = nilpotent.LambdaPoint(2, torus.GRADED_PRIME, (2, 2), ZERO_ARROW, zero, 0)
-        assert torus._separated(x) and nilpotent._end_dim(x) == 8
+        template = nilpotent._end_template(SQUARE, 2)
+        assert torus._separated(x) and nilpotent._end_dim(x, template) == 8
 
     def test_weights_that_merge_a_vertex_are_rejected(self, monkeypatch):
         # both columns in row 0: w(b_1) - w(t) = w(b_2) - w(t) fixes
         # w(b_1) = w(b_2); End is taken as q(d) so only the weights decide
         merged = (((1, -1), (0, 0)),)
         planted(monkeypatch, merged)
-        monkeypatch.setattr(nilpotent, "_end_dim", tits_form)
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: tits_form(x))
         assert torus.graded_point(SQUARE, 2) is None
         x = nilpotent.LambdaPoint(2, torus.GRADED_PRIME, (2, 2), ZERO_ARROW, merged, 0)
         assert not torus._separated(x)
@@ -97,7 +98,7 @@ class TestGradedPoint:
         m = M("1[1,2]+1[2,2]")
         assert (((1, 0),),) not in list(torus._candidates(realize(m, 2)))
         planted(monkeypatch, (((1, 0),),))
-        monkeypatch.setattr(nilpotent, "_end_dim", tits_form)
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: tits_form(x))
         with pytest.raises(InternalCheckError, match="preprojective relation fails"):
             torus.graded_point(m, 2)
 
@@ -119,7 +120,7 @@ class TestGradedPoint:
                 yield stars
 
         monkeypatch.setattr(torus, "_candidates", counted)
-        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: tits_form(x) + 1)
         assert torus.graded_point(M("3[1,1]+3[2,2]"), 2) is None
         assert len(read) == torus.LEAF_CAP
         assert len(set(read)) == len(read)
@@ -183,7 +184,7 @@ class TestEvaluator:
 
     def test_end_patched_above_q_reaches_the_prime_route(self, monkeypatch, caplog):
         # patching _end_dim, as the vote tests do, leaves no graded point
-        monkeypatch.setattr(nilpotent, "_end_dim", lambda x: tits_form(x) + 1)
+        monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: tits_form(x) + 1)
         ev = RhoEvaluator(2)
         with caplog.at_level(logging.WARNING, logger="semibasis.nilpotent"):
             assert ev.chi(SQUARE, ((2, 2), (1, 2))) == 1
