@@ -66,33 +66,35 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _build_parser() -> _Parser:
-    top = _Parser(prog="semibasis", description=__doc__.splitlines()[0])
-    sub = top.add_subparsers(dest="command", required=True)
+def _add_format(parser: _Parser) -> None:
+    parser.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
 
-    fmt = _Parser(add_help=False)
-    fmt.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
 
-    tr = sub.add_parser("transition", parents=[fmt])
+def _add_transition(tr: _Parser) -> None:
+    _add_format(tr)
     tr.add_argument("--n", type=int, default=None, help="number of vertices")
     tr.add_argument("--dim", required=True, help="dimension vector, e.g. 2,2")
     tr.add_argument("--seed", type=int, default=0, help="root seed")
     tr.set_defaults(func=_cmd_transition)
 
-    ins = sub.add_parser("inspect", parents=[])
+
+def _add_inspect(ins: _Parser) -> None:
     ins_sub = ins.add_subparsers(dest="what", required=True)
 
-    dg = ins_sub.add_parser("deg-order", parents=[fmt])
+    dg = ins_sub.add_parser("deg-order")
+    _add_format(dg)
     dg.add_argument("--n", type=int, default=None)
     dg.add_argument("--dim", required=True)
     dg.set_defaults(func=_cmd_deg_order)
 
-    fl = ins_sub.add_parser("flag", parents=[fmt])
+    fl = ins_sub.add_parser("flag")
+    _add_format(fl)
     fl.add_argument("--n", type=int, default=None)
     fl.add_argument("--module", required=True)
     fl.set_defaults(func=_cmd_flag)
 
-    ha = ins_sub.add_parser("hall", parents=[fmt])
+    ha = ins_sub.add_parser("hall")
+    _add_format(ha)
     ha.add_argument("--n", type=int, default=None)
     ha.add_argument("--module", required=True)
     ha.add_argument("--vertex", type=int, required=True)
@@ -100,24 +102,40 @@ def _build_parser() -> _Parser:
     ha.add_argument("--prime", type=int, required=True)
     ha.set_defaults(func=_cmd_hall)
 
-    tv = ins_sub.add_parser("t", parents=[fmt])
+    tv = ins_sub.add_parser("t")
+    _add_format(tv)
     tv.add_argument("--n", type=int, default=None)
     tv.add_argument("--module", required=True)
     tv.add_argument("--vertex", type=int, required=True)
     tv.add_argument("--level", choices=("top", "component"), default="top")
     tv.set_defaults(func=_cmd_t)
 
-    pe = ins_sub.add_parser("peel", parents=[fmt])
+    pe = ins_sub.add_parser("peel")
+    _add_format(pe)
     pe.add_argument("--n", type=int, default=None)
     pe.add_argument("--module", required=True)
     pe.add_argument("--vertex", type=int, required=True)
     pe.add_argument("--level", choices=("top", "component"), default="top")
     pe.set_defaults(func=_cmd_peel)
 
-    st = sub.add_parser("selftest")
+
+def _add_selftest(st: _Parser) -> None:
     st.add_argument("--dim-bound", type=int, default=5, help="grade bound for suites")
     st.set_defaults(func=_cmd_selftest)
 
+
+def _build_parser(argv: list[str]) -> _Parser:
+    # every command is named, so usage, help and errors read the same, but
+    # only the command argv runs gets its arguments: all commands do for
+    # --help, or when argv names none
+    top = _Parser(prog="semibasis", description=__doc__.splitlines()[0])
+    sub = top.add_subparsers(dest="command", required=True)
+    commands = {"transition": _add_transition, "inspect": _add_inspect, "selftest": _add_selftest}
+    command = argv[0] if argv else None
+    for name, add in commands.items():
+        parser = sub.add_parser(name)
+        if command == name or command not in commands:
+            add(parser)
     return top
 
 
@@ -410,7 +428,8 @@ def _exit_code_for(exc: BaseException) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv)
     # the package's log at INFO and up (the delta check, votes) goes to
     # stderr for this call only, as bare messages (the default format)
     logger = logging.getLogger("semibasis")

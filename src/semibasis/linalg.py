@@ -265,22 +265,12 @@ def subspaces_ff(basis: Sequence[Sequence[int]], k: int, p: int) -> Iterator[lis
             if c not in pivots
         ]
         for values in product(range(p), repeat=len(free_pos)):
-            coords = [[0] * m for _ in range(k)]
-            for r in range(k):
-                coords[r][pivots[r]] = 1
+            # row r is basis[pivots[r]] plus its free coordinates' multiples
+            rows = [list(basis[pivot]) for pivot in pivots]
             for (r, c), v in zip(free_pos, values):
-                coords[r][c] = v
-            vecs = []
-            for row in coords:
-                vec = None
-                for coef, bvec in zip(row, basis):
-                    if coef:
-                        term = tuple((coef * x) % p for x in bvec)
-                        vec = term if vec is None else tuple((u + v) % p for u, v in zip(vec, term))
-                if vec is None:
-                    vec = tuple([0] * len(basis[0]))
-                vecs.append(vec)
-            yield vecs
+                if v:
+                    rows[r] = [x + v * y for x, y in zip(rows[r], basis[c])]
+            yield [tuple(x % p for x in row) for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -55,16 +55,26 @@ is quotiented out directly; otherwise the expansion splits the kernel
 and sums orbits of choices (see _expand).  The words counted at one
 point are counted together, in one walk of the trie of their reversed
 letters: words ending in the same letters expand each (point, letter)
-on their shared suffix once, and nothing outlives the walk.  The
-counts over F_p of a word w are modeled as a polynomial in p of degree
-at most word_degree_bound(w, d), the dimension of the product of the
-partial flag varieties its letters cut out of the V_i, and converted to
-Euler characteristics through verified interpolation at 1;
-non-polynomial behaviour or a consensus failure is surfaced, never
-averaged away.  At a component with a graded point, which only the
-evaluators of RhoEvaluator.fresh count by primes, the degree is at most
-the tangent-space bound of torus.tangent_bounds, the dimension of the
-flag variety there, and a fit takes the smaller of the two.
+on their shared suffix once, and nothing outlives the walk.  A quotient
+y / W is built only where a next letter (j, b) may fit, that is where
+the joint kernel of y / W at j may have dimension b or more, and that
+is read off y and W (see _Kernels): it is dim ker_y(i) - a at j = i,
+dim ker_y(j) at |j - i| >= 2, which the quotient leaves alone, and at a
+neighbour j, with h : V_j -> V_i and g the other map leaving j,
+dim ker g - (dim(h(ker g) + W) - a); only the one candidate of a kernel
+of dimension a is built for a neighbour's letter unread.  A quotient
+where no letter fits adds only to the words that end there, as the
+flags it would be expanded for do not exist, so every count is that of
+the full recursion.  The counts over F_p of a word w are modeled as a
+polynomial in p of degree at most word_degree_bound(w, d), the dimension
+of the product of the partial flag varieties its letters cut out of the
+V_i, and converted to Euler characteristics through verified
+interpolation at 1; non-polynomial behaviour or a consensus failure is
+surfaced, never averaged away.  At a component with a graded point,
+which only the evaluators of RhoEvaluator.fresh count by primes, the
+degree is at most the tangent-space bound of torus.tangent_bounds, the
+dimension of the flag variety there, and a fit takes the smaller of the
+two.
 """
 
 from __future__ import annotations
@@ -75,7 +85,7 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import torus
 from .errors import ConsensusError, InternalCheckError, InterpolationError
@@ -165,22 +175,22 @@ class LambdaPoint:
         ]
 
 
-def _relation_rows(rep: Rep) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    # a_{i-1} s_{i-1} + s_i a_i = 0 at every vertex i, linear in the stars
-    # s_i : V_{i+1} -> V_i; returns its rows and the shapes of the s_i
+def _relation_rows(rep: Rep) -> list[list[int]]:
+    # the rows of a_{i-1} s_{i-1} + s_i a_i = 0 at every vertex i, linear
+    # in the entries of the stars s_i : V_{i+1} -> V_i, taken in order
     shapes = list(zip(rep.dims, rep.dims[1:]))
     # s_i a_i is absent at i = n, and a_{i-1} s_{i-1} at i = 1
     terms = [((k, a, 1),) for k, a in enumerate(rep.maps)]
     equations = list(zip(rep.dims, rep.dims, terms + [()], [()] + terms))
-    return matrix_equation_rows(shapes, equations)[0], shapes
+    return matrix_equation_rows(shapes, equations)[0]
 
 
-def _star_space(m: Multisegment, n: int, p: int) -> tuple[Rep, list[tuple[int, int]], list]:
-    # the canonical orbit point of m, the shapes of its stars, and a
-    # kernel basis over F_p of the relations, which are linear in them
-    rep = realize(m, n)
-    rows, shapes = _relation_rows(rep)
-    return rep, shapes, kernel_basis_ff(rows, sum(r * c for r, c in shapes), p)
+def _star_space(template: "_EndTemplate", p: int) -> tuple[Rep, list[tuple[int, int]], list]:
+    # the arrow module the template was built on, the shapes of its
+    # stars, and a kernel basis over F_p of the template's relation rows
+    rep = template.rep
+    shapes = list(zip(rep.dims, rep.dims[1:]))
+    return rep, shapes, kernel_basis_ff(template.relations, sum(r * c for r, c in shapes), p)
 
 
 def lift_generic(
@@ -191,11 +201,12 @@ def lift_generic(
     The arrow part is realize(m, n); the stars solve the preprojective
     relations, which are linear in them, with a seed-determined random
     combination of a kernel basis of the relations (random_span_point_ff).
-    space, when given, is _star_space(m, n, p), solved once by a caller
-    that lifts many seeds; the point is the same either way.  The
-    relations are re-checked exactly before the point is returned.
+    space, when given, is _star_space(_end_template(m, n), p), solved
+    once by a caller that lifts many seeds; the point is the same either
+    way.  The relations are re-checked exactly before the point is
+    returned.
     """
-    rep, shapes, kernel = space or _star_space(m, n, p)
+    rep, shapes, kernel = space or _star_space(_end_template(m, n), p)
     unknowns = sum(r * c for r, c in shapes)
     flat = random_span_point_ff(kernel, unknowns, p, random.Random(seed))
     stars: list[Matrix] = []
@@ -224,12 +235,15 @@ class _EndTemplate:
     matrix at phi = B is the sum of sign * s[star entry] over its terms.
     The h x sum d_v d_(v+1) matrix so filled is integral, and
     dim End(x) = h - its rank.  q is dim End at a point of a dense
-    orbit of Z_m, the Tits form q(d).
+    orbit of Z_m, the Tits form q(d).  relations are the integer rows of
+    the star relations over M (_relation_rows), which the star space of
+    every prime solves mod p.
     """
 
     rep: Rep
     q: int
     terms: tuple[tuple[tuple[int, int, int], ...], ...]
+    relations: list[list[int]]
 
 
 def _end_template(m: Multisegment, n: int) -> _EndTemplate:
@@ -266,7 +280,7 @@ def _end_template(m: Multisegment, n: int) -> _EndTemplate:
                         signs[key] = signs.get(key, 0) - 1
             terms.append(tuple((at, star, s) for (at, star), s in signs.items() if s))
     q = euler_form(Quiver(n), rep.dims, rep.dims)
-    return _EndTemplate(rep, q, tuple(terms))
+    return _EndTemplate(rep, q, tuple(terms), _relation_rows(rep))
 
 
 def _end_dim(x: LambdaPoint, template: _EndTemplate) -> int:
@@ -471,24 +485,37 @@ def _kernel_split(
     return back(t_coords), back(f_coords)
 
 
-def _expand(x: LambdaPoint, i: int, a: int) -> Iterator[tuple[int, LambdaPoint]]:
-    # the choices for the last letter (i, a) of a word counted at x, as
-    # (orbit weight, quotient point) pairs: the count of a word is the
-    # weighted sum of the counts of its shorter word at the quotients
-    di = x.dims[i - 1]
+def _joint_kernel(x: LambdaPoint, i: int) -> list[tuple[int, ...]]:
+    # a basis of the joint kernel at vertex i of the maps leaving i
     rows: list[tuple[int, ...]] = []
     if i <= x.n - 1:
         rows.extend(x.arrows[i - 1])
     if i >= 2:
         rows.extend(x.stars[i - 2])
-    kernel = kernel_basis_ff(rows, di, x.p)
+    return kernel_basis_ff(rows, x.dims[i - 1], x.p)
+
+
+def _expand(
+    x: LambdaPoint,
+    i: int,
+    a: int,
+    build: Callable = _quotient_point,
+    kernel: list[tuple[int, ...]] | None = None,
+) -> Iterator[tuple[int, Any]]:
+    # the choices for the last letter (i, a) of a word counted at x, as
+    # (orbit weight, build(x, i, U)) pairs, one candidate U per orbit: the
+    # count of a word is the weighted sum of the counts of its shorter word
+    # at the quotients x / U, which build makes by default.  kernel, when
+    # given, is _joint_kernel(x, i)
+    if kernel is None:
+        kernel = _joint_kernel(x, i)
     if len(kernel) < a:
         return
     if len(kernel) == a:
         # the kernel itself is the one candidate: the split below would
         # give e = t and g = c, orbit 1, and the span of T + F, which is
         # the kernel, so there is nothing to split
-        yield 1, _quotient_point(x, i, kernel)
+        yield 1, build(x, i, kernel)
         return
     # Candidate subspaces U decompose against the split kernel T + F as
     # U cap T plus a graph over a subspace of F.  Maps F -> T extend to
@@ -507,11 +534,85 @@ def _expand(x: LambdaPoint, i: int, a: int) -> Iterator[tuple[int, LambdaPoint]]
         orbit = pow(x.p, g * (t - e)) * gaussian_binomial(c, g, x.p)
         graph_part = f_basis[:g]
         for u1 in subspaces_ff(t_basis, e, x.p):
-            yield orbit, _quotient_point(x, i, u1 + graph_part)
+            yield orbit, build(x, i, u1 + graph_part)
 
 
-# _expand calls made by every walk so far; each counted batch logs its share
-_expand_calls = 0
+class _Kernels:
+    """The joint kernels of one point y of the flag walk, and whether a
+    letter fits at a quotient y / U, read off y and U alone.
+
+    U is a candidate of the last letter (i, a): an a-dimensional subspace
+    of ker_y(i), the joint kernel of y at i.  The next letter (j, b) fits
+    when dim ker_(y/U)(j) >= b.  The quotient changes V_i and the maps at
+    i only, so:
+      * at j = i, dim ker_(y/U)(i) = dim ker_y(i) - a;
+      * at |j - i| >= 2, ker_(y/U)(j) = ker_y(j);
+      * at a neighbour j, with h : V_j -> V_i and g the other map leaving
+        j (if any), ker_(y/U)(j) holds the v in ker g with h(v) in U, of
+        dimension dim ker g - (dim(h(ker g) + U) - a), which is
+        dim ker_y(j) + dim(h(ker g) cap U).
+    The kernels of y and h(ker g) are computed once per vertex, so each U
+    costs at most one small rank, and none where dim ker_y(j) >= b or
+    dim ker_y(j) + min(a, dim h(ker g)) < b settles the letter.  known
+    holds the joint kernels of y already read, which the point y is a
+    quotient of hands on at |j - i| >= 2.
+    """
+
+    def __init__(self, y: LambdaPoint, known: dict[int, list[tuple[int, ...]]]):
+        self.y = y
+        self._joint = known
+        self._images: dict[tuple[int, int], tuple[list[list[int]], list[int]]] = {}
+
+    def joint(self, j: int) -> list[tuple[int, ...]]:
+        # ker_y(j), as _joint_kernel gives it
+        if j not in self._joint:
+            self._joint[j] = _joint_kernel(self.y, j)
+        return self._joint[j]
+
+    def fits(self, i: int, a: int, u: list[tuple[int, ...]], j: int, b: int) -> bool:
+        # whether dim ker_(y/U)(j) >= b, for U = span(u) of dimension a
+        low = len(self.joint(j))
+        if j == i:
+            return low - a >= b
+        if abs(j - i) >= 2 or low >= b:
+            return low >= b
+        rows, pivots = self._image(j, i)
+        if low + min(a, len(pivots)) < b:
+            return False
+        # dim(h(ker g) + U) - dim h(ker g) is the rank of U reduced
+        # against the reduced echelon rows of h(ker g)
+        p = self.y.p
+        reduced = []
+        for vec in u:
+            vec = list(vec)
+            for row, c in zip(rows, pivots):
+                f = vec[c]
+                if f:
+                    vec = [(x - f * r) % p for x, r in zip(vec, row)]
+            reduced.append(vec)
+        return low + a - rank_ff(reduced, p) >= b
+
+    def _image(self, j: int, i: int) -> tuple[list[list[int]], list[int]]:
+        # h(ker g) in reduced echelon form, as rows and their pivots, for
+        # h : V_j -> V_i and g the other map leaving j, if any
+        if (j, i) not in self._images:
+            y, p = self.y, self.y.p
+            if j == i + 1:
+                h, g = y.stars[i - 1], y.arrows[j - 1] if j <= y.n - 1 else ()
+            else:
+                h, g = y.arrows[j - 1], y.stars[j - 2] if j >= 2 else ()
+            images = [
+                tuple(sum(e * v for e, v in zip(row, vec)) % p for row in h)
+                for vec in kernel_basis_ff(g, y.dims[j - 1], p)
+            ]
+            red, pivots = rref_ff(images, p)
+            self._images[j, i] = red[: len(pivots)], pivots
+        return self._images[j, i]
+
+
+# expansions, quotients built and quotients pruned by every walk so far;
+# each counted batch logs its share
+_walked: Counter = Counter()
 
 
 def _suffix_trie(words: Iterable[Word]) -> tuple[list[Word], dict]:
@@ -532,20 +633,49 @@ def _suffix_trie(words: Iterable[Word]) -> tuple[list[Word], dict]:
 def _count_words(x: LambdaPoint, words: Iterable[Word]) -> dict[Word, int]:
     # the flag counts at x of words of x's weight, in one depth-first walk
     # of their _suffix_trie.  The walk carries the product of the orbit
-    # weights on its path and adds it to every word held where it arrives
+    # weights on its path and adds it to every word held where it arrives.
+    # A candidate U of the letter (i, a) at y is quotiented out only where
+    # a next letter (j, b) fits, dim ker_(y/U)(j) >= b, which _Kernels
+    # reads off y and U: dim ker_y(i) - a at j = i, dim ker_y(j) at
+    # |j - i| >= 2, and at a neighbour one small rank against h(ker g).
+    # Elsewhere the words held below get the orbit weight and nothing is
+    # built: _expand would yield nothing there, so no count changes.  The
+    # one candidate of a kernel of dimension a, which shares h(ker g) with
+    # no sibling, is built whenever a neighbour's letter follows: deciding
+    # that letter would cost about what building does
     counts = dict.fromkeys(words, 0)
 
-    def walk(y: LambdaPoint, node: tuple[list[Word], dict], weight: int) -> None:
-        global _expand_calls
+    def walk(
+        y: LambdaPoint | None, node: tuple[list[Word], dict], weight: int, known: dict
+    ) -> None:
         held, children = node
         for w in held:
             counts[w] += weight
-        for letter, child in children.items():
-            _expand_calls += 1
-            for orbit, z in _expand(y, *letter):
-                walk(z, child, weight * orbit)
+        if not children:
+            return
+        kernels = _Kernels(y, known)
+        for (i, a), (below, after) in children.items():
+            kernel = kernels.joint(i)
+            _walked["expansions"] += 1
+            whole = len(kernel) == a
 
-    walk(x, _suffix_trie(counts), 1)
+            def build(y: LambdaPoint, i: int, u: list) -> tuple:
+                # y / U with the next letters that fit there and the joint
+                # kernels of y / U known, or no point and no letters where
+                # none fits, since only the words held are then counted
+                fit, kept = {}, {}
+                for (j, b), grandchild in after.items():
+                    if (whole and abs(j - i) == 1) or kernels.fits(i, a, u, j, b):
+                        fit[j, b] = grandchild
+                        if abs(j - i) >= 2:
+                            kept[j] = kernels.joint(j)
+                _walked["built" if fit else "pruned"] += 1
+                return (_quotient_point(y, i, u) if fit else None), (below, fit), kept
+
+            for orbit, (z, fitting, kept) in _expand(y, i, a, build, kernel):
+                walk(z, fitting, weight * orbit, kept)
+
+    walk(x, _suffix_trie(counts), 1, {})
     return counts
 
 
@@ -592,7 +722,8 @@ class RhoEvaluator:
     together: each draw is read once for all of them, in one walk of
     their shared suffixes, and nothing of the walk is kept.  At DEBUG
     each counted batch logs its label, how many words it counted
-    together, how many expansions it made, how many fits a tangent
+    together, how many expansions it made, how many quotients it built
+    and how many candidates it pruned unbuilt, how many fits a tangent
     bound lowered and the largest prime it read.
     """
 
@@ -650,11 +781,11 @@ class RhoEvaluator:
         key = (label.segments, p, salt)
         found = self._draws.get(key)
         if found is None:
+            template = self._template(label)
             space = self._spaces.get(key[:2])
             if space is None:
-                space = self._spaces[key[:2]] = _star_space(label, self.n, p)
+                space = self._spaces[key[:2]] = _star_space(template, p)
             seeds = (self._seed(label, p, k, salt) for k in range(SAMPLES_PER_PRIME))
-            template = self._template(label)
             found = self._draws[key] = _generic_draws(label, self.n, p, seeds, space, template)
             q = template.q
             if q not in found[1] and key[:2] not in self._voted:
@@ -700,8 +831,11 @@ class RhoEvaluator:
 
     def _graded_point(self, label: Multisegment) -> LambdaPoint | None:
         # torus.graded_point, searched once per label and evaluator family
+        # on the family's End template
         if label.segments not in self._points:
-            self._points[label.segments] = torus.graded_point(label, self.n)
+            self._points[label.segments] = torus.graded_point(
+                label, self.n, self._template(label)
+            )
         return self._points[label.segments]
 
     def _count(self, label: Multisegment, words: Iterable[Word]) -> None:
@@ -726,7 +860,7 @@ class RhoEvaluator:
         counts = {w: min(b + 3, flag_degree_bound(d) + 2) for w, b in bounds.items()}
         history: dict[Word, list] = {w: [] for w in todo}
         failures: dict[Word, Exception] = {}
-        batch, made, largest = len(todo), _expand_calls, 0
+        batch, walked, largest = len(todo), _walked.copy(), 0
         for salt in range(RETRY_BUDGET):
             # every prime a word reads is read, so that a failure records all
             # of them; each word reads a prefix of pool
@@ -755,8 +889,10 @@ class RhoEvaluator:
                 break
         log.debug(
             "batch on Z(%s): %d words counted together, %d expansions, "
-            "%d fits lowered by tangent bounds, largest prime %d",
-            label, batch, _expand_calls - made, lowered, largest,
+            "%d quotients built, %d pruned, %d fits lowered by tangent bounds, "
+            "largest prime %d",
+            label, batch, *(_walked[k] - walked[k] for k in ("expansions", "built", "pruned")),
+            lowered, largest,
         )
         if todo:
             word, failure = todo[0], failures[todo[0]]

@@ -187,7 +187,9 @@ def _separated(x: nilpotent.LambdaPoint) -> bool:
     return True
 
 
-def graded_point(m: Multisegment, n: int) -> nilpotent.LambdaPoint | None:
+def graded_point(
+    m: Multisegment, n: int, template: nilpotent._EndTemplate | None = None
+) -> nilpotent.LambdaPoint | None:
     """A graded point of the dense orbit of Z_m, or None if the search finds none.
 
     The candidates are the monomial points over realize(m, n) described
@@ -195,14 +197,17 @@ def graded_point(m: Multisegment, n: int) -> nilpotent.LambdaPoint | None:
     them, each satisfying the relations over Z.  The first is returned
     that has dim End = q(d) at GRADED_PRIME and whose weights separate
     the basis at every vertex.  End is read by nilpotent._end_dim from
-    one End template built for the search; the template's matrix is
-    integral and a rank mod p is at most the rank over Q, so End = q(d)
-    at GRADED_PRIME certifies the dense orbit over Q.  The point's
-    entries are stored mod GRADED_PRIME, where the relations are checked again; a
-    candidate that fails there raises InternalCheckError.  The flag
-    counts read only which entries are nonzero.
+    template, nilpotent._end_template(m, n), which is built for the
+    search unless a caller that holds it passes it; the template's
+    matrix is integral and a rank mod p is at most the rank over Q, so
+    End = q(d) at GRADED_PRIME certifies the dense orbit over Q.  The
+    point's entries are stored mod GRADED_PRIME, where the relations are
+    checked again; a candidate that fails there raises
+    InternalCheckError.  The flag counts read only which entries are
+    nonzero.
     """
-    template = nilpotent._end_template(m, n)
+    if template is None:
+        template = nilpotent._end_template(m, n)
     rep = template.rep
     p = GRADED_PRIME
     for stars in _candidates(rep):

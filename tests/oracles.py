@@ -478,17 +478,21 @@ def interpolate_by_fractions(points, bound: int) -> int:
     return int(value)
 
 
-def expand_by_split(x: LambdaPoint, i: int, a: int) -> list[tuple[int, LambdaPoint]]:
-    """The (orbit weight, quotient) pairs of the last letter (i, a) at x,
-    always through the split of the joint kernel as T + F, even where the
-    kernel itself is the one a-dimensional choice."""
-    di = x.dims[i - 1]
+def joint_kernel(x: LambdaPoint, i: int) -> list[tuple[int, ...]]:
+    """A basis of the kernel of every map leaving vertex i of x."""
     rows: list[tuple[int, ...]] = []
     if i <= x.n - 1:
         rows.extend(x.arrows[i - 1])
     if i >= 2:
         rows.extend(x.stars[i - 2])
-    kernel = kernel_basis_ff(rows, di, x.p)
+    return kernel_basis_ff(rows, x.dims[i - 1], x.p)
+
+
+def expand_by_split(x: LambdaPoint, i: int, a: int) -> list[tuple[int, LambdaPoint]]:
+    """The (orbit weight, quotient) pairs of the last letter (i, a) at x,
+    always through the split of the joint kernel as T + F, even where the
+    kernel itself is the one a-dimensional choice."""
+    kernel = joint_kernel(x, i)
     if len(kernel) < a:
         return []
     t_basis, f_basis = nilpotent._kernel_split(x, i, kernel)
@@ -502,3 +506,25 @@ def expand_by_split(x: LambdaPoint, i: int, a: int) -> list[tuple[int, LambdaPoi
         for u1 in subspaces_ff(t_basis, e, x.p):
             pairs.append((orbit, nilpotent._quotient_point(x, i, u1 + f_basis[:g])))
     return pairs
+
+
+def full_walk_count(x: LambdaPoint, w) -> int:
+    """The flags of type w at x over F_p, walking every subspace of every
+    joint kernel, with no grouping of subspaces into automorphism orbits
+    and no pruning of quotients."""
+    if not w:
+        return 1
+    i, a = w[-1]
+    return sum(
+        full_walk_count(nilpotent._quotient_point(x, i, sub), w[:-1])
+        for sub in subspaces_ff(joint_kernel(x, i), a, x.p)
+    )
+
+
+def split_walk_count(x: LambdaPoint, w) -> int:
+    """The flags of type w at x over F_p, expanding every letter by
+    expand_by_split, with no pruning of quotients."""
+    if not w:
+        return 1
+    i, a = w[-1]
+    return sum(orbit * split_walk_count(z, w[:-1]) for orbit, z in expand_by_split(x, i, a))

@@ -1,11 +1,12 @@
 """Command line interface: outputs, determinism, exit codes."""
 
+import argparse
 import json
 import logging
 
 import pytest
 
-from semibasis import Quiver, transition_matrix
+from semibasis import Quiver, cli, transition_matrix
 from semibasis.cli import main
 
 
@@ -353,7 +354,41 @@ class TestParser:
         assert run(capsys, )[0] == 10
 
     def test_unknown_command_exits_10(self, capsys):
-        assert run(capsys, "frobnicate")[0] == 10
+        code, _, err = run(capsys, "frobnicate")
+        assert code == 10
+        assert "invalid choice: 'frobnicate'" in err
+        assert all(name in err for name in ("transition", "inspect", "selftest"))
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: semibasis [-h] {transition,inspect,selftest}")
+
+    def test_inspect_help_names_its_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["inspect", "--help"])
+        assert exit_.value.code == 0
+        assert "{deg-order,flag,hall,t,peel}" in capsys.readouterr().out
+
+    def test_only_the_command_run_gets_arguments(self):
+        # every command is named, but the others are left empty
+        def commands(argv):
+            top = cli._build_parser(argv)
+            [sub] = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+            return {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+
+        built = commands(["selftest", "--dim-bound", "2"])
+        assert built == {
+            "transition": ["help"],
+            "inspect": ["help"],
+            "selftest": ["help", "dim_bound"],
+        }
+        for argv in (["--help"], ["frobnicate"], []):
+            built = commands(argv)
+            assert built["transition"] == ["help", "format", "n", "dim", "seed"]
+            assert built["inspect"] == ["help", "what"]
 
     def test_unknown_flag_exits_10(self, capsys):
         assert run(capsys, "transition", "--dim", "1,1", "--bogus")[0] == 10

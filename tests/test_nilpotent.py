@@ -52,7 +52,6 @@ from semibasis.cli import main
 from semibasis.hall import Rep, pbw_to_words
 from semibasis.linalg import (
     interpolate_eval_one,
-    kernel_basis_ff,
     subspaces_ff,
 )
 from semibasis.quiver import euler_form, format_word, hom_dim, refine_order
@@ -121,28 +120,6 @@ def ss_point(p: int, star: int) -> LambdaPoint:
     )
 
 
-def joint_kernel(x: LambdaPoint, i: int):
-    # kernel of every map leaving vertex i
-    rows = []
-    if i <= x.n - 1:
-        rows.extend(x.arrows[i - 1])
-    if i >= 2:
-        rows.extend(x.stars[i - 2])
-    return kernel_basis_ff(rows, x.dims[i - 1], x.p)
-
-
-def full_walk_count(x: LambdaPoint, w) -> int:
-    # reference flag count walking every subspace of the kernel, with no
-    # grouping of subspaces into automorphism orbits
-    if not w:
-        return 1
-    i, a = w[-1]
-    return sum(
-        full_walk_count(_quotient_point(x, i, sub), w[:-1])
-        for sub in subspaces_ff(joint_kernel(x, i), a, x.p)
-    )
-
-
 class TestLift:
     def test_relations_and_label_roundtrip(self):
         for n in (2, 3):
@@ -175,7 +152,7 @@ class TestLift:
         for n in (2, 3):
             for cls in classes_upto(n, 4):
                 for p in (2, 5):
-                    space = nilpotent._star_space(cls, n, p)
+                    space = nilpotent._star_space(nilpotent._end_template(cls, n), p)
                     for seed in range(3):
                         x = lift_generic(cls, n, p, seed, space)
                         assert x == lift_generic(cls, n, p, seed)
@@ -325,24 +302,25 @@ class TestEvaluate:
                     for p in ps:
                         x = lift_generic(m, n, p, derive_seed("walk", m.text(), p))
                         for w in words:
-                            assert count_word(x, w) == full_walk_count(x, w)
+                            assert count_word(x, w) == oracles.full_walk_count(x, w)
 
 
 @pytest.fixture
 def primes_only(monkeypatch):
     """No label has a graded point, so every evaluator counts by F_p."""
-    monkeypatch.setattr(torus, "graded_point", lambda m, n: None)
+    monkeypatch.setattr(torus, "graded_point", lambda m, n, template=None: None)
 
 
 def accepted_point(m: Multisegment, n: int, p: int) -> LambdaPoint:
     # the first draw with dim End = q(d), as chi reads it
+    template = nilpotent._end_template(m, n)
     points, ends = nilpotent._generic_draws(
         m,
         n,
         p,
         (derive_seed("accepted", m.text(), p, k) for k in range(40)),
-        nilpotent._star_space(m, n, p),
-        nilpotent._end_template(m, n),
+        nilpotent._star_space(template, p),
+        template,
     )
     assert ends[-1] == tits_form(points[0]), (m, p, ends)
     return points[0]
@@ -410,7 +388,7 @@ class TestSharedExpansions:
                 rng.shuffle(order)
                 got = nilpotent._count_words(x, order)
                 for w in words:
-                    assert got[w] == full_walk_count(x, w), (m, p, w)
+                    assert got[w] == oracles.full_walk_count(x, w), (m, p, w)
 
     def test_shared_suffix_expanded_once_per_walk(self, monkeypatch, primes_only):
         # two words ending in the same letters: counted together they
@@ -421,9 +399,9 @@ class TestSharedExpansions:
         made: list[int] = []
         expand = nilpotent._expand
 
-        def counted(x, i, a):
+        def counted(x, i, a, build, kernel):
             made[-1] += 1
-            return expand(x, i, a)
+            return expand(x, i, a, build, kernel)
 
         monkeypatch.setattr(nilpotent, "_expand", counted)
         made.append(0)
@@ -446,7 +424,7 @@ class TestSharedExpansions:
         x = accepted_point(M("3[1,2]"), 2, 3)
         pairs = nilpotent._expand(x, 2, 1)
         assert isinstance(pairs, Iterator) and not isinstance(pairs, (list, tuple))
-        lines = list(subspaces_ff(joint_kernel(x, 2), 1, 3))
+        lines = list(subspaces_ff(oracles.joint_kernel(x, 2), 1, 3))
         assert sum(orbit for orbit, _ in pairs) == len(lines) > 1
 
     def test_debug_log_counts_expansions_per_label(
@@ -473,6 +451,7 @@ class TestSharedExpansions:
         assert lines and all(
             re.fullmatch(
                 r"batch on Z\(.+\): \d+ words counted together, \d+ expansions, "
+                r"\d+ quotients built, \d+ pruned, "
                 r"0 fits lowered by tangent bounds, largest prime [1-9]\d*",
                 line,
             )
@@ -493,6 +472,85 @@ class TestSharedExpansions:
         assert capsys.readouterr().out == logged
 
 
+class TestPrunedWalk:
+    """The walk builds a quotient y / U only where a next letter may fit,
+    deciding that from y and U (nilpotent._Kernels)."""
+
+    def test_walk_matches_full_and_split_walks_on_diagonal_words(self):
+        # every word of each diagonal element, the words the delta check
+        # recounts, among them words with tangent bound -1 whose flags
+        # die, at lifted draws: the pruned walk against the walk of every
+        # subspace and the walk of every split, neither pruned
+        dead = 0
+        pruned = nilpotent._walked["pruned"]
+        for d in ((2, 3, 1), (3, 3, 3), (1, 2, 2, 1)):
+            n = len(d)
+            basis = SemicanBasis(Quiver(n))
+            for m in enumerate_multisegments(Quiver(n), d):
+                words = sorted(basis.element(m).words)
+                graded = torus.graded_point(m, n)
+                if graded is not None:
+                    dead += list(torus.tangent_bounds(graded, words).values()).count(-1)
+                for p in (2, 3, 5):
+                    x = lift_generic(m, n, p, derive_seed("pruned walk", m.text(), p))
+                    got = nilpotent._count_words(x, words)
+                    for w in words:
+                        want = oracles.full_walk_count(x, w)
+                        assert got[w] == want == oracles.split_walk_count(x, w), (m, p, w)
+        assert dead > 20 and nilpotent._walked["pruned"] - pruned > 100, dead
+
+    def test_no_quotient_is_built_where_no_letter_fits(self, monkeypatch):
+        # every quotient built has a next letter whose kernel is large
+        # enough, save the one candidate of a kernel of dimension a, which
+        # is built for a neighbour's letter unread: at (4,4,4) draws on
+        # the diagonal words, and at (2,3,1) draws on each word of unit
+        # letters alone, so that some quotients have only a letter at
+        # their own vertex or two vertices off to read
+        built, yields = [], Counter()
+        expand = nilpotent._expand
+
+        def recorded(x, i, a, build, kernel):
+            def recording(y, i, u):
+                z, (held, fitting), kept = build(y, i, u)
+                if z is not None:
+                    built.append((z, i, len(kernel) == a, list(fitting)))
+                return z, (held, fitting), kept
+
+            pairs = list(expand(x, i, a, recording, kernel))
+            yields[id(x)] += len(pairs)
+            return iter(pairs)
+
+        def cases():
+            basis = SemicanBasis(Quiver(3))
+            for m in enumerate_multisegments(Quiver(3), (4, 4, 4)):
+                for p in (2, 3):
+                    yield m, p, sorted(basis.element(m).words)
+            letters = [(1, 1)] * 2 + [(2, 1)] * 3 + [(3, 1)]
+            for m in enumerate_multisegments(Quiver(3), (2, 3, 1)):
+                for w in sorted(set(itertools.permutations(letters))):
+                    yield m, 3, [w]
+
+        monkeypatch.setattr(nilpotent, "_expand", recorded)
+        walked = Counter()
+        split = unread = 0
+        for m, p, words in cases():
+            x = lift_generic(m, 3, p, derive_seed("pruned walk", m.text(), p))
+            before = nilpotent._walked.copy()
+            nilpotent._count_words(x, words)
+            if sum(m.dim_vector(3)) == 12:
+                walked += nilpotent._walked - before
+            for z, i, whole, fitting in built:
+                split += not whole
+                if yields[id(z)] == 0:
+                    assert whole and all(abs(j - i) == 1 for j, _ in fitting), (m, p)
+                    unread += 1
+            built.clear()
+            yields.clear()
+        assert split > 50 and unread < split, (split, unread)
+        # at (4,4,4), far more candidates are pruned than built
+        assert walked["pruned"] > 3 * walked["built"], walked
+
+
 class TestWholeKernel:
     """A letter (i, a) whose joint kernel has dimension a has one choice,
     the kernel itself: _expand quotients by it without _kernel_split, and
@@ -507,7 +565,7 @@ class TestWholeKernel:
                 for p in (2, 3):
                     x = accepted_point(m, n, p)
                     for i in range(1, n + 1):
-                        k = len(joint_kernel(x, i))
+                        k = len(oracles.joint_kernel(x, i))
                         for a in range(1, k + 1):
                             yield x, i, a, k
 
@@ -547,9 +605,9 @@ class TestSharedDraws:
             lifts[n, m.segments, p, seed] += 1
             return lift(m, n, p, seed, star_space)
 
-        def space_counted(m, n, p):
-            spaces[n, m.segments, p] += 1
-            return space(m, n, p)
+        def space_counted(template, p):
+            spaces[template.rep, p] += 1
+            return space(template, p)
 
         monkeypatch.setattr(nilpotent, "lift_generic", lift_counted)
         monkeypatch.setattr(nilpotent, "_star_space", space_counted)
@@ -557,6 +615,39 @@ class TestSharedDraws:
         assert res.routes_agree and res.delta_ok
         assert lifts and set(lifts.values()) == {1}
         assert spaces and set(spaces.values()) == {1}
+
+    def test_one_template_and_one_set_of_relation_rows_per_label(self, monkeypatch):
+        # one transition builds each label's End template once, for its
+        # graded-point search and its draws alike, and the label's integer
+        # relation rows once, although its star space is solved mod p at
+        # several primes
+        templates, rows, primes = Counter(), Counter(), {}
+        template_of, rows_of, space_of = (
+            nilpotent._end_template, nilpotent._relation_rows, nilpotent._star_space
+        )
+
+        def template_counted(m, n):
+            templates[m.segments] += 1
+            return template_of(m, n)
+
+        def rows_counted(rep):
+            rows[rep] += 1
+            return rows_of(rep)
+
+        def space_counted(template, p):
+            primes.setdefault(template.rep, set()).add(p)
+            return space_of(template, p)
+
+        monkeypatch.setattr(nilpotent, "_end_template", template_counted)
+        monkeypatch.setattr(nilpotent, "_relation_rows", rows_counted)
+        monkeypatch.setattr(nilpotent, "_star_space", space_counted)
+        res = transition_matrix(Quiver(4), (1, 2, 2, 1))
+        assert res.routes_agree and res.delta_ok
+        classes = list(enumerate_multisegments(Quiver(4), (1, 2, 2, 1)))
+        assert {m.segments for m in classes} <= set(templates)
+        assert set(templates.values()) == set(rows.values()) == {1}
+        assert len(rows) == len(templates) and set(primes) <= set(rows)
+        assert max(len(ps) for ps in primes.values()) > 1
 
     def test_vote_reads_at_most_five_of_forty_draws(self, monkeypatch):
         # End is q + 1 at every draw, so p = 2 and 3 are passed over and
@@ -766,7 +857,7 @@ class TestEndCertificate:
                 template = nilpotent._end_template(m, n)
                 assert template.q == euler_form(Quiver(n), d, d)
                 for p in (2, 3, 5, torus.GRADED_PRIME):
-                    space = nilpotent._star_space(m, n, p)
+                    space = nilpotent._star_space(template, p)
                     for seed in range(3):
                         x = lift_generic(m, n, p, derive_seed("template", m.text(), p, seed), space)
                         assert _end_dim(x, template) == oracles.end_dim_by_images(x), (m, p)
@@ -847,7 +938,7 @@ class TestEndCertificate:
         assert star_system_holds(planted)
         assert _end_dim(planted, template) == oracles.end_dim_by_images(planted) > 1
         monkeypatch.setattr(nilpotent, "lift_generic", lambda *args: planted)
-        space = nilpotent._star_space(m, 4, 5)
+        space = nilpotent._star_space(template, 5)
         points, ends = nilpotent._generic_draws(m, 4, 5, range(5), space, template)
         # not read alone: all five draws are kept for a vote
         assert len(ends) == 5 and 1 not in ends and points == [planted] * 5
@@ -864,7 +955,8 @@ class TestEndCertificate:
         m = M("1[1,2]+1[3,3]+1[4,4]")
         planted = {0: 5, 1: 3, 2: 4, 3: 3, 4: 6}
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: planted[x.seed])
-        space, template = nilpotent._star_space(m, 4, 5), nilpotent._end_template(m, 4)
+        template = nilpotent._end_template(m, 4)
+        space = nilpotent._star_space(template, 5)
         points, ends = nilpotent._generic_draws(m, 4, 5, range(5), space, template)
         assert ends == [5, 3, 4, 3, 6]
         assert [x.seed for x in points] == [1, 3]
@@ -1053,7 +1145,7 @@ class TestQuotient:
                 for p in (2, 3):
                     x = lift_generic(m, n, p, derive_seed("quotient", m.text(), p))
                     for i in range(1, n + 1):
-                        kernel = joint_kernel(x, i)
+                        kernel = oracles.joint_kernel(x, i)
                         for a in range(1, len(kernel) + 1):
                             for sub in subspaces_ff(kernel, a, p):
                                 got = _quotient_point(x, i, sub)

@@ -342,7 +342,7 @@ class TestDeltaCheck:
     ):
         # the construction certifies at primes (no graded point), the
         # fresh draws never reach q(d)
-        monkeypatch.setattr(torus, "graded_point", lambda m, n: None)
+        monkeypatch.setattr(torus, "graded_point", lambda m, n, template=None: None)
         real_end = nilpotent._end_dim
 
         def end_dim(x, template):
@@ -395,7 +395,7 @@ class TestDeltaCheck:
         # the construction certifies at primes from 2 (no graded point);
         # the fresh draws miss q(d) at p = 2 and 3 only, which passes those
         # primes over and reads the diagonal from p = 5 up, at no vote
-        monkeypatch.setattr(torus, "graded_point", lambda m, n: None)
+        monkeypatch.setattr(torus, "graded_point", lambda m, n, template=None: None)
         real_end = nilpotent._end_dim
 
         def end_dim(x, template):

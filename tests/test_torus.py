@@ -159,9 +159,9 @@ class TestEvaluator:
         searched = []
         search = torus.graded_point
 
-        def counted(m, n):
+        def counted(m, n, template=None):
             searched.append(m)
-            return search(m, n)
+            return search(m, n, template)
 
         monkeypatch.setattr(torus, "graded_point", counted)
         w = ((2, 2), (1, 2))
@@ -333,9 +333,9 @@ class TestTangentBounds:
         searched = []
         search = torus.graded_point
 
-        def counted(m, n):
+        def counted(m, n, template=None):
             searched.append(m)
-            return search(m, n)
+            return search(m, n, template)
 
         monkeypatch.setattr(torus, "graded_point", counted)
         ev = RhoEvaluator(3)
@@ -355,6 +355,7 @@ class TestTangentBounds:
         # 1 + 3 primes, 2, 3, 5 and 7
         assert re.fullmatch(
             r"batch on Z\(1\[1,1\]\+2\[2,3\]\+1\[2,2\]\): 2 words counted together, "
-            r"\d+ expansions, 1 fits lowered by tangent bounds, largest prime 7",
+            r"\d+ expansions, \d+ quotients built, \d+ pruned, "
+            r"1 fits lowered by tangent bounds, largest prime 7",
             line,
         ), line
