@@ -30,6 +30,9 @@ block written from the counts n_b + k_b (ends descending, the heads
 last), then the [i+1, .] segments not promoted, then tail.  The test
 suite checks the count against prime interpolation, a full grade scan
 and its column sums C(t_top(L, i), a), and the tuples against sorting.
+Products run on segment tuples in one core, `_mul_segments`, which
+`left_mul_divided_power` wraps for PBWVector and `check_serre` calls
+directly.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import InternalCheckError
 from .linalg import (
@@ -258,6 +261,11 @@ def hall_counts_simple_top(
 # PBW vectors
 
 
+def _check_grade(cls: Multisegment, n: int, grade: tuple[int, ...]) -> None:
+    if cls.dim_vector(n) != grade:
+        raise ValueError(f"class {cls} is not of grade {grade}")
+
+
 class PBWVector:
     """An integer combination of PBW classes sharing one dimension vector."""
 
@@ -277,8 +285,7 @@ class PBWVector:
         for cls, c in (coeffs or {}).items():
             if not c:
                 continue
-            if cls.dim_vector(n) != self.grade:
-                raise ValueError(f"class {cls} is not of grade {self.grade}")
+            _check_grade(cls, n, self.grade)
             clean[cls] = c
         self.coeffs = clean
 
@@ -373,6 +380,41 @@ def _extensions(
             yield head + tuple(mid) + tail, count
 
 
+# The tuple-level core: a combination keyed by canonical segment tuples,
+# and the product of one class as (class, coefficient) pairs.
+Segs = tuple[Segment, ...]
+SegmentCombo = dict[Segs, int]
+SingleProduct = Callable[[Segs, int, int], Iterable[tuple[Segs, int]]]
+
+
+def _shift(grade: tuple[int, ...], i: int, a: int) -> tuple[int, ...]:
+    # the grade of e_i^{(a)} times a vector of the given grade
+    up = list(grade)
+    up[i - 1] += a
+    return tuple(up)
+
+
+def _closed_form(src: Segs, i: int, a: int) -> Iterator[tuple[Segs, int]]:
+    return _extensions(Multisegment._canonical(src), i, a)
+
+
+def _mul_segments(
+    i: int, a: int, coeffs: Mapping[Segs, int], single: SingleProduct | None = None
+) -> SegmentCombo:
+    """e_i^{(a)}, a >= 1, on a combination keyed by segment tuples.
+
+    The product of each class src is single(src, i, a): by default the
+    closed form of _extensions, or a table of such products that the
+    caller keeps.  No grade is checked here; the caller checks each class.
+    """
+    single = single or _closed_form
+    out: SegmentCombo = {}
+    for src, coeff in coeffs.items():
+        for segs, count in single(src, i, a):
+            out[segs] = out.get(segs, 0) + coeff * count
+    return out
+
+
 def left_mul_divided_power(i: int, a: int, vec: PBWVector) -> PBWVector:
     """Multiply a PBW vector on the left by 1_{S_i^a} = e_i^{(a)}.
 
@@ -386,11 +428,8 @@ def left_mul_divided_power(i: int, a: int, vec: PBWVector) -> PBWVector:
         raise ValueError(f"power {a} must be non-negative")
     if a == 0:
         return PBWVector(n, vec.grade, vec.coeffs)
-    grade = tuple(d + (a if v == i else 0) for v, d in enumerate(vec.grade, start=1))
-    out: dict[tuple[Segment, ...], int] = {}
-    for src, coeff in vec.coeffs.items():
-        for segs, count in _extensions(src, i, a):
-            out[segs] = out.get(segs, 0) + coeff * count
+    grade = _shift(vec.grade, i, a)
+    out = _mul_segments(i, a, {cls.segments: c for cls, c in vec.coeffs.items()})
     # PBWVector checks the grade of every class, so a wrong tuple raises
     return PBWVector(n, grade, {Multisegment._canonical(s): c for s, c in out.items()})
 
@@ -504,30 +543,55 @@ def check_serre(quiver: Quiver, dim_bound: int) -> SerreReport:
 
     For each adjacent ordered pair (i, j) and each class N with |grade|
     <= dim_bound, the residual e_i^{(2)} e_j P_N - e_i e_j e_i P_N +
-    e_j e_i^{(2)} P_N must vanish identically.  The products e_k P_N and
-    e_k^{(2)} P_N are made once per class and shared by the pairs at k;
-    every other product is made afresh, e_i^{(2)} always at a = 2.
+    e_j e_i^{(2)} P_N must vanish identically.  Vectors are keyed by
+    segment tuples.  Each single-class product e_k^{(a)} P_L is made
+    once per grade of N, the first time a class N of that grade needs
+    it, and every class it yields is grade-checked then.  The table
+    lives for one grade: one kept for the whole check is faster but more
+    than doubles the peak memory at n = 5.  A residual becomes a
+    PBWVector only when it fails, for the report.
     """
     n = quiver.n
     pairs = [(i, j) for i in quiver.vertices() for j in quiver.vertices() if abs(i - j) == 1]
     checked = 0
     failures: list[str] = []
-    lm = left_mul_divided_power
 
     for d in iter_dim_vectors(n, dim_bound):
+        # (src, k, a) -> e_k^{(a)} P_src, kept while the classes of grade d are checked
+        table: dict[tuple[Segs, int, int], SegmentCombo] = {}
+
+        def mul(
+            k: int, a: int, vec: tuple[tuple[int, ...], SegmentCombo]
+        ) -> tuple[tuple[int, ...], SegmentCombo]:
+            # e_k^{(a)} on a (grade, combination) pair
+            grade = _shift(vec[0], k, a)
+
+            def single(src: Segs, k: int, a: int) -> Iterable[tuple[Segs, int]]:
+                row = table.get((src, k, a))
+                if row is None:
+                    row = table[src, k, a] = _mul_segments(k, a, {src: 1})
+                    for segs in row:
+                        _check_grade(Multisegment._canonical(segs), n, grade)
+                return row.items()
+
+            return grade, _mul_segments(k, a, vec[1], single)
+
         for cls in enumerate_multisegments(quiver, d):
-            v = PBWVector(n, d, {cls: 1})
-            once = {k: lm(k, 1, v) for k in quiver.vertices()}
-            twice = {k: lm(k, 2, v) for k in quiver.vertices()}
+            v = (d, {cls.segments: 1})
+            once = {k: mul(k, 1, v) for k in quiver.vertices()}
+            twice = {k: mul(k, 2, v) for k in quiver.vertices()}
             for i, j in pairs:
-                residual = (
-                    lm(i, 2, once[j])
-                    - lm(i, 1, lm(j, 1, once[i]))
-                    + lm(j, 1, twice[i])
-                )
+                grade, residual = mul(i, 2, once[j])
+                for sign, (_, term) in (
+                    (-1, mul(i, 1, mul(j, 1, once[i]))),
+                    (1, mul(j, 1, twice[i])),
+                ):
+                    for segs, c in term.items():
+                        residual[segs] = residual.get(segs, 0) + sign * c
                 checked += 1
-                if residual:
-                    failures.append(
-                        f"(i={i}, j={j}) on P({cls}): residual {residual}"
+                if any(residual.values()):
+                    shown = PBWVector(
+                        n, grade, {Multisegment._canonical(s): c for s, c in residual.items()}
                     )
+                    failures.append(f"(i={i}, j={j}) on P({cls}): residual {shown}")
     return SerreReport(n, dim_bound, checked, tuple(failures))

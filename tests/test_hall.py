@@ -319,6 +319,44 @@ class TestSerre:
             report = check_serre(Quiver(n), 4)
             assert clean[n].ok and not report.ok, (n, power, fault)
             assert report.relations_checked == clean[n].relations_checked
+        if (power, fault) == (2, "recounted"):
+            # the failure text, pinned: every relation at n = 3 fails
+            assert len(report.failures) == 248
+            assert report.failures[0] == "(i=1, j=2) on P(0): residual 2*P(2[1,1]+1[2,2])"
+
+    def test_table_checks_the_grade_of_each_product(self, monkeypatch):
+        # one extra segment per extension: the table checks the grade of
+        # each class it holds, so the first product raises, before any
+        # failing residual is shown
+        extensions = hall._extensions
+        monkeypatch.setattr(
+            hall,
+            "_extensions",
+            lambda src, i, a: (
+                (M(segs + ((i, i),)).segments, c) for segs, c in extensions(src, i, a)
+            ),
+        )
+        with pytest.raises(ValueError, match=r"^class 2\[1,1\] is not of grade \(1, 0\)$"):
+            check_serre(Quiver(2), 2)
+
+    def test_no_product_table_outlives_a_call(self, monkeypatch):
+        # each grade's products are made afresh, so a second check counts
+        # the same; shared within a grade, they take fewer calls than the
+        # 2,023 products the relations use
+        calls = []
+        extensions = hall._extensions
+
+        def spy(*key):
+            calls.append(key)
+            return extensions(*key)
+
+        monkeypatch.setattr(hall, "_extensions", spy)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert check_serre(Quiver(3), 4).ok
+            counts.append(len(calls))
+        assert counts[0] == counts[1] < 2023, counts
 
     def test_distant_generators_commute(self):
         for cls in classes_upto(3, 3):
