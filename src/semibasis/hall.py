@@ -23,16 +23,19 @@ with n_b the number of N's [i, b], so the count is
 
     prod over b >= i of C(n_b + k_b, k_b),
 
-exact, with no prime and nothing stored.  L is written straight in
-canonical form: N's segments run head (start < i), the [i, .] block, the
-[i+1, .] block and tail (start > i + 1), so L is head, then its [i, .]
-block written from the counts n_b + k_b (ends descending, the heads
-last), then the [i+1, .] segments not promoted, then tail.  The test
-suite checks the count against prime interpolation, a full grade scan
-and its column sums C(t_top(L, i), a), and the tuples against sorting.
+exact, with no prime.  L is written straight in canonical form: N's
+segments run head (start < i), the [i, .] block, the [i+1, .] block and
+tail (start > i + 1), so L is head, then its [i, .] block written from
+the counts n_b + k_b (ends descending, the heads last), then the [i+1, .]
+segments not promoted, then tail.  The test suite checks the count
+against prime interpolation, a full grade scan and its column sums
+C(t_top(L, i), a), and the tuples against sorting.
 Products run on segment tuples in one core, `_mul_segments`, which
 `left_mul_divided_power` wraps for PBWVector and `check_serre` calls
-directly.
+directly.  The middle blocks and their counts depend only on N's [i, .]
+and [i+1, .] segments, so `_block_extensions` keeps them in a
+process-wide table keyed by (block, i, a), 1,637 keys for the whole of
+`check_serre(Quiver(5), 6)`.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from functools import lru_cache
+from typing import Iterable, Iterator, Mapping
 
 from .errors import InternalCheckError
 from .linalg import (
@@ -342,29 +346,26 @@ class PBWVector:
         return f"<PBWVector {self}>"
 
 
-def _extensions(
-    src: Multisegment, i: int, a: int
-) -> Iterator[tuple[tuple[Segment, ...], int]]:
-    """Every class L with a submodule U = src and L/U = S_i^a, with the
-    q = 1 count of such U, prod_b C(n_b + k_b, k_b) (module docstring).
+# The tuple-level core: a combination keyed by canonical segment tuples.
+Segs = tuple[Segment, ...]
+SegmentCombo = dict[Segs, int]
 
-    L comes as its canonical segment tuple, built without a sort: src's
-    head (start < i) and tail (start > i + 1) are kept as slices, and
-    the two blocks between them are written from counts, ends
-    descending.  Yields the class with no promoted segment first.
+
+@lru_cache(maxsize=None)
+def _block_extensions(block: Segs, i: int, a: int) -> tuple[tuple[Segs, int], ...]:
+    """The middles, segments starting at i or i + 1, of the extensions by
+    S_i^a of a class whose middle is block, each with its q = 1 count,
+    written from counts with no sort, the one with no promotion first.
+    Entries are immutable tuples, so no reader can change one.
     """
-    segs = src.segments
-    # canonical order sorts by start first, and (s, 0) precedes every [s, .]
-    lo = bisect_left(segs, (i, 0))
-    hi = bisect_left(segs, (i + 2, 0), lo)
     have: dict[int, int] = {}
     spare: dict[int, int] = {}
-    for s, b in segs[lo:hi]:
-        block = have if s == i else spare
-        block[b] = block.get(b, 0) + 1
+    for s, b in block:
+        side = have if s == i else spare
+        side[b] = side.get(b, 0) + 1
     ends = sorted(spare)
     tops = sorted(have.keys() | spare.keys() | {i}, reverse=True)
-    head, tail = segs[:lo], segs[hi:]
+    out = []
     for total in range(a + 1):
         for pick in _bounded_compositions(tuple(spare[b] for b in ends), total):
             k = dict(zip(ends, pick))
@@ -377,14 +378,25 @@ def _extensions(
                 mid += [(i, b)] * (m + e)
             for b in reversed(ends):
                 mid += [(i + 1, b)] * (spare[b] - k[b])
-            yield head + tuple(mid) + tail, count
+            out.append((tuple(mid), count))
+    return tuple(out)
 
 
-# The tuple-level core: a combination keyed by canonical segment tuples,
-# and the product of one class as (class, coefficient) pairs.
-Segs = tuple[Segment, ...]
-SegmentCombo = dict[Segs, int]
-SingleProduct = Callable[[Segs, int, int], Iterable[tuple[Segs, int]]]
+def _extensions(src: Multisegment, i: int, a: int) -> Iterator[tuple[Segs, int]]:
+    """Every class L with a submodule U = src and L/U = S_i^a, with the
+    q = 1 count of such U, prod_b C(n_b + k_b, k_b) (module docstring).
+
+    L comes as its canonical segment tuple, built without a sort: src's
+    head (start < i) and tail (start > i + 1) are kept as slices around
+    each middle of _block_extensions, in its order.
+    """
+    segs = src.segments
+    # canonical order sorts by start first, and (s, 0) precedes every [s, .]
+    lo = bisect_left(segs, (i, 0))
+    hi = bisect_left(segs, (i + 2, 0), lo)
+    head, tail = segs[:lo], segs[hi:]
+    for middle, count in _block_extensions(segs[lo:hi], i, a):
+        yield head + middle + tail, count
 
 
 def _shift(grade: tuple[int, ...], i: int, a: int) -> tuple[int, ...]:
@@ -394,23 +406,15 @@ def _shift(grade: tuple[int, ...], i: int, a: int) -> tuple[int, ...]:
     return tuple(up)
 
 
-def _closed_form(src: Segs, i: int, a: int) -> Iterator[tuple[Segs, int]]:
-    return _extensions(Multisegment._canonical(src), i, a)
-
-
-def _mul_segments(
-    i: int, a: int, coeffs: Mapping[Segs, int], single: SingleProduct | None = None
-) -> SegmentCombo:
+def _mul_segments(i: int, a: int, coeffs: Mapping[Segs, int]) -> SegmentCombo:
     """e_i^{(a)}, a >= 1, on a combination keyed by segment tuples.
 
-    The product of each class src is single(src, i, a): by default the
-    closed form of _extensions, or a table of such products that the
-    caller keeps.  No grade is checked here; the caller checks each class.
+    The product of each class is read from _extensions.  No grade is
+    checked here; the caller checks each class of the result.
     """
-    single = single or _closed_form
     out: SegmentCombo = {}
     for src, coeff in coeffs.items():
-        for segs, count in single(src, i, a):
+        for segs, count in _extensions(Multisegment._canonical(src), i, a):
             out[segs] = out.get(segs, 0) + coeff * count
     return out
 
@@ -419,7 +423,8 @@ def left_mul_divided_power(i: int, a: int, vec: PBWVector) -> PBWVector:
     """Multiply a PBW vector on the left by 1_{S_i^a} = e_i^{(a)}.
 
     Each coefficient is the q = 1 closed form of the module docstring,
-    computed as the classes are generated; nothing is stored.
+    read from the block table of _block_extensions; the vector returned
+    is new, and shares no state with the table.
     """
     n = vec.n
     if not 1 <= i <= n:
@@ -544,38 +549,28 @@ def check_serre(quiver: Quiver, dim_bound: int) -> SerreReport:
     For each adjacent ordered pair (i, j) and each class N with |grade|
     <= dim_bound, the residual e_i^{(2)} e_j P_N - e_i e_j e_i P_N +
     e_j e_i^{(2)} P_N must vanish identically.  Vectors are keyed by
-    segment tuples.  Each single-class product e_k^{(a)} P_L is made
-    once per grade of N, the first time a class N of that grade needs
-    it, and every class it yields is grade-checked then.  The table
-    lives for one grade: one kept for the whole check is faster but more
-    than doubles the peak memory at n = 5.  A residual becomes a
-    PBWVector only when it fails, for the report.
+    segment tuples, and every class of every product is grade-checked.
+    No product is kept: a single-class product costs two bisects, one
+    read of the block table and two tuple concatenations per class, and
+    a table of whole products kept for the check more than doubled the
+    peak memory at n = 5.  A residual becomes a PBWVector only when it
+    fails, for the report.
     """
     n = quiver.n
     pairs = [(i, j) for i in quiver.vertices() for j in quiver.vertices() if abs(i - j) == 1]
     checked = 0
     failures: list[str] = []
 
+    def mul(k: int, a: int, vec: tuple[tuple[int, ...], SegmentCombo]):
+        # e_k^{(a)} on a (grade, combination) pair.  No class of a product is
+        # ever deleted, so this checks every class each single product yields
+        grade = _shift(vec[0], k, a)
+        out = _mul_segments(k, a, vec[1])
+        for segs in out:
+            _check_grade(Multisegment._canonical(segs), n, grade)
+        return grade, out
+
     for d in iter_dim_vectors(n, dim_bound):
-        # (src, k, a) -> e_k^{(a)} P_src, kept while the classes of grade d are checked
-        table: dict[tuple[Segs, int, int], SegmentCombo] = {}
-
-        def mul(
-            k: int, a: int, vec: tuple[tuple[int, ...], SegmentCombo]
-        ) -> tuple[tuple[int, ...], SegmentCombo]:
-            # e_k^{(a)} on a (grade, combination) pair
-            grade = _shift(vec[0], k, a)
-
-            def single(src: Segs, k: int, a: int) -> Iterable[tuple[Segs, int]]:
-                row = table.get((src, k, a))
-                if row is None:
-                    row = table[src, k, a] = _mul_segments(k, a, {src: 1})
-                    for segs in row:
-                        _check_grade(Multisegment._canonical(segs), n, grade)
-                return row.items()
-
-            return grade, _mul_segments(k, a, vec[1], single)
-
         for cls in enumerate_multisegments(quiver, d):
             v = (d, {cls.segments: 1})
             once = {k: mul(k, 1, v) for k in quiver.vertices()}

@@ -225,6 +225,16 @@ class TestLeftMul:
             2, (2, 1), {M("1[1,2]+1[1,1]"): 1}
         )
 
+    def test_readers_cannot_change_the_block_table(self):
+        # the dict a product returns is the caller's own; changing it
+        # changes no later product read from the same blocks
+        first = hall._mul_segments(1, 2, {M("1[1,2]+1[2,2]").segments: 1})
+        want = dict(first)
+        for segs in first:
+            first[segs] = 99
+        first[((1, 1),)] = 5
+        assert hall._mul_segments(1, 2, {M("1[1,2]+1[2,2]").segments: 1}) == want
+
     def test_every_product_reads_the_closed_form(self, monkeypatch):
         calls = []
         extensions = hall._extensions
@@ -240,7 +250,10 @@ class TestLeftMul:
 
     def test_extensions_are_canonical_and_match_sorting(self):
         # each L is written in canonical order with no sort; the oracle
-        # builds it by list.remove and a sort
+        # builds it by list.remove and a sort.  The sweep runs on a cold
+        # block table, then again on the warm one, which must agree
+        hall._block_extensions.cache_clear()
+        cold = {}
         cases = 0
         for n in range(1, 5):
             for cls in classes_upto(n, 5):
@@ -248,7 +261,7 @@ class TestLeftMul:
                     for a in (1, 2, 3):
                         grade = list(cls.dim_vector(n))
                         grade[i - 1] += a
-                        got = list(hall._extensions(cls, i, a))
+                        got = cold[cls, i, a] = list(hall._extensions(cls, i, a))
                         for segs, _ in got:
                             assert segs == M(segs).segments, (cls, i, a, segs)
                             assert M(segs).dim_vector(n) == tuple(grade), (cls, i, a)
@@ -256,6 +269,9 @@ class TestLeftMul:
                         assert pairs == oracles.extensions_by_removal(cls, i, a), (cls, i, a)
                         cases += len(got)
         assert cases == 7698
+        assert hall._block_extensions.cache_info().hits > 0
+        for (cls, i, a), got in cold.items():
+            assert list(hall._extensions(cls, i, a)) == got, (cls, i, a)
 
     def test_product_of_wrong_grade_raises(self, monkeypatch):
         # one extra segment per extension: PBWVector's grade check catches it
@@ -325,9 +341,9 @@ class TestSerre:
             assert report.failures[0] == "(i=1, j=2) on P(0): residual 2*P(2[1,1]+1[2,2])"
 
     def test_table_checks_the_grade_of_each_product(self, monkeypatch):
-        # one extra segment per extension: the table checks the grade of
-        # each class it holds, so the first product raises, before any
-        # failing residual is shown
+        # one extra segment per extension: every product checks the grade
+        # of each class it yields, so the first product raises, before
+        # any failing residual is shown
         extensions = hall._extensions
         monkeypatch.setattr(
             hall,
@@ -339,10 +355,32 @@ class TestSerre:
         with pytest.raises(ValueError, match=r"^class 2\[1,1\] is not of grade \(1, 0\)$"):
             check_serre(Quiver(2), 2)
 
-    def test_no_product_table_outlives_a_call(self, monkeypatch):
-        # each grade's products are made afresh, so a second check counts
-        # the same; shared within a grade, they take fewer calls than the
-        # 2,023 products the relations use
+    @pytest.mark.parametrize("fault", ["dropped", "recounted"])
+    def test_planted_fault_fails_over_a_warm_table(self, monkeypatch, fault):
+        # the block table sits below the _extensions seam, so a fault
+        # planted there after a check has filled the table still shows
+        assert check_serre(Quiver(3), 4).ok
+        extensions = hall._extensions
+
+        def faulty(src, i, a):
+            out = list(extensions(src, i, a))
+            segs, count = out.pop(0)
+            if fault == "recounted":
+                out.insert(0, (segs, count + 1))
+            return iter(out)
+
+        monkeypatch.setattr(hall, "_extensions", faulty)
+        assert hall._block_extensions.cache_info().currsize > 0
+        assert not check_serre(Quiver(3), 4).ok
+
+    def test_consecutive_checks_agree(self):
+        hall._block_extensions.cache_clear()
+        cold = check_serre(Quiver(3), 4)
+        assert check_serre(Quiver(3), 4) == cold
+        assert cold.ok and cold.relations_checked == 248
+
+    def test_block_table_is_smaller_than_the_products(self, monkeypatch):
+        # 2,023 single-class products at n = 3 read 226 distinct blocks
         calls = []
         extensions = hall._extensions
 
@@ -351,12 +389,9 @@ class TestSerre:
             return extensions(*key)
 
         monkeypatch.setattr(hall, "_extensions", spy)
-        counts = []
-        for _ in range(2):
-            calls.clear()
-            assert check_serre(Quiver(3), 4).ok
-            counts.append(len(calls))
-        assert counts[0] == counts[1] < 2023, counts
+        hall._block_extensions.cache_clear()
+        assert check_serre(Quiver(3), 4).ok
+        assert 0 < hall._block_extensions.cache_info().currsize < len(calls), len(calls)
 
     def test_distant_generators_commute(self):
         for cls in classes_upto(3, 3):
