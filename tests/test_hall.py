@@ -8,6 +8,7 @@ C(t_top(L, i), a) of the products.
 """
 
 import itertools
+import re
 from collections import Counter
 from math import comb
 
@@ -392,6 +393,34 @@ class TestSerre:
         hall._block_extensions.cache_clear()
         assert check_serre(Quiver(3), 4).ok
         assert 0 < hall._block_extensions.cache_info().currsize < len(calls), len(calls)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_grade_memo_checks_a_class_met_at_another_grade(self, monkeypatch, n):
+        # e_1^{(2)} yields the classes of e_1: 1[1,1] has passed at grade
+        # (1, 0, ...), so meeting it at (2, 0, ...) must measure it again
+        extensions = hall._extensions
+        monkeypatch.setattr(
+            hall, "_extensions", lambda src, i, a: extensions(src, i, 1 if a == 2 else a)
+        )
+        grade = re.escape(str((2,) + (0,) * (n - 1)))
+        with pytest.raises(ValueError, match=rf"^class 1\[1,1\] is not of grade {grade}$"):
+            check_serre(Quiver(n), 4)
+
+    def test_each_class_is_measured_once_per_call(self, monkeypatch):
+        # 3,231 grade checks at n = 3 without the memo; a memo that outlived
+        # the call would measure nothing the second time
+        measured = []
+        check_grade = hall._check_grade
+
+        def spy(cls, n, grade):
+            measured.append(cls.segments)
+            check_grade(cls, n, grade)
+
+        monkeypatch.setattr(hall, "_check_grade", spy)
+        for _ in range(2):
+            measured.clear()
+            assert check_serre(Quiver(3), 4).ok
+            assert len(measured) == len(set(measured)) == 358
 
     def test_distant_generators_commute(self):
         for cls in classes_upto(3, 3):
