@@ -63,7 +63,6 @@ from .torus import graded_point
 from .semican import (
     CertifiedTransition,
     SemicanBasis,
-    SemicanElement,
     transition_matrix,
     transition_via_inversion,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "RouteDisagreementError",
     "SemibasisError",
     "SemicanBasis",
-    "SemicanElement",
     "SerreReport",
     "check_serre",
     "deg_leq",

@@ -150,6 +150,8 @@ def _parse_dim(text: str) -> tuple[int, ...]:
         raise ParseError(f"bad dimension vector {text!r}") from exc
     if any(x < 0 for x in dims):
         raise ParseError(f"negative entry in dimension vector {text!r}")
+    if any(x > sys.maxsize for x in dims):
+        raise ParseError(f"entry above {sys.maxsize} in dimension vector {text!r}")
     return dims
 
 

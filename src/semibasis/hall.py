@@ -30,12 +30,13 @@ the counts n_b + k_b (ends descending, the heads last), then the [i+1, .]
 segments not promoted, then tail.  The test suite checks the count
 against prime interpolation, a full grade scan and its column sums
 C(t_top(L, i), a), and the tuples against sorting.
-Products run on segment tuples in one core, `_mul_segments`, which
-`left_mul_divided_power` wraps for PBWVector and `check_serre` calls
-directly.  The middle blocks and their counts depend only on N's [i, .]
-and [i+1, .] segments, so `_block_extensions` keeps them in a
-process-wide table keyed by (block, i, a), 1,637 keys for the whole of
-`check_serre(Quiver(5), 6)`.
+Every product runs on segment tuples through one core, `_product`,
+which grade-checks each class it yields; `left_mul_divided_power`,
+`word_to_pbw` and `check_serre` all call it, and the first two wrap
+their result in one PBWVector per call.  The middle blocks and their
+counts depend only on N's [i, .] and [i+1, .] segments, so
+`_block_extensions` keeps them in a process-wide table keyed by
+(block, i, a), 1,637 keys for the whole of `check_serre(Quiver(5), 6)`.
 """
 
 from __future__ import annotations
@@ -304,25 +305,6 @@ class PBWVector:
     def items(self) -> list[tuple[Multisegment, int]]:
         return sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
 
-    def _combine(self, other: "PBWVector", sign: int) -> "PBWVector":
-        if not isinstance(other, PBWVector):
-            return NotImplemented
-        if self.n != other.n or self.grade != other.grade:
-            raise ValueError("grades differ")
-        merged = dict(self.coeffs)
-        for cls, c in other.coeffs.items():
-            merged[cls] = merged.get(cls, 0) + sign * c
-        return PBWVector(self.n, self.grade, merged)
-
-    def __add__(self, other: "PBWVector") -> "PBWVector":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "PBWVector") -> "PBWVector":
-        return self._combine(other, -1)
-
-    def __rmul__(self, scalar: int) -> "PBWVector":
-        return PBWVector(self.n, self.grade, {k: scalar * v for k, v in self.coeffs.items()})
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -382,15 +364,15 @@ def _block_extensions(block: Segs, i: int, a: int) -> tuple[tuple[Segs, int], ..
     return tuple(out)
 
 
-def _extensions(src: Multisegment, i: int, a: int) -> Iterator[tuple[Segs, int]]:
-    """Every class L with a submodule U = src and L/U = S_i^a, with the
+def _extensions(segs: Segs, i: int, a: int) -> Iterator[tuple[Segs, int]]:
+    """Every class L with a submodule U = segs and L/U = S_i^a, with the
     q = 1 count of such U, prod_b C(n_b + k_b, k_b) (module docstring).
 
-    L comes as its canonical segment tuple, built without a sort: src's
-    head (start < i) and tail (start > i + 1) are kept as slices around
-    each middle of _block_extensions, in its order.
+    L comes as its canonical segment tuple, built without a sort: the
+    head (start < i) and tail (start > i + 1) of the canonical tuple segs
+    are kept as slices around each middle of _block_extensions, in its
+    order.
     """
-    segs = src.segments
     # canonical order sorts by start first, and (s, 0) precedes every [s, .]
     lo = bisect_left(segs, (i, 0))
     hi = bisect_left(segs, (i + 2, 0), lo)
@@ -399,32 +381,59 @@ def _extensions(src: Multisegment, i: int, a: int) -> Iterator[tuple[Segs, int]]
         yield head + middle + tail, count
 
 
-def _shift(grade: tuple[int, ...], i: int, a: int) -> tuple[int, ...]:
-    # the grade of e_i^{(a)} times a vector of the given grade
-    up = list(grade)
-    up[i - 1] += a
-    return tuple(up)
-
-
 def _mul_segments(i: int, a: int, coeffs: Mapping[Segs, int]) -> SegmentCombo:
     """e_i^{(a)}, a >= 1, on a combination keyed by segment tuples.
 
     The product of each class is read from _extensions.  No grade is
-    checked here; the caller checks each class of the result.
+    checked here; _product checks each class of the result.
     """
     out: SegmentCombo = {}
     for src, coeff in coeffs.items():
-        for segs, count in _extensions(Multisegment._canonical(src), i, a):
+        for segs, count in _extensions(src, i, a):
             out[segs] = out.get(segs, 0) + coeff * count
     return out
+
+
+def _product(
+    n: int,
+    i: int,
+    a: int,
+    grade: tuple[int, ...],
+    combo: Mapping[Segs, int],
+    grades: dict[Segs, tuple[int, ...]],
+) -> tuple[tuple[int, ...], SegmentCombo]:
+    """e_i^{(a)}, a >= 1, on a combination of the given grade: the grade
+    of the product and the product, keyed by segment tuples.
+
+    Every class of the product is checked against the product's grade,
+    by _check_grade, with its ValueError text.  Each distinct class is
+    measured once per grade, and that is exact: a segment tuple fixes its
+    own dimension vector, so a class that passed at a grade passes there
+    every time.  grades, owned by the caller, keeps the grade each tuple
+    passed at; a class asked at any other grade is measured again, and
+    fails.
+    """
+    up = list(grade)
+    up[i - 1] += a
+    up = tuple(up)
+    out = _mul_segments(i, a, combo)
+    for segs in out:
+        if grades.get(segs) != up:
+            _check_grade(Multisegment._canonical(segs), n, up)
+            grades[segs] = up
+    return up, out
+
+
+def _as_pbw(n: int, grade: tuple[int, ...], combo: Mapping[Segs, int]) -> PBWVector:
+    return PBWVector(n, grade, {Multisegment._canonical(s): c for s, c in combo.items()})
 
 
 def left_mul_divided_power(i: int, a: int, vec: PBWVector) -> PBWVector:
     """Multiply a PBW vector on the left by 1_{S_i^a} = e_i^{(a)}.
 
     Each coefficient is the q = 1 closed form of the module docstring,
-    read from the block table of _block_extensions; the vector returned
-    is new, and shares no state with the table.
+    read from the block table of _block_extensions through _product; the
+    vector returned is new, and shares no state with the table.
     """
     n = vec.n
     if not 1 <= i <= n:
@@ -433,10 +442,8 @@ def left_mul_divided_power(i: int, a: int, vec: PBWVector) -> PBWVector:
         raise ValueError(f"power {a} must be non-negative")
     if a == 0:
         return PBWVector(n, vec.grade, vec.coeffs)
-    grade = _shift(vec.grade, i, a)
-    out = _mul_segments(i, a, {cls.segments: c for cls, c in vec.coeffs.items()})
-    # PBWVector checks the grade of every class, so a wrong tuple raises
-    return PBWVector(n, grade, {Multisegment._canonical(s): c for s, c in out.items()})
+    combo = {cls.segments: c for cls, c in vec.coeffs.items()}
+    return _as_pbw(n, *_product(n, i, a, vec.grade, combo, {}))
 
 
 def _as_combo(w: Word | Mapping[Word, int]) -> WordCombo:
@@ -450,22 +457,26 @@ def word_to_pbw(quiver: Quiver, w: Word | Mapping[Word, int]) -> PBWVector:
 
     A word (i_1,a_1)...(i_k,a_k) denotes 1_{S_{i_1}^{a_1}} * ... *
     1_{S_{i_k}^{a_k}}, applied to the unit by folding from the right.
-    All words of a combination must share one weight.
+    All words of a combination must share one weight.  Each word folds
+    through _product, with one grade memo for the call, and the sum
+    becomes a PBWVector once, at the end.
     """
     combo = _as_combo(w)
     if not combo:
         raise ValueError("empty word combination has no grade")
-    weights = {word_weight(word, quiver.n) for word in combo}
+    n = quiver.n
+    weights = {word_weight(word, n) for word in combo}
     if len(weights) > 1:
         raise ValueError(f"mixed word weights {sorted(weights)}")
-    total: PBWVector | None = None
+    grades: dict[Segs, tuple[int, ...]] = {}
+    total: SegmentCombo = {}
     for word, c in combo.items():
-        vec = PBWVector.unit(quiver.n)
-        for letter in reversed(word):
-            vec = left_mul_divided_power(letter[0], letter[1], vec)
-        vec = c * vec
-        total = vec if total is None else total + vec
-    return total
+        grade, vec = (0,) * n, {(): 1}
+        for i, a in reversed(word):
+            grade, vec = _product(n, i, a, grade, vec, grades)
+        for segs, k in vec.items():
+            total[segs] = total.get(segs, 0) + c * k
+    return _as_pbw(n, weights.pop(), total)
 
 
 def flag_word_matrix(
@@ -549,17 +560,15 @@ def check_serre(quiver: Quiver, dim_bound: int) -> SerreReport:
     For each adjacent ordered pair (i, j) and each class N with |grade|
     <= dim_bound, the residual e_i^{(2)} e_j P_N - e_i e_j e_i P_N +
     e_j e_i^{(2)} P_N must vanish identically.  Vectors are keyed by
-    segment tuples, and every class of every product is grade-checked.
-    Each distinct class is measured once per call, and that is exact: a
-    segment tuple fixes its own dimension vector, so a class that passed
-    at a grade passes there every time.  `grades` keeps, for this call
-    only, the grade each tuple passed at; a class asked at any other
-    grade is measured again, and fails.  No product is kept, only those
-    grades (14,416 classes at n = 5, freed at return): a single-class
-    product costs two bisects, one read of the block table and two tuple
-    concatenations per class, and a table of whole products kept for the
-    check more than doubled the peak memory at n = 5.  A residual
-    becomes a PBWVector only when it fails, for the report.
+    segment tuples, and every product goes through _product, so every
+    class of every product is grade-checked, each distinct class once per
+    grade: `grades`, the memo _product reads, lives for this call only.
+    No product is kept, only those grades (14,416 classes at n = 5, freed
+    at return): a single-class product costs two bisects, one read of the
+    block table and two tuple concatenations per class, and a table of
+    whole products kept for the check more than doubled the peak memory
+    at n = 5.  A residual becomes a PBWVector only when it fails, for
+    the report.
     """
     n = quiver.n
     pairs = [(i, j) for i in quiver.vertices() for j in quiver.vertices() if abs(i - j) == 1]
@@ -567,34 +576,21 @@ def check_serre(quiver: Quiver, dim_bound: int) -> SerreReport:
     failures: list[str] = []
     grades: dict[Segs, tuple[int, ...]] = {}
 
-    def mul(k: int, a: int, vec: tuple[tuple[int, ...], SegmentCombo]):
-        # e_k^{(a)} on a (grade, combination) pair.  No class of a product is
-        # ever deleted, so this checks every class each single product yields
-        grade = _shift(vec[0], k, a)
-        out = _mul_segments(k, a, vec[1])
-        for segs in out:
-            if grades.get(segs) != grade:
-                _check_grade(Multisegment._canonical(segs), n, grade)
-                grades[segs] = grade
-        return grade, out
-
     for d in iter_dim_vectors(n, dim_bound):
         for cls in enumerate_multisegments(quiver, d):
-            v = (d, {cls.segments: 1})
-            once = {k: mul(k, 1, v) for k in quiver.vertices()}
-            twice = {k: mul(k, 2, v) for k in quiver.vertices()}
+            v = {cls.segments: 1}
+            once = {k: _product(n, k, 1, d, v, grades) for k in quiver.vertices()}
+            twice = {k: _product(n, k, 2, d, v, grades) for k in quiver.vertices()}
             for i, j in pairs:
-                grade, residual = mul(i, 2, once[j])
+                grade, residual = _product(n, i, 2, *once[j], grades)
                 for sign, (_, term) in (
-                    (-1, mul(i, 1, mul(j, 1, once[i]))),
-                    (1, mul(j, 1, twice[i])),
+                    (-1, _product(n, i, 1, *_product(n, j, 1, *once[i], grades), grades)),
+                    (1, _product(n, j, 1, *twice[i], grades)),
                 ):
                     for segs, c in term.items():
                         residual[segs] = residual.get(segs, 0) + sign * c
                 checked += 1
                 if any(residual.values()):
-                    shown = PBWVector(
-                        n, grade, {Multisegment._canonical(s): c for s, c in residual.items()}
-                    )
+                    shown = _as_pbw(n, grade, residual)
                     failures.append(f"(i={i}, j={j}) on P({cls}): residual {shown}")
     return SerreReport(n, dim_bound, checked, tuple(failures))

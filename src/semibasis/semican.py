@@ -11,7 +11,9 @@ the f_Z in the PBW basis:
   * recursion: peel the module's simple top at its largest start,
     multiply the smaller element back, and subtract the elements of the
     classes whose components have a strictly larger top there
-    (quiver.t_component), which restores the delta-conditions.
+    (quiver.t_component), which restores the delta-conditions.  Elements
+    are kept as word combinations, the form that can be evaluated at
+    points; an element's row of the matrix is word_to_pbw of it.
 
 Both must produce the same unitriangular matrix, and a delta-check must
 reproduce the identity; any mismatch is an error, never papered over.
@@ -45,7 +47,7 @@ from typing import Iterable, Mapping
 
 from . import nilpotent, torus
 from .errors import CertificationError, DeltaCheckError, RouteDisagreementError
-from .hall import PBWVector, WordCombo, left_mul_divided_power, pbw_to_words
+from .hall import WordCombo, pbw_to_words, word_to_pbw
 from .linalg import identity_exact, invert_unitriangular, matmul_exact
 from .nilpotent import RhoEvaluator, flag_degree_bound
 from .quiver import (
@@ -59,7 +61,6 @@ from .quiver import (
 )
 
 __all__ = [
-    "SemicanElement",
     "SemicanBasis",
     "CertifiedTransition",
     "transition_via_inversion",
@@ -69,18 +70,6 @@ __all__ = [
 Matrix = tuple[tuple[int, ...], ...]
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class SemicanElement:
-    """One semicanonical element in PBW and in word coordinates.
-
-    The two views stay in lockstep through the recursion; the word form
-    exists because only word monomials can be evaluated at points.
-    """
-
-    pbw: PBWVector
-    words: WordCombo
 
 
 def _combine_words(base: WordCombo, other: WordCombo, coeff: int) -> WordCombo:
@@ -98,17 +87,19 @@ class SemicanBasis:
     """Recursive construction of semicanonical elements over one quiver.
 
     Shares one rho evaluator and one write-once memo of elements, one
-    per class, so a full transition matrix touches each expensive
-    quantity once.
+    word combination per class, so a full transition matrix touches each
+    expensive quantity once.
     """
 
     def __init__(self, quiver: Quiver, root_seed: int = 0):
         self.quiver = quiver
         self.evaluator = RhoEvaluator(quiver.n, root_seed)
-        self._elements: dict[tuple, SemicanElement] = {}
+        self._elements: dict[tuple, WordCombo] = {}
 
-    def element(self, m: Multisegment) -> SemicanElement:
-        """The semicanonical element of the component over the orbit of m.
+    def element(self, m: Multisegment) -> WordCombo:
+        """The semicanonical element of the component over the orbit of m,
+        as a combination of words: only word monomials can be evaluated
+        at points, and its PBW coordinates are word_to_pbw of it.
 
         The zero class is the unit.  Any other m is peeled at its flag
         vertex i, its largest start, with t = t_top(m, i): no segment
@@ -125,24 +116,18 @@ class SemicanBasis:
         if found is not None:
             return found
         if m.is_zero():
-            elem = SemicanElement(PBWVector.unit(self.quiver.n), {(): 1})
+            words: WordCombo = {(): 1}
         else:
             i, t = flag_vertex(m)
-            base = self.element(peel_top(m, i))
-            pbw = left_mul_divided_power(i, t, base.pbw)
-            words: WordCombo = {((i, t),) + w: c for w, c in base.words.items()}
+            words = {((i, t),) + w: c for w, c in self.element(peel_top(m, i)).items()}
             for cls in enumerate_multisegments(self.quiver, m.dim_vector(self.quiver.n)):
                 if t_component(cls, i) <= t:
                     continue
                 coeff = self.evaluator.rho(cls, words)
-                if not coeff:
-                    continue
-                correction = self.element(cls)
-                pbw = pbw - coeff * correction.pbw
-                words = _combine_words(words, correction.words, -coeff)
-            elem = SemicanElement(pbw, words)
-        self._elements[m.segments] = elem
-        return elem
+                if coeff:
+                    words = _combine_words(words, self.element(cls), -coeff)
+        self._elements[m.segments] = words
+        return words
 
 
 def _certify_support(
@@ -200,7 +185,7 @@ def transition_via_inversion(
 def _delta_report(
     basis: SemicanBasis,
     classes: tuple[Multisegment, ...],
-    elements: Mapping[Multisegment, SemicanElement],
+    elements: Mapping[Multisegment, WordCombo],
 ) -> Matrix:
     # row K holds rho_K(f_M) over the elements f_M, by the rule of the
     # module docstring
@@ -211,17 +196,17 @@ def _delta_report(
     for r, k_cls in enumerate(classes):
         # read the row first: a count missing from the memo can read
         # further primes, which the certificate must cover
-        row = list(ev.rho_row(k_cls, [elements[m_cls].words for m_cls in classes]))
+        row = list(ev.rho_row(k_cls, [elements[m_cls] for m_cls in classes]))
         if ev.voted(k_cls):
             recounted[k_cls] = "voted in the construction"
         elif row[r] == 1:
             # the diagonal must come out 1 at the fresh points too, which
             # at a graded component is a count by the other method
-            row[r] = fresh.rho(k_cls, elements[k_cls].words)
+            row[r] = fresh.rho(k_cls, elements[k_cls])
             if fresh.voted(k_cls):
                 recounted[k_cls] = "fresh draws voted"
         if k_cls in recounted:
-            row = fresh.rho_row(k_cls, [elements[m_cls].words for m_cls in classes])
+            row = fresh.rho_row(k_cls, [elements[m_cls] for m_cls in classes])
         rows.append(tuple(row))
     log.info(
         "delta check: %d of %d components read from the construction's counts, "
@@ -294,9 +279,8 @@ def transition_matrix(
     classes, a_mat, e_mat = transition_via_inversion(quiver, d, basis.evaluator)
     torus.log_coverage({cls: basis.evaluator.graded(cls) for cls in classes})
     elements = {cls: basis.element(cls) for cls in classes}
-    rec_mat = tuple(
-        tuple(elements[m_cls].pbw.get(n_cls) for n_cls in classes) for m_cls in classes
-    )
+    rows = (word_to_pbw(quiver, elements[m_cls]) for m_cls in classes)
+    rec_mat = tuple(tuple(vec.get(n_cls) for n_cls in classes) for vec in rows)
     if rec_mat != a_mat:
         diffs = [
             f"({classes[r]} : {classes[c]}) inversion={a_mat[r][c]} recursion={rec_mat[r][c]}"

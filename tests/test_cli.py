@@ -81,6 +81,14 @@ class TestTransition:
         code, _, _ = run(capsys, "transition", "--dim", "-1,2")
         assert code == 10
 
+    def test_dim_entry_above_maxsize_exits_10(self, capsys):
+        # no traceback from enumerating an entry no index can reach
+        code, out, err = run(
+            capsys, "transition", "--n", "2", "--dim", "99999999999999999999,0"
+        )
+        assert (code, out) == (10, "")
+        assert "entry above" in err and "Traceback" not in err
+
     def test_seed_flag_changes_nothing_observable(self, capsys):
         _, one, _ = run(capsys, "transition", "--dim", "1,2", "--format", "json")
         _, two, _ = run(
@@ -180,6 +188,11 @@ class TestInspect:
         ]
         pairs = {tuple(pair) for pair in payload["degenerations"]}
         assert ("2[1,2]", "2[1,1]+2[2,2]") in pairs
+
+    def test_deg_order_dim_entry_above_maxsize_exits_10(self, capsys):
+        code, out, err = run(capsys, "inspect", "deg-order", "--dim", "99999999999999999999")
+        assert (code, out) == (10, "")
+        assert "entry above" in err and "Traceback" not in err
 
     def test_flag_word(self, capsys):
         code, out, _ = run(

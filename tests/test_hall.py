@@ -247,7 +247,7 @@ class TestLeftMul:
         monkeypatch.setattr(hall, "_extensions", spy)
         vec = PBWVector(2, (1, 1), {M("1[1,2]"): 1})
         assert left_mul_divided_power(1, 1, vec) == left_mul_divided_power(1, 1, vec)
-        assert calls == [(M("1[1,2]"), 1, 1)] * 2
+        assert calls == [(M("1[1,2]").segments, 1, 1)] * 2
 
     def test_extensions_are_canonical_and_match_sorting(self):
         # each L is written in canonical order with no sort; the oracle
@@ -262,7 +262,7 @@ class TestLeftMul:
                     for a in (1, 2, 3):
                         grade = list(cls.dim_vector(n))
                         grade[i - 1] += a
-                        got = cold[cls, i, a] = list(hall._extensions(cls, i, a))
+                        got = cold[cls, i, a] = list(hall._extensions(cls.segments, i, a))
                         for segs, _ in got:
                             assert segs == M(segs).segments, (cls, i, a, segs)
                             assert M(segs).dim_vector(n) == tuple(grade), (cls, i, a)
@@ -272,10 +272,19 @@ class TestLeftMul:
         assert cases == 7698
         assert hall._block_extensions.cache_info().hits > 0
         for (cls, i, a), got in cold.items():
-            assert list(hall._extensions(cls, i, a)) == got, (cls, i, a)
+            assert list(hall._extensions(cls.segments, i, a)) == got, (cls, i, a)
 
-    def test_product_of_wrong_grade_raises(self, monkeypatch):
-        # one extra segment per extension: PBWVector's grade check catches it
+    @pytest.mark.parametrize(
+        "product",
+        [
+            lambda: left_mul_divided_power(1, 1, PBWVector(2, (0, 1), {M("1[2,2]"): 1})),
+            lambda: word_to_pbw(Quiver(2), ((1, 1), (2, 1))),
+        ],
+        ids=["left_mul_divided_power", "word_to_pbw"],
+    )
+    def test_product_of_wrong_grade_raises(self, monkeypatch, product):
+        # one extra segment per extension: the shared product's grade
+        # check catches it, whichever entry point calls it
         extensions = hall._extensions
         monkeypatch.setattr(
             hall,
@@ -285,7 +294,7 @@ class TestLeftMul:
             ),
         )
         with pytest.raises(ValueError, match="not of grade"):
-            left_mul_divided_power(1, 1, PBWVector(2, (0, 1), {M("1[2,2]"): 1}))
+            product()
 
     def test_coefficients_nonnegative_integers(self):
         # counts evaluated at 1 stay nonnegative integers on basis vectors
@@ -304,8 +313,11 @@ class TestLeftMul:
             for a in (1, 2):
                 for b in (1, 2, 3):
                     lhs = left_mul_divided_power(i, a, left_mul_divided_power(i, b, unit))
-                    rhs = comb(a + b, a) * left_mul_divided_power(i, a + b, unit)
-                    assert lhs == rhs
+                    rhs = left_mul_divided_power(i, a + b, unit)
+                    assert lhs.grade == rhs.grade
+                    assert lhs.coeffs == {
+                        cls: comb(a + b, a) * c for cls, c in rhs.coeffs.items()
+                    }
 
 
 class TestSerre:

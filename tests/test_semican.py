@@ -11,7 +11,7 @@ from semibasis import nilpotent, semican, torus
 from semibasis.cli import main
 from semibasis.errors import CertificationError, DeltaCheckError
 from semibasis.quiver import euler_form, flag_vertex, t_component
-from semibasis.semican import SemicanBasis, SemicanElement
+from semibasis.semican import SemicanBasis
 from semibasis import (
     Multisegment,
     PBWVector,
@@ -23,6 +23,7 @@ from semibasis import (
     refine_order,
     transition_matrix,
     transition_via_inversion,
+    word_to_pbw,
 )
 
 M = Multisegment
@@ -134,19 +135,21 @@ class TestRecursionRoute:
     def test_square_elements(self):
         m1, m2, m3 = M("2[1,2]"), M("1[1,2]+1[1,1]+1[2,2]"), M("2[1,1]+2[2,2]")
         basis = SemicanBasis(Q2)
-        assert basis.element(m3).pbw == PBWVector(2, (2, 2), {m3: 1})
-        assert basis.element(m2).pbw == PBWVector(2, (2, 2), {m2: 1, m3: 2})
-        assert basis.element(m1).pbw == PBWVector(2, (2, 2), {m1: 1, m2: 1, m3: 1})
+        assert word_to_pbw(Q2, basis.element(m3)) == PBWVector(2, (2, 2), {m3: 1})
+        assert word_to_pbw(Q2, basis.element(m2)) == PBWVector(2, (2, 2), {m2: 1, m3: 2})
+        assert word_to_pbw(Q2, basis.element(m1)) == PBWVector(
+            2, (2, 2), {m1: 1, m2: 1, m3: 1}
+        )
 
     def test_semisimple_is_pbw_class(self):
         for n in (2, 3):
             for d in oracles.grades_upto(n, 4):
                 cls = oracles.semisimple(n, d)
-                got = SemicanBasis(Quiver(n)).element(cls).pbw
+                got = word_to_pbw(Quiver(n), SemicanBasis(Quiver(n)).element(cls))
                 assert got == PBWVector(n, d, {cls: 1}), cls
 
     def test_interval_element(self):
-        got = SemicanBasis(Q2).element(M("1[1,2]")).pbw
+        got = word_to_pbw(Q2, SemicanBasis(Q2).element(M("1[1,2]")))
         assert got == PBWVector(2, (1, 1), {M("1[1,2]"): 1, M("1[1,1]+1[2,2]"): 1})
 
     def test_agrees_with_inversion(self):
@@ -161,7 +164,7 @@ class TestRecursionRoute:
             for d in grades:
                 classes, a_mat, _ = transition_via_inversion(quiver, d)
                 for r, cls in enumerate(classes):
-                    vec = basis.element(cls).pbw
+                    vec = word_to_pbw(quiver, basis.element(cls))
                     assert tuple(vec.get(c) for c in classes) == a_mat[r], cls
 
     def test_corrections_terminate(self):
@@ -253,12 +256,12 @@ class TestDeltaCheck:
             m, w = next(
                 (m, w)
                 for m in classes
-                for w in elements[m].words
+                for w in elements[m]
                 if ev.chi(m, w) == 0 and any(ev.chi(k, w) for k in classes)
             )
-            words = dict(elements[m].words)
+            words = dict(elements[m])
             words[w] += 1
-            return real(basis, classes, {**elements, m: SemicanElement(elements[m].pbw, words)})
+            return real(basis, classes, {**elements, m: words})
 
         monkeypatch.setattr(semican, "_delta_report", perturbed)
         with caplog.at_level(logging.INFO, logger="semibasis.semican"):
@@ -280,8 +283,8 @@ class TestDeltaCheck:
             k, w = next(
                 (k, w)
                 for k in classes
-                for w in elements[k].words
-                if all(w not in elements[m].words for m in classes if m != k)
+                for w in elements[k]
+                if all(w not in elements[m] for m in classes if m != k)
             )
             ev._chi[k.segments, w] = ev.chi(k, w) + 1
             return real(basis, classes, elements)
@@ -328,7 +331,7 @@ class TestDeltaCheck:
             res = transition_matrix(Q2, (2, 2))
         assert res.delta_ok
         basis = SemicanBasis(Q2)
-        every_word = [w for m in res.classes for w in basis.element(m).words]
+        every_word = [w for m in res.classes for w in basis.element(m)]
         [fresh] = fresh_evaluators
         assert set(fresh._chi) == pairs(res.classes, lambda k: every_word)
         assert delta_lines(caplog) == [
@@ -353,7 +356,7 @@ class TestDeltaCheck:
             res = transition_matrix(Q2, (2, 2))
         assert res.delta_ok
         basis = SemicanBasis(Q2)
-        every_word = [w for m in res.classes for w in basis.element(m).words]
+        every_word = [w for m in res.classes for w in basis.element(m)]
         [fresh] = fresh_evaluators
         assert set(fresh._chi) == pairs(res.classes, lambda k: every_word)
         [line] = delta_lines(caplog)
@@ -379,7 +382,7 @@ class TestDeltaCheck:
             res = transition_matrix(Q2, (2, 2))
         assert res.delta_ok
         basis = SemicanBasis(Q2)
-        every_word = [w for m in res.classes for w in basis.element(m).words]
+        every_word = [w for m in res.classes for w in basis.element(m)]
         assert all(basis.evaluator.graded(m) is not None for m in res.classes)
         [fresh] = fresh_evaluators
         assert set(fresh._chi) == pairs(res.classes, lambda k: every_word)
@@ -409,7 +412,7 @@ class TestDeltaCheck:
         def report(basis, classes, elements):
             ev = basis.evaluator
             for k in classes:
-                rows[k] = ev.rho_row(k, [elements[m].words for m in classes])
+                rows[k] = ev.rho_row(k, [elements[m] for m in classes])
             return real(basis, classes, elements)
 
         monkeypatch.setattr(semican, "_delta_report", report)
@@ -419,7 +422,7 @@ class TestDeltaCheck:
         assert tuple(rows[k] for k in res.classes) == res.delta
         basis = SemicanBasis(Q2)
         [fresh] = fresh_evaluators
-        assert set(fresh._chi) == pairs(res.classes, lambda k: basis.element(k).words)
+        assert set(fresh._chi) == pairs(res.classes, basis.element)
         assert {p for _, p in fresh._voted} == {2, 3}
         assert delta_lines(caplog) == [
             "delta check: 3 of 3 components read from the construction's counts,"
@@ -449,9 +452,9 @@ class TestDeltaCheck:
         seen = {}
 
         def report(basis, classes, elements):
-            assert w in elements[k].words
-            seen["torus"] = basis.evaluator.rho(k, elements[k].words)
-            seen["primes"] = basis.evaluator.fresh().rho(k, elements[k].words)
+            assert w in elements[k]
+            seen["torus"] = basis.evaluator.rho(k, elements[k])
+            seen["primes"] = basis.evaluator.fresh().rho(k, elements[k])
             return real(basis, classes, elements)
 
         monkeypatch.setattr(semican, "_delta_report", report)
@@ -484,9 +487,7 @@ class TestDeltaCheck:
         assert delta_lines(caplog) == [line]
         basis = SemicanBasis(Q3)
         classes = tuple(refine_order(enumerate_multisegments(Q3, (2, 3, 1))))
-        assert set(fresh_evaluators[-1]._chi) == pairs(
-            classes, lambda k: basis.element(k).words
-        )
+        assert set(fresh_evaluators[-1]._chi) == pairs(classes, basis.element)
 
 
 class TestCertifiedTransition:
@@ -557,7 +558,7 @@ class TestCertifiedTransition:
         ev = RhoEvaluator(quiver.n)
         basis = SemicanBasis(quiver)
         for m in res.classes:
-            elem = basis.element(m).pbw
+            elem = word_to_pbw(quiver, basis.element(m))
             assert all(type(c) is int for c in elem.coeffs.values())
             assert all(type(c) is int for c in combos[m].values())
             assert all(type(ev.rho(k, combos[m])) is int for k in res.classes)

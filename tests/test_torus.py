@@ -204,7 +204,7 @@ def grade_words(n, d):
     quiver = Quiver(n)
     basis = SemicanBasis(quiver)
     words = {w for combo in pbw_to_words(quiver, d).values() for w in combo}
-    words |= {w for m in enumerate_multisegments(quiver, d) for w in basis.element(m).words}
+    words |= {w for m in enumerate_multisegments(quiver, d) for w in basis.element(m)}
     return sorted(words)
 
 
