@@ -33,10 +33,16 @@ C(t_top(L, i), a), and the tuples against sorting.
 Every product runs on segment tuples through one core, `_product`,
 which grade-checks each class it yields; `left_mul_divided_power`,
 `word_to_pbw` and `check_serre` all call it, and the first two wrap
-their result in one PBWVector per call.  The middle blocks and their
-counts depend only on N's [i, .] and [i+1, .] segments, so
-`_block_extensions` keeps them in a process-wide table keyed by
-(block, i, a), 1,637 keys for the whole of `check_serre(Quiver(5), 6)`.
+their result in one PBWVector per call.  Words fold in batches: `_fold`
+walks the trie of the batch's reversed letters depth first, so a suffix
+shared by several words is multiplied once, and it holds only the
+products on its current path and the results, nothing past the call.
+`word_to_pbw`, `flag_word_matrix` and the recursion rows of
+semican.transition_matrix (`_pbw_rows`) fold this way.  The middle
+blocks and their counts depend only on N's [i, .] and [i+1, .]
+segments, so `_block_extensions` keeps them in a process-wide table
+keyed by (block, i, a), 1,637 keys for the whole of
+`check_serre(Quiver(5), 6)`.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InternalCheckError
 from .linalg import (
@@ -452,14 +458,51 @@ def _as_combo(w: Word | Mapping[Word, int]) -> WordCombo:
     return {word: c for word, c in w.items() if c}
 
 
+def _suffix_trie(words: Iterable[Word], skip: int = 0) -> tuple[list[Word], dict]:
+    """The trie of the words' reversed letters, as (words held, children
+    by letter) nodes, each word held by the node that its letters after
+    the first skip lead to, in the order the words come."""
+    root: tuple[list[Word], dict] = ([], {})
+    for w in words:
+        node = root
+        for letter in reversed(w[skip:]):
+            node = node[1].setdefault(letter, ([], {}))
+        node[0].append(w)
+    return root
+
+
+def _fold(n: int, words: Iterable[Word]) -> dict[Word, SegmentCombo]:
+    """Each word folded from the right onto the unit, keyed by segment
+    tuples: the product of its letters' divided powers.
+
+    The words fold together, depth first through their _suffix_trie, so
+    a suffix shared by several words is multiplied once; only the
+    products on the current path and the results are held, and the grade
+    memo of _product lives for this call.  Each word's product is the
+    one its own letter-by-letter fold gives, in the same key order.
+    """
+    out: dict[Word, SegmentCombo] = {}
+    grades: dict[Segs, tuple[int, ...]] = {}
+
+    def walk(node: tuple[list[Word], dict], grade: tuple[int, ...], vec: SegmentCombo) -> None:
+        held, children = node
+        for w in held:
+            out[w] = vec
+        for (i, a), child in children.items():
+            walk(child, *_product(n, i, a, grade, vec, grades))
+
+    walk(_suffix_trie(words), (0,) * n, {(): 1})
+    return out
+
+
 def word_to_pbw(quiver: Quiver, w: Word | Mapping[Word, int]) -> PBWVector:
     """Expand a word combination into PBW coordinates.
 
     A word (i_1,a_1)...(i_k,a_k) denotes 1_{S_{i_1}^{a_1}} * ... *
     1_{S_{i_k}^{a_k}}, applied to the unit by folding from the right.
-    All words of a combination must share one weight.  Each word folds
-    through _product, with one grade memo for the call, and the sum
-    becomes a PBWVector once, at the end.
+    All words of a combination must share one weight.  The words fold
+    together through _fold, and the sum becomes a PBWVector once, at the
+    end.
     """
     combo = _as_combo(w)
     if not combo:
@@ -468,15 +511,21 @@ def word_to_pbw(quiver: Quiver, w: Word | Mapping[Word, int]) -> PBWVector:
     weights = {word_weight(word, n) for word in combo}
     if len(weights) > 1:
         raise ValueError(f"mixed word weights {sorted(weights)}")
-    grades: dict[Segs, tuple[int, ...]] = {}
-    total: SegmentCombo = {}
-    for word, c in combo.items():
-        grade, vec = (0,) * n, {(): 1}
-        for i, a in reversed(word):
-            grade, vec = _product(n, i, a, grade, vec, grades)
-        for segs, k in vec.items():
-            total[segs] = total.get(segs, 0) + c * k
-    return _as_pbw(n, weights.pop(), total)
+    return _as_pbw(n, weights.pop(), _pbw_rows(n, [combo])[0])
+
+
+def _pbw_rows(n: int, combos: Sequence[Mapping[Word, int]]) -> list[SegmentCombo]:
+    # each word combination in PBW coordinates, keyed by segment tuples:
+    # the words of all of them fold together, each once, through _fold
+    folded = _fold(n, dict.fromkeys(word for combo in combos for word in combo))
+    rows = []
+    for combo in combos:
+        total: SegmentCombo = {}
+        for word, c in combo.items():
+            for segs, k in folded[word].items():
+                total[segs] = total.get(segs, 0) + c * k
+        rows.append(total)
+    return rows
 
 
 def flag_word_matrix(
@@ -488,21 +537,24 @@ def flag_word_matrix(
     words[r] the total generic flag of classes[r], and T[r][c] the
     coefficient of P_{classes[c]} in word_to_pbw(words[r]).  T is upper
     unitriangular: the word of a class hits the class itself once and
-    otherwise only proper degenerations of it.
+    otherwise only proper degenerations of it.  The words fold together,
+    through _fold.
     """
     classes = tuple(refine_order(enumerate_multisegments(quiver, d)))
     words = tuple(
         () if cls.is_zero() else total_generic_flag(cls) for cls in classes
     )
+    folded = _fold(quiver.n, words)
     rows = []
     for r, word in enumerate(words):
-        vec = word_to_pbw(quiver, word)
-        for cls in vec.coeffs:
-            if not deg_leq(classes[r], cls):
+        vec = folded[word]
+        for segs, c in vec.items():
+            hit = Multisegment._canonical(segs)
+            if c and not deg_leq(classes[r], hit):
                 raise InternalCheckError(
-                    f"word of {classes[r]} hits {cls}, not a degeneration of it"
+                    f"word of {classes[r]} hits {hit}, not a degeneration of it"
                 )
-        rows.append(tuple(vec.get(cls) for cls in classes))
+        rows.append(tuple(vec.get(cls.segments, 0) for cls in classes))
     return classes, words, tuple(rows)
 
 

@@ -20,7 +20,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt, lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InterpolationError
 
@@ -30,6 +30,7 @@ __all__ = [
     "matrix_equation_rows",
     "rref_ff",
     "rank_ff",
+    "rank_sparse_ff",
     "kernel_basis_ff",
     "matmul_ff",
     "subspaces_ff",
@@ -161,6 +162,33 @@ def rref_ff(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], lis
 
 def rank_ff(rows: Sequence[Sequence[int]], p: int) -> int:
     return len(rref_ff(rows, p)[1])
+
+
+def rank_sparse_ff(rows: Iterable[Mapping[int, int]], p: int) -> int:
+    """Rank mod p of rows given as {column: entry}, absent entries zero.
+
+    Each row is cleared at its least column by the pivot row there, until
+    it is zero or no pivot row holds that column, where it becomes one.
+    A step costs the nonzeros of the pivot row, never the width.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for given in rows:
+        row = {c: v % p for c, v in given.items() if v % p}
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inv = pow(row[c], -1, p)
+                pivots[c] = {j: v * inv % p for j, v in row.items()}
+                break
+            f = row[c]
+            for j, v in pivot.items():
+                x = (row.get(j, 0) - f * v) % p
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+    return len(pivots)
 
 
 def kernel_basis_ff(rows: Sequence[Sequence[int]], ncols: int, p: int) -> list[Vector]:

@@ -28,7 +28,8 @@ component (_end_template): End(x) is the commutant of x's stars inside
 End of the arrow module realize(M), which has a closed-form basis of
 segment maps.  The template, built once per component, lists the terms
 of each basis map's commutator with the stars, so a point fills that
-integral matrix from its stars alone and takes one rank.  Each
+integral matrix from its stars alone, as sparse rows, and takes one
+rank.  Each
 (component, prime, attempt) draws up to SAMPLES_PER_PRIME points, once
 per evaluator: every word count reads the same draws, and the star
 relations of each (component, prime) are solved once, each draw only
@@ -89,7 +90,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import torus
 from .errors import ConsensusError, InternalCheckError, InterpolationError
-from .hall import Rep, _as_combo, realize
+from .hall import Rep, _as_combo, _suffix_trie, realize
 from .linalg import (
     complete_basis_ff,
     gaussian_binomial,
@@ -99,6 +100,7 @@ from .linalg import (
     matrix_equation_rows,
     random_span_point_ff,
     rank_ff,
+    rank_sparse_ff,
     row_space_basis_ff,
     rref_ff,
     subspaces_ff,
@@ -285,18 +287,20 @@ def _end_template(m: Multisegment, n: int) -> _EndTemplate:
 
 def _end_dim(x: LambdaPoint, template: _EndTemplate) -> int:
     # dim End(x) over F_p: the phi in End(M) with phi_v s_v - s_v phi_(v+1) = 0
-    # at every star, M the arrow module template was built on
+    # at every star, M the arrow module template was built on.  Each row
+    # holds only the terms of nonzero star entries, as {column: entry},
+    # and rank_sparse_ff never fills the zeros in
     if x.arrows != template.rep.maps or x.dims != template.rep.dims:
         raise InternalCheckError("End template built on other arrows than the point's")
     flat = [e for s in x.stars for row in s for e in row]
-    width = len(flat)
     rows = []
     for terms in template.terms:
-        row = [0] * width
+        row: dict[int, int] = {}
         for at, star, sign in terms:
-            row[at] += sign * flat[star]
+            if flat[star]:
+                row[at] = row.get(at, 0) + sign * flat[star]
         rows.append(row)
-    return len(rows) - rank_ff(rows, x.p)
+    return len(rows) - rank_sparse_ff(rows, x.p)
 
 
 def _generic_draws(
@@ -615,24 +619,12 @@ class _Kernels:
 _walked: Counter = Counter()
 
 
-def _suffix_trie(words: Iterable[Word]) -> tuple[list[Word], dict]:
-    # the trie of the words' reversed letters, as (words held, children by
-    # letter) nodes.  A word is held by the node its letters after the
-    # first lead to: a flag walk from the bottom that arrives there has
-    # only the first letter left, which has the quotient's own dimension
-    # vector, so its one flag is the whole space
-    root: tuple[list[Word], dict] = ([], {})
-    for w in words:
-        node = root
-        for letter in reversed(w[1:]):
-            node = node[1].setdefault(letter, ([], {}))
-        node[0].append(w)
-    return root
-
-
 def _count_words(x: LambdaPoint, words: Iterable[Word]) -> dict[Word, int]:
     # the flag counts at x of words of x's weight, in one depth-first walk
-    # of their _suffix_trie.  The walk carries the product of the orbit
+    # of their hall._suffix_trie past each first letter: a walk from the
+    # bottom that arrives where a word is held has only its first letter
+    # left, which has the quotient's own dimension vector, so its one flag
+    # is the whole space.  The walk carries the product of the orbit
     # weights on its path and adds it to every word held where it arrives.
     # A candidate U of the letter (i, a) at y is quotiented out only where
     # a next letter (j, b) fits, dim ker_(y/U)(j) >= b, which _Kernels
@@ -675,7 +667,7 @@ def _count_words(x: LambdaPoint, words: Iterable[Word]) -> dict[Word, int]:
             for orbit, (z, fitting, kept) in _expand(y, i, a, build, kernel):
                 walk(z, fitting, weight * orbit, kept)
 
-    walk(x, _suffix_trie(counts), 1, {})
+    walk(x, _suffix_trie(counts, skip=1), 1, {})
     return counts
 
 
@@ -718,9 +710,10 @@ class RhoEvaluator:
     are built once, and the interpolated value of each (component,
     word) pair is computed once; this is what makes whole
     evaluation matrices affordable.  The words asked for at one label
-    together (a combination in rho, a row in rho_row) are counted
-    together: each draw is read once for all of them, in one walk of
-    their shared suffixes, and nothing of the walk is kept.  At DEBUG
+    together (a combination in rho, a row in rho_row, a vector of
+    distinct words in chi_vector) are counted together: each draw is
+    read once for all of them, in one walk of their shared suffixes, and
+    nothing of the walk is kept.  At DEBUG
     each counted batch logs its label, how many words it counted
     together, how many expansions it made, how many quotients it built
     and how many candidates it pruned unbuilt, how many fits a tangent
@@ -925,6 +918,18 @@ class RhoEvaluator:
         if key not in self._chi:
             self._count(label, [word])
         return self._chi[key]
+
+    def chi_vector(self, label: Multisegment, words: Sequence[Word]) -> tuple[int, ...]:
+        """chi(label, w) for each of the distinct words, in order.
+
+        The words are counted together, as in rho_row, and each value is
+        read from the memo once, with no chi call per word.  The first
+        word in the order given that no attempt certifies raises chi's
+        error.
+        """
+        self._count(label, words)
+        key = label.segments
+        return tuple(self._chi[key, w] for w in words)
 
     def rho(self, label: Multisegment, combo: Mapping[Word, int] | Word) -> int:
         """The generic value on Z_label of an integer word combination."""

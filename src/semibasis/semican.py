@@ -11,15 +11,26 @@ the f_Z in the PBW basis:
   * recursion: peel the module's simple top at its largest start,
     multiply the smaller element back, and subtract the elements of the
     classes whose components have a strictly larger top there
-    (quiver.t_component), which restores the delta-conditions.  Elements
-    are kept as word combinations, the form that can be evaluated at
-    points; an element's row of the matrix is word_to_pbw of it.
+    (quiver.t_component, read from a table kept per basis, grade and
+    vertex), which restores the delta-conditions.  Elements are kept as
+    word combinations, the form that can be evaluated at points; an
+    element's row of the matrix is word_to_pbw of it, and the rows of a
+    grade fold all their distinct words together, once each
+    (hall._pbw_rows).
 
 Both must produce the same unitriangular matrix, and a delta-check must
 reproduce the identity; any mismatch is an error, never papered over.
 transition_matrix is the one entry point that runs all three; the
 grade's classes come once, in the key order of pbw_to_words, and every
 support check asks the one order predicate, quiver.deg_leq.
+
+E and the delta matrix are read as vectors (_WordColumns): a row at
+component K is one chi vector over the distinct words of the grade's
+combinations, in the order the combinations name them, read through
+RhoEvaluator.chi_vector, with the sparse columns of the coefficient
+matrix applied to it.  Each word is counted and looked up once per row,
+and the first word that fails to certify, and its error text, are those
+of rho_row over the same combinations.
 
 The delta-check evaluates every element at every component, by one rule.
 A component whose values were all read at draws with dim End = q(d), or
@@ -43,16 +54,17 @@ import itertools
 import logging
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import nilpotent, torus
 from .errors import CertificationError, DeltaCheckError, RouteDisagreementError
-from .hall import WordCombo, pbw_to_words, word_to_pbw
+from .hall import WordCombo, _pbw_rows, pbw_to_words
 from .linalg import identity_exact, invert_unitriangular, matmul_exact
 from .nilpotent import RhoEvaluator, flag_degree_bound
 from .quiver import (
     Multisegment,
     Quiver,
+    Word,
     deg_leq,
     enumerate_multisegments,
     flag_vertex,
@@ -86,15 +98,27 @@ def _combine_words(base: WordCombo, other: WordCombo, coeff: int) -> WordCombo:
 class SemicanBasis:
     """Recursive construction of semicanonical elements over one quiver.
 
-    Shares one rho evaluator and one write-once memo of elements, one
-    word combination per class, so a full transition matrix touches each
-    expensive quantity once.
+    Shares one rho evaluator, one write-once memo of elements, one word
+    combination per class, and one table of t_component per grade and
+    vertex, so a full transition matrix touches each expensive quantity
+    once.
     """
 
     def __init__(self, quiver: Quiver, root_seed: int = 0):
         self.quiver = quiver
         self.evaluator = RhoEvaluator(quiver.n, root_seed)
         self._elements: dict[tuple, WordCombo] = {}
+        self._tops: dict[tuple, tuple[tuple[Multisegment, int], ...]] = {}
+
+    def _tops_at(self, grade: tuple[int, ...], i: int) -> tuple[tuple[Multisegment, int], ...]:
+        # every class of the grade with its t_component at i, computed
+        # once per basis, grade and vertex
+        key = (grade, i)
+        found = self._tops.get(key)
+        if found is None:
+            classes = enumerate_multisegments(self.quiver, grade)
+            found = self._tops[key] = tuple((cls, t_component(cls, i)) for cls in classes)
+        return found
 
     def element(self, m: Multisegment) -> WordCombo:
         """The semicanonical element of the component over the orbit of m,
@@ -120,8 +144,8 @@ class SemicanBasis:
         else:
             i, t = flag_vertex(m)
             words = {((i, t),) + w: c for w, c in self.element(peel_top(m, i)).items()}
-            for cls in enumerate_multisegments(self.quiver, m.dim_vector(self.quiver.n)):
-                if t_component(cls, i) <= t:
+            for cls, top in self._tops_at(m.dim_vector(self.quiver.n), i):
+                if top <= t:
                     continue
                 coeff = self.evaluator.rho(cls, words)
                 if coeff:
@@ -151,6 +175,38 @@ def _certify_support(
                 )
 
 
+class _WordColumns:
+    """Word combinations split once into their distinct words.
+
+    words holds the distinct words with a nonzero coefficient, in the
+    order the combinations name them, and uses[c] the (combination,
+    coefficient) pairs of words[c]: the sparse columns of the matrix of
+    coefficients.  row reads one chi vector over words and applies those
+    columns to it, so each word is looked up once per row, however many
+    combinations hold it.
+    """
+
+    def __init__(self, combos: Sequence[Mapping[Word, int]]):
+        uses: dict[Word, list[tuple[int, int]]] = {}
+        for k, combo in enumerate(combos):
+            for word, c in combo.items():
+                if c:
+                    uses.setdefault(word, []).append((k, c))
+        self.size = len(combos)
+        self.words = tuple(uses)
+        self.uses = tuple(uses.values())
+
+    def row(self, ev: RhoEvaluator, label: Multisegment) -> tuple[int, ...]:
+        """The generic values on Z_label of the combinations, in order:
+        the values of ev.rho_row(label, combos), from ev.chi_vector."""
+        row = [0] * self.size
+        for value, held in zip(ev.chi_vector(label, self.words), self.uses):
+            if value:
+                for k, c in held:
+                    row[k] += c * value
+        return tuple(row)
+
+
 def transition_via_inversion(
     quiver: Quiver, d: Iterable[int], evaluator: RhoEvaluator | None = None
 ) -> tuple[tuple[Multisegment, ...], Matrix, Matrix]:
@@ -164,12 +220,17 @@ def transition_via_inversion(
     certified lower unitriangular and A upper unitriangular with respect
     to the degeneration order before returning; A times E-transposed is
     re-checked to be the identity.
+
+    pbw_to_words inverts the grade's flag word matrix T once; its
+    combinations are the sparse rows of T^{-1} over the flag words.  Row
+    K of E is then one chi vector over the flag words at Z_K, with the
+    sparse columns of T^{-1} applied to it (_WordColumns).
     """
     combos = pbw_to_words(quiver, d)
     classes = tuple(combos)
     ev = evaluator or RhoEvaluator(quiver.n)
-    columns = list(combos.values())
-    e_mat = tuple(ev.rho_row(k_cls, columns) for k_cls in classes)
+    columns = _WordColumns(list(combos.values()))
+    e_mat = tuple(columns.row(ev, k_cls) for k_cls in classes)
     _certify_support(classes, e_mat, lower=True, what="evaluation matrix")
     e_t = tuple(zip(*e_mat))
     try:
@@ -191,12 +252,13 @@ def _delta_report(
     # module docstring
     ev = basis.evaluator
     fresh = ev.fresh()
+    columns = _WordColumns([elements[m_cls] for m_cls in classes])
     rows = []
     recounted: dict[Multisegment, str] = {}
     for r, k_cls in enumerate(classes):
         # read the row first: a count missing from the memo can read
         # further primes, which the certificate must cover
-        row = list(ev.rho_row(k_cls, [elements[m_cls] for m_cls in classes]))
+        row = list(columns.row(ev, k_cls))
         if ev.voted(k_cls):
             recounted[k_cls] = "voted in the construction"
         elif row[r] == 1:
@@ -206,7 +268,7 @@ def _delta_report(
             if fresh.voted(k_cls):
                 recounted[k_cls] = "fresh draws voted"
         if k_cls in recounted:
-            row = fresh.rho_row(k_cls, [elements[m_cls] for m_cls in classes])
+            row = columns.row(fresh, k_cls)
         rows.append(tuple(row))
     log.info(
         "delta check: %d of %d components read from the construction's counts, "
@@ -279,8 +341,8 @@ def transition_matrix(
     classes, a_mat, e_mat = transition_via_inversion(quiver, d, basis.evaluator)
     torus.log_coverage({cls: basis.evaluator.graded(cls) for cls in classes})
     elements = {cls: basis.element(cls) for cls in classes}
-    rows = (word_to_pbw(quiver, elements[m_cls]) for m_cls in classes)
-    rec_mat = tuple(tuple(vec.get(n_cls) for n_cls in classes) for vec in rows)
+    rows = _pbw_rows(quiver.n, [elements[m_cls] for m_cls in classes])
+    rec_mat = tuple(tuple(row.get(n_cls.segments, 0) for n_cls in classes) for row in rows)
     if rec_mat != a_mat:
         diffs = [
             f"({classes[r]} : {classes[c]}) inversion={a_mat[r][c]} recursion={rec_mat[r][c]}"

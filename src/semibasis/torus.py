@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, Mapping
 
 from . import nilpotent
 from .errors import InternalCheckError
-from .hall import Rep
+from .hall import Rep, _suffix_trie
 from .linalg import rank_exact
 from .quiver import Multisegment, Word, word_weight
 
@@ -244,13 +244,14 @@ def _chains(
     x: nilpotent.LambdaPoint, words: Iterable[Word], whole: bool
 ) -> Iterator[tuple[list[Word], dict[tuple[int, ...], int]]]:
     # the torus-fixed flags of the words, walked from the bottom along
-    # nilpotent._suffix_trie: the last letter (i, a) adds a basis vectors
-    # at vertex i whose images all lie in the subset so far.  Yields, per
-    # trie node with words, those words and the chains of subsets that
-    # reach it, from the empty one up to the last below the whole basis,
-    # with their number: each chain whole, mapped to 1, or else only its
-    # last subset, so that a subset reached along several chains is
-    # expanded once.  A word whose weight is not x's raises ValueError
+    # hall._suffix_trie past each first letter: the last letter (i, a)
+    # adds a basis vectors at vertex i whose images all lie in the subset
+    # so far.  Yields, per trie node with words, those words and the
+    # chains of subsets that reach it, from the empty one up to the last
+    # below the whole basis, with their number: each chain whole, mapped
+    # to 1, or else only its last subset, so that a subset reached along
+    # several chains is expanded once.  A word whose weight is not x's
+    # raises ValueError
     words = list(words)
     for w in words:
         if word_weight(w, x.n) != x.dims:
@@ -284,7 +285,7 @@ def _chains(
             if after:
                 yield from walk(child, after)
 
-    yield from walk(nilpotent._suffix_trie(words), {(0,): 1})
+    yield from walk(_suffix_trie(words, skip=1), {(0,): 1})
 
 
 def fixed_flag_counts(x: nilpotent.LambdaPoint, words: Iterable[Word]) -> dict[Word, int]:
@@ -294,7 +295,7 @@ def fixed_flag_counts(x: nilpotent.LambdaPoint, words: Iterable[Word]) -> dict[W
     from the bottom: the last letter (i, a) adds a basis vectors at
     vertex i whose images all lie in the subset so far.  The words are
     counted together in one walk of the trie of their reversed letters,
-    nilpotent._suffix_trie, which nilpotent._count_words walks too; each
+    hall._suffix_trie, which nilpotent._count_words walks too; each
     level of this walk holds the closed subsets it reached with their
     number of chains, so a subset reached along several chains is
     expanded once.  Nothing of the walk is kept.  A word whose weight is

@@ -17,6 +17,7 @@ from collections import Counter
 from collections.abc import Sequence
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 from semibasis.hall import Rep, hall_counts_simple_top, iso_class, realize
 from semibasis.linalg import (
@@ -325,6 +326,31 @@ def end_dim_by_images(x: LambdaPoint) -> int:
                             image.append(val % p)
                 images.append(image)
     return len(images) - rank_ff(images, p)
+
+
+def end_dim_dense(x: LambdaPoint, template) -> int:
+    """dim End(x) from the End template's rows filled densely, one
+    column per star entry, and reduced by rref_ff."""
+    flat = [e for s in x.stars for row in s for e in row]
+    rows = []
+    for terms in template.terms:
+        row = [0] * len(flat)
+        for at, star, sign in terms:
+            row[at] += sign * flat[star]
+        rows.append(row)
+    return len(rows) - rank_ff(rows, x.p)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_grades() -> list[tuple[int, ...]]:
+    """The grades pinned in tests/golden, read from the file names
+    n<N>_<d_1>_..._<d_N>.json."""
+    return [
+        tuple(int(x) for x in path.stem.split("_")[1:])
+        for path in sorted(GOLDEN.glob("n*.json"))
+    ]
 
 
 def _incoming_columns(x: LambdaPoint, i: int) -> list[tuple[int, ...]]:

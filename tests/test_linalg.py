@@ -420,6 +420,21 @@ class TestSparseMatchesDense:
                 mat = sparse_matrix(rng, rng.randrange(1, 25), rng.randrange(1, 25), p, 0.08)
                 assert rref_ff(mat, p) == oracles.rref_dense(mat, p), (p, mat)
 
+    def test_sparse_rank_matches_dense(self):
+        # rank_sparse_ff reads {column: entry} rows, which may hold zeros,
+        # entries that vanish mod p and negative entries
+        rng = random.Random(14)
+        for p in SPARSE_PRIMES:
+            mats = [mat for mat, _ in shapes(rng)]
+            mats += [
+                sparse_matrix(rng, rng.randrange(1, 25), rng.randrange(1, 25), p, 0.08)
+                for _ in range(30)
+            ]
+            for mat in mats:
+                rows = [{c: v for c, v in enumerate(row) if v or rng.random() < 0.1} for row in mat]
+                assert linalg.rank_sparse_ff(rows, p) == len(oracles.rref_dense(mat, p)[1]), (p, mat)
+        assert linalg.rank_sparse_ff([], 5) == linalg.rank_sparse_ff([{}, {0: 5}], 5) == 0
+
     def test_matmul_matches_dense(self):
         rng = random.Random(13)
         for p in SPARSE_PRIMES:

@@ -882,6 +882,32 @@ class TestEndCertificate:
                     points += 1
         assert points > 9000
 
+    def test_sparse_elimination_equals_dense_rank(self):
+        # _end_dim eliminates the template's rows sparsely; filled densely
+        # and reduced by rref_ff they give the same End, at draws on the
+        # star relations and at random stars off them, on every class of
+        # the ten golden grades
+        draws = 0
+        for d in oracles.golden_grades():
+            n = len(d)
+            for m in enumerate_multisegments(Quiver(n), d):
+                template = nilpotent._end_template(m, n)
+                for p in (2, 3, 5, 7):
+                    space = nilpotent._star_space(template, p)
+                    rng = random.Random(derive_seed("sparse-end", m.text(), p))
+                    for seed in range(3):
+                        x = lift_generic(m, n, p, derive_seed("sparse-end", m.text(), p, seed), space)
+                        wild = tuple(
+                            tuple(tuple(rng.randrange(p) for _ in row) for row in s)
+                            for s in x.stars
+                        )
+                        for y in (x, replace(x, stars=wild)):
+                            assert _end_dim(y, template) == oracles.end_dim_dense(y, template), (
+                                m, p, y.stars,
+                            )
+                            draws += 1
+        assert draws > 1500
+
     def test_template_of_other_arrows_raises(self):
         # 1[1,2] and 1[1,1]+1[2,2] share their dimensions, not their arrows;
         # 1[1,1] and 2[1,1] at n = 2 share their (empty) arrows, not their

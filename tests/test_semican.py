@@ -7,10 +7,10 @@ import sys
 import pytest
 
 import oracles
-from semibasis import nilpotent, semican, torus
+from semibasis import hall, nilpotent, semican, torus
 from semibasis.cli import main
 from semibasis.errors import CertificationError, DeltaCheckError
-from semibasis.quiver import euler_form, flag_vertex, t_component
+from semibasis.quiver import euler_form, flag_vertex, t_component, total_generic_flag
 from semibasis.semican import SemicanBasis
 from semibasis import (
     Multisegment,
@@ -19,6 +19,7 @@ from semibasis import (
     RhoEvaluator,
     enumerate_multisegments,
     deg_leq,
+    left_mul_divided_power,
     pbw_to_words,
     refine_order,
     transition_matrix,
@@ -62,17 +63,21 @@ class TestEvaluationMatrix:
         # 1[1,2]+1[3,3] and 1[1,1]+1[2,3] are incomparable, so a nonzero
         # value of P(1[1,2]+1[3,3]) on Z(1[1,1]+1[2,3]) sits below the
         # diagonal of E, where only the order check can refuse it
+        # E is read as one chi vector per component, so the fault is
+        # planted there: one more flag of small's generic flag word at
+        # Z(big), which adds T^-1[N][small] to every entry (big, N), that
+        # is 1 at (big, small) and nothing at the columns after it
         small, big = M("1[1,2]+1[3,3]"), M("1[1,1]+1[2,3]")
         assert not deg_leq(small, big) and not deg_leq(big, small)
-        column = list(pbw_to_words(Q3, (1, 1, 1))).index(small)
+        word = total_generic_flag(small)
         real = RhoEvaluator(3)
 
         class Planted:
-            def rho_row(self, label, combos):
-                row = list(real.rho_row(label, combos))
+            def chi_vector(self, label, words):
+                values = list(real.chi_vector(label, words))
                 if label == big:
-                    row[column] += 1
-                return tuple(row)
+                    values[words.index(word)] += 1
+                return tuple(values)
 
         with pytest.raises(
             CertificationError,
@@ -577,3 +582,105 @@ class TestCertifiedTransition:
         other = transition_matrix(Q2, (1, 2), 314159)
         assert base.matrix == other.matrix
         assert other.root_seed == 314159
+
+
+ORACLE_GRADES = oracles.golden_grades() + [(2, 2, 2, 2), (1, 2, 2, 2, 1)]
+
+
+@pytest.fixture(scope="module")
+def read_once():
+    # one certified run per grade, with every row that _WordColumns reads
+    # recorded beside ev.rho_row of the same combinations, counted at the
+    # same evaluator, and the run's SemicanBasis kept
+    runs = {}
+
+    class Recorded(semican._WordColumns):
+        def __init__(self, combos):
+            super().__init__(combos)
+            self.combos = list(combos)
+            self.rows = []
+            recorded.append(self)
+
+        def row(self, ev, label):
+            got = super().row(ev, label)
+            self.rows.append((got, ev.rho_row(label, self.combos)))
+            return got
+
+    class Kept(SemicanBasis):
+        def __init__(self, *args):
+            super().__init__(*args)
+            bases.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semican, "_WordColumns", Recorded)
+        mp.setattr(semican, "SemicanBasis", Kept)
+        for d in ORACLE_GRADES:
+            recorded, bases = [], []
+            res = transition_matrix(Quiver(len(d)), d)
+            [basis] = bases
+            runs[d] = res, basis, recorded
+    return runs
+
+
+@pytest.mark.parametrize("d", ORACLE_GRADES, ids=str)
+class TestReadOncePerWord:
+    """The vector reads and the trie fold against the per-combination and
+    per-word routes they replace, on the ten golden grades, (2,2,2,2) and
+    (1,2,2,2,1)."""
+
+    def test_vector_evaluation_equals_rho_rows(self, read_once, d):
+        res, basis, recorded = read_once[d]
+        quiver = Quiver(len(d))
+        columns = list(pbw_to_words(quiver, d).values())
+        e_cols = recorded[0]
+        assert e_cols.combos == columns
+        assert [got for got, _ in e_cols.rows] == list(res.evaluation)
+        assert res.evaluation == tuple(basis.evaluator.rho_row(k, columns) for k in res.classes)
+
+    def test_delta_rows_equal_rho_rows(self, read_once, d):
+        res, basis, recorded = read_once[d]
+        elements = [basis.element(m) for m in res.classes]
+        [delta_cols] = [cols for cols in recorded if cols.combos == elements]
+        assert len(delta_cols.rows) >= len(res.classes)
+        for got, want in delta_cols.rows:
+            assert got == want
+        # the rows read from the construction's counts, before the fresh
+        # diagonal, are the construction evaluator's rho_row
+        ev = basis.evaluator
+        for r, k in enumerate(res.classes):
+            row = ev.rho_row(k, elements)
+            assert row[:r] + row[r + 1 :] == res.delta[r][:r] + res.delta[r][r + 1 :] or ev.voted(k)
+
+    def test_trie_fold_equals_word_to_pbw(self, read_once, d):
+        res, basis, _ = read_once[d]
+        quiver = Quiver(len(d))
+        n = quiver.n
+        elements = [basis.element(m) for m in res.classes]
+        flag_words = [() if m.is_zero() else total_generic_flag(m) for m in res.classes]
+        words = list(dict.fromkeys(flag_words + [w for e in elements for w in e]))
+        folded = hall._fold(n, words)
+        assert set(folded) == set(words)
+        for w in words:
+            want = word_to_pbw(quiver, w)
+            assert hall._as_pbw(n, d, folded[w]) == want, w
+            # and letter by letter through left_mul_divided_power
+            vec = PBWVector.unit(n)
+            for i, a in reversed(w):
+                vec = left_mul_divided_power(i, a, vec)
+            assert vec == want, w
+        rows = hall._pbw_rows(n, elements)
+        for m, e, row in zip(res.classes, elements, rows):
+            assert hall._as_pbw(n, d, row) == word_to_pbw(quiver, e), m
+        assert res.recursion_matrix == tuple(
+            tuple(word_to_pbw(quiver, e).get(c) for c in res.classes) for e in elements
+        )
+
+    def test_t_component_table_equals_t_component(self, read_once, d):
+        _, basis, _ = read_once[d]
+        assert basis._tops
+        for (grade, i), entries in basis._tops.items():
+            assert [cls for cls, _ in entries] == list(
+                enumerate_multisegments(basis.quiver, grade)
+            )
+            for cls, top in entries:
+                assert top == t_component(cls, i), (cls, i)
