@@ -50,24 +50,24 @@ inconclusive; after RETRY_BUDGET attempts sampling fails loudly.
 Word monomials are evaluated at a point by the flag recursion: the last
 letter (i, a) picks an a-dimensional subspace W of the joint kernel of
 the maps leaving i (such W are exactly the submodules isomorphic to
-S_i^a), and the rest of the word is evaluated on the quotient.  When the
-joint kernel has dimension exactly a, the kernel is the one choice and
-is quotiented out directly; otherwise the expansion splits the kernel
-and sums orbits of choices (see _expand).  The words counted at one
-point are counted together, in one walk of the trie of their reversed
-letters: words ending in the same letters expand each (point, letter)
-on their shared suffix once, and nothing outlives the walk.  A quotient
-y / W is built only where a next letter (j, b) may fit, that is where
+S_i^a), and the rest of the word is evaluated on the quotient.  The
+words counted at one point are counted together, in one walk of the
+trie of their reversed letters: words ending in the same letters expand
+each (point, letter) on their shared suffix once, and nothing outlives
+the walk.  _expand proposes the candidates W with the sizes of their
+orbits: the kernel itself when it has dimension exactly a, and
+otherwise one W per orbit of a split of the kernel.  The walk builds a
+quotient y / W only where a next letter (j, b) may fit, that is where
 the joint kernel of y / W at j may have dimension b or more, and that
 is read off y and W (see _Kernels): it is dim ker_y(i) - a at j = i,
 dim ker_y(j) at |j - i| >= 2, which the quotient leaves alone, and at a
 neighbour j, with h : V_j -> V_i and g the other map leaving j,
 dim ker g - (dim(h(ker g) + W) - a); only the one candidate of a kernel
-of dimension a is built for a neighbour's letter unread.  A quotient
-where no letter fits adds only to the words that end there, as the
-flags it would be expanded for do not exist, so every count is that of
-the full recursion.  The counts over F_p of a word w are modeled as a
-polynomial in p of degree at most word_degree_bound(w, d), the dimension
+of dimension a is built for a neighbour's letter unread.  A candidate
+where no letter fits adds its orbit only to the words that end there,
+as the flags it would be expanded for do not exist, so every count is
+that of the full recursion.  The counts over F_p of a word w are
+modeled as a polynomial in p of degree at most word_degree_bound(w, d), the dimension
 of the product of the partial flag varieties its letters cut out of the
 V_i, and converted to Euler characteristics through verified
 interpolation at 1; non-polynomial behaviour or a consensus failure is
@@ -86,7 +86,7 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import torus
 from .errors import ConsensusError, InternalCheckError, InterpolationError
@@ -97,6 +97,7 @@ from .linalg import (
     interpolate_eval_one,
     is_prime,
     kernel_basis_ff,
+    matmul_ff,
     matrix_equation_rows,
     random_span_point_ff,
     rank_ff,
@@ -468,12 +469,6 @@ def _kernel_split(
     if not incoming or not kernel:
         return [], list(kernel)
 
-    def back(coord_rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-        return [
-            tuple(sum(cf * vec[c] for cf, vec in zip(co, kernel)) % p for c in range(di))
-            for co in coord_rows
-        ]
-
     # lambda with kernel . lambda = incoming . mu picks out the intersection;
     # both families are independent, so lambda alone determines the vector
     r = len(incoming)
@@ -486,7 +481,8 @@ def _kernel_split(
         [v[:k] for v in kernel_basis_ff(rows, k + r, p)], p
     )
     f_coords = complete_basis_ff(t_coords, k, p)[len(t_coords):]
-    return back(t_coords), back(f_coords)
+    # coordinates over the kernel basis back to vectors of V_i
+    return list(matmul_ff(t_coords, kernel, p)), list(matmul_ff(f_coords, kernel, p))
 
 
 def _joint_kernel(x: LambdaPoint, i: int) -> list[tuple[int, ...]]:
@@ -500,26 +496,19 @@ def _joint_kernel(x: LambdaPoint, i: int) -> list[tuple[int, ...]]:
 
 
 def _expand(
-    x: LambdaPoint,
-    i: int,
-    a: int,
-    build: Callable = _quotient_point,
-    kernel: list[tuple[int, ...]] | None = None,
-) -> Iterator[tuple[int, Any]]:
+    x: LambdaPoint, i: int, a: int, kernel: list[tuple[int, ...]]
+) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
     # the choices for the last letter (i, a) of a word counted at x, as
-    # (orbit weight, build(x, i, U)) pairs, one candidate U per orbit: the
-    # count of a word is the weighted sum of the counts of its shorter word
-    # at the quotients x / U, which build makes by default.  kernel, when
-    # given, is _joint_kernel(x, i)
-    if kernel is None:
-        kernel = _joint_kernel(x, i)
+    # (orbit weight, U) pairs, one candidate a-dimensional subspace U of
+    # kernel = _joint_kernel(x, i) per orbit: the count of a word is the
+    # weighted sum of the counts of its shorter word at the quotients x / U
     if len(kernel) < a:
         return
     if len(kernel) == a:
         # the kernel itself is the one candidate: the split below would
         # give e = t and g = c, orbit 1, and the span of T + F, which is
         # the kernel, so there is nothing to split
-        yield 1, build(x, i, kernel)
+        yield 1, kernel
         return
     # Candidate subspaces U decompose against the split kernel T + F as
     # U cap T plus a graph over a subspace of F.  Maps F -> T extend to
@@ -538,7 +527,7 @@ def _expand(
         orbit = pow(x.p, g * (t - e)) * gaussian_binomial(c, g, x.p)
         graph_part = f_basis[:g]
         for u1 in subspaces_ff(t_basis, e, x.p):
-            yield orbit, build(x, i, u1 + graph_part)
+            yield orbit, u1 + graph_part
 
 
 class _Kernels:
@@ -626,46 +615,43 @@ def _count_words(x: LambdaPoint, words: Iterable[Word]) -> dict[Word, int]:
     # left, which has the quotient's own dimension vector, so its one flag
     # is the whole space.  The walk carries the product of the orbit
     # weights on its path and adds it to every word held where it arrives.
-    # A candidate U of the letter (i, a) at y is quotiented out only where
-    # a next letter (j, b) fits, dim ker_(y/U)(j) >= b, which _Kernels
-    # reads off y and U: dim ker_y(i) - a at j = i, dim ker_y(j) at
-    # |j - i| >= 2, and at a neighbour one small rank against h(ker g).
-    # Elsewhere the words held below get the orbit weight and nothing is
-    # built: _expand would yield nothing there, so no count changes.  The
-    # one candidate of a kernel of dimension a, which shares h(ker g) with
-    # no sibling, is built whenever a neighbour's letter follows: deciding
-    # that letter would cost about what building does
+    # _expand proposes the candidates U of the letter (i, a) at y, and the
+    # walk builds y / U only where a next letter (j, b) fits,
+    # dim ker_(y/U)(j) >= b, which _Kernels reads off y and U:
+    # dim ker_y(i) - a at j = i, dim ker_y(j) at |j - i| >= 2, and at a
+    # neighbour one small rank against h(ker g).  Elsewhere the words held
+    # below get the orbit weight and nothing is built: _expand would
+    # propose nothing at y / U, so no count changes.  The one candidate of
+    # a kernel of dimension a, which shares h(ker g) with no sibling, is
+    # built whenever a neighbour's letter follows: deciding that letter
+    # would cost about what building does
     counts = dict.fromkeys(words, 0)
 
-    def walk(
-        y: LambdaPoint | None, node: tuple[list[Word], dict], weight: int, known: dict
-    ) -> None:
+    def walk(y: LambdaPoint, node: tuple[list[Word], dict], weight: int, known: dict) -> None:
         held, children = node
         for w in held:
             counts[w] += weight
-        if not children:
-            return
         kernels = _Kernels(y, known)
         for (i, a), (below, after) in children.items():
             kernel = kernels.joint(i)
             _walked["expansions"] += 1
             whole = len(kernel) == a
-
-            def build(y: LambdaPoint, i: int, u: list) -> tuple:
-                # y / U with the next letters that fit there and the joint
-                # kernels of y / U known, or no point and no letters where
-                # none fits, since only the words held are then counted
+            for orbit, u in _expand(y, i, a, kernel):
+                # the next letters that fit at y / U, and the joint kernels
+                # of y / U known
                 fit, kept = {}, {}
                 for (j, b), grandchild in after.items():
                     if (whole and abs(j - i) == 1) or kernels.fits(i, a, u, j, b):
                         fit[j, b] = grandchild
                         if abs(j - i) >= 2:
                             kept[j] = kernels.joint(j)
-                _walked["built" if fit else "pruned"] += 1
-                return (_quotient_point(y, i, u) if fit else None), (below, fit), kept
-
-            for orbit, (z, fitting, kept) in _expand(y, i, a, build, kernel):
-                walk(z, fitting, weight * orbit, kept)
+                if fit:
+                    _walked["built"] += 1
+                    walk(_quotient_point(y, i, u), (below, fit), weight * orbit, kept)
+                else:
+                    _walked["pruned"] += 1
+                    for w in below:
+                        counts[w] += weight * orbit
 
     walk(x, _suffix_trie(counts, skip=1), 1, {})
     return counts

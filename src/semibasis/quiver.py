@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -180,6 +181,8 @@ def _parse_segments(text: str) -> list[Segment]:
         if m is None:
             raise ParseError(f"bad multisegment term {term!r}")
         mult = int(m.group(1)) if m.group(1) else 1
+        if mult > sys.maxsize:
+            raise ParseError(f"multiplicity above {sys.maxsize} in {text!r}")
         a, b = int(m.group(2)), int(m.group(3))
         if not 1 <= a <= b:
             raise ParseError(f"bad segment [{a},{b}] in {text!r}")

@@ -16,8 +16,9 @@ Bialynicki-Birula their number is the Euler characteristic of Fl_w(x)
 (Cerulli Irelli, "Quiver Grassmannians associated with string modules",
 2011; Haupt 2012).  Counting them needs no prime, no interpolation, no
 degree bound and no vote.  The tangent spaces at the same flags bound
-dim Fl_w(x) (tangent_bounds), which is the degree that the F_p route
-fits when it recounts such a component for the delta check.
+dim Fl_w(x) (tangent_bounds, one sparse rank of linalg per flag), which
+is the degree that the F_p route fits when it recounts such a component
+for the delta check.
 
 That number is the generic value rho_M(w) once x lies in the dense orbit
 of the component Z_M, which the search certifies: x has arrow part
@@ -47,7 +48,7 @@ from typing import Iterable, Iterator, Mapping
 from . import nilpotent
 from .errors import InternalCheckError
 from .hall import Rep, _suffix_trie
-from .linalg import rank_exact
+from .linalg import rank_exact, rank_sparse_ff
 from .quiver import Multisegment, Word, word_weight
 
 __all__ = ["GRADED_PRIME", "LEAF_CAP", "graded_point", "fixed_flag_counts", "tangent_bounds"]
@@ -148,37 +149,35 @@ def _separated(x: nilpotent.LambdaPoint) -> bool:
     # then tied iff they lie in one piece and c_b - c_b' is in the span of
     # those asks, decided by exact rank (a rank mod p may drop, which
     # would wrongly separate them)
-    maps = x.maps()
-    edges: dict[tuple[int, int], list[tuple[tuple[int, int], int, int]]] = {}
-    for j, (u, v, f) in enumerate(maps):
-        for r, row in enumerate(f):
-            for c, entry in enumerate(row):
-                if entry:
-                    edges.setdefault((u, c), []).append(((v, r), j, 1))
-                    edges.setdefault((v, r), []).append(((u, c), j, -1))
-    unit = [tuple(int(j == k) for k in range(len(maps))) for j in range(len(maps))]
-    potential: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, int]]] = {}
+    offsets, edges = _edges(x)
+    # per basis vector, (neighbour, map, +1 along the map or -1 against it)
+    adjacent: list[list[tuple[int, int, int]]] = [[] for _ in range(offsets[-1])]
+    for j, f in enumerate(edges):
+        for source, target, _ in f:
+            adjacent[source].append((target, j, 1))
+            adjacent[target].append((source, j, -1))
+    unit = [tuple(int(j == k) for k in range(len(edges))) for j in range(len(edges))]
+    potential: dict[int, tuple[tuple[int, ...], int]] = {}
     asks: list[tuple[int, ...]] = []
-    for v, dv in enumerate(x.dims, start=1):
-        for b in range(dv):
-            if (v, b) in potential:
-                continue
-            potential[v, b] = ((0,) * len(maps), (v, b))
-            todo = [(v, b)]
-            while todo:
-                here = todo.pop()
-                c_here, root = potential[here]
-                for there, j, sign in edges.get(here, ()):
-                    reach = tuple(a + sign * e for a, e in zip(c_here, unit[j]))
-                    if there not in potential:
-                        potential[there] = (reach, root)
-                        todo.append(there)
-                    elif potential[there][0] != reach:
-                        asks.append(tuple(a - e for a, e in zip(reach, potential[there][0])))
+    for b in range(offsets[-1]):
+        if b in potential:
+            continue
+        potential[b] = ((0,) * len(edges), b)
+        todo = [b]
+        while todo:
+            here = todo.pop()
+            c_here, root = potential[here]
+            for there, j, sign in adjacent[here]:
+                reach = tuple(a + sign * e for a, e in zip(c_here, unit[j]))
+                if there not in potential:
+                    potential[there] = (reach, root)
+                    todo.append(there)
+                elif potential[there][0] != reach:
+                    asks.append(tuple(a - e for a, e in zip(reach, potential[there][0])))
     base = rank_exact(asks)
-    for v, dv in enumerate(x.dims, start=1):
-        for b, b2 in combinations(range(dv), 2):
-            (c, root), (c2, root2) = potential[v, b], potential[v, b2]
+    for start, stop in zip(offsets, offsets[1:]):
+        for b, b2 in combinations(range(start, stop), 2):
+            (c, root), (c2, root2) = potential[b], potential[b2]
             if root != root2:
                 continue
             diff = tuple(a - e for a, e in zip(c, c2))
@@ -308,44 +307,6 @@ def fixed_flag_counts(x: nilpotent.LambdaPoint, words: Iterable[Word]) -> dict[W
     return counts
 
 
-def _kernel_dim(unknowns: int, equations: Iterable[list[tuple[int, int]]], p: int) -> int:
-    # the dimension over F_p of the solutions of equations in unknowns
-    # 0 .. unknowns - 1, each equation a list of (unknown, coefficient)
-    # with at most two terms.  One term sets its unknown to zero, two tie
-    # one unknown to a multiple of the other; so each class of tied
-    # unknowns, held as multiples of its root, is free or zero
-    root: dict[int, int] = {}
-    scale: dict[int, int] = {}
-    members: dict[int, list[int]] = {}
-    zero: set[int] = set()
-    for terms in equations:
-        for u, _ in terms:
-            if u not in root:
-                root[u], scale[u], members[u] = u, 1, [u]
-        if len(terms) == 1:
-            zero.add(root[terms[0][0]])
-        else:
-            (u, a), (v, b) = terms
-            # v = ratio * u
-            ratio = -a * pow(b, -1, p) % p
-            ru, rv = root[u], root[v]
-            if ru == rv:
-                if scale[v] != ratio * scale[u] % p:
-                    zero.add(ru)
-                continue
-            # the root of v is factor times the root of u
-            factor = ratio * scale[u] * pow(scale[v], -1, p) % p
-            if len(members[ru]) < len(members[rv]):
-                ru, rv, factor = rv, ru, pow(factor, -1, p)
-            for m in members[rv]:
-                root[m], scale[m] = ru, scale[m] * factor % p
-            members[ru] += members.pop(rv)
-            if rv in zero:
-                zero.discard(rv)
-                zero.add(ru)
-    return unknowns - len(root) + len(members) - len(zero)
-
-
 def tangent_bounds(x: nilpotent.LambdaPoint, words: Iterable[Word]) -> dict[Word, int]:
     """Per word of x's weight, an upper bound on dim Fl_w(x), or -1 if it is empty.
 
@@ -358,14 +319,16 @@ def tangent_bounds(x: nilpotent.LambdaPoint, words: Iterable[Word]) -> dict[Word
     phi_j in Hom_Lambda(U_j, M/U_j), with phi_(j+1) restricted to U_j
     equal to phi_j taken mod U_(j+1): the quiver-Grassmannian tangent
     space Hom_Lambda(U, M/U) of Cerulli Irelli (2011) on every step.
-    Its dimension is taken at GRADED_PRIME, which can only overstate it
-    (rank mod p is at most rank over Q); the bound is the largest over
-    the fixed flags, and it never exceeds word_degree_bound, the
-    dimension of the space of all flags of vector spaces of type w, at
-    which the walk over a word's flags stops.  Every map of a graded
+    Its dimension is the number of unknowns minus the rank of its
+    equations, linalg.rank_sparse_ff at GRADED_PRIME, which can only
+    overstate it (rank mod p is at most rank over Q); the bound is the
+    largest over the fixed flags, and it never exceeds word_degree_bound,
+    the dimension of the space of all flags of vector spaces of type w,
+    at which the walk over a word's flags stops.  Every map of a graded
     point is a partial injection on the basis (separating weights
     forbid two entries in a row), so each equation ties at most two
-    unknowns.  A word whose weight is not x's raises ValueError.
+    unknowns and is written as a sparse row.  A word whose weight is not
+    x's raises ValueError.
     """
     p = GRADED_PRIME
     offsets, edges = _edges(x)
@@ -395,19 +358,21 @@ def tangent_bounds(x: nilpotent.LambdaPoint, words: Iterable[Word]) -> dict[Word
             len(ins) * len(outs) for j in range(len(chain))
             for ins, outs in zip(inside[j], outside[j])
         )
-        equations: list[list[tuple[int, int]]] = []
+        # each equation as {unknown: coefficient}: its two terms never
+        # name one unknown, as every map joins two different vertices
+        equations: list[dict[int, int]] = []
         for j, sub in enumerate(chain):
             # phi_j f = f phi_j at (t, b), for b in U_j and t off U_j
             for f, g, (u, v) in zip(forward, backward, ends):
                 for b in inside[j][u]:
                     for t in outside[j][v]:
-                        terms = []
+                        terms = {}
                         if b in f:
                             image, entry = f[b]
-                            terms.append((slot(j, t, image), entry))
+                            terms[slot(j, t, image)] = entry
                         if t in g and not sub >> g[t][0] & 1:
                             source, entry = g[t]
-                            terms.append((slot(j, source, b), -entry))
+                            terms[slot(j, source, b)] = -entry
                         if terms:
                             equations.append(terms)
             if j + 1 < len(chain):
@@ -415,8 +380,8 @@ def tangent_bounds(x: nilpotent.LambdaPoint, words: Iterable[Word]) -> dict[Word
                 for ins, outs in zip(inside[j], outside[j + 1]):
                     for b in ins:
                         for t in outs:
-                            equations.append([(slot(j + 1, t, b), 1), (slot(j, t, b), -1)])
-        return _kernel_dim(unknowns, equations, p)
+                            equations.append({slot(j + 1, t, b): 1, slot(j, t, b): -1})
+        return unknowns - rank_sparse_ff(equations, p)
 
     bounds = dict.fromkeys(words, -1)
     for held, reached in _chains(x, bounds, whole=True):

@@ -194,6 +194,20 @@ class TestInspect:
         assert (code, out) == (10, "")
         assert "entry above" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["flag"], ["t", "--vertex", "1"], ["peel", "--vertex", "1"],
+         ["hall", "--vertex", "1", "--size", "1", "--prime", "3"]],
+        ids=lambda command: command[0],
+    )
+    def test_module_multiplicity_above_maxsize_exits_10(self, capsys, command):
+        # no traceback from repeating a segment more times than a list holds
+        code, out, err = run(
+            capsys, "inspect", command[0], "--module", "99999999999999999999[1,1]", *command[1:]
+        )
+        assert (code, out) == (10, "")
+        assert "multiplicity above" in err and "Traceback" not in err
+
     def test_flag_word(self, capsys):
         code, out, _ = run(
             capsys,

@@ -402,6 +402,23 @@ def shapes(rng):
                for _ in range(rows)], cols
 
 
+class TestSparseRank:
+    def test_kernel_of_tied_unknowns(self):
+        # kernel dimensions of systems whose rows tie at most two unknowns,
+        # the tangent-space equations of torus.tangent_bounds
+        p = 7
+
+        def kernel_dim(unknowns, rows):
+            return unknowns - linalg.rank_sparse_ff(rows, p)
+
+        # u0 = u1 = u2 leaves one free unknown; u2 = -u0 then closes a
+        # cycle that forces it to 0
+        assert kernel_dim(3, [{0: 1, 1: -1}, {1: 1, 2: -1}]) == 1
+        assert kernel_dim(3, [{0: 1, 1: -1}, {1: 1, 2: -1}, {2: 1, 0: 1}]) == 0
+        # a single term zeroes its class; untouched unknowns stay free
+        assert kernel_dim(4, [{0: 1, 1: 2}, {1: 3}]) == 2
+
+
 class TestSparseMatchesDense:
     """rref_ff and matmul_ff skip zeros; the dense forms in oracles read
     every entry.  Both must return exactly the same values."""

@@ -399,9 +399,9 @@ class TestSharedExpansions:
         made: list[int] = []
         expand = nilpotent._expand
 
-        def counted(x, i, a, build, kernel):
+        def counted(x, i, a, kernel):
             made[-1] += 1
-            return expand(x, i, a, build, kernel)
+            return expand(x, i, a, kernel)
 
         monkeypatch.setattr(nilpotent, "_expand", counted)
         made.append(0)
@@ -420,9 +420,10 @@ class TestSharedExpansions:
         assert 0 < made[2] < made[3], made
 
     def test_expand_yields_its_quotients_lazily(self):
-        # no level of the walk holds its quotients in a list
+        # no level of the walk holds its candidates, or the quotients it
+        # builds from them, in a list
         x = accepted_point(M("3[1,2]"), 2, 3)
-        pairs = nilpotent._expand(x, 2, 1)
+        pairs = nilpotent._expand(x, 2, 1, nilpotent._joint_kernel(x, 2))
         assert isinstance(pairs, Iterator) and not isinstance(pairs, (list, tuple))
         lines = list(subspaces_ff(oracles.joint_kernel(x, 2), 1, 3))
         assert sum(orbit for orbit, _ in pairs) == len(lines) > 1
@@ -505,20 +506,21 @@ class TestPrunedWalk:
         # is built for a neighbour's letter unread: at (4,4,4) draws on
         # the diagonal words, and at (2,3,1) draws on each word of unit
         # letters alone, so that some quotients have only a letter at
-        # their own vertex or two vertices off to read
-        built, yields = [], Counter()
-        expand = nilpotent._expand
+        # their own vertex or two vertices off to read.  The walk expands
+        # at a quotient exactly the letters that fit there
+        built, letters, yields = [], {}, Counter()
+        expand, quotient = nilpotent._expand, nilpotent._quotient_point
 
-        def recorded(x, i, a, build, kernel):
-            def recording(y, i, u):
-                z, (held, fitting), kept = build(y, i, u)
-                if z is not None:
-                    built.append((z, i, len(kernel) == a, list(fitting)))
-                return z, (held, fitting), kept
-
-            pairs = list(expand(x, i, a, recording, kernel))
+        def recorded(x, i, a, kernel):
+            pairs = list(expand(x, i, a, kernel))
+            letters.setdefault(id(x), []).append((i, a))
             yields[id(x)] += len(pairs)
             return iter(pairs)
+
+        def building(y, i, u):
+            z = quotient(y, i, u)
+            built.append((z, i, len(u) == len(nilpotent._joint_kernel(y, i))))
+            return z
 
         def cases():
             basis = SemicanBasis(Quiver(3))
@@ -531,6 +533,7 @@ class TestPrunedWalk:
                     yield m, 3, [w]
 
         monkeypatch.setattr(nilpotent, "_expand", recorded)
+        monkeypatch.setattr(nilpotent, "_quotient_point", building)
         walked = Counter()
         split = unread = 0
         for m, p, words in cases():
@@ -539,12 +542,14 @@ class TestPrunedWalk:
             nilpotent._count_words(x, words)
             if sum(m.dim_vector(3)) == 12:
                 walked += nilpotent._walked - before
-            for z, i, whole, fitting in built:
+            for z, i, whole in built:
                 split += not whole
                 if yields[id(z)] == 0:
+                    fitting = letters[id(z)]
                     assert whole and all(abs(j - i) == 1 for j, _ in fitting), (m, p)
                     unread += 1
             built.clear()
+            letters.clear()
             yields.clear()
         assert split > 50 and unread < split, (split, unread)
         # at (4,4,4), far more candidates are pruned than built
@@ -553,8 +558,9 @@ class TestPrunedWalk:
 
 class TestWholeKernel:
     """A letter (i, a) whose joint kernel has dimension a has one choice,
-    the kernel itself: _expand quotients by it without _kernel_split, and
-    yields what the split path yields (oracles.expand_by_split)."""
+    the kernel itself: _expand proposes it without _kernel_split, and its
+    candidates give the quotients of the split path
+    (oracles.expand_by_split)."""
 
     @staticmethod
     def letters():
@@ -582,7 +588,10 @@ class TestWholeKernel:
         for x, i, a, k in self.letters():
             want = oracles.expand_by_split(x, i, a)
             calls.clear()
-            got = list(nilpotent._expand(x, i, a))
+            got = [
+                (orbit, _quotient_point(x, i, u))
+                for orbit, u in nilpotent._expand(x, i, a, nilpotent._joint_kernel(x, i))
+            ]
             assert got == want, (x, i, a)
             if a == k:
                 # exactly one pair, of orbit weight 1, and no split

@@ -242,16 +242,6 @@ class TestTangentBounds:
         words = [((2, 1), (2, 1), (1, 2)), ((2, 2), (1, 2)), ((1, 2), (2, 2))]
         assert torus.tangent_bounds(x, words) == dict(zip(words, (1, 0, -1)))
 
-    def test_kernel_of_tied_unknowns(self):
-        p = 7
-        # u0 = u1 = u2 leaves one free class; u2 = -u0 then closes a cycle
-        # that forces it to 0
-        assert torus._kernel_dim(3, [[(0, 1), (1, -1)], [(1, 1), (2, -1)]], p) == 1
-        assert torus._kernel_dim(3, [[(0, 1), (1, -1)], [(1, 1), (2, -1)],
-                                     [(2, 1), (0, 1)]], p) == 0
-        # a single term zeroes its class; untouched unknowns stay free
-        assert torus._kernel_dim(4, [[(0, 1), (1, 2)], [(1, 3)]], p) == 2
-
     def test_never_above_word_degree_bound(self):
         words = grade_words(3, (2, 3, 1))
         for m in enumerate_multisegments(Quiver(3), (2, 3, 1)):
