@@ -387,19 +387,6 @@ def _extensions(segs: Segs, i: int, a: int) -> Iterator[tuple[Segs, int]]:
         yield head + middle + tail, count
 
 
-def _mul_segments(i: int, a: int, coeffs: Mapping[Segs, int]) -> SegmentCombo:
-    """e_i^{(a)}, a >= 1, on a combination keyed by segment tuples.
-
-    The product of each class is read from _extensions.  No grade is
-    checked here; _product checks each class of the result.
-    """
-    out: SegmentCombo = {}
-    for src, coeff in coeffs.items():
-        for segs, count in _extensions(src, i, a):
-            out[segs] = out.get(segs, 0) + coeff * count
-    return out
-
-
 def _product(
     n: int,
     i: int,
@@ -411,18 +398,21 @@ def _product(
     """e_i^{(a)}, a >= 1, on a combination of the given grade: the grade
     of the product and the product, keyed by segment tuples.
 
-    Every class of the product is checked against the product's grade,
-    by _check_grade, with its ValueError text.  Each distinct class is
-    measured once per grade, and that is exact: a segment tuple fixes its
-    own dimension vector, so a class that passed at a grade passes there
-    every time.  grades, owned by the caller, keeps the grade each tuple
+    The product of each class is read from _extensions.  Every class of
+    the product is checked against the product's grade, by _check_grade,
+    with its ValueError text.  Each distinct class is measured once per
+    grade, and that is exact: a segment tuple fixes its own dimension
+    vector, so a class that passed at a grade passes there every time.  grades, owned by the caller, keeps the grade each tuple
     passed at; a class asked at any other grade is measured again, and
     fails.
     """
     up = list(grade)
     up[i - 1] += a
     up = tuple(up)
-    out = _mul_segments(i, a, combo)
+    out: SegmentCombo = {}
+    for src, coeff in combo.items():
+        for segs, count in _extensions(src, i, a):
+            out[segs] = out.get(segs, 0) + coeff * count
     for segs in out:
         if grades.get(segs) != up:
             _check_grade(Multisegment._canonical(segs), n, up)

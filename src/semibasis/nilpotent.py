@@ -12,10 +12,11 @@ flags there (torus.graded_point and torus.fixed_flag_counts), which are
 exact and read no prime; every other word count is read off sampled
 points over prime fields, the F_p route below, which also serves the
 diagonal recount of semican's delta check.  RhoEvaluator is the one
-place that picks between the two.  (The component-level top at a
-vertex needs no points: it is the crystal signature rule of
-quiver.t_component, which semican reads to pick the recursion's
-corrections.)
+place that picks between the two, and _WordColumns the one read of word
+combinations, which every read of semican goes through.  (The
+component-level top at a vertex needs no points: it is the crystal
+signature rule of quiver.t_component, which semican reads to pick the
+recursion's corrections.)
 
 The F_p route reads the consecutive primes from 2, prime_pool, in
 order.  A point x of Z_M lies in a dense orbit of the component iff
@@ -695,11 +696,12 @@ class RhoEvaluator:
     prime) is solved once, the End template and q(d) of each component
     are built once, and the interpolated value of each (component,
     word) pair is computed once; this is what makes whole
-    evaluation matrices affordable.  The words asked for at one label
-    together (a combination in rho, a row in rho_row, a vector of
-    distinct words in chi_vector) are counted together: each draw is
-    read once for all of them, in one walk of their shared suffixes, and
-    nothing of the walk is kept.  At DEBUG
+    evaluation matrices affordable.  It has two reads: chi, of one word,
+    and rho, of one combination.  Combinations are read through
+    _WordColumns, whose row counts the distinct words of its
+    combinations together: each draw is read once for all of them, in
+    one walk of their shared suffixes, and nothing of the walk is kept.
+    At DEBUG
     each counted batch logs its label, how many words it counted
     together, how many expansions it made, how many quotients it built
     and how many candidates it pruned unbuilt, how many fits a tangent
@@ -905,35 +907,48 @@ class RhoEvaluator:
             self._count(label, [word])
         return self._chi[key]
 
-    def chi_vector(self, label: Multisegment, words: Sequence[Word]) -> tuple[int, ...]:
-        """chi(label, w) for each of the distinct words, in order.
-
-        The words are counted together, as in rho_row, and each value is
-        read from the memo once, with no chi call per word.  The first
-        word in the order given that no attempt certifies raises chi's
-        error.
-        """
-        self._count(label, words)
-        key = label.segments
-        return tuple(self._chi[key, w] for w in words)
-
     def rho(self, label: Multisegment, combo: Mapping[Word, int] | Word) -> int:
-        """The generic value on Z_label of an integer word combination."""
-        return self.rho_row(label, [combo])[0]
+        """The generic value on Z_label of an integer word combination, or
+        of one word: a one-combination _WordColumns row."""
+        return _WordColumns([_as_combo(combo)]).row(self, label)[0]
 
-    def rho_row(
-        self, label: Multisegment, combos: Sequence[Mapping[Word, int] | Word]
-    ) -> tuple[int, ...]:
-        """The generic values on Z_label of word combinations, in order.
 
-        Their words are counted together (see the class docstring), and
-        each value reads them through chi.  The first word in the order
-        given that no attempt certifies raises chi's error.
+class _WordColumns:
+    """Word combinations split once into their distinct words: the one
+    read of word combinations at a component.
+
+    words holds the distinct words with a nonzero coefficient, in the
+    order the combinations name them, and uses[c] the (combination,
+    coefficient) pairs of words[c]: the sparse columns of the matrix of
+    coefficients.  row counts words together at a label and applies
+    those columns to their values, so each word is looked up once per
+    row, however many combinations hold it.
+    """
+
+    def __init__(self, combos: Sequence[Mapping[Word, int]]):
+        uses: dict[Word, list[tuple[int, int]]] = {}
+        for k, combo in enumerate(combos):
+            for word, c in combo.items():
+                if c:
+                    uses.setdefault(word, []).append((k, c))
+        self.size = len(combos)
+        self.words = tuple(uses)
+        self.uses = tuple(uses.values())
+
+    def row(self, ev: RhoEvaluator, label: Multisegment) -> tuple[int, ...]:
+        """The generic values on Z_label of the combinations, in order.
+
+        The words are counted together, in one batch of ev (see
+        RhoEvaluator._count), and each value is read from ev's memo
+        once.  The first word in the order of words that no attempt
+        certifies raises chi's error.
         """
-        combos = [_as_combo(combo) for combo in combos]
-        self._count(label, (word for combo in combos for word in combo))
-        return tuple(
-            sum(coeff * self.chi(label, word) for word, coeff in combo.items())
-            for combo in combos
-        )
-
+        ev._count(label, self.words)
+        key = label.segments
+        row = [0] * self.size
+        for word, held in zip(self.words, self.uses):
+            value = ev._chi[key, word]
+            if value:
+                for k, c in held:
+                    row[k] += c * value
+        return tuple(row)

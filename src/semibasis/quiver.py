@@ -186,6 +186,8 @@ def _parse_segments(text: str) -> list[Segment]:
         a, b = int(m.group(2)), int(m.group(3))
         if not 1 <= a <= b:
             raise ParseError(f"bad segment [{a},{b}] in {text!r}")
+        if b > sys.maxsize:
+            raise ParseError(f"segment end above {sys.maxsize} in {text!r}")
         segs.extend([(a, b)] * mult)
     return segs
 

@@ -24,13 +24,14 @@ transition_matrix is the one entry point that runs all three; the
 grade's classes come once, in the key order of pbw_to_words, and every
 support check asks the one order predicate, quiver.deg_leq.
 
-E and the delta matrix are read as vectors (_WordColumns): a row at
-component K is one chi vector over the distinct words of the grade's
-combinations, in the order the combinations name them, read through
-RhoEvaluator.chi_vector, with the sparse columns of the coefficient
-matrix applied to it.  Each word is counted and looked up once per row,
-and the first word that fails to certify, and its error text, are those
-of rho_row over the same combinations.
+Every value of a word combination at a component is read through
+nilpotent._WordColumns.  E and the delta matrix split the grade's
+combinations into their distinct words once per grade, in the order
+the combinations name them; a row at component K counts those words
+together and applies the sparse columns of the coefficient matrix to
+their values, so each word is counted and looked up once per row.  The
+recursion's corrections and the fresh diagonal are RhoEvaluator.rho,
+a read of one combination the same way.
 
 The delta-check evaluates every element at every component, by one rule.
 A component whose values were all read at draws with dim End = q(d), or
@@ -54,17 +55,16 @@ import itertools
 import logging
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from . import nilpotent, torus
 from .errors import CertificationError, DeltaCheckError, RouteDisagreementError
 from .hall import WordCombo, _pbw_rows, pbw_to_words
 from .linalg import identity_exact, invert_unitriangular, matmul_exact
-from .nilpotent import RhoEvaluator, flag_degree_bound
+from .nilpotent import RhoEvaluator, _WordColumns, flag_degree_bound
 from .quiver import (
     Multisegment,
     Quiver,
-    Word,
     deg_leq,
     enumerate_multisegments,
     flag_vertex,
@@ -175,38 +175,6 @@ def _certify_support(
                 )
 
 
-class _WordColumns:
-    """Word combinations split once into their distinct words.
-
-    words holds the distinct words with a nonzero coefficient, in the
-    order the combinations name them, and uses[c] the (combination,
-    coefficient) pairs of words[c]: the sparse columns of the matrix of
-    coefficients.  row reads one chi vector over words and applies those
-    columns to it, so each word is looked up once per row, however many
-    combinations hold it.
-    """
-
-    def __init__(self, combos: Sequence[Mapping[Word, int]]):
-        uses: dict[Word, list[tuple[int, int]]] = {}
-        for k, combo in enumerate(combos):
-            for word, c in combo.items():
-                if c:
-                    uses.setdefault(word, []).append((k, c))
-        self.size = len(combos)
-        self.words = tuple(uses)
-        self.uses = tuple(uses.values())
-
-    def row(self, ev: RhoEvaluator, label: Multisegment) -> tuple[int, ...]:
-        """The generic values on Z_label of the combinations, in order:
-        the values of ev.rho_row(label, combos), from ev.chi_vector."""
-        row = [0] * self.size
-        for value, held in zip(ev.chi_vector(label, self.words), self.uses):
-            if value:
-                for k, c in held:
-                    row[k] += c * value
-        return tuple(row)
-
-
 def transition_via_inversion(
     quiver: Quiver, d: Iterable[int], evaluator: RhoEvaluator | None = None
 ) -> tuple[tuple[Multisegment, ...], Matrix, Matrix]:
@@ -223,8 +191,9 @@ def transition_via_inversion(
 
     pbw_to_words inverts the grade's flag word matrix T once; its
     combinations are the sparse rows of T^{-1} over the flag words.  Row
-    K of E is then one chi vector over the flag words at Z_K, with the
-    sparse columns of T^{-1} applied to it (_WordColumns).
+    K of E is then one _WordColumns row of them at Z_K: the flag words
+    counted together there, with the sparse columns of T^{-1} applied
+    to their values.
     """
     combos = pbw_to_words(quiver, d)
     classes = tuple(combos)

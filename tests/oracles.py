@@ -397,6 +397,14 @@ def peeled_class(x: LambdaPoint, i: int) -> Multisegment:
     return iso_class(Rep(x.n, dims, tuple(maps)), x.p)
 
 
+def rho_by_chi(ev: RhoEvaluator, label: Multisegment, combos) -> tuple[int, ...]:
+    """The values on Z_label of word combinations, each the sum of
+    ev.chi over its words: one word read at a time, where the package
+    reads a combination's words together and applies sparse columns to
+    their values (nilpotent._WordColumns)."""
+    return tuple(sum(c * ev.chi(label, w) for w, c in combo.items()) for combo in combos)
+
+
 def sampled_top(m: Multisegment, i: int, ev: RhoEvaluator) -> tuple[int, Multisegment]:
     """t and the peeled class at vertex i of Z_m, read off sampled points.
 

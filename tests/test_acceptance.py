@@ -10,7 +10,7 @@ import itertools
 import time
 
 import oracles
-from semibasis import torus
+from semibasis import nilpotent, torus
 from semibasis import (
     Multisegment,
     Quiver,
@@ -274,7 +274,9 @@ def test_11_torus_counts_equal_prime_counts():
                 continue
             graded += 1
             fixed = torus.fixed_flag_counts(x, words)
-            counted = primes_only.rho_row(cls, sorted(words))
+            counted = nilpotent._WordColumns([{w: 1} for w in sorted(words)]).row(
+                primes_only, cls
+            )
             for w, value in zip(sorted(words), counted):
                 pairs += 1
                 if fixed[w] != value:

@@ -208,6 +208,21 @@ class TestInspect:
         assert (code, out) == (10, "")
         assert "multiplicity above" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["t", "--vertex", "1"], ["peel", "--vertex", "1"],
+         ["hall", "--vertex", "1", "--size", "1", "--prime", "3"]],
+        ids=lambda command: command[0],
+    )
+    def test_segment_end_above_maxsize_exits_10(self, capsys, command):
+        # refused when parsed; inspect flag, which peels the module one
+        # vertex at a time up to the segment's end, would never return
+        code, out, err = run(
+            capsys, "inspect", command[0], "--module", "1[1,99999999999999999999]", *command[1:]
+        )
+        assert (code, out) == (10, "")
+        assert "segment end above" in err and "Traceback" not in err
+
     def test_flag_word(self, capsys):
         code, out, _ = run(
             capsys,

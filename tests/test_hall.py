@@ -229,12 +229,12 @@ class TestLeftMul:
     def test_readers_cannot_change_the_block_table(self):
         # the dict a product returns is the caller's own; changing it
         # changes no later product read from the same blocks
-        first = hall._mul_segments(1, 2, {M("1[1,2]+1[2,2]").segments: 1})
+        _, first = hall._product(2, 1, 2, (1, 2), {M("1[1,2]+1[2,2]").segments: 1}, {})
         want = dict(first)
         for segs in first:
             first[segs] = 99
         first[((1, 1),)] = 5
-        assert hall._mul_segments(1, 2, {M("1[1,2]+1[2,2]").segments: 1}) == want
+        assert hall._product(2, 1, 2, (1, 2), {M("1[1,2]+1[2,2]").segments: 1}, {})[1] == want
 
     def test_every_product_reads_the_closed_form(self, monkeypatch):
         calls = []

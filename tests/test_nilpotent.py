@@ -405,7 +405,9 @@ class TestSharedExpansions:
 
         monkeypatch.setattr(nilpotent, "_expand", counted)
         made.append(0)
-        together = RhoEvaluator(2).rho_row(m, words)
+        ev = RhoEvaluator(2)
+        ev.rho(m, dict.fromkeys(words, 1))
+        together = tuple(ev.chi(m, w) for w in words)
         made.append(0)
         alone = tuple(RhoEvaluator(2).chi(m, w) for w in words)
         assert together == alone
@@ -808,7 +810,7 @@ class TestRho:
         monkeypatch.setattr(nilpotent, "_count_words", faulty)
         ev = RhoEvaluator(2)
         with pytest.raises(InterpolationError, match=r"count of \(1,2\)\(2,2\) on Z\(2\[1,2\]\)"):
-            ev.rho_row(m, [{good: 1}, {bad: 2, good: -1}])
+            nilpotent._WordColumns([{good: 1}, {bad: 2, good: -1}]).row(ev, m)
         assert (m.segments, good) in ev._chi and (m.segments, bad) not in ev._chi
         first = max(k for k, words in enumerate(batches) if good in words) + 1
         assert batches[0] == (good, bad)
@@ -824,7 +826,7 @@ class TestRho:
         )
         for order in ([bad, good], [good, bad]):
             with pytest.raises(InterpolationError) as info:
-                RhoEvaluator(2).rho_row(m, [{order[0]: 1}, {order[1]: 1}])
+                nilpotent._WordColumns([{order[0]: 1}, {order[1]: 1}]).row(RhoEvaluator(2), m)
             text = str(info.value)
             assert text.startswith(f"count of {format_word(order[0])} on Z(2[1,2])"), text
             assert format_word(order[1]) not in text

@@ -59,32 +59,34 @@ class TestEvaluationMatrix:
                     for c in range(r + 1, len(classes)):
                         assert rows[r][c] == 0
 
-    def test_value_outside_the_order_is_refused(self):
+    def test_value_outside_the_order_is_refused(self, monkeypatch):
         # 1[1,2]+1[3,3] and 1[1,1]+1[2,3] are incomparable, so a nonzero
         # value of P(1[1,2]+1[3,3]) on Z(1[1,1]+1[2,3]) sits below the
         # diagonal of E, where only the order check can refuse it
-        # E is read as one chi vector per component, so the fault is
-        # planted there: one more flag of small's generic flag word at
-        # Z(big), which adds T^-1[N][small] to every entry (big, N), that
+        # the fault is planted below the read, in the torus-fixed flags
+        # at big's graded point: one more flag of small's generic flag
+        # word, which adds T^-1[N][small] to every entry (big, N), that
         # is 1 at (big, small) and nothing at the columns after it
         small, big = M("1[1,2]+1[3,3]"), M("1[1,1]+1[2,3]")
         assert not deg_leq(small, big) and not deg_leq(big, small)
         word = total_generic_flag(small)
-        real = RhoEvaluator(3)
+        at_big = torus.graded_point(big, 3)
+        assert at_big is not None
+        counts = torus.fixed_flag_counts
 
-        class Planted:
-            def chi_vector(self, label, words):
-                values = list(real.chi_vector(label, words))
-                if label == big:
-                    values[words.index(word)] += 1
-                return tuple(values)
+        def planted(x, words):
+            got = counts(x, words)
+            if x == at_big and word in got:
+                got[word] += 1
+            return got
 
+        monkeypatch.setattr(torus, "fixed_flag_counts", planted)
         with pytest.raises(
             CertificationError,
             match=r"evaluation matrix entry at row 1\[1,1\]\+1\[2,3\], column "
             r"1\[1,2\]\+1\[3,3\] is 1, outside the degeneration order",
         ):
-            transition_via_inversion(Q3, (1, 1, 1), Planted())
+            transition_via_inversion(Q3, (1, 1, 1))
 
 
 class TestOneClassOrder:
@@ -417,7 +419,7 @@ class TestDeltaCheck:
         def report(basis, classes, elements):
             ev = basis.evaluator
             for k in classes:
-                rows[k] = ev.rho_row(k, [elements[m] for m in classes])
+                rows[k] = oracles.rho_by_chi(ev, k, [elements[m] for m in classes])
             return real(basis, classes, elements)
 
         monkeypatch.setattr(semican, "_delta_report", report)
@@ -590,21 +592,23 @@ ORACLE_GRADES = oracles.golden_grades() + [(2, 2, 2, 2), (1, 2, 2, 2, 1)]
 @pytest.fixture(scope="module")
 def read_once():
     # one certified run per grade, with every row that _WordColumns reads
-    # recorded beside ev.rho_row of the same combinations, counted at the
-    # same evaluator, and the run's SemicanBasis kept
+    # (E, the delta rows, and each rho of the recursion and the fresh
+    # diagonal) recorded beside oracles.rho_by_chi of the same
+    # combinations at the same evaluator, and the run's SemicanBasis kept
     runs = {}
+    columns = nilpotent._WordColumns
+    real_init, real_row = columns.__init__, columns.row
 
-    class Recorded(semican._WordColumns):
-        def __init__(self, combos):
-            super().__init__(combos)
-            self.combos = list(combos)
-            self.rows = []
-            recorded.append(self)
+    def init(self, combos):
+        real_init(self, combos)
+        self.combos = list(combos)
+        self.rows = []
+        recorded.append(self)
 
-        def row(self, ev, label):
-            got = super().row(ev, label)
-            self.rows.append((got, ev.rho_row(label, self.combos)))
-            return got
+    def row(self, ev, label):
+        got = real_row(self, ev, label)
+        self.rows.append((got, oracles.rho_by_chi(ev, label, self.combos)))
+        return got
 
     class Kept(SemicanBasis):
         def __init__(self, *args):
@@ -612,7 +616,8 @@ def read_once():
             bases.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(semican, "_WordColumns", Recorded)
+        mp.setattr(columns, "__init__", init)
+        mp.setattr(columns, "row", row)
         mp.setattr(semican, "SemicanBasis", Kept)
         for d in ORACLE_GRADES:
             recorded, bases = [], []
@@ -624,9 +629,9 @@ def read_once():
 
 @pytest.mark.parametrize("d", ORACLE_GRADES, ids=str)
 class TestReadOncePerWord:
-    """The vector reads and the trie fold against the per-combination and
-    per-word routes they replace, on the ten golden grades, (2,2,2,2) and
-    (1,2,2,2,1)."""
+    """The sparse-column reads and the trie fold against per-word routes
+    (oracles.rho_by_chi, word_to_pbw), on the ten golden grades,
+    (2,2,2,2) and (1,2,2,2,1)."""
 
     def test_vector_evaluation_equals_rho_rows(self, read_once, d):
         res, basis, recorded = read_once[d]
@@ -635,7 +640,18 @@ class TestReadOncePerWord:
         e_cols = recorded[0]
         assert e_cols.combos == columns
         assert [got for got, _ in e_cols.rows] == list(res.evaluation)
-        assert res.evaluation == tuple(basis.evaluator.rho_row(k, columns) for k in res.classes)
+        assert res.evaluation == tuple(
+            oracles.rho_by_chi(basis.evaluator, k, columns) for k in res.classes
+        )
+
+    def test_every_read_equals_rho_by_chi(self, read_once, d):
+        # E and the delta rows, and every one-combination read of the
+        # recursion's corrections and the fresh diagonal
+        _, _, recorded = read_once[d]
+        assert any(len(cols.combos) == 1 for cols in recorded)
+        for cols in recorded:
+            for got, want in cols.rows:
+                assert got == want, cols.combos
 
     def test_delta_rows_equal_rho_rows(self, read_once, d):
         res, basis, recorded = read_once[d]
@@ -645,10 +661,10 @@ class TestReadOncePerWord:
         for got, want in delta_cols.rows:
             assert got == want
         # the rows read from the construction's counts, before the fresh
-        # diagonal, are the construction evaluator's rho_row
+        # diagonal, sum the construction evaluator's chi
         ev = basis.evaluator
         for r, k in enumerate(res.classes):
-            row = ev.rho_row(k, elements)
+            row = oracles.rho_by_chi(ev, k, elements)
             assert row[:r] + row[r + 1 :] == res.delta[r][:r] + res.delta[r][r + 1 :] or ev.voted(k)
 
     def test_trie_fold_equals_word_to_pbw(self, read_once, d):

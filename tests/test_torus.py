@@ -312,7 +312,7 @@ class TestTangentBounds:
         words = [((2, 1), (3, 1), (1, 1), (2, 1), (3, 1), (4, 1)),
                  ((3, 1), (4, 1), (2, 2), (3, 1), (1, 1)), ((4, 1), (3, 2), (2, 2), (1, 1))]
         fits.clear()
-        RhoEvaluator(4).fresh().rho_row(m, words)
+        RhoEvaluator(4).fresh().rho(m, dict.fromkeys(words, 1))
         top = nilpotent.flag_degree_bound(d) + 2
         expected = [
             (min(b + 3, top), b) for b in (nilpotent.word_degree_bound(w, d) for w in words)
@@ -339,7 +339,7 @@ class TestTangentBounds:
         other = ((2, 3), (3, 2), (1, 1))
         assert nilpotent.word_degree_bound(other, (1, 3, 2)) == 0
         with caplog.at_level(logging.DEBUG, logger="semibasis.nilpotent"):
-            ev.fresh().rho_row(LOWERED, [LOWERED_WORD, other])
+            ev.fresh().rho(LOWERED, {LOWERED_WORD: 1, other: 1})
         [line] = [r.getMessage() for r in caplog.records]
         # the word of bound 0 reads no tangent bound; the other reads
         # 1 + 3 primes, 2, 3, 5 and 7
