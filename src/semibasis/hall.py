@@ -23,33 +23,30 @@ with n_b the number of N's [i, b], so the count is
 
     prod over b >= i of C(n_b + k_b, k_b),
 
-exact, with no prime.  L is written straight in canonical form: N's
-segments run head (start < i), the [i, .] block, the [i+1, .] block and
-tail (start > i + 1), so L is head, then its [i, .] block written from
-the counts n_b + k_b (ends descending, the heads last), then the [i+1, .]
-segments not promoted, then tail.  The test suite checks the count
-against prime interpolation, a full grade scan and its column sums
-C(t_top(L, i), a), and the tuples against sorting.
-Every product runs on segment tuples through one core, `_product`,
-which grade-checks each class it yields; `left_mul_divided_power`,
-`word_to_pbw` and `check_serre` all call it, and the first two wrap
-their result in one PBWVector per call.  Words fold in batches: `_fold`
-walks the trie of the batch's reversed letters depth first, so a suffix
-shared by several words is multiplied once, and it holds only the
-products on its current path and the results, nothing past the call.
-`word_to_pbw`, `flag_word_matrix` and the recursion rows of
-semican.transition_matrix (`_pbw_rows`) fold this way.  The middle
-blocks and their counts depend only on N's [i, .] and [i+1, .]
-segments, so `_block_extensions` keeps them in a process-wide table
-keyed by (block, i, a), 1,637 keys for the whole of
-`check_serre(Quiver(5), 6)`.
+exact, with no prime.  Inside the products a class is one int
+(`_Packing`): one digit per segment type, in canonical order, wide
+enough for the largest grade entry the call reaches.  N's [i, .] and
+[i+1, .] digits are one contiguous block, and L is N with that block
+replaced, by one mask and one int addition, with no sort.  The one core
+`_product` grade-checks each class it yields by its digits, so a carry
+between digits fails too; `left_mul_divided_power`, `word_to_pbw` and
+`check_serre` call it, and keys become Multisegments only at the edges.
+Words fold in batches: `_fold` walks the trie of the batch's reversed
+letters depth first, so a shared suffix is multiplied once, holding
+only the products on its current path and the results; `word_to_pbw`,
+`flag_word_matrix` and the recursion rows of semican.transition_matrix
+read their folds through `_pbw_matrix`.  The new middles and counts
+depend only on N's block, so `_block_extensions` keeps them in a
+process-wide table keyed by (block, i, a) and the packing, 1,637 keys
+for `check_serre(Quiver(5), 6)`.  The test suite checks the counts
+against prime interpolation, a full grade scan and their column sums
+C(t_top(L, i), a), and the decoded classes against sorting.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -272,11 +269,6 @@ def hall_counts_simple_top(
 # PBW vectors
 
 
-def _check_grade(cls: Multisegment, n: int, grade: tuple[int, ...]) -> None:
-    if cls.dim_vector(n) != grade:
-        raise ValueError(f"class {cls} is not of grade {grade}")
-
-
 class PBWVector:
     """An integer combination of PBW classes sharing one dimension vector."""
 
@@ -296,7 +288,8 @@ class PBWVector:
         for cls, c in (coeffs or {}).items():
             if not c:
                 continue
-            _check_grade(cls, n, self.grade)
+            if cls.dim_vector(n) != self.grade:
+                raise ValueError(f"class {cls} is not of grade {self.grade}")
             clean[cls] = c
         self.coeffs = clean
 
@@ -334,102 +327,115 @@ class PBWVector:
         return f"<PBWVector {self}>"
 
 
-# The tuple-level core: a combination keyed by canonical segment tuples.
-Segs = tuple[Segment, ...]
-SegmentCombo = dict[Segs, int]
+class _Packing:
+    """Classes on n vertices as ints: the multiplicity of each segment
+    type is one w-bit digit, in canonical order from the lowest bits, so
+    blocks[i] masks the contiguous [i, .] and [i+1, .] digits and decode
+    reads a canonical segment tuple with no sort."""
+
+    __slots__ = ("n", "w", "digit", "segments", "shift", "blocks")
+
+    def __init__(self, n: int, w: int):
+        self.n, self.w, self.digit = n, w, (1 << w) - 1
+        self.segments = tuple((s, b) for s in range(1, n + 1) for b in range(n, s - 1, -1))
+        self.shift = {seg: k * w for k, seg in enumerate(self.segments)}
+        self.blocks = [
+            sum(self.digit << bit for (s, _), bit in self.shift.items() if s in (i, i + 1))
+            for i in range(n + 1)
+        ]
+
+    def encode(self, cls: Multisegment) -> int:
+        return sum(1 << self.shift[seg] for seg in cls.segments)
+
+    def decode(self, key: int) -> Multisegment:
+        segs: list[Segment] = []
+        for seg in self.segments:
+            segs += [seg] * (key >> self.shift[seg] & self.digit)
+        return Multisegment._canonical(tuple(segs))
+
+    def dims(self, key: int) -> tuple[int, ...] | None:
+        # None if a digit carried past the last one
+        diff = [0] * (self.n + 1)
+        for a, b in self.segments:
+            if not key:
+                break
+            m = key & self.digit
+            diff[a - 1] += m
+            diff[b] -= m
+            key >>= self.w
+        return None if key else tuple(itertools.accumulate(diff[: self.n]))
+
+
+# one _Packing per (n, w), which _block_extensions keys its entries by
+_layout = lru_cache(maxsize=None)(_Packing)
+
+
+def _packing(n: int, top: int) -> _Packing:
+    # the width of every class with no grade entry above top: a
+    # multiplicity of [a, b] is at most d_a <= top
+    return _layout(n, top.bit_length())
 
 
 @lru_cache(maxsize=None)
-def _block_extensions(block: Segs, i: int, a: int) -> tuple[tuple[Segs, int], ...]:
-    """The middles, segments starting at i or i + 1, of the extensions by
-    S_i^a of a class whose middle is block, each with its q = 1 count,
-    written from counts with no sort, the one with no promotion first.
-    Entries are immutable tuples, so no reader can change one.
-    """
-    have: dict[int, int] = {}
-    spare: dict[int, int] = {}
-    for s, b in block:
-        side = have if s == i else spare
-        side[b] = side.get(b, 0) + 1
-    ends = sorted(spare)
-    tops = sorted(have.keys() | spare.keys() | {i}, reverse=True)
+def _block_extensions(block: int, i: int, a: int, pack: _Packing) -> tuple[tuple[int, int], ...]:
+    """The middles (blocks[i] digits) of the extensions by S_i^a of a class
+    whose middle is block, with their q = 1 counts, the one with no
+    promotion first, as immutable tuples no reader can change."""
+    shift, digit = pack.shift, pack.digit
+    have = {b: block >> shift[i, b] & digit for b in range(i, pack.n + 1)}
+    ends = [b for b in range(i + 1, pack.n + 1) if block >> shift[i + 1, b] & digit]
+    spare = tuple(block >> shift[i + 1, b] & digit for b in ends)
     out = []
-    for total in range(a + 1):
-        for pick in _bounded_compositions(tuple(spare[b] for b in ends), total):
-            k = dict(zip(ends, pick))
-            k[i] = a - total
-            count = 1
-            mid: list[Segment] = []
-            for b in tops:
-                m, e = have.get(b, 0), k.get(b, 0)
-                count *= math.comb(m + e, e)
-                mid += [(i, b)] * (m + e)
-            for b in reversed(ends):
-                mid += [(i + 1, b)] * (spare[b] - k[b])
-            out.append((tuple(mid), count))
+    # no more than the spare [i+1, .] segments can be promoted
+    for total in range(min(a, sum(spare)) + 1):
+        for pick in _bounded_compositions(spare, total):
+            count = math.comb(have[i] + a - total, a - total)
+            middle = block + ((a - total) << shift[i, i])
+            for b, e in zip(ends, pick):
+                count *= math.comb(have[b] + e, e)
+                middle += (e << shift[i, b]) - (e << shift[i + 1, b])
+            out.append((middle, count))
     return tuple(out)
 
 
-def _extensions(segs: Segs, i: int, a: int) -> Iterator[tuple[Segs, int]]:
-    """Every class L with a submodule U = segs and L/U = S_i^a, with the
-    q = 1 count of such U, prod_b C(n_b + k_b, k_b) (module docstring).
-
-    L comes as its canonical segment tuple, built without a sort: the
-    head (start < i) and tail (start > i + 1) of the canonical tuple segs
-    are kept as slices around each middle of _block_extensions, in its
-    order.
-    """
-    # canonical order sorts by start first, and (s, 0) precedes every [s, .]
-    lo = bisect_left(segs, (i, 0))
-    hi = bisect_left(segs, (i + 2, 0), lo)
-    head, tail = segs[:lo], segs[hi:]
-    for middle, count in _block_extensions(segs[lo:hi], i, a):
-        yield head + middle + tail, count
-
-
 def _product(
-    n: int,
-    i: int,
-    a: int,
-    grade: tuple[int, ...],
-    combo: Mapping[Segs, int],
-    grades: dict[Segs, tuple[int, ...]],
-) -> tuple[tuple[int, ...], SegmentCombo]:
-    """e_i^{(a)}, a >= 1, on a combination of the given grade: the grade
-    of the product and the product, keyed by segment tuples.
+    pack: _Packing, i: int, a: int, grade: tuple[int, ...], combo: Mapping[int, int], grades: dict
+) -> tuple[tuple[int, ...], dict[int, int]]:
+    """e_i^{(a)}, a >= 1, on a combination of the given grade, keyed by
+    packed classes: the grade of the product and the product.
 
-    The product of each class is read from _extensions.  Every class of
-    the product is checked against the product's grade, by _check_grade,
-    with its ValueError text.  Each distinct class is measured once per
-    grade, and that is exact: a segment tuple fixes its own dimension
-    vector, so a class that passed at a grade passes there every time.  grades, owned by the caller, keeps the grade each tuple
-    passed at; a class asked at any other grade is measured again, and
-    fails.
+    Each extension is a source's digits outside blocks[i] plus a middle
+    of _block_extensions.  Each class is checked against the product's
+    grade by its digits, with PBWVector's ValueError text, once per grade
+    it is asked at: grades, owned by the caller, keeps the grade each key
+    passed at, and a key fixes its dimension vector.
     """
-    up = list(grade)
-    up[i - 1] += a
-    up = tuple(up)
-    out: SegmentCombo = {}
+    up = grade[: i - 1] + (grade[i - 1] + a,) + grade[i:]
+    mask = pack.blocks[i]
+    out: dict[int, int] = {}
     for src, coeff in combo.items():
-        for segs, count in _extensions(src, i, a):
-            out[segs] = out.get(segs, 0) + coeff * count
-    for segs in out:
-        if grades.get(segs) != up:
-            _check_grade(Multisegment._canonical(segs), n, up)
-            grades[segs] = up
+        block = src & mask
+        base = src - block
+        for middle, count in _block_extensions(block, i, a, pack):
+            key = base + middle
+            out[key] = out.get(key, 0) + coeff * count
+    for key in out:
+        if grades.get(key) != up:
+            if pack.dims(key) != up:
+                raise ValueError(f"class {pack.decode(key)} is not of grade {up}")
+            grades[key] = up
     return up, out
 
 
-def _as_pbw(n: int, grade: tuple[int, ...], combo: Mapping[Segs, int]) -> PBWVector:
-    return PBWVector(n, grade, {Multisegment._canonical(s): c for s, c in combo.items()})
+def _as_pbw(pack: _Packing, grade: tuple[int, ...], combo: Mapping[int, int]) -> PBWVector:
+    return PBWVector(pack.n, grade, {pack.decode(k): c for k, c in combo.items()})
 
 
 def left_mul_divided_power(i: int, a: int, vec: PBWVector) -> PBWVector:
     """Multiply a PBW vector on the left by 1_{S_i^a} = e_i^{(a)}.
 
     Each coefficient is the q = 1 closed form of the module docstring,
-    read from the block table of _block_extensions through _product; the
-    vector returned is new, and shares no state with the table.
+    read through _product; the vector returned shares no state with it.
     """
     n = vec.n
     if not 1 <= i <= n:
@@ -438,8 +444,9 @@ def left_mul_divided_power(i: int, a: int, vec: PBWVector) -> PBWVector:
         raise ValueError(f"power {a} must be non-negative")
     if a == 0:
         return PBWVector(n, vec.grade, vec.coeffs)
-    combo = {cls.segments: c for cls, c in vec.coeffs.items()}
-    return _as_pbw(n, *_product(n, i, a, vec.grade, combo, {}))
+    pack = _packing(n, max(max(vec.grade), vec.grade[i - 1] + a))
+    combo = {pack.encode(cls): c for cls, c in vec.coeffs.items()}
+    return _as_pbw(pack, *_product(pack, i, a, vec.grade, combo, {}))
 
 
 def _as_combo(w: Word | Mapping[Word, int]) -> WordCombo:
@@ -461,27 +468,25 @@ def _suffix_trie(words: Iterable[Word], skip: int = 0) -> tuple[list[Word], dict
     return root
 
 
-def _fold(n: int, words: Iterable[Word]) -> dict[Word, SegmentCombo]:
-    """Each word folded from the right onto the unit, keyed by segment
-    tuples: the product of its letters' divided powers.
+def _fold(pack: _Packing, words: Iterable[Word]) -> dict[Word, dict[int, int]]:
+    """Each word folded from the right onto the unit, keyed by packed
+    classes: the product of its letters' divided powers.
 
     The words fold together, depth first through their _suffix_trie, so
-    a suffix shared by several words is multiplied once; only the
-    products on the current path and the results are held, and the grade
-    memo of _product lives for this call.  Each word's product is the
-    one its own letter-by-letter fold gives, in the same key order.
+    a shared suffix is multiplied once, each word's product in the order
+    its own letter-by-letter fold gives.
     """
-    out: dict[Word, SegmentCombo] = {}
-    grades: dict[Segs, tuple[int, ...]] = {}
+    out: dict[Word, dict[int, int]] = {}
+    grades: dict[int, tuple[int, ...]] = {}
 
-    def walk(node: tuple[list[Word], dict], grade: tuple[int, ...], vec: SegmentCombo) -> None:
+    def walk(node: tuple[list[Word], dict], grade: tuple[int, ...], vec: dict[int, int]) -> None:
         held, children = node
         for w in held:
             out[w] = vec
         for (i, a), child in children.items():
-            walk(child, *_product(n, i, a, grade, vec, grades))
+            walk(child, *_product(pack, i, a, grade, vec, grades))
 
-    walk(_suffix_trie(words), (0,) * n, {(): 1})
+    walk(_suffix_trie(words), (0,) * pack.n, {0: 1})
     return out
 
 
@@ -491,8 +496,7 @@ def word_to_pbw(quiver: Quiver, w: Word | Mapping[Word, int]) -> PBWVector:
     A word (i_1,a_1)...(i_k,a_k) denotes 1_{S_{i_1}^{a_1}} * ... *
     1_{S_{i_k}^{a_k}}, applied to the unit by folding from the right.
     All words of a combination must share one weight.  The words fold
-    together through _fold, and the sum becomes a PBWVector once, at the
-    end.
+    together through _fold, and the sum is read at the grade's classes.
     """
     combo = _as_combo(w)
     if not combo:
@@ -501,21 +505,29 @@ def word_to_pbw(quiver: Quiver, w: Word | Mapping[Word, int]) -> PBWVector:
     weights = {word_weight(word, n) for word in combo}
     if len(weights) > 1:
         raise ValueError(f"mixed word weights {sorted(weights)}")
-    return _as_pbw(n, weights.pop(), _pbw_rows(n, [combo])[0])
+    grade = weights.pop()
+    classes = enumerate_multisegments(quiver, grade)
+    [row] = _pbw_matrix(n, grade, classes, [combo])
+    return PBWVector(n, grade, dict(zip(classes, row)))
 
 
-def _pbw_rows(n: int, combos: Sequence[Mapping[Word, int]]) -> list[SegmentCombo]:
-    # each word combination in PBW coordinates, keyed by segment tuples:
-    # the words of all of them fold together, each once, through _fold
-    folded = _fold(n, dict.fromkeys(word for combo in combos for word in combo))
+def _pbw_matrix(
+    n: int, d: tuple[int, ...], classes: Sequence[Multisegment], combos: Sequence[Mapping[Word, int]]
+) -> tuple[tuple[int, ...], ...]:
+    # word combinations of grade d in PBW coordinates, read at the grade's
+    # classes: every class a product yields passed its grade check, so it
+    # is one of them.  The words of all of them fold together, each once
+    pack = _packing(n, max(d))
+    folded = _fold(pack, dict.fromkeys(word for combo in combos for word in combo))
+    keys = [pack.encode(cls) for cls in classes]
     rows = []
     for combo in combos:
-        total: SegmentCombo = {}
+        row = dict.fromkeys(keys, 0)
         for word, c in combo.items():
-            for segs, k in folded[word].items():
-                total[segs] = total.get(segs, 0) + c * k
-        rows.append(total)
-    return rows
+            for key, k in folded[word].items():
+                row[key] += c * k
+        rows.append(tuple(row.values()))
+    return tuple(rows)
 
 
 def flag_word_matrix(
@@ -530,22 +542,17 @@ def flag_word_matrix(
     otherwise only proper degenerations of it.  The words fold together,
     through _fold.
     """
+    d = tuple(d)
     classes = tuple(refine_order(enumerate_multisegments(quiver, d)))
-    words = tuple(
-        () if cls.is_zero() else total_generic_flag(cls) for cls in classes
-    )
-    folded = _fold(quiver.n, words)
-    rows = []
-    for r, word in enumerate(words):
-        vec = folded[word]
-        for segs, c in vec.items():
-            hit = Multisegment._canonical(segs)
-            if c and not deg_leq(classes[r], hit):
+    words = tuple(() if cls.is_zero() else total_generic_flag(cls) for cls in classes)
+    t_mat = _pbw_matrix(quiver.n, d, classes, [{word: 1} for word in words])
+    for r, row in enumerate(t_mat):
+        for c, coeff in enumerate(row):
+            if coeff and not deg_leq(classes[r], classes[c]):
                 raise InternalCheckError(
-                    f"word of {classes[r]} hits {hit}, not a degeneration of it"
+                    f"word of {classes[r]} hits {classes[c]}, not a degeneration of it"
                 )
-        rows.append(tuple(vec.get(cls.segments, 0) for cls in classes))
-    return classes, words, tuple(rows)
+    return classes, words, t_mat
 
 
 def pbw_to_words(quiver: Quiver, d: Iterable[int]) -> dict[Multisegment, WordCombo]:
@@ -563,14 +570,10 @@ def pbw_to_words(quiver: Quiver, d: Iterable[int]) -> dict[Multisegment, WordCom
         raise InternalCheckError(
             f"flag word expansions at grade {tuple(d)} are not unitriangular: {exc}"
         ) from exc
-    out: dict[Multisegment, WordCombo] = {}
-    for r, cls in enumerate(classes):
-        combo: WordCombo = {}
-        for c, word in enumerate(words):
-            if t_inv[r][c]:
-                combo[word] = combo.get(word, 0) + t_inv[r][c]
-        out[cls] = combo
-    return out
+    # the words are distinct, as T is invertible
+    return {
+        cls: {word: c for word, c in zip(words, t_inv[r]) if c} for r, cls in enumerate(classes)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -601,38 +604,36 @@ def check_serre(quiver: Quiver, dim_bound: int) -> SerreReport:
 
     For each adjacent ordered pair (i, j) and each class N with |grade|
     <= dim_bound, the residual e_i^{(2)} e_j P_N - e_i e_j e_i P_N +
-    e_j e_i^{(2)} P_N must vanish identically.  Vectors are keyed by
-    segment tuples, and every product goes through _product, so every
-    class of every product is grade-checked, each distinct class once per
-    grade: `grades`, the memo _product reads, lives for this call only.
-    No product is kept, only those grades (14,416 classes at n = 5, freed
-    at return): a single-class product costs two bisects, one read of the
-    block table and two tuple concatenations per class, and a table of
-    whole products kept for the check more than doubled the peak memory
-    at n = 5.  A residual becomes a PBWVector only when it fails, for
-    the report.
+    e_j e_i^{(2)} P_N must vanish identically.  Every product goes
+    through _product, at one width for the call, with one grade memo
+    (14,416 keys at n = 5, freed at return).  No product is kept: one
+    costs a mask, a table read and an int addition per class, and a table
+    of whole products more than doubled the peak memory at n = 5.  A
+    residual becomes a PBWVector only when it fails, for the report.
     """
     n = quiver.n
     pairs = [(i, j) for i in quiver.vertices() for j in quiver.vertices() if abs(i - j) == 1]
     checked = 0
     failures: list[str] = []
-    grades: dict[Segs, tuple[int, ...]] = {}
+    grades: dict[int, tuple[int, ...]] = {}
+    # a grade entry of at most dim_bound gains 2 at most, from e_i^{(2)}
+    pack = _packing(n, dim_bound + 2)
 
     for d in iter_dim_vectors(n, dim_bound):
         for cls in enumerate_multisegments(quiver, d):
-            v = {cls.segments: 1}
-            once = {k: _product(n, k, 1, d, v, grades) for k in quiver.vertices()}
-            twice = {k: _product(n, k, 2, d, v, grades) for k in quiver.vertices()}
+            v = {pack.encode(cls): 1}
+            once = {k: _product(pack, k, 1, d, v, grades) for k in quiver.vertices()}
+            twice = {k: _product(pack, k, 2, d, v, grades) for k in quiver.vertices()}
             for i, j in pairs:
-                grade, residual = _product(n, i, 2, *once[j], grades)
+                grade, residual = _product(pack, i, 2, *once[j], grades)
                 for sign, (_, term) in (
-                    (-1, _product(n, i, 1, *_product(n, j, 1, *once[i], grades), grades)),
-                    (1, _product(n, j, 1, *twice[i], grades)),
+                    (-1, _product(pack, i, 1, *_product(pack, j, 1, *once[i], grades), grades)),
+                    (1, _product(pack, j, 1, *twice[i], grades)),
                 ):
-                    for segs, c in term.items():
-                        residual[segs] = residual.get(segs, 0) + sign * c
+                    for key, c in term.items():
+                        residual[key] = residual.get(key, 0) + sign * c
                 checked += 1
                 if any(residual.values()):
-                    shown = _as_pbw(n, grade, residual)
+                    shown = _as_pbw(pack, grade, residual)
                     failures.append(f"(i={i}, j={j}) on P({cls}): residual {shown}")
     return SerreReport(n, dim_bound, checked, tuple(failures))

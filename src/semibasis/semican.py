@@ -16,7 +16,7 @@ the f_Z in the PBW basis:
     word combinations, the form that can be evaluated at points; an
     element's row of the matrix is word_to_pbw of it, and the rows of a
     grade fold all their distinct words together, once each
-    (hall._pbw_rows).
+    (hall._pbw_matrix).
 
 Both must produce the same unitriangular matrix, and a delta-check must
 reproduce the identity; any mismatch is an error, never papered over.
@@ -59,7 +59,7 @@ from typing import Iterable, Mapping
 
 from . import nilpotent, torus
 from .errors import CertificationError, DeltaCheckError, RouteDisagreementError
-from .hall import WordCombo, _pbw_rows, pbw_to_words
+from .hall import WordCombo, _pbw_matrix, pbw_to_words
 from .linalg import identity_exact, invert_unitriangular, matmul_exact
 from .nilpotent import RhoEvaluator, _WordColumns, flag_degree_bound
 from .quiver import (
@@ -310,8 +310,7 @@ def transition_matrix(
     classes, a_mat, e_mat = transition_via_inversion(quiver, d, basis.evaluator)
     torus.log_coverage({cls: basis.evaluator.graded(cls) for cls in classes})
     elements = {cls: basis.element(cls) for cls in classes}
-    rows = _pbw_rows(quiver.n, [elements[m_cls] for m_cls in classes])
-    rec_mat = tuple(tuple(row.get(n_cls.segments, 0) for n_cls in classes) for row in rows)
+    rec_mat = _pbw_matrix(quiver.n, d, classes, [elements[m_cls] for m_cls in classes])
     if rec_mat != a_mat:
         diffs = [
             f"({classes[r]} : {classes[c]}) inversion={a_mat[r][c]} recursion={rec_mat[r][c]}"

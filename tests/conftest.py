@@ -56,9 +56,8 @@ def dropped_extension(monkeypatch):
     """Plant a fault in the q = 1 Hall products: each misses its first class.
 
     Every product `left_mul_divided_power` makes then drops the class with
-    no promoted segment, all heads [i, i], and its closed-form count.
+    no promoted segment, all heads [i, i], and its closed-form count: the
+    first entry `_block_extensions` holds for each block.
     """
-    extensions = hall._extensions
-    monkeypatch.setattr(
-        hall, "_extensions", lambda *key: itertools.islice(extensions(*key), 1, None)
-    )
+    extensions = hall._block_extensions
+    monkeypatch.setattr(hall, "_block_extensions", lambda *key: extensions(*key)[1:])

@@ -229,31 +229,43 @@ class TestLeftMul:
     def test_readers_cannot_change_the_block_table(self):
         # the dict a product returns is the caller's own; changing it
         # changes no later product read from the same blocks
-        _, first = hall._product(2, 1, 2, (1, 2), {M("1[1,2]+1[2,2]").segments: 1}, {})
+        pack = hall._packing(2, 3)
+        src = {pack.encode(M("1[1,2]+1[2,2]")): 1}
+        _, first = hall._product(pack, 1, 2, (1, 2), src, {})
         want = dict(first)
-        for segs in first:
-            first[segs] = 99
-        first[((1, 1),)] = 5
-        assert hall._product(2, 1, 2, (1, 2), {M("1[1,2]+1[2,2]").segments: 1}, {})[1] == want
+        for key in first:
+            first[key] = 99
+        first[pack.encode(M("1[1,1]"))] = 5
+        assert hall._product(pack, 1, 2, (1, 2), src, {})[1] == want
 
     def test_every_product_reads_the_closed_form(self, monkeypatch):
         calls = []
-        extensions = hall._extensions
+        extensions = hall._block_extensions
 
         def spy(*key):
             calls.append(key)
             return extensions(*key)
 
-        monkeypatch.setattr(hall, "_extensions", spy)
+        monkeypatch.setattr(hall, "_block_extensions", spy)
         vec = PBWVector(2, (1, 1), {M("1[1,2]"): 1})
         assert left_mul_divided_power(1, 1, vec) == left_mul_divided_power(1, 1, vec)
-        assert calls == [(M("1[1,2]").segments, 1, 1)] * 2
+        # at n = 2 the block of vertex 1 is every digit
+        pack = hall._packing(2, 2)
+        assert calls == [(pack.encode(M("1[1,2]")), 1, 1, pack)] * 2
 
     def test_extensions_are_canonical_and_match_sorting(self):
-        # each L is written in canonical order with no sort; the oracle
+        # each L decodes in canonical order with no sort; the oracle
         # builds it by list.remove and a sort.  The sweep runs on a cold
         # block table, then again on the warm one, which must agree
         hall._block_extensions.cache_clear()
+
+        def extensions(cls, n, i, a):
+            # the single-class product: distinct promotions give distinct L
+            grade = cls.dim_vector(n)
+            pack = hall._packing(n, max(grade[i - 1] + a, *grade))
+            _, out = hall._product(pack, i, a, grade, {pack.encode(cls): 1}, {})
+            return [(pack.decode(key), c) for key, c in out.items()]
+
         cold = {}
         cases = 0
         for n in range(1, 5):
@@ -262,17 +274,41 @@ class TestLeftMul:
                     for a in (1, 2, 3):
                         grade = list(cls.dim_vector(n))
                         grade[i - 1] += a
-                        got = cold[cls, i, a] = list(hall._extensions(cls.segments, i, a))
-                        for segs, _ in got:
-                            assert segs == M(segs).segments, (cls, i, a, segs)
-                            assert M(segs).dim_vector(n) == tuple(grade), (cls, i, a)
-                        pairs = Counter((M(segs), c) for segs, c in got)
+                        got = cold[n, cls, i, a] = extensions(cls, n, i, a)
+                        for L, _ in got:
+                            assert L.segments == M(L.segments).segments, (cls, i, a, L)
+                            assert L.dim_vector(n) == tuple(grade), (cls, i, a)
+                        pairs = Counter(got)
                         assert pairs == oracles.extensions_by_removal(cls, i, a), (cls, i, a)
                         cases += len(got)
         assert cases == 7698
         assert hall._block_extensions.cache_info().hits > 0
-        for (cls, i, a), got in cold.items():
-            assert list(hall._extensions(cls.segments, i, a)) == got, (cls, i, a)
+        for (n, cls, i, a), got in cold.items():
+            assert extensions(cls, n, i, a) == got, (cls, i, a)
+
+    def test_promotions_stop_at_the_spare_segments(self, monkeypatch):
+        # no more than the spare [i+1, .] segments can be promoted, so a
+        # block's extensions take as many compositions at a = 300 as at 3
+        calls = []
+        compositions = hall._bounded_compositions
+
+        def spy(*key):
+            calls.append(key)
+            return compositions(*key)
+
+        monkeypatch.setattr(hall, "_bounded_compositions", spy)
+        hall._block_extensions.cache_clear()
+        runs = []
+        for a in (3, 30, 300):
+            calls.clear()
+            for cls in (M("1[1,2]"), M("1[1,2]+2[2,2]")):
+                left_mul_divided_power(1, a, PBWVector(2, cls.dim_vector(2), {cls: 1}))
+            runs.append(len(calls))
+        assert runs == [runs[0]] * 3
+
+    def test_a_power_far_past_the_block(self):
+        got = left_mul_divided_power(1, 10**6, PBWVector(2, (1, 1), {M("1[1,2]"): 1}))
+        assert got == PBWVector(2, (10**6 + 1, 1), {M("1[1,2]+1000000[1,1]"): 1})
 
     @pytest.mark.parametrize(
         "product",
@@ -285,12 +321,13 @@ class TestLeftMul:
     def test_product_of_wrong_grade_raises(self, monkeypatch, product):
         # one extra segment per extension: the shared product's grade
         # check catches it, whichever entry point calls it
-        extensions = hall._extensions
+        extensions = hall._block_extensions
         monkeypatch.setattr(
             hall,
-            "_extensions",
-            lambda src, i, a: (
-                (M(segs + ((i, i),)).segments, c) for segs, c in extensions(src, i, a)
+            "_block_extensions",
+            lambda block, i, a, pack: tuple(
+                (middle + (1 << pack.shift[i, i]), c)
+                for middle, c in extensions(block, i, a, pack)
             ),
         )
         with pytest.raises(ValueError, match="not of grade"):
@@ -320,6 +357,55 @@ class TestLeftMul:
                     }
 
 
+class TestPacking:
+    def test_every_class_round_trips(self):
+        # at the width of the bound and at that of its own grade, each
+        # class with |d| <= 6 decodes to its canonical segment tuple and
+        # measures its grade; at one width, distinct classes get distinct keys
+        for n in range(1, 6):
+            wide = hall._packing(n, 6)
+            keys = {}
+            for cls in classes_upto(n, 6):
+                grade = cls.dim_vector(n)
+                for pack in (wide, hall._packing(n, max(grade))):
+                    key = pack.encode(cls)
+                    assert pack.decode(key).segments == cls.segments, (n, cls)
+                    assert pack.dims(key) == grade, (n, cls)
+                keys[wide.encode(cls)] = cls
+            assert len(keys) == len(set(classes_upto(n, 6))), n
+
+    @pytest.mark.parametrize(
+        "product",
+        [
+            lambda: left_mul_divided_power(1, 2, PBWVector(2, (1, 0), {M("1[1,1]"): 1})),
+            lambda: word_to_pbw(Quiver(2), ((1, 1), (2, 1))),
+            lambda: check_serre(Quiver(2), 2),
+        ],
+        ids=["left_mul_divided_power", "word_to_pbw", "check_serre"],
+    )
+    def test_too_narrow_a_width_fails_the_grade_check(self, monkeypatch, product):
+        # one bit short: a digit at the top of its grade carries into the
+        # next, and the class it leaves has another dimension vector
+        monkeypatch.setattr(hall, "_packing", lambda n, top: hall._layout(n, top.bit_length() - 1))
+        with pytest.raises(ValueError, match="not of grade"):
+            product()
+
+    def test_a_carry_past_the_last_digit_fails_the_grade_check(self, monkeypatch):
+        # 2**w more copies of [1, 1] at n = 1 carry out of the one digit
+        # and leave a class of the right grade in it
+        extensions = hall._block_extensions
+        monkeypatch.setattr(
+            hall,
+            "_block_extensions",
+            lambda block, i, a, pack: tuple(
+                (middle + (1 << (pack.w + pack.shift[i, i])), c)
+                for middle, c in extensions(block, i, a, pack)
+            ),
+        )
+        with pytest.raises(ValueError, match=r"^class 1\[1,1\] is not of grade \(1,\)$"):
+            left_mul_divided_power(1, 1, PBWVector.unit(1))
+
+
 class TestSerre:
     def test_adjacent_relations_hold(self):
         assert check_serre(Quiver(2), 4).ok
@@ -333,17 +419,17 @@ class TestSerre:
         # a fault in the products at one power only: the first class is
         # dropped, or its count is one too high
         clean = {n: check_serre(Quiver(n), 4) for n in (2, 3)}
-        extensions = hall._extensions
+        extensions = hall._block_extensions
 
-        def faulty(src, i, a):
-            out = list(extensions(src, i, a))
+        def faulty(block, i, a, pack):
+            out = list(extensions(block, i, a, pack))
             if a == power:
-                segs, count = out.pop(0)
+                middle, count = out.pop(0)
                 if fault == "recounted":
-                    out.insert(0, (segs, count + 1))
-            return iter(out)
+                    out.insert(0, (middle, count + 1))
+            return tuple(out)
 
-        monkeypatch.setattr(hall, "_extensions", faulty)
+        monkeypatch.setattr(hall, "_block_extensions", faulty)
         for n in (2, 3):
             report = check_serre(Quiver(n), 4)
             assert clean[n].ok and not report.ok, (n, power, fault)
@@ -357,12 +443,13 @@ class TestSerre:
         # one extra segment per extension: every product checks the grade
         # of each class it yields, so the first product raises, before
         # any failing residual is shown
-        extensions = hall._extensions
+        extensions = hall._block_extensions
         monkeypatch.setattr(
             hall,
-            "_extensions",
-            lambda src, i, a: (
-                (M(segs + ((i, i),)).segments, c) for segs, c in extensions(src, i, a)
+            "_block_extensions",
+            lambda block, i, a, pack: tuple(
+                (middle + (1 << pack.shift[i, i]), c)
+                for middle, c in extensions(block, i, a, pack)
             ),
         )
         with pytest.raises(ValueError, match=r"^class 2\[1,1\] is not of grade \(1, 0\)$"):
@@ -370,20 +457,20 @@ class TestSerre:
 
     @pytest.mark.parametrize("fault", ["dropped", "recounted"])
     def test_planted_fault_fails_over_a_warm_table(self, monkeypatch, fault):
-        # the block table sits below the _extensions seam, so a fault
-        # planted there after a check has filled the table still shows
+        # the fault wraps the cached block table, so a fault planted
+        # after a check has filled the table still shows
         assert check_serre(Quiver(3), 4).ok
-        extensions = hall._extensions
+        extensions = hall._block_extensions
 
-        def faulty(src, i, a):
-            out = list(extensions(src, i, a))
-            segs, count = out.pop(0)
+        def faulty(block, i, a, pack):
+            out = list(extensions(block, i, a, pack))
+            middle, count = out.pop(0)
             if fault == "recounted":
-                out.insert(0, (segs, count + 1))
-            return iter(out)
+                out.insert(0, (middle, count + 1))
+            return tuple(out)
 
-        monkeypatch.setattr(hall, "_extensions", faulty)
-        assert hall._block_extensions.cache_info().currsize > 0
+        monkeypatch.setattr(hall, "_block_extensions", faulty)
+        assert extensions.cache_info().currsize > 0
         assert not check_serre(Quiver(3), 4).ok
 
     def test_consecutive_checks_agree(self):
@@ -395,24 +482,26 @@ class TestSerre:
     def test_block_table_is_smaller_than_the_products(self, monkeypatch):
         # 2,023 single-class products at n = 3 read 226 distinct blocks
         calls = []
-        extensions = hall._extensions
+        extensions = hall._block_extensions
 
         def spy(*key):
             calls.append(key)
             return extensions(*key)
 
-        monkeypatch.setattr(hall, "_extensions", spy)
-        hall._block_extensions.cache_clear()
+        monkeypatch.setattr(hall, "_block_extensions", spy)
+        extensions.cache_clear()
         assert check_serre(Quiver(3), 4).ok
-        assert 0 < hall._block_extensions.cache_info().currsize < len(calls), len(calls)
+        assert 0 < extensions.cache_info().currsize < len(calls), len(calls)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_grade_memo_checks_a_class_met_at_another_grade(self, monkeypatch, n):
         # e_1^{(2)} yields the classes of e_1: 1[1,1] has passed at grade
         # (1, 0, ...), so meeting it at (2, 0, ...) must measure it again
-        extensions = hall._extensions
+        extensions = hall._block_extensions
         monkeypatch.setattr(
-            hall, "_extensions", lambda src, i, a: extensions(src, i, 1 if a == 2 else a)
+            hall,
+            "_block_extensions",
+            lambda block, i, a, pack: extensions(block, i, 1 if a == 2 else a, pack),
         )
         grade = re.escape(str((2,) + (0,) * (n - 1)))
         with pytest.raises(ValueError, match=rf"^class 1\[1,1\] is not of grade {grade}$"):
@@ -422,13 +511,13 @@ class TestSerre:
         # 3,231 grade checks at n = 3 without the memo; a memo that outlived
         # the call would measure nothing the second time
         measured = []
-        check_grade = hall._check_grade
+        dims = hall._Packing.dims
 
-        def spy(cls, n, grade):
-            measured.append(cls.segments)
-            check_grade(cls, n, grade)
+        def spy(pack, key):
+            measured.append(key)
+            return dims(pack, key)
 
-        monkeypatch.setattr(hall, "_check_grade", spy)
+        monkeypatch.setattr(hall._Packing, "dims", spy)
         for _ in range(2):
             measured.clear()
             assert check_serre(Quiver(3), 4).ok

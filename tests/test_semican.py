@@ -674,19 +674,20 @@ class TestReadOncePerWord:
         elements = [basis.element(m) for m in res.classes]
         flag_words = [() if m.is_zero() else total_generic_flag(m) for m in res.classes]
         words = list(dict.fromkeys(flag_words + [w for e in elements for w in e]))
-        folded = hall._fold(n, words)
+        pack = hall._packing(n, max(d))
+        folded = hall._fold(pack, words)
         assert set(folded) == set(words)
         for w in words:
             want = word_to_pbw(quiver, w)
-            assert hall._as_pbw(n, d, folded[w]) == want, w
+            assert hall._as_pbw(pack, d, folded[w]) == want, w
             # and letter by letter through left_mul_divided_power
             vec = PBWVector.unit(n)
             for i, a in reversed(w):
                 vec = left_mul_divided_power(i, a, vec)
             assert vec == want, w
-        rows = hall._pbw_rows(n, elements)
+        rows = hall._pbw_matrix(n, d, res.classes, elements)
         for m, e, row in zip(res.classes, elements, rows):
-            assert hall._as_pbw(n, d, row) == word_to_pbw(quiver, e), m
+            assert PBWVector(n, d, dict(zip(res.classes, row))) == word_to_pbw(quiver, e), m
         assert res.recursion_matrix == tuple(
             tuple(word_to_pbw(quiver, e).get(c) for c in res.classes) for e in elements
         )
