@@ -563,12 +563,13 @@ def pbw_to_words(quiver: Quiver, d: Iterable[int]) -> dict[Multisegment, WordCom
     flag_word_matrix's class order, refine_order of the grade: the
     refined degeneration order, generic classes first.
     """
+    d = tuple(d)
     classes, words, t_mat = flag_word_matrix(quiver, d)
     try:
         t_inv = invert_unitriangular(t_mat)
     except ValueError as exc:
         raise InternalCheckError(
-            f"flag word expansions at grade {tuple(d)} are not unitriangular: {exc}"
+            f"flag word expansions at grade {d} are not unitriangular: {exc}"
         ) from exc
     # the words are distinct, as T is invertible
     return {

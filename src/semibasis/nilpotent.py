@@ -27,17 +27,17 @@ so every component has such an orbit; for n >= 5 some need not.
 dim End(x) is computed one way only, from the End template of the
 component (_end_template): End(x) is the commutant of x's stars inside
 End of the arrow module realize(M), which has a closed-form basis of
-segment maps.  The template, built once per component, lists the terms
-of each basis map's commutator with the stars, so a point fills that
-integral matrix from its stars alone, as sparse rows, and takes one
-rank.  Each
+segment maps.  The template lists the terms of each basis map's
+commutator with the stars, so a point fills that integral matrix from
+its stars alone, as sparse rows, and takes one rank.  Each
 (component, prime, attempt) draws up to SAMPLES_PER_PRIME points, once
-per evaluator: every word count reads the same draws, and the star
-relations of each (component, prime) are solved once, each draw only
-combining their kernel basis.  The first draw with dim End = q(d) is
-read alone: its automorphism group is connected, so by Lang's theorem
-every F_p-point of its orbit is isomorphic to it, and its values are
-exactly the generic ones over every prime field, F_2 included.  When no
+per evaluator: every word count reads the same draws, each draw only
+combining a kernel basis of the star relations (_star_space).  No seed
+enters that basis or the template, so each is memoized process-wide.
+The first draw with dim End = q(d) is read alone: its automorphism
+group is connected, so by Lang's theorem every F_p-point of its orbit
+is isomorphic to it, and its values are exactly the generic ones over
+every prime field, F_2 included.  When no
 draw reaches q(d), at most VOTE_SIZE draws of least End vote, and the
 reading is the value held by a strict majority of them; such votes are
 logged, and RhoEvaluator.voted reports them.  Votes are read only at
@@ -87,6 +87,7 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import torus
@@ -152,7 +153,7 @@ def prime_pool() -> Iterator[int]:
     """The consecutive primes from 2, in order: the pool every F_p count reads.
 
     Each word reads a prefix of the primes at which its component is read
-    (see RhoEvaluator.chi), at most flag_degree_bound(d) + 2 of them.
+    (see RhoEvaluator._count), at most flag_degree_bound(d) + 2 of them.
     """
     return filter(is_prime, itertools.count(2))
 
@@ -189,28 +190,30 @@ def _relation_rows(rep: Rep) -> list[list[int]]:
     return matrix_equation_rows(shapes, equations)[0]
 
 
-def _star_space(template: "_EndTemplate", p: int) -> tuple[Rep, list[tuple[int, int]], list]:
-    # the arrow module the template was built on, the shapes of its
-    # stars, and a kernel basis over F_p of the template's relation rows
-    rep = template.rep
-    shapes = list(zip(rep.dims, rep.dims[1:]))
-    return rep, shapes, kernel_basis_ff(template.relations, sum(r * c for r, c in shapes), p)
+@lru_cache(maxsize=None)
+def _star_space(m: Multisegment, n: int, p: int) -> tuple[tuple[int, ...], ...]:
+    # a kernel basis over F_p of the relation rows of _end_template(m, n);
+    # a p that is not prime raises ValueError, as Z/p is then no field
+    if not is_prime(p):
+        raise ValueError(f"the modulus of a star space must be a prime, got {p}")
+    template = _end_template(m, n)
+    dims = template.rep.dims
+    unknowns = sum(r * c for r, c in zip(dims, dims[1:]))
+    return tuple(kernel_basis_ff(template.relations, unknowns, p))
 
 
-def lift_generic(
-    m: Multisegment, n: int, p: int, seed: int, space: tuple | None = None
-) -> LambdaPoint:
+def lift_generic(m: Multisegment, n: int, p: int, seed: int) -> LambdaPoint:
     """A random point over the canonical orbit point of m.
 
     The arrow part is realize(m, n); the stars solve the preprojective
     relations, which are linear in them, with a seed-determined random
-    combination of a kernel basis of the relations (random_span_point_ff).
-    space, when given, is _star_space(_end_template(m, n), p), solved
-    once by a caller that lifts many seeds; the point is the same either
-    way.  The relations are re-checked exactly before the point is
-    returned.
+    combination of a kernel basis of the relations (random_span_point_ff),
+    solved once per (m, n, p).  p must be a prime, else ValueError.  The
+    relations are re-checked exactly before the point is returned.
     """
-    rep, shapes, kernel = space or _star_space(_end_template(m, n), p)
+    kernel = _star_space(m, n, p)
+    rep = _end_template(m, n).rep
+    shapes = list(zip(rep.dims, rep.dims[1:]))
     unknowns = sum(r * c for r, c in shapes)
     flat = random_span_point_ff(kernel, unknowns, p, random.Random(seed))
     stars: list[Matrix] = []
@@ -247,10 +250,12 @@ class _EndTemplate:
     rep: Rep
     q: int
     terms: tuple[tuple[tuple[int, int, int], ...], ...]
-    relations: list[list[int]]
+    relations: tuple[tuple[int, ...], ...]
 
 
+@lru_cache(maxsize=None)
 def _end_template(m: Multisegment, n: int) -> _EndTemplate:
+    # built once per (m, n) in the process: no seed enters it
     rep = realize(m, n)
     d = (0,) + rep.dims
     # position[v][k]: the coordinate realize gives segment k at vertex v
@@ -284,7 +289,7 @@ def _end_template(m: Multisegment, n: int) -> _EndTemplate:
                         signs[key] = signs.get(key, 0) - 1
             terms.append(tuple((at, star, s) for (at, star), s in signs.items() if s))
     q = euler_form(Quiver(n), rep.dims, rep.dims)
-    return _EndTemplate(rep, q, tuple(terms), _relation_rows(rep))
+    return _EndTemplate(rep, q, tuple(terms), tuple(map(tuple, _relation_rows(rep))))
 
 
 def _end_dim(x: LambdaPoint, template: _EndTemplate) -> int:
@@ -306,20 +311,20 @@ def _end_dim(x: LambdaPoint, template: _EndTemplate) -> int:
 
 
 def _generic_draws(
-    m: Multisegment, n: int, p: int, seeds: Iterable[int], space: tuple, template: _EndTemplate
+    m: Multisegment, n: int, p: int, seeds: Iterable[int]
 ) -> tuple[list[LambdaPoint], list[int]]:
     # the first point lifted from seeds whose End has dimension q(d),
     # alone, or failing that the first VOTE_SIZE draws of least End; and
     # the End dimensions drawn, one per draw and computed once per
-    # distinct point.  space is as for lift_generic, template is
-    # _end_template(m, n)
+    # distinct point
+    template = _end_template(m, n)
     q = template.q
     draws: list[tuple[int, LambdaPoint]] = []
     # End of each distinct point drawn: the arrows and p are fixed here,
     # so the stars tell points apart, and small star spaces repeat points
     seen: dict[tuple[Matrix, ...], int] = {}
     for seed in seeds:
-        x = lift_generic(m, n, p, seed, space)
+        x = lift_generic(m, n, p, seed)
         e = seen.get(x.stars)
         if e is None:
             e = seen[x.stars] = _end_dim(x, template)
@@ -689,20 +694,17 @@ class RhoEvaluator:
     """Evaluates word combinations at generic points of components.
 
     One evaluator owns one quiver size and one root seed, and it alone
-    picks how a label is counted: at a graded point (see graded) by
-    torus-fixed flags, elsewhere by the F_p route, which the evaluators
-    that fresh hands out use for every label.  On that route sampled
-    points are shared across words; the star space of each (component,
-    prime) is solved once, the End template and q(d) of each component
-    are built once, and the interpolated value of each (component,
-    word) pair is computed once; this is what makes whole
-    evaluation matrices affordable.  It has two reads: chi, of one word,
-    and rho, of one combination.  Combinations are read through
-    _WordColumns, whose row counts the distinct words of its
+    picks how a label is counted: at its graded point (torus.graded_point)
+    by torus-fixed flags, elsewhere by the F_p route, which the evaluators
+    that fresh hands out use for every label.  It holds only what its
+    seed decides, each computed once: the draws of each (component,
+    prime, attempt), shared across words, and the value of each
+    (component, word) pair; this is what makes whole evaluation matrices
+    affordable.  Its one read, rho, takes a word or a combination, read
+    through _WordColumns, whose row counts the distinct words of its
     combinations together: each draw is read once for all of them, in
     one walk of their shared suffixes, and nothing of the walk is kept.
-    At DEBUG
-    each counted batch logs its label, how many words it counted
+    At DEBUG each counted batch logs its label, how many words it counted
     together, how many expansions it made, how many quotients it built
     and how many candidates it pruned unbuilt, how many fits a tangent
     bound lowered and the largest prime it read.
@@ -712,43 +714,30 @@ class RhoEvaluator:
         self.n = n
         self.root_seed = root_seed
         self._draws: dict[tuple, tuple[list[LambdaPoint], list[int]]] = {}
-        self._spaces: dict[tuple, tuple] = {}
-        self._templates: dict[tuple, _EndTemplate] = {}
         # (component, prime) pairs with a draw set that missed q(d): each
         # is logged once, and those from VOTE_PRIME_START up make voted
         self._voted: set[tuple] = set()
         self._chi: dict[tuple, int] = {}
-        # graded points by label (None where the search finds none), and
-        # whether words are counted there by torus-fixed flags
-        self._points: dict[tuple, LambdaPoint | None] = {}
+        # whether words are counted at graded points by torus-fixed flags
         self._by_torus = True
 
     def fresh(self) -> "RhoEvaluator":
         """An evaluator at root seed derive_seed(root_seed, "verify-delta"),
-        so with seeds disjoint from this one's.
+        so with seeds disjoint from this one's, that counts every label
+        by the F_p route; no other evaluator does.
 
-        It shares this one's star spaces, End templates and graded
-        points, which no seed enters, and none of its draws or counts,
-        and it counts every label by the F_p route; no other evaluator
-        does.  At a label with a graded point it fits each word at the
-        tangent bound where that undercuts word_degree_bound (see chi).
-        The delta check of semican recounts every diagonal entry with
-        one, which like any evaluator reads a prime below
-        VOTE_PRIME_START only at a draw with dim End = q(d), and whose
-        draws must vote at none of the primes it reads (see voted); at a
-        graded component, the torus-fixed flags of the construction then
-        meet a count by the other method.
+        At a label with a graded point it fits each word at the tangent
+        bound where that undercuts word_degree_bound (see _count).  The
+        delta check of semican recounts every diagonal entry with one,
+        which like any evaluator reads a prime below VOTE_PRIME_START only
+        at a draw with dim End = q(d), and whose draws must vote at none of
+        the primes it reads (see voted); at a graded component, the
+        torus-fixed flags of the construction then meet a count by the
+        other method.
         """
         ev = RhoEvaluator(self.n, derive_seed(self.root_seed, "verify-delta"))
-        ev._spaces, ev._templates, ev._points = self._spaces, self._templates, self._points
         ev._by_torus = False
         return ev
-
-    def _template(self, label: Multisegment) -> _EndTemplate:
-        # _end_template, built once per label and evaluator family
-        if label.segments not in self._templates:
-            self._templates[label.segments] = _end_template(label, self.n)
-        return self._templates[label.segments]
 
     def _seed(self, label: Multisegment, p: int, k: int, salt: int) -> int:
         return derive_seed(self.root_seed, "rho", self.n, label.text(), p, k, salt)
@@ -757,18 +746,14 @@ class RhoEvaluator:
         self, label: Multisegment, p: int, salt: int
     ) -> tuple[list[LambdaPoint], list[int]]:
         # _generic_draws of up to SAMPLES_PER_PRIME seeds, read by every
-        # word; the star relations of a (component, prime) are solved
-        # once, and its vote, or its passing over, logged once
+        # word; the vote of a (component, prime), or its passing over, is
+        # logged once
         key = (label.segments, p, salt)
         found = self._draws.get(key)
         if found is None:
-            template = self._template(label)
-            space = self._spaces.get(key[:2])
-            if space is None:
-                space = self._spaces[key[:2]] = _star_space(template, p)
             seeds = (self._seed(label, p, k, salt) for k in range(SAMPLES_PER_PRIME))
-            found = self._draws[key] = _generic_draws(label, self.n, p, seeds, space, template)
-            q = template.q
+            found = self._draws[key] = _generic_draws(label, self.n, p, seeds)
+            q = _end_template(label, self.n).q
             if q not in found[1] and key[:2] not in self._voted:
                 self._voted.add(key[:2])
                 _log_vote(f"draws on Z({label})", p, q, *found)
@@ -778,7 +763,7 @@ class RhoEvaluator:
         # the first count primes of the pool at which attempt salt reads
         # label: those from VOTE_PRIME_START up, and the smaller ones with
         # a draw at dim End = q(d)
-        q = self._template(label).q
+        q = _end_template(label, self.n).q
         readable = (
             p
             for p in prime_pool()
@@ -800,36 +785,35 @@ class RhoEvaluator:
             for segments, p in self._voted
         )
 
-    def graded(self, label: Multisegment) -> LambdaPoint | None:
-        """The graded point at which label's words are counted, if any.
-
-        torus.graded_point, searched once per label for an evaluator and
-        the evaluators its fresh hands out; always None for one of those,
-        which count by the F_p route alone and read the point only for
-        its tangent bounds.
-        """
-        return self._graded_point(label) if self._by_torus else None
-
-    def _graded_point(self, label: Multisegment) -> LambdaPoint | None:
-        # torus.graded_point, searched once per label and evaluator family
-        # on the family's End template
-        if label.segments not in self._points:
-            self._points[label.segments] = torus.graded_point(
-                label, self.n, self._template(label)
-            )
-        return self._points[label.segments]
-
     def _count(self, label: Multisegment, words: Iterable[Word]) -> None:
-        # count together the words not yet memoised at label, as chi says
+        """Memoise the generic Euler characteristic on Z_label of each
+        word not yet read there, counting them together.
+
+        At a graded point (torus.graded_point) it is the number of
+        torus-fixed flags, torus.fixed_flag_counts, which is exact; a
+        fresh evaluator reads the point only for its tangent bounds.
+        Elsewhere the count is taken at each prime and fitted with degree
+        b through the first min(b + 3, B + 2) primes of prime_pool at
+        which the label is read, B = flag_degree_bound(d) and
+        b = word_degree_bound(w, d), except that a fresh evaluator at a
+        graded point fits a word with b >= 1 at min(b, max(t, 0)), t its
+        torus.tangent_bounds (-1 when the flag variety is empty).  Each
+        prime evaluates the word once at its draw with dim End = q(d),
+        which is exactly generic, or else votes over its draws of least
+        End, stopping once one count holds a strict majority.  A degree-b
+        fit through N primes exposes any N - b - 1 wrong values: two when
+        b < B, one when b = B, at a tangent bound as anywhere.  The first
+        word, in order, that no attempt certifies raises its error.
+        """
         todo = [w for w in dict.fromkeys(words) if (label.segments, w) not in self._chi]
         if not todo:
             return
-        x = self._graded_point(label)
+        x = torus.graded_point(label, self.n)
         if x is not None and self._by_torus:
             for w, count in torus.fixed_flag_counts(x, todo).items():
                 self._chi[label.segments, w] = count
             return
-        d, q = label.dim_vector(self.n), self._template(label).q
+        d, q = label.dim_vector(self.n), _end_template(label, self.n).q
         bounds = {w: word_degree_bound(w, d) for w in todo}
         lowered = 0
         if x is not None:
@@ -882,31 +866,6 @@ class RhoEvaluator:
                 f"primes {list(pool[:counts[word]])}: {failure}"
             ) from failure
 
-    def chi(self, label: Multisegment, word: Word) -> int:
-        """Generic Euler-characteristic value of the word count on Z_label.
-
-        At a label with a graded point (see graded) it is the number of
-        torus-fixed flags there, torus.fixed_flag_counts, which is exact.
-        Elsewhere the count is taken at each prime and fitted with degree
-        b through the first min(b + 3, B + 2) primes of prime_pool at
-        which the label is read, B being flag_degree_bound(d).  b is
-        b_w = word_degree_bound(word, d), except at a label with a graded
-        point counted by a fresh evaluator: there a word with b_w >= 1 is
-        fitted at min(b_w, max(t, 0)), t its torus.tangent_bounds, an
-        upper bound on the dimension of its flag variety (-1 when that is
-        empty); a word with b_w = 0 reads no tangent bound.  Each prime
-        evaluates the word once at its draw with dim End = q(d), which
-        is exactly generic, or else votes over its draws of least End,
-        stopping once one count holds a strict majority.  A degree-b
-        fit through N primes exposes any N - b - 1 wrong values: two when
-        b < B, one (as with the grade bound) when b = B; those spare
-        primes check a fit at a tangent bound as they check any other.
-        """
-        key = (label.segments, word)
-        if key not in self._chi:
-            self._count(label, [word])
-        return self._chi[key]
-
     def rho(self, label: Multisegment, combo: Mapping[Word, int] | Word) -> int:
         """The generic value on Z_label of an integer word combination, or
         of one word: a one-combination _WordColumns row."""
@@ -941,7 +900,7 @@ class _WordColumns:
         The words are counted together, in one batch of ev (see
         RhoEvaluator._count), and each value is read from ev's memo
         once.  The first word in the order of words that no attempt
-        certifies raises chi's error.
+        certifies raises _count's error.
         """
         ev._count(label, self.words)
         key = label.segments

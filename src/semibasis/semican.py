@@ -308,7 +308,7 @@ def transition_matrix(
     d = tuple(d)
     basis = SemicanBasis(quiver, root_seed)
     classes, a_mat, e_mat = transition_via_inversion(quiver, d, basis.evaluator)
-    torus.log_coverage({cls: basis.evaluator.graded(cls) for cls in classes})
+    torus.log_coverage({cls: torus.graded_point(cls, quiver.n) for cls in classes})
     elements = {cls: basis.element(cls) for cls in classes}
     rec_mat = _pbw_matrix(quiver.n, d, classes, [elements[m_cls] for m_cls in classes])
     if rec_mat != a_mat:

@@ -42,6 +42,7 @@ nilpotent.RhoEvaluator.
 from __future__ import annotations
 
 import logging
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
@@ -186,9 +187,8 @@ def _separated(x: nilpotent.LambdaPoint) -> bool:
     return True
 
 
-def graded_point(
-    m: Multisegment, n: int, template: nilpotent._EndTemplate | None = None
-) -> nilpotent.LambdaPoint | None:
+@lru_cache(maxsize=None)
+def graded_point(m: Multisegment, n: int) -> nilpotent.LambdaPoint | None:
     """A graded point of the dense orbit of Z_m, or None if the search finds none.
 
     The candidates are the monomial points over realize(m, n) described
@@ -196,17 +196,16 @@ def graded_point(
     them, each satisfying the relations over Z.  The first is returned
     that has dim End = q(d) at GRADED_PRIME and whose weights separate
     the basis at every vertex.  End is read by nilpotent._end_dim from
-    template, nilpotent._end_template(m, n), which is built for the
-    search unless a caller that holds it passes it; the template's
-    matrix is integral and a rank mod p is at most the rank over Q, so
-    End = q(d) at GRADED_PRIME certifies the dense orbit over Q.  The
-    point's entries are stored mod GRADED_PRIME, where the relations are
-    checked again; a candidate that fails there raises
-    InternalCheckError.  The flag counts read only which entries are
-    nonzero.
+    nilpotent._end_template(m, n); the template's matrix is integral and
+    a rank mod p is at most the rank over Q, so End = q(d) at
+    GRADED_PRIME certifies the dense orbit over Q.  The point's entries
+    are stored mod GRADED_PRIME, where the relations are checked again;
+    a candidate that fails there raises InternalCheckError.  The flag
+    counts read only which entries are nonzero.  No seed enters the
+    search, so it is memoized per (m, n), process-wide: every evaluator,
+    and the coverage line, reads one search per label.
     """
-    if template is None:
-        template = nilpotent._end_template(m, n)
+    template = nilpotent._end_template(m, n)
     rep = template.rep
     p = GRADED_PRIME
     for stars in _candidates(rep):

@@ -11,7 +11,10 @@ import itertools
 
 import pytest
 
-from semibasis import Quiver, hall, transition_matrix
+from semibasis import Quiver, hall, nilpotent, torus, transition_matrix
+
+# the process-wide memos of what no seed enters
+SEEDLESS_MEMOS = (nilpotent._end_template, nilpotent._star_space, torus.graded_point)
 
 
 def n2_grades() -> list[tuple[int, ...]]:
@@ -24,6 +27,15 @@ def n2_grades() -> list[tuple[int, ...]]:
 def n3_grades() -> list[tuple[int, ...]]:
     """All dimension vectors on three vertices bounded by (2, 2, 2)."""
     return list(itertools.product(range(3), repeat=3))
+
+
+@pytest.fixture(autouse=True)
+def cleared_memos():
+    """Empty the End template, star space and graded point memos before
+    each test, so that a fault a test plants in what they are built from
+    reaches every search and solve the test makes."""
+    for memo in SEEDLESS_MEMOS:
+        memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

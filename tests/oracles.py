@@ -397,12 +397,20 @@ def peeled_class(x: LambdaPoint, i: int) -> Multisegment:
     return iso_class(Rep(x.n, dims, tuple(maps)), x.p)
 
 
+def chi(ev: RhoEvaluator, label: Multisegment, word) -> int:
+    """ev's value of one word on Z_label, counted in a batch of its own
+    (RhoEvaluator._count) and read from its memo, past
+    nilpotent._WordColumns."""
+    ev._count(label, [word])
+    return ev._chi[label.segments, word]
+
+
 def rho_by_chi(ev: RhoEvaluator, label: Multisegment, combos) -> tuple[int, ...]:
-    """The values on Z_label of word combinations, each the sum of
-    ev.chi over its words: one word read at a time, where the package
-    reads a combination's words together and applies sparse columns to
-    their values (nilpotent._WordColumns)."""
-    return tuple(sum(c * ev.chi(label, w) for w, c in combo.items()) for combo in combos)
+    """The values on Z_label of word combinations, each the sum of chi
+    over its words: one word read at a time, where the package reads a
+    combination's words together and applies sparse columns to their
+    values (nilpotent._WordColumns)."""
+    return tuple(sum(c * chi(ev, label, w) for w, c in combo.items()) for combo in combos)
 
 
 def sampled_top(m: Multisegment, i: int, ev: RhoEvaluator) -> tuple[int, Multisegment]:

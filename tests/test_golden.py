@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from semibasis import Multisegment, deg_leq
+from semibasis import Multisegment, deg_leq, torus
 from semibasis.cli import main
 
 GOLDEN = sorted((Path(__file__).parent / "golden").glob("n*.json"))
@@ -52,3 +52,17 @@ def test_transition_support_is_the_order_and_its_sign_nonnegative(path):
         for c, value in enumerate(row):
             assert (value != 0) == deg_leq(order[r], order[c]), (order[r], order[c], value)
             assert value >= 0, (order[r], order[c], value)
+
+
+def test_no_seed_leaks_through_the_memos(capsys):
+    # End templates, star spaces and graded points are memoized for the
+    # process, as no seed enters them: after a run at root seed 3 has
+    # filled them, a run at seed 0 prints the pinned payload and searches
+    # for no graded point again
+    argv = ["transition", "--n", "4", "--dim", "1,2,2,1", "--format", "json"]
+    assert main(argv + ["--seed", "3"]) == 0
+    capsys.readouterr()
+    searched = torus.graded_point.cache_info().misses
+    assert main(argv + ["--seed", "0"]) == 0
+    assert capsys.readouterr().out == (GOLDEN[0].parent / "n4_1_2_2_1.json").read_text()
+    assert torus.graded_point.cache_info().misses == searched > 0

@@ -24,6 +24,7 @@ import sys
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -152,10 +153,26 @@ class TestLift:
         for n in (2, 3):
             for cls in classes_upto(n, 4):
                 for p in (2, 5):
-                    space = nilpotent._star_space(nilpotent._end_template(cls, n), p)
-                    for seed in range(3):
-                        x = lift_generic(cls, n, p, seed, space)
-                        assert x == lift_generic(cls, n, p, seed)
+                    nilpotent._star_space.cache_clear()
+                    shared = [lift_generic(cls, n, p, seed) for seed in range(3)]
+                    assert nilpotent._star_space.cache_info().misses == 1
+                    for seed, x in enumerate(shared):
+                        nilpotent._star_space.cache_clear()
+                        assert lift_generic(cls, n, p, seed) == x
+
+    def test_modulus_must_be_prime(self):
+        # Z/p is no field at p = 0, 1, 4 or 9; at a prime the points are
+        # those drawn before the check was added
+        m = M("2[1,1]+2[2,2]")
+        for p in (0, 1, 4, 9):
+            with pytest.raises(ValueError, match=f"must be a prime, got {p}"):
+                lift_generic(m, 2, p, 0)
+        drawn = {p: [lift_generic(m, 2, p, seed).stars for seed in range(3)] for p in (2, 3, 5)}
+        assert drawn == {
+            2: [(((1, 1), (0, 1)),), (((0, 0), (1, 0)),), (((0, 0), (0, 1)),)],
+            3: [(((1, 1), (0, 1)),), (((0, 2), (0, 1)),), (((0, 0), (0, 1)),)],
+            5: [(((3, 3), (0, 2)),), (((1, 4), (0, 2)),), (((0, 0), (0, 2)),)],
+        }
 
     def test_relation_check_raises_exactly_when_a_relation_fails(self):
         # _check_relations sums each entry of a_{i-1} s_{i-1} + s_i a_i
@@ -252,10 +269,10 @@ class TestEvaluate:
         # of a fresh evaluator, which sizes its fit by word_degree_bound
         m, w = M("1[1,1]+1[2,2]"), ((1, 2), (2, 1))
         ev = RhoEvaluator(2)
-        assert ev.graded(m) is not None
+        assert torus.graded_point(m, 2) is not None
         for reader in (ev, ev.fresh()):
             with pytest.raises(ValueError, match="does not match"):
-                reader.chi(m, w)
+                reader.rho(m, w)
 
     def test_counts_word_flags_on_interval(self):
         x = lift_generic(M("1[1,2]"), 2, 3, 7)
@@ -308,19 +325,13 @@ class TestEvaluate:
 @pytest.fixture
 def primes_only(monkeypatch):
     """No label has a graded point, so every evaluator counts by F_p."""
-    monkeypatch.setattr(torus, "graded_point", lambda m, n, template=None: None)
+    monkeypatch.setattr(torus, "graded_point", lambda m, n: None)
 
 
 def accepted_point(m: Multisegment, n: int, p: int) -> LambdaPoint:
-    # the first draw with dim End = q(d), as chi reads it
-    template = nilpotent._end_template(m, n)
+    # the first draw with dim End = q(d), as the evaluator reads it
     points, ends = nilpotent._generic_draws(
-        m,
-        n,
-        p,
-        (derive_seed("accepted", m.text(), p, k) for k in range(40)),
-        nilpotent._star_space(template, p),
-        template,
+        m, n, p, (derive_seed("accepted", m.text(), p, k) for k in range(40))
     )
     assert ends[-1] == tits_form(points[0]), (m, p, ends)
     return points[0]
@@ -407,9 +418,9 @@ class TestSharedExpansions:
         made.append(0)
         ev = RhoEvaluator(2)
         ev.rho(m, dict.fromkeys(words, 1))
-        together = tuple(ev.chi(m, w) for w in words)
+        together = tuple(ev.rho(m, w) for w in words)
         made.append(0)
-        alone = tuple(RhoEvaluator(2).chi(m, w) for w in words)
+        alone = tuple(RhoEvaluator(2).rho(m, w) for w in words)
         assert together == alone
         assert 0 < made[0] < made[1], made
         # likewise at one point, where the walk is all there is
@@ -608,20 +619,21 @@ class TestWholeKernel:
 class TestSharedDraws:
     def test_each_draw_lifted_once_and_each_star_space_solved_once(self, monkeypatch):
         # one transition: the word counts of both routes and the delta
-        # check read one set of draws per (component, prime, attempt)
+        # check read one set of draws per (component, prime, attempt), and
+        # the memo behind every lift solves each star space once
         lifts, spaces = Counter(), Counter()
-        lift, space = nilpotent.lift_generic, nilpotent._star_space
+        lift, space = nilpotent.lift_generic, nilpotent._star_space.__wrapped__
 
-        def lift_counted(m, n, p, seed, star_space=None):
+        def lift_counted(m, n, p, seed):
             lifts[n, m.segments, p, seed] += 1
-            return lift(m, n, p, seed, star_space)
+            return lift(m, n, p, seed)
 
-        def space_counted(template, p):
-            spaces[template.rep, p] += 1
-            return space(template, p)
+        def space_counted(m, n, p):
+            spaces[n, m.segments, p] += 1
+            return space(m, n, p)
 
         monkeypatch.setattr(nilpotent, "lift_generic", lift_counted)
-        monkeypatch.setattr(nilpotent, "_star_space", space_counted)
+        monkeypatch.setattr(nilpotent, "_star_space", lru_cache(maxsize=None)(space_counted))
         res = transition_matrix(Quiver(3), (2, 2, 2))
         assert res.routes_agree and res.delta_ok
         assert lifts and set(lifts.values()) == {1}
@@ -631,10 +643,12 @@ class TestSharedDraws:
         # one transition builds each label's End template once, for its
         # graded-point search and its draws alike, and the label's integer
         # relation rows once, although its star space is solved mod p at
-        # several primes
+        # several primes; the memos are spied on below their caches
         templates, rows, primes = Counter(), Counter(), {}
         template_of, rows_of, space_of = (
-            nilpotent._end_template, nilpotent._relation_rows, nilpotent._star_space
+            nilpotent._end_template.__wrapped__,
+            nilpotent._relation_rows,
+            nilpotent._star_space.__wrapped__,
         )
 
         def template_counted(m, n):
@@ -645,19 +659,19 @@ class TestSharedDraws:
             rows[rep] += 1
             return rows_of(rep)
 
-        def space_counted(template, p):
-            primes.setdefault(template.rep, set()).add(p)
-            return space_of(template, p)
+        def space_counted(m, n, p):
+            primes.setdefault(m.segments, set()).add(p)
+            return space_of(m, n, p)
 
-        monkeypatch.setattr(nilpotent, "_end_template", template_counted)
+        monkeypatch.setattr(nilpotent, "_end_template", lru_cache(maxsize=None)(template_counted))
         monkeypatch.setattr(nilpotent, "_relation_rows", rows_counted)
-        monkeypatch.setattr(nilpotent, "_star_space", space_counted)
+        monkeypatch.setattr(nilpotent, "_star_space", lru_cache(maxsize=None)(space_counted))
         res = transition_matrix(Quiver(4), (1, 2, 2, 1))
         assert res.routes_agree and res.delta_ok
         classes = list(enumerate_multisegments(Quiver(4), (1, 2, 2, 1)))
         assert {m.segments for m in classes} <= set(templates)
         assert set(templates.values()) == set(rows.values()) == {1}
-        assert len(rows) == len(templates) and set(primes) <= set(rows)
+        assert len(rows) == len(templates) and set(primes) <= set(templates)
         assert max(len(ps) for ps in primes.values()) > 1
 
     def test_vote_reads_at_most_five_of_forty_draws(self, monkeypatch):
@@ -677,7 +691,7 @@ class TestSharedDraws:
         ev = RhoEvaluator(2)
         assert nilpotent.SAMPLES_PER_PRIME == 40 and nilpotent.VOTE_SIZE == 5
         with pytest.raises(ConsensusError):
-            ev.chi(m, w)
+            ev.rho(m, w)
         assert read == [
             (p, ev._seed(m, p, k, salt))
             for salt in range(3)
@@ -739,7 +753,7 @@ class TestRho:
             return count_words(x, words)
 
         monkeypatch.setattr(nilpotent, "_count_words", recorded)
-        assert RhoEvaluator(2).chi(M("2[1,2]"), ((1, 2), (2, 2))) == 1
+        assert RhoEvaluator(2).rho(M("2[1,2]"), ((1, 2), (2, 2))) == 1
         assert counted == [2, 3, 5]
 
     def test_vote_stops_at_strict_majority(self, monkeypatch):
@@ -756,7 +770,7 @@ class TestRho:
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: tits_form(x) + 1)
         monkeypatch.setattr(nilpotent, "_count_words", counted)
         ev = RhoEvaluator(2)
-        value = ev.chi(m, w)
+        value = ev.rho(m, w)
         monkeypatch.undo()
         # the full five-sample mode at the same points and primes
         series = []
@@ -774,7 +788,7 @@ class TestRho:
         # a count equal to p cannot fit the constant a degree-0 word allows
         monkeypatch.setattr(nilpotent, "_count_words", lambda x, words: dict.fromkeys(words, x.p))
         with pytest.raises(InterpolationError) as info:
-            RhoEvaluator(2).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+            RhoEvaluator(2).rho(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
         assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
         assert "degree bound 0" in text and "primes [2, 3, 5]" in text
@@ -787,7 +801,7 @@ class TestRho:
             nilpotent, "_count_words", lambda x, words: {w: next(cycle) for w in words}
         )
         with pytest.raises(ConsensusError) as info:
-            RhoEvaluator(2).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+            RhoEvaluator(2).rho(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
         assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
         assert "only the samples drawn" in text
@@ -868,9 +882,8 @@ class TestEndCertificate:
                 template = nilpotent._end_template(m, n)
                 assert template.q == euler_form(Quiver(n), d, d)
                 for p in (2, 3, 5, torus.GRADED_PRIME):
-                    space = nilpotent._star_space(template, p)
                     for seed in range(3):
-                        x = lift_generic(m, n, p, derive_seed("template", m.text(), p, seed), space)
+                        x = lift_generic(m, n, p, derive_seed("template", m.text(), p, seed))
                         assert _end_dim(x, template) == oracles.end_dim_by_images(x), (m, p)
                         points += 1
                     zero = tuple(tuple((0,) * len(row) for row in s) for s in x.stars)
@@ -904,10 +917,9 @@ class TestEndCertificate:
             for m in enumerate_multisegments(Quiver(n), d):
                 template = nilpotent._end_template(m, n)
                 for p in (2, 3, 5, 7):
-                    space = nilpotent._star_space(template, p)
                     rng = random.Random(derive_seed("sparse-end", m.text(), p))
                     for seed in range(3):
-                        x = lift_generic(m, n, p, derive_seed("sparse-end", m.text(), p, seed), space)
+                        x = lift_generic(m, n, p, derive_seed("sparse-end", m.text(), p, seed))
                         wild = tuple(
                             tuple(tuple(rng.randrange(p) for _ in row) for row in s)
                             for s in x.stars
@@ -936,8 +948,8 @@ class TestEndCertificate:
         draws = []
         real = nilpotent._generic_draws
 
-        def recorded(m, n, p, seeds, space, template):
-            found = real(m, n, p, seeds, space, template)
+        def recorded(m, n, p, seeds):
+            found = real(m, n, p, seeds)
             draws.append(found)
             return found
 
@@ -975,8 +987,7 @@ class TestEndCertificate:
         assert star_system_holds(planted)
         assert _end_dim(planted, template) == oracles.end_dim_by_images(planted) > 1
         monkeypatch.setattr(nilpotent, "lift_generic", lambda *args: planted)
-        space = nilpotent._star_space(template, 5)
-        points, ends = nilpotent._generic_draws(m, 4, 5, range(5), space, template)
+        points, ends = nilpotent._generic_draws(m, 4, 5, range(5))
         # not read alone: all five draws are kept for a vote
         assert len(ends) == 5 and 1 not in ends and points == [planted] * 5
         with monkeypatch.context() as patched:
@@ -984,7 +995,7 @@ class TestEndCertificate:
             patched.setattr(
                 nilpotent, "lift_generic", lambda *args: x if args[3] == 3 else planted
             )
-            points, ends = nilpotent._generic_draws(m, 4, 5, range(5), space, template)
+            points, ends = nilpotent._generic_draws(m, 4, 5, range(5))
         assert points == [x] and ends == [ends[0]] * 3 + [1] and ends[0] > 1
 
     def test_vote_keeps_draws_of_least_end(self, monkeypatch):
@@ -992,9 +1003,7 @@ class TestEndCertificate:
         m = M("1[1,2]+1[3,3]+1[4,4]")
         planted = {0: 5, 1: 3, 2: 4, 3: 3, 4: 6}
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: planted[x.seed])
-        template = nilpotent._end_template(m, 4)
-        space = nilpotent._star_space(template, 5)
-        points, ends = nilpotent._generic_draws(m, 4, 5, range(5), space, template)
+        points, ends = nilpotent._generic_draws(m, 4, 5, range(5))
         assert ends == [5, 3, 4, 3, 6]
         assert [x.seed for x in points] == [1, 3]
 
@@ -1014,7 +1023,7 @@ class TestEndCertificate:
             return count_words(x, words)
 
         monkeypatch.setattr(nilpotent, "_count_words", recorded)
-        assert RhoEvaluator(2).chi(m, w) == 1
+        assert RhoEvaluator(2).rho(m, w) == 1
         assert counted == [2, 5, 7]
 
     def test_voted_only_from_the_vote_primes(self, monkeypatch, primes_only):
@@ -1024,12 +1033,12 @@ class TestEndCertificate:
         m, w = M("2[1,2]"), ((1, 2), (2, 2))
         ev = RhoEvaluator(2)
         assert not ev.voted(m)
-        ev.chi(m, w)
+        ev.rho(m, w)
         assert not ev.voted(m)
         real_end = nilpotent._end_dim
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: real_end(x, template) + (x.p in (2, 3, 13)))
         ev = RhoEvaluator(2)
-        ev.chi(m, w)
+        ev.rho(m, w)
         ev._draws_for(m, 2, 1)
         assert sorted(ev._voted) == [(m.segments, 2), (m.segments, 3)]
         assert not ev.voted(m)
@@ -1037,7 +1046,7 @@ class TestEndCertificate:
         assert ev.voted(m) and not ev.voted(M("1[1,2]+1[1,1]+1[2,2]"))
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: real_end(x, template) + (x.p == 5))
         ev = RhoEvaluator(2)
-        ev.chi(m, w)
+        ev.rho(m, w)
         assert ev.voted(m)
 
     def test_vote_logged_once_per_component_and_prime(self, monkeypatch, caplog):
@@ -1081,7 +1090,7 @@ class TestEndCertificate:
             nilpotent, "_count_words", lambda x, words: {w: next(cycle) for w in words}
         )
         with pytest.raises(ConsensusError) as info:
-            RhoEvaluator(2).chi(M("2[1,2]"), ((1, 2), (2, 2)))
+            RhoEvaluator(2).rho(M("2[1,2]"), ((1, 2), (2, 2)))
         text = str(info.value)
         assert "Z(2[1,2])" in text and "(1,2)(2,2)" in text
         assert "dim End = q(d) = 4" in text

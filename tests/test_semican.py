@@ -264,7 +264,7 @@ class TestDeltaCheck:
                 (m, w)
                 for m in classes
                 for w in elements[m]
-                if ev.chi(m, w) == 0 and any(ev.chi(k, w) for k in classes)
+                if ev.rho(m, w) == 0 and any(ev.rho(k, w) for k in classes)
             )
             words = dict(elements[m])
             words[w] += 1
@@ -293,7 +293,7 @@ class TestDeltaCheck:
                 for w in elements[k]
                 if all(w not in elements[m] for m in classes if m != k)
             )
-            ev._chi[k.segments, w] = ev.chi(k, w) + 1
+            ev._chi[k.segments, w] = ev.rho(k, w) + 1
             return real(basis, classes, elements)
 
         monkeypatch.setattr(semican, "_delta_report", corrupted)
@@ -352,7 +352,7 @@ class TestDeltaCheck:
     ):
         # the construction certifies at primes (no graded point), the
         # fresh draws never reach q(d)
-        monkeypatch.setattr(torus, "graded_point", lambda m, n, template=None: None)
+        monkeypatch.setattr(torus, "graded_point", lambda m, n: None)
         real_end = nilpotent._end_dim
 
         def end_dim(x, template):
@@ -390,7 +390,7 @@ class TestDeltaCheck:
         assert res.delta_ok
         basis = SemicanBasis(Q2)
         every_word = [w for m in res.classes for w in basis.element(m)]
-        assert all(basis.evaluator.graded(m) is not None for m in res.classes)
+        assert all(torus.graded_point(m, 2) is not None for m in res.classes)
         [fresh] = fresh_evaluators
         assert set(fresh._chi) == pairs(res.classes, lambda k: every_word)
         assert delta_lines(caplog) == [
@@ -405,7 +405,7 @@ class TestDeltaCheck:
         # the construction certifies at primes from 2 (no graded point);
         # the fresh draws miss q(d) at p = 2 and 3 only, which passes those
         # primes over and reads the diagonal from p = 5 up, at no vote
-        monkeypatch.setattr(torus, "graded_point", lambda m, n, template=None: None)
+        monkeypatch.setattr(torus, "graded_point", lambda m, n: None)
         real_end = nilpotent._end_dim
 
         def end_dim(x, template):

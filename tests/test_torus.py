@@ -155,31 +155,24 @@ class TestFixedFlags:
 
 
 class TestEvaluator:
-    def test_points_memoised_per_evaluator(self, monkeypatch):
-        searched = []
-        search = torus.graded_point
-
-        def counted(m, n, template=None):
-            searched.append(m)
-            return search(m, n, template)
-
-        monkeypatch.setattr(torus, "graded_point", counted)
+    def test_points_memoised_per_process(self):
+        # no seed enters the search, so evaluators at any root seed read one
         w = ((2, 2), (1, 2))
         ev = RhoEvaluator(2)
-        assert ev.chi(SQUARE, w) == 1 and ev.chi(SQUARE, ((1, 2), (2, 2))) == 0
-        assert searched == [SQUARE]
-        assert RhoEvaluator(2).chi(SQUARE, w) == 1
-        assert searched == [SQUARE, SQUARE]
+        assert ev.rho(SQUARE, w) == 1 and ev.rho(SQUARE, ((1, 2), (2, 2))) == 0
+        assert torus.graded_point.cache_info().misses == 1
+        assert RhoEvaluator(2, root_seed=5).rho(SQUARE, w) == 1
+        assert torus.graded_point.cache_info().misses == 1
 
     def test_graded_label_draws_nothing(self):
         ev = RhoEvaluator(2)
-        assert ev.chi(SQUARE, ((2, 2), (1, 2))) == 1
-        assert ev._draws == {} and ev.graded(SQUARE) is not None
+        assert ev.rho(SQUARE, ((2, 2), (1, 2))) == 1
+        assert ev._draws == {} and torus.graded_point(SQUARE, 2) is not None
 
     def test_fresh_evaluator_counts_by_primes_only(self):
         ev = RhoEvaluator(2).fresh()
-        assert ev.graded(SQUARE) is None
-        assert ev.chi(SQUARE, ((2, 2), (1, 2))) == 1
+        assert torus.graded_point(SQUARE, 2) is not None
+        assert ev.rho(SQUARE, ((2, 2), (1, 2))) == 1
         assert ev._draws
 
     def test_end_patched_above_q_reaches_the_prime_route(self, monkeypatch, caplog):
@@ -187,8 +180,8 @@ class TestEvaluator:
         monkeypatch.setattr(nilpotent, "_end_dim", lambda x, template: tits_form(x) + 1)
         ev = RhoEvaluator(2)
         with caplog.at_level(logging.WARNING, logger="semibasis.nilpotent"):
-            assert ev.chi(SQUARE, ((2, 2), (1, 2))) == 1
-        assert ev.graded(SQUARE) is None and ev._draws
+            assert ev.rho(SQUARE, ((2, 2), (1, 2))) == 1
+        assert torus.graded_point(SQUARE, 2) is None and ev._draws
         assert any("voted" in r.getMessage() for r in caplog.records)
 
 
@@ -286,12 +279,12 @@ class TestTangentBounds:
         assert torus.tangent_bounds(x, [LOWERED_WORD]) == {LOWERED_WORD: 1}
         assert nilpotent.word_degree_bound(LOWERED_WORD, (1, 3, 2)) == 3
         assert fixed_flags(x, LOWERED_WORD) == 2
-        assert RhoEvaluator(3).fresh().chi(LOWERED, LOWERED_WORD) == 2
+        assert RhoEvaluator(3).fresh().rho(LOWERED, LOWERED_WORD) == 2
         monkeypatch.setattr(
             torus, "tangent_bounds", lambda x, words: dict.fromkeys(words, 0)
         )
         ev = RhoEvaluator(3)
-        assert ev.chi(LOWERED, LOWERED_WORD) == 2
+        assert ev.rho(LOWERED, LOWERED_WORD) == 2
         # the counts are p + 1, which a constant cannot fit
         with pytest.raises(
             InterpolationError,
@@ -302,8 +295,8 @@ class TestTangentBounds:
     def test_fresh_fit_reads_bound_plus_three_primes(self, monkeypatch):
         fits = fitted(monkeypatch)
         ev = RhoEvaluator(3)
-        assert ev.chi(LOWERED, LOWERED_WORD) == 2 and not fits
-        assert ev.fresh().chi(LOWERED, LOWERED_WORD) == 2
+        assert ev.rho(LOWERED, LOWERED_WORD) == 2 and not fits
+        assert ev.fresh().rho(LOWERED, LOWERED_WORD) == 2
         assert fits == [(1 + 3, 1)]
         # no graded point: the fit is at word_degree_bound, through at most
         # flag_degree_bound + 2 primes
@@ -319,20 +312,14 @@ class TestTangentBounds:
         ]
         assert sorted(fits) == sorted(expected) == [(3, 0), (4, 1), (4, 2)]
 
-    def test_fresh_evaluator_shares_the_graded_points(self, monkeypatch):
-        searched = []
-        search = torus.graded_point
-
-        def counted(m, n, template=None):
-            searched.append(m)
-            return search(m, n, template)
-
-        monkeypatch.setattr(torus, "graded_point", counted)
+    def test_fresh_evaluator_shares_the_graded_points(self):
+        # the fresh evaluator reads the construction's search for its
+        # tangent bounds, and counts by primes
         ev = RhoEvaluator(3)
-        ev.chi(LOWERED, LOWERED_WORD)
+        ev.rho(LOWERED, LOWERED_WORD)
         fresh = ev.fresh()
-        assert fresh.chi(LOWERED, LOWERED_WORD) == 2
-        assert searched == [LOWERED] and fresh.graded(LOWERED) is None
+        assert fresh.rho(LOWERED, LOWERED_WORD) == 2
+        assert torus.graded_point.cache_info().misses == 1 and fresh._draws
 
     def test_debug_line_counts_lowered_fits(self, caplog):
         ev = RhoEvaluator(3)
